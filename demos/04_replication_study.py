@@ -23,7 +23,7 @@ config = StudyConfig(
     replications=100,
     master_seed=7,
 )
-result = run_study(config, workers=4)
+result = run_study(config)
 
 print(f"true effect {result.true_delta:.4f}; "
       f"{len(result.true_dncts)} structurally valid triples "

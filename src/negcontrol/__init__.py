@@ -8,7 +8,10 @@ The pipeline has three stages, each usable on its own:
 2. ``closed_form_ate`` / ``gmm_linear_ate`` turn one validated control
    pair into a treatment-effect estimate via a linear outcome bridge.
 3. ``weighted_estimate`` / ``majority_vote_estimate`` /
-   ``joint_gmm_triplet`` aggregate estimates across the validated pairs.
+   ``joint_gmm_triplet`` aggregate estimates across the validated pairs;
+   the joint fit solves its stacked linear moments by least squares.
+
+Every stage runs serially; reruns with the same seeds are byte-identical.
 
 ``dance`` chains the stages; ``simulate``/``study`` provide synthetic
 benchmarks with exact graphical ground truth; the ``negcontrol`` console
@@ -38,7 +41,6 @@ from .errors import (
     GraphSpecError,
     MissingValueError,
     NegcontrolError,
-    NonConvergenceError,
     SingularDenominatorError,
     SingularMomentMatrixError,
     TooFewCandidatesError,
@@ -111,7 +113,6 @@ __all__ = [
     "MissingValueError",
     "NcPair",
     "NegcontrolError",
-    "NonConvergenceError",
     "PairFrequencyTable",
     "RocPoint",
     "SingularDenominatorError",

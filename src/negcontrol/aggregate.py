@@ -13,7 +13,6 @@ Three aggregators:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,6 @@ from .data import Dataset
 from .errors import (
     BootstrapDegenerateError,
     EmptyDnctListError,
-    NonConvergenceError,
     SingularMomentMatrixError,
 )
 from .estimate import (
@@ -31,8 +29,8 @@ from .estimate import (
     BridgeParams,
     NcPair,
     design_matrices,
-    per_observation_moments,
-    sandwich_cov,
+    fit_pair,
+    gmm_linear_ate,
     solve_linear_moments,
 )
 from .search import canonical_triple
@@ -132,19 +130,23 @@ def _interval(center: float, se: float) -> tuple[float, float]:
     return center - 1.96 * se, center + 1.96 * se
 
 
+def _unordered_pairs(table: PairFrequencyTable) -> list[tuple[NcPair, int]]:
+    """Both orientations of each pair folded into one entry, sorted, with
+    the smaller name as z."""
+    merged: dict[tuple[str, str], int] = {}
+    for pair, freq in table.entries:
+        key = tuple(sorted((pair.z, pair.w)))
+        merged[key] = merged.get(key, 0) + freq
+    return [(NcPair(z=a, w=b), freq) for (a, b), freq in sorted(merged.items())]
+
+
 def _weighted_pairs(
     table: PairFrequencyTable, pair_space: str
 ) -> tuple[list[NcPair], np.ndarray]:
     if pair_space == "ordered":
         selected = list(table.entries)
     elif pair_space == "unordered":
-        merged: dict[tuple[str, str], int] = {}
-        for pair, freq in table.entries:
-            key = tuple(sorted((pair.z, pair.w)))
-            merged[key] = merged.get(key, 0) + freq
-        selected = [
-            (NcPair(z=a, w=b), freq) for (a, b), freq in sorted(merged.items())
-        ]
+        selected = _unordered_pairs(table)
     else:
         raise ValueError(f"unknown pair_space: {pair_space!r}")
     pairs = [pair for pair, _ in selected]
@@ -152,73 +154,28 @@ def _weighted_pairs(
     return pairs, freqs / freqs.sum()
 
 
-@dataclass(frozen=True)
-class _PairFit:
-    pair: NcPair
-    theta: np.ndarray
-    a_n: np.ndarray
-    g: np.ndarray  # per-observation moments, (n, dim)
-
-    @property
-    def delta(self) -> float:
-        return float(self.theta[DELTA_INDEX])
-
-
-def _fit_pair(
-    data: Dataset, pair: NcPair, treatment: str, outcome: str, covariates
-) -> _PairFit:
-    q, m, y = design_matrices(data, pair, treatment, outcome, covariates)
-    theta, a_n = solve_linear_moments(q, m, y, pair=pair)
-    g = per_observation_moments(q, m, y, theta)
-    return _PairFit(pair=pair, theta=theta, a_n=a_n, g=g)
-
-
-def _stacked_delta_variance(
-    fits: list[_PairFit], weights: np.ndarray
-) -> float:
+def _stacked_delta_variance(a_blocks, g_blocks, weights: np.ndarray) -> float:
     """omega' V omega for the stacked exactly identified system.
 
     The Jacobian is block diagonal (each pair has its own parameters), the
     meat is the full cross-pair per-observation outer product, and omega
     holds each pair's weight at its delta coordinate.
     """
-    n = fits[0].g.shape[0]
-    dims = [fit.a_n.shape[0] for fit in fits]
+    n = g_blocks[0].shape[0]
+    dims = [a_n.shape[0] for a_n in a_blocks]
     offsets = np.concatenate([[0], np.cumsum(dims)])
     total = offsets[-1]
-    g_all = np.hstack([fit.g for fit in fits])
+    g_all = np.hstack(g_blocks)
     meat = g_all.T @ g_all / n
     inv_blocks = np.zeros((total, total))
-    for fit, start, dim in zip(fits, offsets[:-1], dims):
-        inv_blocks[start:start + dim, start:start + dim] = np.linalg.inv(
-            fit.a_n
-        )
+    for a_n, start, dim in zip(a_blocks, offsets[:-1], dims):
+        inv_blocks[start:start + dim, start:start + dim] = np.linalg.inv(a_n)
     v = inv_blocks @ meat @ inv_blocks.T / n
     v = (v + v.T) / 2.0
     omega = np.zeros(total)
     for weight, start in zip(weights, offsets[:-1]):
         omega[start + DELTA_INDEX] = weight
     return float(omega @ v @ omega)
-
-
-def _pair_estimate(fit: _PairFit) -> AteEstimate:
-    var = sandwich_cov(fit.a_n, fit.g)
-    se = float(np.sqrt(var[DELTA_INDEX, DELTA_INDEX]))
-    theta = fit.theta
-    return AteEstimate(
-        delta_hat=fit.delta,
-        method="gmm_linear" if len(theta) == 3 else "gmm_linear_x",
-        pair=fit.pair,
-        se=se,
-        ci_low=fit.delta - 1.96 * se,
-        ci_high=fit.delta + 1.96 * se,
-        params=BridgeParams(
-            alpha0=float(theta[0]),
-            alpha1=float(theta[1]),
-            delta=fit.delta,
-            beta_x=tuple(float(v) for v in theta[3:]),
-        ),
-    )
 
 
 def _bootstrap_se(
@@ -230,14 +187,14 @@ def _bootstrap_se(
     covariates,
     draws: int,
     seed,
-    workers: int,
 ) -> np.ndarray:
     """Bootstrap draws of the weighted estimate, one per slot.
 
     Each slot derives its own random stream from (seed, slot, attempt), so
-    results do not depend on worker scheduling.  A slot whose resample
-    fails (singular moment matrix) is redrawn, up to a per-slot budget
-    that caps total retries below ten times the requested draws.
+    a slot's draw does not depend on how the other slots went.  A slot
+    whose resample fails (singular moment matrix) is redrawn, up to a
+    per-slot budget that caps total retries below ten times the requested
+    draws.
     """
     designs = [
         design_matrices(data, pair, treatment, outcome, covariates)
@@ -267,13 +224,7 @@ def _bootstrap_se(
             f"bootstrap slot {slot} failed {_BOOT_RETRIES_PER_SLOT} times"
         )
 
-    slots = range(draws)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(one_slot, slots))
-    else:
-        values = [one_slot(slot) for slot in slots]
-    return np.asarray(values)
+    return np.asarray([one_slot(slot) for slot in range(draws)])
 
 
 def weighted_estimate(
@@ -287,7 +238,6 @@ def weighted_estimate(
     bootstrap_ci: str = "normal",
     seed: int = 0,
     pair_space: str = "ordered",
-    workers: int = 1,
 ) -> AggregateResult:
     """Frequency-weighted average of the per-pair moment estimates.
 
@@ -301,17 +251,17 @@ def weighted_estimate(
         raise ValueError(f"unknown bootstrap_ci: {bootstrap_ci!r}")
     covariates = tuple(covariates)
     pairs, weights = _weighted_pairs(table, pair_space)
-    fits = [
-        _fit_pair(data, pair, treatment, outcome, covariates) for pair in pairs
-    ]
-    deltas = np.array([fit.delta for fit in fits])
+    estimates, a_blocks, g_blocks = zip(
+        *(fit_pair(data, pair, treatment, outcome, covariates) for pair in pairs)
+    )
+    deltas = np.array([est.delta_hat for est in estimates])
     delta_hat = float(weights @ deltas)
     per_pair = tuple(
-        (fit.pair, _pair_estimate(fit), float(weight))
-        for fit, weight in zip(fits, weights)
+        (est.pair, est, float(weight))
+        for est, weight in zip(estimates, weights)
     )
     if ci_method == "sandwich":
-        se = math.sqrt(_stacked_delta_variance(fits, weights))
+        se = math.sqrt(_stacked_delta_variance(a_blocks, g_blocks, weights))
         ci_low, ci_high = _interval(delta_hat, se)
         method = "weighted_sandwich"
     else:
@@ -326,7 +276,6 @@ def weighted_estimate(
             covariates,
             bootstrap_draws,
             seed,
-            workers,
         )
         se = float(np.std(boot, ddof=1))
         if bootstrap_ci == "normal":
@@ -357,23 +306,16 @@ def majority_vote_estimate(
     Frequencies of the two orientations are combined; ties break to the
     lexicographically smallest pair, oriented with the smaller name as z.
     """
-    combined: dict[tuple[str, str], int] = {}
-    for pair, freq in table.entries:
-        key = tuple(sorted((pair.z, pair.w)))
-        combined[key] = combined.get(key, 0) + freq
-    winner = min(combined, key=lambda key: (-combined[key], key))
-    fit = _fit_pair(
-        data, NcPair(z=winner[0], w=winner[1]), treatment, outcome,
-        tuple(covariates),
-    )
-    est = _pair_estimate(fit)
+    # max keeps the first of equal frequencies, and the pairs come sorted
+    winner, _ = max(_unordered_pairs(table), key=lambda entry: entry[1])
+    est = gmm_linear_ate(data, winner, treatment, outcome, covariates)
     return AggregateResult(
         delta_hat=est.delta_hat,
         se=est.se,
         ci_low=est.ci_low,
         ci_high=est.ci_high,
         method="majority_vote",
-        per_pair=((fit.pair, est, 1.0),),
+        per_pair=((winner, est, 1.0),),
     )
 
 
@@ -387,6 +329,10 @@ def _joint_system(
     instrument blocks q(1, Z, T, X) * residual(W).
     """
     x, y, z = canonical_triple(triple)
+    if len({x, y, z, treatment, outcome, *covariates}) != 5 + len(covariates):
+        raise ValueError(
+            "triple, treatment, outcome, and covariates must be distinct"
+        )
     combos = [
         (x, y), (x, z), (y, x), (y, z), (z, x), (z, y),
     ]  # (outcome-side W, exposure-side Z)
@@ -429,20 +375,19 @@ def joint_gmm_triplet(
     treatment: str,
     outcome: str,
     covariates=(),
-    max_iter: int = 50,
 ) -> AggregateResult:
     """One shared-parameter moment fit for a single validated triplet.
 
-    Minimizes the squared mean moments by damped Gauss-Newton; the
-    residuals are linear in the parameters, so convergence normally takes
-    one step.
+    The mean moments are linear in the parameters, so the overidentified
+    system is fitted by one least-squares solve.
 
     Raises
     ------
+    ValueError
+        A covariate coincides with a triple member, the treatment or the
+        outcome.
     SingularMomentMatrixError
         Stacked system rank-deficient.
-    NonConvergenceError
-        Objective stalls (reduction < 1e-12) with gradient norm > 1e-6.
     """
     covariates = tuple(covariates)
     combos, a_mat, c_vec, q_blocks, w_cols, bridge_index, per_bridge = (
@@ -456,42 +401,7 @@ def joint_gmm_triplet(
             f"stacked moment system has rank {rank} < {n_params}", cond=cond
         )
 
-    theta = np.zeros(n_params)
-    residual = c_vec - a_mat @ theta
-    objective = float(residual @ residual)
-    damping = 0.0
-    for _ in range(max_iter):
-        gradient = -2.0 * a_mat.T @ residual
-        if objective < 1e-24 or np.linalg.norm(gradient) <= 1e-6:
-            break
-        if damping:
-            h = a_mat.T @ a_mat + damping * np.eye(n_params)
-            step = np.linalg.solve(h, a_mat.T @ residual)
-        else:
-            step = np.linalg.lstsq(a_mat, residual, rcond=None)[0]
-        candidate = theta + step
-        cand_residual = c_vec - a_mat @ candidate
-        cand_objective = float(cand_residual @ cand_residual)
-        if cand_objective > objective:
-            damping = max(damping * 10.0, 1e-8)
-            continue
-        reduction = objective - cand_objective
-        theta, residual, objective = candidate, cand_residual, cand_objective
-        damping /= 10.0
-        if reduction < 1e-12:
-            gradient = -2.0 * a_mat.T @ residual
-            if np.linalg.norm(gradient) > 1e-6:
-                raise NonConvergenceError(
-                    f"objective stalled at {objective!r} with gradient norm "
-                    f"{float(np.linalg.norm(gradient))!r}"
-                )
-            break
-    else:
-        gradient = -2.0 * a_mat.T @ residual
-        if np.linalg.norm(gradient) > 1e-6:
-            raise NonConvergenceError(
-                f"no convergence after {max_iter} iterations"
-            )
+    theta = np.linalg.lstsq(a_mat, c_vec, rcond=None)[0]
 
     # per-observation moments for the sandwich
     n = data.n

@@ -83,7 +83,6 @@ def _cmd_find(args) -> int:
         args.treatment,
         args.outcome,
         alpha=args.alpha,
-        workers=args.threads,
     )
     _emit(report.to_json_dict(), args.out)
     return _EXIT_OK if report.dncts else _EXIT_NO_DNCT
@@ -122,7 +121,6 @@ def _cmd_dance(args) -> int:
         ci_method=args.ci,
         bootstrap_draws=args.boot_b,
         seed=args.seed,
-        workers=args.threads,
     )
     _emit(result.to_json_dict(), args.out)
     return _EXIT_OK if result.estimate is not None else _EXIT_NO_DNCT
@@ -193,7 +191,7 @@ def _cmd_evaluate(args) -> int:
         if key in payload and payload[key] is not None:
             payload[key] = tuple(payload[key])
     config = StudyConfig(**payload)
-    result = run_study(config, workers=args.threads)
+    result = run_study(config)
     write_study_outputs(result, args.out)
     return _EXIT_OK
 
@@ -229,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         help="per-test level (default 1/n, recorded in the report)",
     )
-    p_find.add_argument("--threads", type=int, default=1)
     p_find.set_defaults(handler=_cmd_find)
 
     p_est = sub.add_parser(
@@ -261,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--boot-b", type=int, default=500, help="bootstrap draws"
     )
     p_dance.add_argument("--seed", type=int, default=0)
-    p_dance.add_argument("--threads", type=int, default=1)
     p_dance.set_defaults(handler=_cmd_dance)
 
     p_sim = sub.add_parser(
@@ -293,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--out", required=True, help="directory for the CSV tables"
     )
-    p_eval.add_argument("--threads", type=int, default=1)
     p_eval.set_defaults(handler=_cmd_evaluate)
     return parser
 

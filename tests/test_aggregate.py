@@ -114,8 +114,8 @@ def test_weighted_bootstrap_deterministic(simple_data, simple_truth):
     kwargs = dict(
         ci_method="bootstrap", bootstrap_draws=60, seed=9,
     )
-    one = weighted_estimate(simple_data, table, "T", "O", workers=1, **kwargs)
-    two = weighted_estimate(simple_data, table, "T", "O", workers=4, **kwargs)
+    one = weighted_estimate(simple_data, table, "T", "O", **kwargs)
+    two = weighted_estimate(simple_data, table, "T", "O", **kwargs)
     assert one == two
     assert one.method == "weighted_bootstrap_normal"
     other_seed = weighted_estimate(simple_data, table, "T", "O", seed=10, **{
@@ -213,3 +213,25 @@ def test_joint_gmm_with_covariates(simple_data, simple_truth):
     )
     assert np.isfinite(joint.se) and joint.se > 0
     assert joint.delta_hat == pytest.approx(true_delta, abs=5 * joint.se)
+
+
+def test_joint_gmm_frozen_values(simple_data):
+    # Recorded from the fit on this fixture; pins the solver, not just the
+    # statistical tolerance of the tests above.
+    triple = ("Z1", "Z3", "Z4")
+    plain = joint_gmm_triplet(simple_data, triple, "T", "O")
+    assert plain.delta_hat == pytest.approx(0.3789236355010884, rel=1e-12)
+    assert plain.se == pytest.approx(0.009141266332001094, rel=1e-12)
+    adjusted = joint_gmm_triplet(
+        simple_data, triple, "T", "O", covariates=("Z2",)
+    )
+    assert adjusted.delta_hat == pytest.approx(0.43655930523485315, rel=1e-12)
+    assert adjusted.se == pytest.approx(0.03485189777302145, rel=1e-12)
+
+
+@pytest.mark.parametrize("covariates", [("Z2",), ("T",), ("O",)])
+def test_joint_gmm_rejects_overlapping_covariates(simple_data, covariates):
+    with pytest.raises(ValueError):
+        joint_gmm_triplet(
+            simple_data, ("Z2", "Z3", "Z4"), "T", "O", covariates=covariates
+        )

@@ -296,15 +296,15 @@ def test_dance_majority_and_bootstrap(tmp_path, sim_csv):
     assert doc["estimate"]["method"] == "weighted_bootstrap_normal"
 
 
-def test_dance_byte_identical_across_runs_and_threads(tmp_path, sim_csv):
+def test_dance_byte_identical_across_runs(tmp_path, sim_csv):
     data_path, _ = sim_csv
     outputs = []
-    for tag, threads in (("a", "1"), ("b", "1"), ("c", "4")):
+    for tag in ("a", "b", "c"):
         out = tmp_path / f"{tag}.json"
         code = main(
             ["dance", "--data", str(data_path), "--treatment", "T",
              "--outcome", "O", "--ci", "bootstrap", "--boot-b", "40",
-             "--threads", threads, "--out", str(out)]
+             "--out", str(out)]
         )
         assert code == 0
         outputs.append(out.read_bytes())
@@ -340,14 +340,13 @@ def test_evaluate_writes_tables(tmp_path):
     assert len(lines) == 4  # header + naive/random/dance
 
 
-def test_evaluate_byte_identical_across_threads(tmp_path):
+def test_evaluate_byte_identical_across_runs(tmp_path):
     config = _eval_config(tmp_path)
     blobs = []
-    for tag, threads in (("one", "1"), ("two", "3")):
+    for tag in ("one", "two"):
         out_dir = tmp_path / tag
         code = main(
-            ["evaluate", "--config", str(config), "--out", str(out_dir),
-             "--threads", threads]
+            ["evaluate", "--config", str(config), "--out", str(out_dir)]
         )
         assert code == 0
         blobs.append(

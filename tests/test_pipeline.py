@@ -59,8 +59,7 @@ def test_dance_majority_and_bootstrap_options(pipeline_data):
     )
     assert boot.estimate.method == "weighted_bootstrap_normal"
     again = dance(
-        data, "T", "O", ci_method="bootstrap", bootstrap_draws=40, seed=2,
-        workers=3,
+        data, "T", "O", ci_method="bootstrap", bootstrap_draws=40, seed=2
     )
     assert boot == again
 

@@ -29,7 +29,7 @@ def _small_config(**overrides):
 
 @pytest.fixture(scope="module")
 def small_result():
-    return run_study(_small_config(), workers=2)
+    return run_study(_small_config())
 
 
 def test_config_validation():
@@ -75,22 +75,22 @@ def test_dance_less_biased_than_naive(small_result):
     assert abs(by_method["dance"].bias) < abs(by_method["naive"].bias)
 
 
-def test_study_worker_count_does_not_change_output():
+def test_study_rerun_is_identical():
     cfg = _small_config(replications=6)
-    one = run_study(cfg, workers=1)
-    four = run_study(cfg, workers=4)
-    assert one.metrics == four.metrics
-    assert one.roc == four.roc
-    assert one.failures == four.failures
-    assert one.auc == four.auc
+    one = run_study(cfg)
+    two = run_study(cfg)
+    assert one.metrics == two.metrics
+    assert one.roc == two.roc
+    assert one.failures == two.failures
+    assert one.auc == two.auc
     np.testing.assert_array_equal(
-        one.details[400]["min_p"], four.details[400]["min_p"]
+        one.details[400]["min_p"], two.details[400]["min_p"]
     )
 
 
 def test_study_seed_changes_output():
-    base = run_study(_small_config(replications=4), workers=2)
-    other = run_study(_small_config(replications=4, master_seed=101), workers=2)
+    base = run_study(_small_config(replications=4))
+    other = run_study(_small_config(replications=4, master_seed=101))
     assert base.metrics != other.metrics
 
 
@@ -123,28 +123,28 @@ def test_roc_points_and_auc(small_result):
 
 def test_custom_alpha_grid():
     cfg = _small_config(replications=4, alpha_grid=(0.001, 0.05, 0.2))
-    res = run_study(cfg, workers=2)
+    res = run_study(cfg)
     assert sorted({p.alpha for p in res.roc}) == [0.001, 0.05, 0.2]
 
 
 def test_roc_curve_helper_matches_study():
     cfg = _small_config(replications=5)
-    points, auc = roc_curve(cfg, workers=2)
-    full = run_study(cfg, workers=2)
+    points, auc = roc_curve(cfg)
+    full = run_study(cfg)
     assert points == full.roc
     assert auc == full.auc
 
 
 def test_auc_improves_with_sample_size():
     cfg = _small_config(sample_sizes=(30, 2000), replications=10, methods=())
-    res = run_study(cfg, workers=4)
+    res = run_study(cfg)
     assert res.auc[2000] >= res.auc[30]
     assert res.auc[2000] > 0.9
 
 
 def test_methods_subset_runs():
     cfg = _small_config(methods=("naive",), replications=3)
-    res = run_study(cfg, workers=1)
+    res = run_study(cfg)
     assert [m.method for m in res.metrics] == ["naive"]
 
 
@@ -153,7 +153,7 @@ def test_per_replication_random_schemes_run():
         cfg = _small_config(
             methods=("random",), replications=4, random_scheme=scheme
         )
-        res = run_study(cfg, workers=2)
+        res = run_study(cfg)
         metric = res.metrics[0]
         assert metric.method == "random"
         assert np.isfinite(metric.bias)
@@ -161,7 +161,7 @@ def test_per_replication_random_schemes_run():
 
 def test_majority_aggregate_runs():
     cfg = _small_config(methods=("dance",), replications=4, aggregate="majority")
-    res = run_study(cfg, workers=2)
+    res = run_study(cfg)
     assert np.isfinite(res.metrics[0].bias)
 
 
@@ -170,7 +170,7 @@ def test_dance_failures_recorded_when_search_finds_nothing():
     # pipeline finds no validated triplets and each replication logs a
     # failure instead of producing an estimate.
     cfg = _small_config(methods=("dance",), replications=3, alpha=0.9999)
-    res = run_study(cfg, workers=1)
+    res = run_study(cfg)
     metric = res.metrics[0]
     assert metric.failures == 3
     assert np.isnan(metric.bias)
@@ -183,7 +183,7 @@ def test_custom_graph_spec_accepted():
     cfg = StudyConfig(
         graph=spec, sample_sizes=(300,), replications=3, master_seed=1
     )
-    res = run_study(cfg, workers=1)
+    res = run_study(cfg)
     assert res.spec == spec
     assert res.true_delta == spec.edge_coeff("T", "O")
 
@@ -208,6 +208,11 @@ def test_write_study_outputs(tmp_path, small_result):
     roc_lines = (tmp_path / "roc.csv").read_text().splitlines()
     assert roc_lines[0].split(",") == ["n", "alpha", "tpr", "fpr"]
     assert len(roc_lines) == 1 + len(small_result.roc)
+    # Every numeric cell is a plain number, not a numpy scalar repr.
+    for lines, first_numeric in ((metrics_lines, 1), (roc_lines, 0)):
+        for line in lines[1:]:
+            for cell in line.split(",")[first_numeric:]:
+                float(cell)
     # Re-writing produces byte-identical files.
     before = {k: Path(p).read_bytes() for k, p in paths.items()}
     write_study_outputs(small_result, tmp_path)
@@ -228,7 +233,7 @@ def test_pipeline_bias_shrinks_with_sample_size():
             methods=("dance",),
             master_seed=seed,
         )
-        res = run_study(cfg, workers=4)
+        res = run_study(cfg)
         by_n = {m.n: m for m in res.metrics}
         small.append(abs(by_n[300].bias))
         large.append(abs(by_n[3000].bias))
