@@ -12,7 +12,6 @@ Three aggregators:
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +27,10 @@ from .estimate import (
     AteEstimate,
     BridgeParams,
     NcPair,
-    design_matrices,
+    _moment_columns,
+    _solve_checked,
     fit_pair,
     gmm_linear_ate,
-    solve_linear_moments,
 )
 from .search import canonical_triple
 
@@ -154,30 +153,6 @@ def _weighted_pairs(
     return pairs, freqs / freqs.sum()
 
 
-def _stacked_delta_variance(a_blocks, g_blocks, weights: np.ndarray) -> float:
-    """omega' V omega for the stacked exactly identified system.
-
-    The Jacobian is block diagonal (each pair has its own parameters), the
-    meat is the full cross-pair per-observation outer product, and omega
-    holds each pair's weight at its delta coordinate.
-    """
-    n = g_blocks[0].shape[0]
-    dims = [a_n.shape[0] for a_n in a_blocks]
-    offsets = np.concatenate([[0], np.cumsum(dims)])
-    total = offsets[-1]
-    g_all = np.hstack(g_blocks)
-    meat = g_all.T @ g_all / n
-    inv_blocks = np.zeros((total, total))
-    for a_n, start, dim in zip(a_blocks, offsets[:-1], dims):
-        inv_blocks[start:start + dim, start:start + dim] = np.linalg.inv(a_n)
-    v = inv_blocks @ meat @ inv_blocks.T / n
-    v = (v + v.T) / 2.0
-    omega = np.zeros(total)
-    for weight, start in zip(weights, offsets[:-1]):
-        omega[start + DELTA_INDEX] = weight
-    return float(omega @ v @ omega)
-
-
 def _bootstrap_se(
     data: Dataset,
     pairs: list[NcPair],
@@ -190,36 +165,41 @@ def _bootstrap_se(
 ) -> np.ndarray:
     """Bootstrap draws of the weighted estimate, one per slot.
 
+    A row resample is fully described by how often it draws each row, so
+    a draw weights the rows of A = [1, columns the pairs read] by their
+    counts and forms one Gram matrix A' diag(counts) A / n; every pair
+    solves its moment system from a slice of it.
+
     Each slot derives its own random stream from (seed, slot, attempt), so
     a slot's draw does not depend on how the other slots went.  A slot
     whose resample fails (singular moment matrix) is redrawn, up to a
     per-slot budget that caps total retries below ten times the requested
     draws.
     """
-    designs = [
-        design_matrices(data, pair, treatment, outcome, covariates)
+    names = [treatment, outcome, *covariates,
+             *sorted({name for pair in pairs for name in (pair.z, pair.w)})]
+    n = data.n
+    a = np.column_stack([np.ones(n), data.columns(names)])
+    layouts = [
+        _moment_columns(names, pair, treatment, outcome, covariates)
         for pair in pairs
     ]
-    n = data.n
 
     def one_slot(slot: int) -> float:
         for attempt in range(_BOOT_RETRIES_PER_SLOT):
             rng = np.random.default_rng(
                 np.random.SeedSequence((seed, slot, attempt))
             )
-            idx = rng.integers(0, n, size=n)
+            counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
+            gram = a.T @ (a * counts[:, None]) / n
             try:
-                deltas = np.array(
-                    [
-                        solve_linear_moments(q[idx], m[idx], y[idx])[0][
-                            DELTA_INDEX
-                        ]
-                        for q, m, y in designs
-                    ]
-                )
+                deltas = [
+                    _solve_checked(gram[np.ix_(q, m)], gram[q, y])[DELTA_INDEX]
+                    for q, m, y in layouts
+                ]
             except SingularMomentMatrixError:
                 continue
-            return float(weights @ deltas)
+            return float(weights @ np.array(deltas))
         raise BootstrapDegenerateError(
             f"bootstrap slot {slot} failed {_BOOT_RETRIES_PER_SLOT} times"
         )
@@ -251,9 +231,14 @@ def weighted_estimate(
         raise ValueError(f"unknown bootstrap_ci: {bootstrap_ci!r}")
     covariates = tuple(covariates)
     pairs, weights = _weighted_pairs(table, pair_space)
-    estimates, a_blocks, g_blocks = zip(
-        *(fit_pair(data, pair, treatment, outcome, covariates) for pair in pairs)
-    )
+    estimates = []
+    # the weighted sum of the pairs' influence vectors; its norm gives the
+    # stacked sandwich variance omega' V omega
+    influence = np.zeros(data.n)
+    for pair, weight in zip(pairs, weights):
+        est, psi = fit_pair(data, pair, treatment, outcome, covariates)
+        estimates.append(est)
+        influence += weight * psi
     deltas = np.array([est.delta_hat for est in estimates])
     delta_hat = float(weights @ deltas)
     per_pair = tuple(
@@ -261,7 +246,7 @@ def weighted_estimate(
         for est, weight in zip(estimates, weights)
     )
     if ci_method == "sandwich":
-        se = math.sqrt(_stacked_delta_variance(a_blocks, g_blocks, weights))
+        se = float(np.linalg.norm(influence)) / data.n
         ci_low, ci_high = _interval(delta_hat, se)
         method = "weighted_sandwich"
     else:
@@ -319,56 +304,6 @@ def majority_vote_estimate(
     )
 
 
-def _joint_system(
-    data: Dataset, triple, treatment: str, outcome: str, covariates
-):
-    """Stacked mean-moment system for one triplet.
-
-    Parameters are (alpha0_i, alpha1_i, beta_x_i) per outcome-side control
-    plus one shared delta (last coordinate).  Moments are the six
-    instrument blocks q(1, Z, T, X) * residual(W).
-    """
-    x, y, z = canonical_triple(triple)
-    if len({x, y, z, treatment, outcome, *covariates}) != 5 + len(covariates):
-        raise ValueError(
-            "triple, treatment, outcome, and covariates must be distinct"
-        )
-    combos = [
-        (x, y), (x, z), (y, x), (y, z), (z, x), (z, y),
-    ]  # (outcome-side W, exposure-side Z)
-    n = data.n
-    n_cov = len(covariates)
-    per_bridge = 2 + n_cov
-    n_params = 3 * per_bridge + 1
-    block_dim = 3 + n_cov
-    bridge_index = {x: 0, y: 1, z: 2}
-
-    ones = np.ones(n)
-    t_col = data.column(treatment)
-    y_col = data.column(outcome)
-    x_cols = data.columns(covariates) if covariates else np.empty((n, 0))
-
-    a_mat = np.zeros((6 * block_dim, n_params))
-    c_vec = np.zeros(6 * block_dim)
-    q_blocks = []
-    w_cols = []
-    for row, (w_var, z_var) in enumerate(combos):
-        q = np.column_stack([ones, data.column(z_var), t_col, x_cols])
-        w_col = data.column(w_var)
-        start = row * block_dim
-        stop = start + block_dim
-        offset = bridge_index[w_var] * per_bridge
-        a_mat[start:stop, offset] = q.T @ ones / n
-        a_mat[start:stop, offset + 1] = q.T @ w_col / n
-        for j in range(n_cov):
-            a_mat[start:stop, offset + 2 + j] = q.T @ x_cols[:, j] / n
-        a_mat[start:stop, -1] = q.T @ t_col / n
-        c_vec[start:stop] = q.T @ y_col / n
-        q_blocks.append(q)
-        w_cols.append(w_col)
-    return combos, a_mat, c_vec, q_blocks, w_cols, bridge_index, per_bridge
-
-
 def joint_gmm_triplet(
     data: Dataset,
     triple,
@@ -378,8 +313,13 @@ def joint_gmm_triplet(
 ) -> AggregateResult:
     """One shared-parameter moment fit for a single validated triplet.
 
-    The mean moments are linear in the parameters, so the overidentified
-    system is fitted by one least-squares solve.
+    Parameters are (alpha0, alpha1, beta_x) per outcome-side control plus
+    one shared delta (last coordinate).  The moments are the six
+    instrument blocks q(1, Z, T, X) * residual(W); they are linear in the
+    parameters, so every block is a slice of one Gram matrix A'A / n with
+    A = [1, triple, T, O, X], and the overidentified system is fitted by
+    one least-squares solve.  The standard error is the norm of delta's
+    influence vector.
 
     Raises
     ------
@@ -390,10 +330,37 @@ def joint_gmm_triplet(
         Stacked system rank-deficient.
     """
     covariates = tuple(covariates)
-    combos, a_mat, c_vec, q_blocks, w_cols, bridge_index, per_bridge = (
-        _joint_system(data, triple, treatment, outcome, covariates)
-    )
-    n_params = a_mat.shape[1]
+    members = canonical_triple(triple)
+    names = (*members, treatment, outcome, *covariates)
+    if len(set(names)) != len(names):
+        raise ValueError(
+            "triple, treatment, outcome, and covariates must be distinct"
+        )
+    n = data.n
+    a = np.column_stack([np.ones(n), data.columns(names)])
+    gram = a.T @ a / n
+    # (outcome-side W, exposure-side Z)
+    combos = [(w, z) for w in members for z in members if z != w]
+    per_bridge = 2 + len(covariates)
+    n_params = 3 * per_bridge + 1
+    block_dim = per_bridge + 1
+    # each bridge's parameter positions in the column order of M = [1, W, T, X]
+    bridge_params = {
+        w: [k * per_bridge, k * per_bridge + 1, n_params - 1,
+            *range(k * per_bridge + 2, (k + 1) * per_bridge)]
+        for k, w in enumerate(members)
+    }
+    a_mat = np.zeros((6 * block_dim, n_params))
+    c_vec = np.zeros(6 * block_dim)
+    blocks = []
+    for row, (w_var, z_var) in enumerate(combos):
+        q, m, y_col = _moment_columns(
+            names, NcPair(z=z_var, w=w_var), treatment, outcome, covariates
+        )
+        rows = slice(row * block_dim, (row + 1) * block_dim)
+        a_mat[rows, bridge_params[w_var]] = gram[np.ix_(q, m)]
+        c_vec[rows] = gram[q, y_col]
+        blocks.append((rows, w_var, q, m, y_col))
     rank = np.linalg.matrix_rank(a_mat)
     if rank < n_params:
         cond = float(np.linalg.cond(a_mat))
@@ -402,35 +369,20 @@ def joint_gmm_triplet(
         )
 
     theta = np.linalg.lstsq(a_mat, c_vec, rcond=None)[0]
-
-    # per-observation moments for the sandwich
-    n = data.n
-    t_col = data.column(treatment)
-    y_col = data.column(outcome)
-    x_cols = (
-        data.columns(covariates) if covariates else np.empty((n, 0))
-    )
     delta = float(theta[-1])
-    g_parts = []
-    for (w_var, _), q, w_col in zip(combos, q_blocks, w_cols):
-        offset = bridge_index[w_var] * per_bridge
-        fitted = (
-            theta[offset]
-            + theta[offset + 1] * w_col
-            + (x_cols @ theta[offset + 2 : offset + per_bridge]
-               if covariates else 0.0)
-            + delta * t_col
-        )
-        g_parts.append(q * (y_col - fitted)[:, None])
-    g_all = np.hstack(g_parts)
-    meat = g_all.T @ g_all / n
-    h_inv = np.linalg.inv(a_mat.T @ a_mat)
-    var = h_inv @ a_mat.T @ meat @ a_mat @ h_inv / n
-    se = float(np.sqrt(var[-1, -1]))
+
+    # sandwich variance of delta: the squared norm of its influence vector
+    # G u / n, with G the per-observation moments of all six blocks
+    u = a_mat @ np.linalg.inv(a_mat.T @ a_mat)[:, -1]
+    psi = np.zeros(n)
+    for rows, w_var, q, m, y_col in blocks:
+        resid = a[:, y_col] - a[:, m] @ theta[bridge_params[w_var]]
+        psi += (a[:, q] @ u[rows]) * resid
+    se = float(np.linalg.norm(psi)) / n
 
     per_pair = []
     for w_var, z_var in combos:
-        offset = bridge_index[w_var] * per_bridge
+        params = theta[bridge_params[w_var]]
         pair = NcPair(z=z_var, w=w_var)
         est = AteEstimate(
             delta_hat=delta,
@@ -440,13 +392,10 @@ def joint_gmm_triplet(
             ci_low=delta - 1.96 * se,
             ci_high=delta + 1.96 * se,
             params=BridgeParams(
-                alpha0=float(theta[offset]),
-                alpha1=float(theta[offset + 1]),
+                alpha0=float(params[0]),
+                alpha1=float(params[1]),
                 delta=delta,
-                beta_x=tuple(
-                    float(v)
-                    for v in theta[offset + 2 : offset + per_bridge]
-                ),
+                beta_x=tuple(float(v) for v in params[3:]),
             ),
         )
         per_pair.append((pair, est, 1.0 / 6.0))

@@ -151,6 +151,17 @@ def closed_form_ate(
     )
 
 
+def _moment_columns(
+    names, pair: NcPair, treatment: str, outcome: str, covariates=()
+) -> tuple[list[int], list[int], int]:
+    """Positions of Q = [1, Z, T, X], M = [1, W, T, X] and y among the
+    columns of A = [1, *names]."""
+    index = {name: i + 1 for i, name in enumerate(names)}
+    x = [index[name] for name in covariates]
+    t = index[treatment]
+    return [0, index[pair.z], t, *x], [0, index[pair.w], t, *x], index[outcome]
+
+
 def design_matrices(
     data: Dataset,
     pair: NcPair,
@@ -160,19 +171,30 @@ def design_matrices(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Instrument matrix Q = [1, Z, T, X], regressor matrix M = [1, W, T, X],
     and outcome vector y, aligned with theta = (alpha0, alpha1, delta, bx)."""
-    names = {pair.z, pair.w, treatment, outcome, *covariates}
-    if len(names) != 4 + len(tuple(covariates)):
+    covariates = tuple(covariates)
+    names = (pair.z, pair.w, treatment, outcome, *covariates)
+    if len(set(names)) != len(names):
         raise ValueError(
             "pair, treatment, outcome, and covariates must be distinct"
         )
-    n = data.n
-    ones = np.ones(n)
-    t_col = data.column(treatment)
-    x_cols = data.columns(covariates) if covariates else np.empty((n, 0))
-    q = np.column_stack([ones, data.column(pair.z), t_col, x_cols])
-    m = np.column_stack([ones, data.column(pair.w), t_col, x_cols])
-    y = data.column(outcome)
-    return q, m, y
+    a = np.column_stack([np.ones(data.n), data.columns(names)])
+    q, m, _ = _moment_columns(names, pair, treatment, outcome, covariates)
+    # rounding depends on memory layout: Q and M stay row-major and y a
+    # strided view of the data, so the fits are stable to the last bit
+    return a.take(q, axis=1), a.take(m, axis=1), data.column(outcome)
+
+
+def _solve_checked(a_n: np.ndarray, b: np.ndarray, pair=None) -> np.ndarray:
+    """Solve a_n theta = b; SingularMomentMatrixError when the condition
+    number of a_n is not finite or above 1e12."""
+    cond = float(np.linalg.cond(a_n))
+    if not np.isfinite(cond) or cond > _COND_LIMIT:
+        raise SingularMomentMatrixError(
+            "moment cross-product matrix is singular or near-singular",
+            cond=cond,
+            pair=pair,
+        )
+    return np.linalg.solve(a_n, b)
 
 
 def solve_linear_moments(
@@ -188,16 +210,7 @@ def solve_linear_moments(
     """
     n = q.shape[0]
     a_n = q.T @ m / n
-    b = q.T @ y / n
-    cond = float(np.linalg.cond(a_n))
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise SingularMomentMatrixError(
-            "moment cross-product matrix is singular or near-singular",
-            cond=cond,
-            pair=pair,
-        )
-    theta = np.linalg.solve(a_n, b)
-    return theta, a_n
+    return _solve_checked(a_n, q.T @ y / n, pair), a_n
 
 
 def mean_moments(
@@ -239,10 +252,15 @@ def fit_pair(
     treatment: str,
     outcome: str,
     covariates=(),
-) -> tuple[AteEstimate, np.ndarray, np.ndarray]:
-    """One pair's moment fit: the estimate, ``a_n = Q'M / n`` and the
-    per-observation moments ``g``, which a caller stacking several pairs
-    needs for the cross-pair sandwich."""
+) -> tuple[AteEstimate, np.ndarray]:
+    """One pair's moment fit: the estimate and delta's influence vector
+    ``psi = g A^{-T} e_delta``, with ``g`` the per-observation moments and
+    ``A = Q'M / n``.
+
+    ``sum(psi**2) / n**2`` is delta's sandwich variance, and a weighted sum
+    of several pairs' ``psi`` gives the variance of their weighted average
+    with the cross-pair covariance included.
+    """
     covariates = tuple(covariates)
     q, m, y = design_matrices(data, pair, treatment, outcome, covariates)
     theta, a_n = solve_linear_moments(q, m, y, pair=pair)
@@ -265,7 +283,7 @@ def fit_pair(
         ci_high=delta + 1.96 * se,
         params=params,
     )
-    return estimate, a_n, g
+    return estimate, g @ np.linalg.inv(a_n)[DELTA_INDEX]
 
 
 def gmm_linear_ate(

@@ -89,7 +89,8 @@ def wishart_test(
     Raises
     ------
     DegenerateVarianceError
-        sigma^2 <= 0; callers must treat the tetrad as NOT vanishing.
+        sigma^2 <= 0 or NaN; callers must treat the tetrad as NOT
+        vanishing.
     TooFewSamplesError
         n < 3.
     """
@@ -97,7 +98,7 @@ def wishart_test(
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     d_hat = sub_determinant(cov, spec.left, spec.right)
     variance = wishart_variance(cov, spec, n)
-    if variance <= 0.0:
+    if not variance > 0.0:  # also catches a NaN from overflowed determinants
         raise DegenerateVarianceError(
             f"non-positive variance estimate {variance!r} for {spec}"
         )

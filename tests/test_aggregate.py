@@ -5,9 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from negcontrol.data import covariance
-from negcontrol.errors import EmptyDnctListError
-from negcontrol.estimate import NcPair, gmm_linear_ate
+from negcontrol.data import Dataset, covariance
+from negcontrol.errors import EmptyDnctListError, SingularMomentMatrixError
+from negcontrol.estimate import (
+    DELTA_INDEX,
+    NcPair,
+    design_matrices,
+    gmm_linear_ate,
+    per_observation_moments,
+    solve_linear_moments,
+)
 from negcontrol.aggregate import (
     enumerate_pairs,
     joint_gmm_triplet,
@@ -106,6 +113,121 @@ def test_weighted_unordered_pair_space(simple_data, simple_truth):
     assert sum(w for _, _, w in result.per_pair) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         weighted_estimate(simple_data, table, "T", "O", pair_space="diagonal")
+
+
+def _stacked_sandwich_variance(data, per_pair, covariates):
+    """omega' V omega the long way: block-diagonal inverse Jacobian, the full
+    cross-pair meat, and omega holding each weight at its delta entry."""
+    inverses, moments = [], []
+    for pair, _, _ in per_pair:
+        q, m, y = design_matrices(data, pair, "T", "O", covariates)
+        theta, a_n = solve_linear_moments(q, m, y, pair=pair)
+        inverses.append(np.linalg.inv(a_n))
+        moments.append(per_observation_moments(q, m, y, theta))
+    dim = inverses[0].shape[0]
+    total = dim * len(inverses)
+    inv_blocks = np.zeros((total, total))
+    omega = np.zeros(total)
+    for k, (inv, (_, _, weight)) in enumerate(zip(inverses, per_pair)):
+        inv_blocks[k * dim:(k + 1) * dim, k * dim:(k + 1) * dim] = inv
+        omega[k * dim + DELTA_INDEX] = weight
+    g_all = np.hstack(moments)
+    meat = g_all.T @ g_all / data.n
+    v = inv_blocks @ meat @ inv_blocks.T / data.n
+    return float(omega @ v @ omega)
+
+
+@pytest.mark.parametrize("pair_space", ["ordered", "unordered"])
+@pytest.mark.parametrize("case", ["first", "second", "both", "covariate"])
+def test_weighted_sandwich_matches_stacked_reference(
+    simple_data, simple_truth, case, pair_space
+):
+    dncts, _ = simple_truth
+    triples, covariates = {
+        "first": (dncts[:1], ()),
+        "second": (dncts[1:], ()),
+        "both": (dncts, ()),
+        "covariate": ([("Z2", "Z3", "Z4")], ("Z1",)),
+    }[case]
+    result = weighted_estimate(
+        simple_data, enumerate_pairs(triples), "T", "O",
+        covariates=covariates, pair_space=pair_space,
+    )
+    expected = _stacked_sandwich_variance(
+        simple_data, result.per_pair, covariates
+    )
+    assert result.se == pytest.approx(np.sqrt(expected), rel=1e-10)
+
+
+def _resampled_draws(data, per_pair, draws, seed):
+    """Bootstrap draws by resampling rows into copies of each design, with
+    per-slot streams and redraws on a singular resample; returns the draws
+    and the number of redraws."""
+    designs = [
+        design_matrices(data, pair, "T", "O") for pair, _, _ in per_pair
+    ]
+    weights = np.array([weight for _, _, weight in per_pair])
+    out, redraws = [], 0
+    for slot in range(draws):
+        for attempt in range(10):
+            rng = np.random.default_rng(
+                np.random.SeedSequence((seed, slot, attempt))
+            )
+            idx = rng.integers(0, data.n, size=data.n)
+            try:
+                deltas = [
+                    solve_linear_moments(q[idx], m[idx], y[idx])[0]
+                    for q, m, y in designs
+                ]
+            except SingularMomentMatrixError:
+                redraws += 1
+                continue
+            out.append(float(weights @ np.array(deltas)[:, DELTA_INDEX]))
+            break
+    return np.array(out), redraws
+
+
+def _sparse_control_data():
+    # The control c is nonzero in one row only, so every resample that
+    # misses that row makes the pairs holding c singular and is redrawn.
+    rng = np.random.default_rng(17)
+    values = rng.normal(size=(60, 5))
+    values[:, 4] = 0.0
+    values[7, 4] = 1.5
+    return Dataset(("T", "O", "a", "b", "c"), values), [("a", "b", "c")]
+
+
+@pytest.mark.parametrize("case", ["simple", "sparse_control"])
+def test_weighted_bootstrap_matches_resampling_reference(
+    simple_data, simple_truth, case
+):
+    if case == "simple":
+        data, dncts = simple_data, simple_truth[0]
+    else:
+        data, dncts = _sparse_control_data()
+    table = enumerate_pairs(dncts)
+    draws, seed = 40, 5
+    boot, redraws = _resampled_draws(
+        data, weighted_estimate(data, table, "T", "O").per_pair, draws, seed
+    )
+    assert len(boot) == draws
+    if case == "sparse_control":
+        assert redraws >= draws // 5
+    normal = weighted_estimate(
+        data, table, "T", "O", ci_method="bootstrap",
+        bootstrap_draws=draws, seed=seed,
+    )
+    assert normal.se == pytest.approx(np.std(boot, ddof=1), rel=1e-10)
+    percentile = weighted_estimate(
+        data, table, "T", "O", ci_method="bootstrap",
+        bootstrap_ci="percentile", bootstrap_draws=draws, seed=seed,
+    )
+    assert percentile.ci_low == pytest.approx(
+        np.quantile(boot, 0.025), rel=1e-10
+    )
+    assert percentile.ci_high == pytest.approx(
+        np.quantile(boot, 0.975), rel=1e-10
+    )
 
 
 def test_weighted_bootstrap_deterministic(simple_data, simple_truth):

@@ -208,3 +208,18 @@ def test_report_json_degenerate_w_is_null():
     ws = [t["w"] for v in doc["verdicts"] for t in v["tests"]]
     assert all(w is None for w in ws)
     assert all(t["p"] == 0.0 for v in doc["verdicts"] for t in v["tests"])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_find_nc_overflow_is_inapplicable_not_nan(simple_data):
+    # Rescaling the candidates by 1e60 overflows the 4x4 determinants; each
+    # sub-test must then be reported as inapplicable (p = 0), never as NaN.
+    candidates = ("Z1", "Z2", "Z3", "Z4")
+    values = simple_data.values.copy()
+    for name in candidates:
+        values[:, simple_data.index_of(name)] *= 1e60
+    data = Dataset(simple_data.variable_names, values)
+    report = find_nc(data, candidates, "T", "O")
+    p_values = [r.p_value for v in report.all_verdicts for r in v.sub_results]
+    assert len(p_values) == 24
+    assert not any(np.isnan(p) for p in p_values)

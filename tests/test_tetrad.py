@@ -194,3 +194,13 @@ def test_detects_vanishing_and_non_vanishing_structure():
     assert wishart_test(bcov, spec, n, alpha=0.01).vanishes
     split = TetradSpec(("x1", "x3"), ("x2", "x4"))
     assert not wishart_test(bcov, split, n, alpha=0.01).vanishes
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowed_variance_raises(table_cov):
+    # At this scale the determinants overflow and the variance formula
+    # yields inf - inf = NaN, which must not pass as a p-value.
+    scaled = CovMatrix(NAMES, table_cov.entries * 1e150)
+    spec = TetradSpec(("a", "b"), ("c", "d"))
+    with pytest.raises(DegenerateVarianceError):
+        wishart_test(scaled, spec, 5, alpha=0.05)
