@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import csv
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from negcontrol.data import (
     CovMatrix,
     Dataset,
+    _scan_csv,
     covariance,
     load_csv,
     sub_determinant,
@@ -16,6 +23,7 @@ from negcontrol.data import (
 from negcontrol.errors import (
     DuplicateHeaderError,
     MissingValueError,
+    NegcontrolError,
     TooFewRowsError,
     TooFewSamplesError,
     UnknownVariableError,
@@ -137,6 +145,171 @@ def test_write_csv_preserves_float_precision(tmp_path):
     path = tmp_path / "prec.csv"
     write_csv(data, path)
     np.testing.assert_array_equal(load_csv(path).values, values)
+
+
+def test_load_csv_blank_line_mid_file(tmp_path):
+    path = _write(tmp_path, "a,b\n1,2\n\n3,4\n")
+    with pytest.raises(MissingValueError) as err:
+        load_csv(path)
+    assert (err.value.row, err.value.column) == (3, 1)
+
+
+def test_load_csv_trailing_blank_line(tmp_path):
+    path = _write(tmp_path, "a,b\n1,2\n3,4\n\n")
+    with pytest.raises(MissingValueError) as err:
+        load_csv(path)
+    assert (err.value.row, err.value.column) == (4, 1)
+
+
+def test_load_csv_quoted_cell(tmp_path):
+    path = _write(tmp_path, 'a,b\n1,"2"\n3,4\n')
+    np.testing.assert_array_equal(load_csv(path).values[0], [1.0, 2.0])
+
+
+def test_load_csv_underscore_digits_read_as_float_does(tmp_path):
+    path = _write(tmp_path, "a,b\n1_0,2\n3,4\n")
+    assert load_csv(path).values[0, 0] == 10.0
+
+
+@pytest.mark.parametrize("cell", ["#2", "2#3"])
+def test_load_csv_hash_is_not_a_comment(tmp_path, cell):
+    path = _write(tmp_path, f"a,b\n1,{cell}\n3,4\n")
+    with pytest.raises(MissingValueError) as err:
+        load_csv(path)
+    assert (err.value.row, err.value.column) == (2, 2)
+
+
+def test_load_csv_nan_cell_reports_position(tmp_path):
+    path = _write(tmp_path, "a,b\n1,nan\n3,4\n")
+    with pytest.raises(MissingValueError) as err:
+        load_csv(path)
+    assert (err.value.row, err.value.column) == (2, 2)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"a,b\r\n1,2\r\n3,4\r\n",
+        b"a,b\r1,2\r3,4\r",
+        b"a,b\n1,2\n3,4",
+    ],
+    ids=["crlf", "cr", "no-final-newline"],
+)
+def test_load_csv_line_endings(tmp_path, raw):
+    path = tmp_path / "data.csv"
+    path.write_bytes(raw)
+    np.testing.assert_array_equal(load_csv(path).values, [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_load_csv_single_column(tmp_path):
+    path = _write(tmp_path, "a\n1\n2\n3\n")
+    data = load_csv(path)
+    assert data.variable_names == ("a",)
+    np.testing.assert_array_equal(data.values, [[1.0], [2.0], [3.0]])
+
+
+def test_load_csv_header_only_raises_without_warning(tmp_path):
+    path = _write(tmp_path, "a,b\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TooFewRowsError):
+            load_csv(path)
+
+
+def _reference_write_csv(data, path):
+    # the byte reference: one csv.writer row of repr(float(v)) per row
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(data.variable_names)
+        for row in data.values:
+            writer.writerow([repr(float(v)) for v in row])
+
+
+def test_write_csv_bytes_match_reference_writer(tmp_path):
+    values = np.array(
+        [[0.1 + 0.2, -0.0, 5e-324], [1e300, -1.7976931348623157e308, 3.0]]
+    )
+    data = Dataset(("x,1", 'say "y"', "z"), values)
+    write_csv(data, tmp_path / "new.csv")
+    _reference_write_csv(data, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    back = load_csv(tmp_path / "new.csv")
+    assert back.variable_names == data.variable_names
+    assert back.values.tobytes() == values.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# load_csv / write_csv against the per-cell reference scan
+# ---------------------------------------------------------------------------
+
+_MAX = 1.7976931348623157e308
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6).map(
+            lambda shape: (shape[0] + 1, shape[1])
+        ),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    )
+)
+@example(np.array([[-0.0, 5e-324, _MAX], [2.2250738585072014e-308, -_MAX, 0.0]]))
+@example(np.array([[-0.0], [1e-310]]))
+def test_write_load_round_trip_is_bit_exact(tmp_path_factory, values):
+    path = tmp_path_factory.mktemp("rt") / "data.csv"
+    names = tuple(f"v{j}" for j in range(values.shape[1]))
+    write_csv(Dataset(names, values), path)
+    back = load_csv(path)
+    assert back.variable_names == names
+    assert back.values.tobytes() == values.tobytes()
+
+
+_BAD_CELLS = ["", "x", "nan", "inf", "2#3"]
+
+
+@st.composite
+def _csv_files(draw):
+    """A valid numeric grid, then maybe one injected fault, as file bytes."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 4))
+    cell = st.one_of(
+        st.integers(-99, 99).map(str),
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    )
+    grid = [[draw(cell) for _ in range(cols)] for _ in range(rows)]
+    fault = draw(st.sampled_from(["none", "cell", "short", "long", "blank"]))
+    if fault == "cell":
+        r, c = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        grid[r][c] = draw(st.sampled_from(_BAD_CELLS))
+    elif fault == "short":
+        grid[draw(st.integers(0, rows - 1))].pop()
+    elif fault == "long":
+        grid[draw(st.integers(0, rows - 1))].append("1")
+    lines = [",".join(f"c{j}" for j in range(cols))]
+    lines += [",".join(row) for row in grid]
+    if fault == "blank":
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(lines) + draw(st.sampled_from(["", end]))
+    return text.encode()
+
+
+def _outcome(load, path):
+    try:
+        data = load(path)
+    except NegcontrolError as exc:  # compared by class and coordinates
+        return type(exc), getattr(exc, "row", None), getattr(exc, "column", None)
+    return data.variable_names, data.values.tobytes()
+
+
+@settings(deadline=None, max_examples=200)
+@given(_csv_files())
+def test_load_csv_matches_scan_reference(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("ref") / "data.csv"
+    path.write_bytes(raw)
+    assert _outcome(load_csv, path) == _outcome(_scan_csv, path)
 
 
 # ---------------------------------------------------------------------------
