@@ -10,6 +10,12 @@ O) when six subcovariance determinants all vanish:
 The six-test set is closed under permutations of the triple, so verdicts do
 not depend on the order candidates are written in; triples are canonicalized
 (sorted) before testing.
+
+With the default test function, ``wishart_test``, both ``find_nc`` and
+``dnct_validate`` run every sub-test in one batched pass on the correlation
+matrix (``tetrad._wishart_batch``), so verdicts do not depend on the scale
+of any column.  Any other ``test_fn`` is called once per sub-test, six times
+per triple.
 """
 from __future__ import annotations
 
@@ -19,9 +25,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
+import numpy as np
+
 from .data import CovMatrix, Dataset, covariance, sub_determinant
 from .errors import DegenerateVarianceError, TooFewCandidatesError
-from .tetrad import TetradResult, TetradSpec, wishart_test
+from .tetrad import TetradResult, TetradSpec, _wishart_batch, wishart_test
 
 __all__ = [
     "Triple",
@@ -96,6 +104,33 @@ def _degenerate_result(
     )
 
 
+def _wishart_verdicts(
+    cov: CovMatrix, n: int, triples, treatment: str, outcome: str,
+    alpha: float,
+) -> list[DnctVerdict]:
+    """``dnct_validate`` with ``wishart_test`` for each canonical triple, as
+    one ``_wishart_batch`` over all their sub-tests."""
+    specs = [spec for triple in triples
+             for spec in triple_specs(triple, treatment, outcome)]
+    pos = cov.index_of
+    quads = np.array([[pos(name) for name in spec.variables] for spec in specs],
+                     dtype=np.intp)
+    columns = (arr.tolist() for arr in _wishart_batch(cov, quads, n, alpha))
+    results = [
+        TetradResult(spec=spec, d_hat=d_hat, sigma_hat=sigma, w_stat=w,
+                     p_value=p, alpha=alpha, vanishes=p > alpha)
+        for spec, d_hat, sigma, w, p in zip(specs, *columns)
+    ]
+    return [
+        DnctVerdict(
+            candidate=triple,
+            passed=all(r.vanishes for r in results[6 * i:6 * i + 6]),
+            sub_results=tuple(results[6 * i:6 * i + 6]),
+        )
+        for i, triple in enumerate(triples)
+    ]
+
+
 def dnct_validate(
     cov: CovMatrix,
     n: int,
@@ -111,6 +146,9 @@ def dnct_validate(
     alternative vanishing-determinant test can be swapped in.
     """
     triple = canonical_triple(candidate)
+    if test_fn is wishart_test:
+        return _wishart_verdicts(cov, n, [triple], treatment, outcome,
+                                 alpha)[0]
     results = []
     for spec in triple_specs(triple, treatment, outcome):
         try:
@@ -205,10 +243,15 @@ def find_nc(
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     cov = covariance(data)
-    verdicts = [
-        dnct_validate(cov, n, triple, treatment, outcome, alpha, test_fn)
-        for triple in combinations(candidates, 3)
-    ]
+    triples = list(combinations(candidates, 3))
+    if test_fn is wishart_test:
+        verdicts = _wishart_verdicts(cov, n, triples, treatment, outcome,
+                                     alpha)
+    else:
+        verdicts = [
+            dnct_validate(cov, n, triple, treatment, outcome, alpha, test_fn)
+            for triple in triples
+        ]
     return FindNcReport(
         treatment=treatment,
         outcome=outcome,

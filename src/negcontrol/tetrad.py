@@ -15,16 +15,34 @@ determinants are taken from the (n - 1)-denominator sample covariance; the
 scaling constants use the raw sample size.  Under the null, D / sigma is
 asymptotically standard normal, so the two-sided p-value is
 2 * (1 - Phi(|W|)).
+
+``wishart_test`` evaluates one tetrad on the covariance and is the
+reference.  ``_wishart_batch`` evaluates many tetrads at once on the
+correlation matrix R = S / outer(sd, sd).  Rescaling one variable by
+c > 0 scales D and sigma by c, so W and the p-value are the same on either
+scale, while on R every determinant lies in [0, 1] and no column scale can
+overflow or underflow them.  There a sub-test is inapplicable when the
+variance numerator det2 * det2 * (n + 1) / (n - 1) - det4 is NaN or not
+above ``_NUMERATOR_FLOOR`` (64 machine epsilons, about 1.4e-14): below that
+it is rounding error of terms of size at most 1, as for collinear columns,
+whose numerator comes out near 1e-25 rather than exactly 0.  A column of
+zero variance is divided by 1, so its tetrads have zero determinants and
+are inapplicable too.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+from scipy.special import erfc
+
 from .data import CovMatrix, sub_determinant
 from .errors import DegenerateVarianceError, TooFewSamplesError
 
 __all__ = ["TetradSpec", "TetradResult", "wishart_variance", "wishart_test"]
+
+_NUMERATOR_FLOOR = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -115,3 +133,38 @@ def wishart_test(
         alpha=alpha,
         vanishes=p > alpha,
     )
+
+
+def _wishart_batch(
+    cov: CovMatrix, quads: np.ndarray, n: int, alpha: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``wishart_test`` for every row (a, b, c, d) of the (m, 4) index array
+    ``quads``, computed on the correlation matrix.
+
+    Returns ``d_hat``, ``sigma_hat`` (both in covariance units), ``w`` and
+    ``p``.  An inapplicable sub-test (see the module docstring) has
+    ``sigma_hat = 0``, ``p = 0`` and ``w = +-inf`` by the sign of ``d_hat``,
+    the result the search records where ``wishart_test`` raises
+    ``DegenerateVarianceError``.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if n < 3:
+        raise TooFewSamplesError(f"need n >= 3 for the variance, got {n}")
+    sd = np.sqrt(np.diag(cov.entries))
+    unit = np.where(sd > 0.0, sd, 1.0)
+    corr = cov.entries / np.outer(unit, unit)
+    a, b, c, d = quads.T
+    d_corr = corr[a, c] * corr[b, d] - corr[a, d] * corr[b, c]
+    det_left = corr[a, a] * corr[b, b] - corr[a, b] * corr[b, a]
+    det_right = corr[c, c] * corr[d, d] - corr[c, d] * corr[d, c]
+    det_all = np.linalg.det(corr[quads[:, :, None], quads[:, None, :]])
+    numerator = det_left * det_right * (n + 1) / (n - 1) - det_all
+    applicable = numerator > _NUMERATOR_FLOOR  # False for NaN as well
+    sigma_corr = np.sqrt(np.where(applicable, numerator, 1.0) / (n - 2))
+    w = np.where(applicable, d_corr / sigma_corr,
+                 np.where(d_corr >= 0.0, math.inf, -math.inf))
+    p = erfc(np.abs(w) / math.sqrt(2.0))  # 0 where w is infinite
+    scale = sd[a] * sd[b] * sd[c] * sd[d]
+    sigma = np.where(applicable, sigma_corr * scale, 0.0)
+    return d_corr * scale, sigma, w, p

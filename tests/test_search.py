@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from negcontrol.data import Dataset, covariance
 from negcontrol.errors import TooFewCandidatesError, UnknownVariableError
@@ -17,6 +21,9 @@ from negcontrol.search import (
     triple_specs,
 )
 from negcontrol.simulate import builtin_graph, generate, ground_truth_dncts
+from negcontrol.tetrad import wishart_test
+
+SIMPLE_CANDIDATES = ("Z1", "Z2", "Z3", "Z4")
 
 
 def _random_dataset(rng, n=150, names=("T", "O", "a", "b", "c")):
@@ -223,3 +230,163 @@ def test_find_nc_overflow_is_inapplicable_not_nan(simple_data):
     p_values = [r.p_value for v in report.all_verdicts for r in v.sub_results]
     assert len(p_values) == 24
     assert not any(np.isnan(p) for p in p_values)
+
+
+def _loop_test(cov, spec, n, alpha):
+    # not wishart_test itself, so the search takes its per-sub-test loop
+    return wishart_test(cov, spec, n, alpha)
+
+
+def _wide_dataset(n=3000, candidates=20, seed=51):
+    # One latent factor behind T, O and every Z; Z(2i) also depends on
+    # Z(2i-1), which breaks every triple that holds both.
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=n)
+    t = 0.6 * u + rng.normal(size=n)
+    o = 0.5 * t + 0.7 * u + rng.normal(size=n)
+    zs = 0.5 * u[:, None] + rng.normal(size=(n, candidates))
+    zs[:, 1::2] += 1.2 * zs[:, 0::2]
+    names = ("T", "O", *(f"Z{i}" for i in range(1, candidates + 1)))
+    return Dataset(names, np.column_stack([t, o, zs]))
+
+
+def _assert_same_report(fast, slow):
+    assert fast.dncts == slow.dncts
+    assert len(fast.all_verdicts) == len(slow.all_verdicts)
+    for a, b in zip(fast.all_verdicts, slow.all_verdicts):
+        assert (a.candidate, a.passed) == (b.candidate, b.passed)
+        for r, q in zip(a.sub_results, b.sub_results):
+            assert r.spec == q.spec
+            assert r.vanishes == q.vanishes
+            assert abs(r.p_value - q.p_value) <= 1e-12
+            if math.isfinite(q.w_stat):
+                assert abs(r.w_stat - q.w_stat) <= 1e-12
+            else:
+                assert r.w_stat == q.w_stat
+
+
+def test_find_nc_batch_matches_loop_simple(simple_data):
+    fast = find_nc(simple_data, SIMPLE_CANDIDATES, "T", "O")
+    slow = find_nc(simple_data, SIMPLE_CANDIDATES, "T", "O",
+                   test_fn=_loop_test)
+    _assert_same_report(fast, slow)
+    assert fast.dncts == (("Z1", "Z3", "Z4"), ("Z2", "Z3", "Z4"))
+
+
+def test_find_nc_batch_matches_loop_wide():
+    data = _wide_dataset()
+    candidates = [name for name in data.variable_names if name[0] == "Z"]
+    fast = find_nc(data, candidates, "T", "O")
+    slow = find_nc(data, candidates, "T", "O", test_fn=_loop_test)
+    assert len(fast.all_verdicts) == 1140
+    _assert_same_report(fast, slow)
+    # both outcomes occur, so the comparison covers passing and failing
+    assert 0 < len(fast.dncts) < len(fast.all_verdicts)
+
+
+def test_dnct_validate_batch_matches_loop(simple_data):
+    cov = covariance(simple_data)
+    for triple in itertools.combinations(SIMPLE_CANDIDATES, 3):
+        fast = dnct_validate(cov, simple_data.n, triple, "T", "O", 1e-3)
+        slow = dnct_validate(cov, simple_data.n, triple, "T", "O", 1e-3,
+                             test_fn=_loop_test)
+        assert fast.passed == slow.passed
+        for r, q in zip(fast.sub_results, slow.sub_results):
+            assert r.spec == q.spec
+            assert r.w_stat == pytest.approx(q.w_stat, rel=1e-12, abs=1e-12)
+            assert r.p_value == pytest.approx(q.p_value, rel=1e-12, abs=1e-12)
+
+
+def test_custom_test_fn_is_called_six_times_per_triple(simple_data):
+    calls = []
+
+    def counting(cov, spec, n, alpha):
+        calls.append(spec)
+        return wishart_test(cov, spec, n, alpha)
+
+    report = find_nc(simple_data, SIMPLE_CANDIDATES, "T", "O",
+                     test_fn=counting)
+    assert len(calls) == 6 * 4
+    assert calls == [r.spec for v in report.all_verdicts
+                     for r in v.sub_results]
+    calls.clear()
+    dnct_validate(covariance(simple_data), simple_data.n,
+                  ("Z1", "Z3", "Z4"), "T", "O", 0.05, test_fn=counting)
+    assert len(calls) == 6
+
+
+def _rescaled(data, scales):
+    values = data.values.copy()
+    for name, scale in scales.items():
+        values[:, data.index_of(name)] *= scale
+    return Dataset(data.variable_names, values)
+
+
+def _verdict_flags(report):
+    return report.dncts, [v.passed for v in report.all_verdicts], [
+        r.vanishes for v in report.all_verdicts for r in v.sub_results
+    ]
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.integers(-100, 100), min_size=4, max_size=4))
+def test_find_nc_verdicts_are_scale_free(simple_data, exponents):
+    base = find_nc(simple_data, SIMPLE_CANDIDATES, "T", "O")
+    scales = {name: 10.0 ** k for name, k in zip(SIMPLE_CANDIDATES, exponents)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        scaled = find_nc(_rescaled(simple_data, scales), SIMPLE_CANDIDATES,
+                         "T", "O")
+    assert _verdict_flags(scaled) == _verdict_flags(base)
+
+
+@pytest.mark.parametrize("scale", [1e60, 1e-60])
+def test_find_nc_extreme_scale_keeps_dncts(simple_data, scale):
+    # The determinants of the covariance overflow (1e60) or their variance
+    # vanishes (1e-60); on the correlation scale nothing moves.
+    scaled = _rescaled(simple_data, {name: scale for name in SIMPLE_CANDIDATES})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = find_nc(scaled, SIMPLE_CANDIDATES, "T", "O")
+    assert report.dncts == (("Z1", "Z3", "Z4"), ("Z2", "Z3", "Z4"))
+
+
+def _assert_inapplicable(result):
+    assert result.p_value == 0.0
+    assert result.sigma_hat == 0.0
+    assert not result.vanishes
+    assert math.isinf(result.w_stat)
+    assert not math.isnan(result.d_hat)
+
+
+def test_constant_candidate_subtests_are_inapplicable():
+    rng = np.random.default_rng(52)
+    values = rng.normal(size=(200, 5))
+    values[:, 2] = 5.0  # zero variance: divided by 1, not by 0
+    data = Dataset(("T", "O", "a", "b", "c"), values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = find_nc(data, ("a", "b", "c"), "T", "O", alpha=0.05)
+    (verdict,) = report.all_verdicts
+    assert not verdict.passed
+    for result in verdict.sub_results:
+        _assert_inapplicable(result)
+    doc = json.loads(report.to_json())
+    assert all(t["w"] is None for t in doc["verdicts"][0]["tests"])
+
+
+def test_collinear_subtests_are_inapplicable_in_both_entry_points():
+    # The variance numerator of these columns is rounding error (about
+    # 1e-25 on the correlation scale), which must not read as a finite test.
+    base = np.linspace(1.0, 9.0, 30)
+    values = np.column_stack([base, 2 * base, 3 * base, 4 * base, 5 * base])
+    data = Dataset(("T", "O", "a", "b", "c"), values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = find_nc(data, ("a", "b", "c"), "T", "O", alpha=0.05)
+        verdict = dnct_validate(covariance(data), data.n, ("c", "a", "b"),
+                                "T", "O", 0.05)
+    assert verdict == report.all_verdicts[0]
+    for result in verdict.sub_results:
+        _assert_inapplicable(result)

@@ -6,6 +6,7 @@ script) for the 5-row table shared with test_data, then frozen here.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,12 @@ import pytest
 
 from negcontrol.data import CovMatrix, Dataset, covariance, sub_determinant
 from negcontrol.errors import DegenerateVarianceError, TooFewSamplesError
-from negcontrol.tetrad import TetradSpec, wishart_test, wishart_variance
+from negcontrol.tetrad import (
+    TetradSpec,
+    _wishart_batch,
+    wishart_test,
+    wishart_variance,
+)
 
 from test_data import NAMES, TABLE
 
@@ -204,3 +210,56 @@ def test_overflowed_variance_raises(table_cov):
     spec = TetradSpec(("a", "b"), ("c", "d"))
     with pytest.raises(DegenerateVarianceError):
         wishart_test(scaled, spec, 5, alpha=0.05)
+
+
+def test_batch_matches_scalar_on_frozen_table(table_cov):
+    # Every ordering of the four variables into two pairs, batched on the
+    # correlation matrix against the scalar test on the covariance.
+    specs = [
+        TetradSpec(order[:2], order[2:])
+        for order in itertools.permutations(NAMES)
+    ]
+    quads = np.array([[NAMES.index(v) for v in s.variables] for s in specs])
+    d_hat, sigma, w, p = _wishart_batch(table_cov, quads, 5, alpha=0.05)
+    for i, spec in enumerate(specs):
+        ref = wishart_test(table_cov, spec, 5, alpha=0.05)
+        assert d_hat[i] == pytest.approx(ref.d_hat, rel=1e-12)
+        assert sigma[i] == pytest.approx(ref.sigma_hat, rel=1e-12)
+        assert w[i] == pytest.approx(ref.w_stat, rel=1e-12)
+        assert p[i] == pytest.approx(ref.p_value, rel=1e-12)
+    assert w[0] == pytest.approx(W_STAT, rel=1e-12)
+    assert p[0] == pytest.approx(P_VALUE, rel=1e-12)
+
+
+def test_batch_validates_alpha_and_n(table_cov):
+    quads = np.array([[0, 1, 2, 3]])
+    for bad in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            _wishart_batch(table_cov, quads, 5, alpha=bad)
+    with pytest.raises(TooFewSamplesError):
+        _wishart_batch(table_cov, quads, 2, alpha=0.05)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_batch_nan_is_inapplicable_not_rejected():
+    # A NaN covariance entry makes the variance numerator NaN.  The batch
+    # must report those sub-tests as inapplicable (sigma 0, p 0, infinite
+    # w), exactly where the scalar test raises, never as a NaN p-value.
+    names = ("a", "b", "c", "d", "e")
+    entries = np.eye(5) + 0.3
+    entries[0, 4] = entries[4, 0] = np.nan
+    cov = CovMatrix(names, entries)
+    specs = [TetradSpec(("a", "b"), ("c", "e")),
+             TetradSpec(("b", "c"), ("d", "a")),
+             TetradSpec(("b", "c"), ("d", "e"))]
+    quads = np.array([[names.index(v) for v in s.variables] for s in specs])
+    _, sigma, w, p = _wishart_batch(cov, quads, 50, alpha=0.05)
+    for i, spec in enumerate(specs):
+        if "a" in spec.variables and "e" in spec.variables:
+            with pytest.raises(DegenerateVarianceError):
+                wishart_test(cov, spec, 50, alpha=0.05)
+            assert (sigma[i], p[i]) == (0.0, 0.0)
+            assert math.isinf(w[i])
+        else:
+            ref = wishart_test(cov, spec, 50, alpha=0.05)
+            assert p[i] == pytest.approx(ref.p_value, rel=1e-12)
