@@ -27,9 +27,10 @@ from .estimate import (
     AteEstimate,
     BridgeParams,
     NcPair,
+    _centred,
     _moment_columns,
-    _solve_checked,
-    fit_pair,
+    _pair_fit,
+    _solve_centred,
     gmm_linear_ate,
 )
 from .search import canonical_triple
@@ -154,21 +155,18 @@ def _weighted_pairs(
 
 
 def _bootstrap_se(
-    data: Dataset,
-    pairs: list[NcPair],
+    xc: np.ndarray,
+    layouts: list,
     weights: np.ndarray,
-    treatment: str,
-    outcome: str,
-    covariates,
     draws: int,
     seed,
 ) -> np.ndarray:
     """Bootstrap draws of the weighted estimate, one per slot.
 
     A row resample is fully described by how often it draws each row, so
-    a draw weights the rows of A = [1, columns the pairs read] by their
-    counts and forms one Gram matrix A' diag(counts) A / n; every pair
-    solves its moment system from a slice of it.
+    a draw weights the rows of the centred columns ``xc`` by their counts
+    and forms one count-weighted centred moment matrix; every pair solves
+    its system, given by ``layouts``, from that matrix.
 
     Each slot derives its own random stream from (seed, slot, attempt), so
     a slot's draw does not depend on how the other slots went.  A slot
@@ -176,14 +174,7 @@ def _bootstrap_se(
     per-slot budget that caps total retries below ten times the requested
     draws.
     """
-    names = [treatment, outcome, *covariates,
-             *sorted({name for pair in pairs for name in (pair.z, pair.w)})]
-    n = data.n
-    a = np.column_stack([np.ones(n), data.columns(names)])
-    layouts = [
-        _moment_columns(names, pair, treatment, outcome, covariates)
-        for pair in pairs
-    ]
+    n = xc.shape[0]
 
     def one_slot(slot: int) -> float:
         for attempt in range(_BOOT_RETRIES_PER_SLOT):
@@ -191,10 +182,15 @@ def _bootstrap_se(
                 np.random.SeedSequence((seed, slot, attempt))
             )
             counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
-            gram = a.T @ (a * counts[:, None]) / n
+            # centred at the draw's means, not by subtracting their outer
+            # product: a column the draw holds constant keeps rounding-level
+            # correlations, not a variance of rounding noise, and is rejected
+            dev = xc - counts @ xc / n
+            dev *= np.sqrt(counts)[:, None]
+            moments = dev.T @ dev / n
             try:
                 deltas = [
-                    _solve_checked(gram[np.ix_(q, m)], gram[q, y])[DELTA_INDEX]
+                    _solve_centred(moments, q, m, y)[0][DELTA_INDEX - 1]
                     for q, m, y in layouts
                 ]
             except SingularMomentMatrixError:
@@ -231,12 +227,21 @@ def weighted_estimate(
         raise ValueError(f"unknown bootstrap_ci: {bootstrap_ci!r}")
     covariates = tuple(covariates)
     pairs, weights = _weighted_pairs(table, pair_space)
+    names = [treatment, outcome, *covariates,
+             *sorted({name for pair in pairs for name in (pair.z, pair.w)})]
+    layouts = [
+        _moment_columns(names, pair, treatment, outcome, covariates)
+        for pair in pairs
+    ]
+    # one centred copy of the columns the pairs read, for the fits and the
+    # bootstrap alike
+    centred = _centred(data, names)
     estimates = []
     # the weighted sum of the pairs' influence vectors; its norm gives the
     # stacked sandwich variance omega' V omega
     influence = np.zeros(data.n)
-    for pair, weight in zip(pairs, weights):
-        est, psi = fit_pair(data, pair, treatment, outcome, covariates)
+    for pair, layout, weight in zip(pairs, layouts, weights):
+        est, psi = _pair_fit(centred, layout, pair)
         estimates.append(est)
         influence += weight * psi
     deltas = np.array([est.delta_hat for est in estimates])
@@ -253,14 +258,7 @@ def weighted_estimate(
         if bootstrap_draws < 2:
             raise ValueError("bootstrap needs at least 2 draws")
         boot = _bootstrap_se(
-            data,
-            pairs,
-            weights,
-            treatment,
-            outcome,
-            covariates,
-            bootstrap_draws,
-            seed,
+            centred[0], layouts, weights, bootstrap_draws, seed
         )
         se = float(np.std(boot, ddof=1))
         if bootstrap_ci == "normal":
@@ -357,6 +355,8 @@ def joint_gmm_triplet(
         q, m, y_col = _moment_columns(
             names, NcPair(z=z_var, w=w_var), treatment, outcome, covariates
         )
+        # positions in A, after the intercept
+        q, m, y_col = [0, *np.add(q, 1)], [0, *np.add(m, 1)], y_col + 1
         rows = slice(row * block_dim, (row + 1) * block_dim)
         a_mat[rows, bridge_params[w_var]] = gram[np.ix_(q, m)]
         c_vec[rows] = gram[q, y_col]

@@ -63,7 +63,9 @@ class SingularDenominatorError(NegcontrolError):
 
 
 class SingularMomentMatrixError(NegcontrolError):
-    """The moment cross-product matrix is singular or near-singular."""
+    """The moment system is singular or near-singular: ``cond`` is the
+    condition number of its correlation-scale form (of the raw system in
+    ``solve_linear_moments`` and ``joint_gmm_triplet``)."""
 
     def __init__(self, message: str, cond: float | None = None, pair=None):
         self.cond = cond

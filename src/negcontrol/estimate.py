@@ -12,6 +12,16 @@ Two routes to the same target:
   which is exactly identified and reduces to the closed form when there
   are no covariates.  Standard errors come from the usual sandwich with a
   per-observation outer-product meat.
+
+Both routes, every bootstrap draw and the study's naive regression run one
+solve on centred moments (Frisch-Waugh-Lovell): with S a centred
+second-moment matrix, whose denominator cancels, the slopes (a1, delta, bx)
+solve S[q, m] beta = S[q, y] with q = (Z, T, X), m = (W, T, X), and
+a0 = mean(y) - mean(m)' beta.  The system is rejected when the condition
+number of its correlation-scale form S[q, m] / outer(sd_q, sd_m) is not
+finite or above 1e12.  Neither that number nor delta moves when a column
+is shifted; rescaling T or O multiplies delta by s_O / s_T.  The raw-design
+functions (``design_matrices`` ... ``sandwich_cov``) are the references.
 """
 from __future__ import annotations
 
@@ -119,47 +129,93 @@ def closed_form_ate(
                    cov(W,O) cov(T,Z); equal in population when the
                    ({Z,W},{T,O}) determinant vanishes.
 
+    The primary ratio is the centred solve with instruments (Z, T) and
+    regressors (W, T); the alternate swaps the two roles.
+
     Raises
     ------
     SingularDenominatorError
-        |denominator| below 1e-12 * cov(T,T) * (|cov(Z,W)| + |cov(T,W)| + eps).
+        The correlation-scale system has a condition number that is not
+        finite or above 1e12.
     """
     if formula not in ("primary", "alternate"):
         raise ValueError(f"unknown formula: {formula!r}")
-    z, w, t, o = pair.z, pair.w, treatment, outcome
-    c_to = cov.value(t, o)
-    c_zw = cov.value(z, w)
-    c_tw = cov.value(t, w)
-    c_tt = cov.value(t, t)
-    c_tz = cov.value(t, z)
-    denominator = c_tt * c_zw - c_tz * c_tw
-    eps = np.finfo(float).eps
-    threshold = 1e-12 * c_tt * (abs(c_zw) + abs(c_tw) + eps)
-    if not abs(denominator) > threshold:
+    t = cov.index_of(treatment)
+    q, m = [cov.index_of(pair.z), t], [cov.index_of(pair.w), t]
+    if formula == "alternate":
+        q, m = m, q
+    try:
+        beta, _ = _solve_centred(cov.entries, q, m, cov.index_of(outcome))
+    except SingularMomentMatrixError as exc:
         raise SingularDenominatorError(
-            f"denominator {denominator!r} below threshold {threshold!r} "
-            f"for pair ({z}, {w})"
-        )
-    if formula == "primary":
-        numerator = c_to * c_zw - cov.value(z, o) * c_tw
-    else:
-        numerator = c_to * c_zw - cov.value(w, o) * c_tz
-    return AteEstimate(
-        delta_hat=numerator / denominator,
-        method="closed_form",
-        pair=pair,
-    )
+            f"denominator is numerically zero for pair ({pair.z}, {pair.w})"
+            f": {exc}"
+        ) from None
+    return AteEstimate(float(beta[1]), method="closed_form", pair=pair)
 
 
 def _moment_columns(
     names, pair: NcPair, treatment: str, outcome: str, covariates=()
 ) -> tuple[list[int], list[int], int]:
-    """Positions of Q = [1, Z, T, X], M = [1, W, T, X] and y among the
-    columns of A = [1, *names]."""
-    index = {name: i + 1 for i, name in enumerate(names)}
+    """Positions of the instruments (Z, T, X), the regressors (W, T, X) and
+    the outcome among ``names``; ValueError unless the roles are distinct."""
+    roles = (pair.z, pair.w, treatment, outcome, *covariates)
+    if len(set(roles)) != len(roles):
+        raise ValueError(
+            "pair, treatment, outcome, and covariates must be distinct"
+        )
+    index = {name: i for i, name in enumerate(names)}
     x = [index[name] for name in covariates]
     t = index[treatment]
-    return [0, index[pair.z], t, *x], [0, index[pair.w], t, *x], index[outcome]
+    return [index[pair.z], t, *x], [index[pair.w], t, *x], index[outcome]
+
+
+def _solve_centred(
+    moments: np.ndarray, q, m, y: int, pair: NcPair | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve ``moments[q, m] beta = moments[q, y]`` for a centred
+    second-moment matrix ``moments``; returns beta and the inverse of
+    ``moments[q, m]``.  SingularMomentMatrixError when the correlation-scale
+    system ``moments[q, m] / outer(sd_q, sd_m)`` has a condition number
+    that is not finite or above 1e12."""
+    sd = np.sqrt(np.diag(moments))
+    sd[sd == 0.0] = 1.0
+    corr = moments[np.ix_(q, m)] / np.outer(sd[q], sd[m])
+    cond = float(np.linalg.cond(corr))
+    if not cond <= _COND_LIMIT:  # NaN as well
+        raise SingularMomentMatrixError(
+            "correlation-scale moment matrix is singular or near-singular",
+            cond=cond,
+            pair=pair,
+        )
+    inv = np.linalg.inv(corr) / np.outer(sd[m], sd[q])
+    return inv @ moments[q, y], inv
+
+
+def _centred(
+    data: Dataset, names
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One copy of the named columns centred in place, their means and
+    their n-denominator centred second-moment matrix.  The second pass
+    removes what rounding left of the means, so that a constant column
+    stays singular next to columns with large offsets."""
+    xc = data.columns(names)
+    means = xc.mean(axis=0)
+    xc -= means
+    residue = xc.mean(axis=0)
+    xc -= residue
+    return xc, means + residue, xc.T @ xc / data.n
+
+
+def _fit_centred(centred, layout, j: int, pair=None):
+    """alpha0, the slopes beta and beta[j]'s influence vector, whose norm
+    over n is its sandwich SE, on ``centred = _centred(data, names)`` with
+    ``layout = (q, m, y)`` positions among ``names``."""
+    xc, means, moments = centred
+    q, m, y = layout
+    beta, inv = _solve_centred(moments, q, m, y, pair)
+    psi = (xc[:, y] - xc[:, m] @ beta) * (xc[:, q] @ inv[j])
+    return float(means[y] - means[m] @ beta), beta, psi
 
 
 def design_matrices(
@@ -173,28 +229,12 @@ def design_matrices(
     and outcome vector y, aligned with theta = (alpha0, alpha1, delta, bx)."""
     covariates = tuple(covariates)
     names = (pair.z, pair.w, treatment, outcome, *covariates)
-    if len(set(names)) != len(names):
-        raise ValueError(
-            "pair, treatment, outcome, and covariates must be distinct"
-        )
-    a = np.column_stack([np.ones(data.n), data.columns(names)])
     q, m, _ = _moment_columns(names, pair, treatment, outcome, covariates)
+    a = np.column_stack([np.ones(data.n), data.columns(names)])
+    q, m = ([0, *np.add(cols, 1)] for cols in (q, m))  # after the intercept
     # rounding depends on memory layout: Q and M stay row-major and y a
     # strided view of the data, so the fits are stable to the last bit
     return a.take(q, axis=1), a.take(m, axis=1), data.column(outcome)
-
-
-def _solve_checked(a_n: np.ndarray, b: np.ndarray, pair=None) -> np.ndarray:
-    """Solve a_n theta = b; SingularMomentMatrixError when the condition
-    number of a_n is not finite or above 1e12."""
-    cond = float(np.linalg.cond(a_n))
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise SingularMomentMatrixError(
-            "moment cross-product matrix is singular or near-singular",
-            cond=cond,
-            pair=pair,
-        )
-    return np.linalg.solve(a_n, b)
 
 
 def solve_linear_moments(
@@ -210,7 +250,14 @@ def solve_linear_moments(
     """
     n = q.shape[0]
     a_n = q.T @ m / n
-    return _solve_checked(a_n, q.T @ y / n, pair), a_n
+    cond = float(np.linalg.cond(a_n))
+    if not np.isfinite(cond) or cond > _COND_LIMIT:
+        raise SingularMomentMatrixError(
+            "moment cross-product matrix is singular or near-singular",
+            cond=cond,
+            pair=pair,
+        )
+    return np.linalg.solve(a_n, q.T @ y / n), a_n
 
 
 def mean_moments(
@@ -246,6 +293,27 @@ def sandwich_cov(a_n: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (cov + cov.T) / 2.0
 
 
+def _pair_fit(centred, layout, pair: NcPair) -> tuple[AteEstimate, np.ndarray]:
+    """``fit_pair`` on ``centred = _centred(data, names)``, with ``layout``
+    the pair's ``_moment_columns`` among ``names``."""
+    # beta = (alpha1, delta, bx) has no alpha0
+    alpha0, beta, psi = _fit_centred(centred, layout, DELTA_INDEX - 1, pair)
+    delta = float(beta[DELTA_INDEX - 1])
+    se = float(np.linalg.norm(psi)) / len(psi)
+    estimate = AteEstimate(
+        delta_hat=delta,
+        method="gmm_linear_x" if len(beta) > 2 else "gmm_linear",
+        pair=pair,
+        se=se,
+        ci_low=delta - 1.96 * se,
+        ci_high=delta + 1.96 * se,
+        params=BridgeParams(
+            alpha0, float(beta[0]), delta, tuple(beta[2:].tolist())
+        ),
+    )
+    return estimate, psi
+
+
 def fit_pair(
     data: Dataset,
     pair: NcPair,
@@ -254,36 +322,18 @@ def fit_pair(
     covariates=(),
 ) -> tuple[AteEstimate, np.ndarray]:
     """One pair's moment fit: the estimate and delta's influence vector
-    ``psi = g A^{-T} e_delta``, with ``g`` the per-observation moments and
-    ``A = Q'M / n``.
+    ``psi``, the centred instruments times the residual times delta's row
+    of ``S[q, m]^{-1}``; on the raw design it is ``g A^{-T} e_delta``, with
+    ``g`` the per-observation moments and ``A = Q'M / n``.
 
     ``sum(psi**2) / n**2`` is delta's sandwich variance, and a weighted sum
     of several pairs' ``psi`` gives the variance of their weighted average
     with the cross-pair covariance included.
     """
     covariates = tuple(covariates)
-    q, m, y = design_matrices(data, pair, treatment, outcome, covariates)
-    theta, a_n = solve_linear_moments(q, m, y, pair=pair)
-    g = per_observation_moments(q, m, y, theta)
-    var = sandwich_cov(a_n, g)
-    se = float(np.sqrt(var[DELTA_INDEX, DELTA_INDEX]))
-    delta = float(theta[DELTA_INDEX])
-    params = BridgeParams(
-        alpha0=float(theta[0]),
-        alpha1=float(theta[1]),
-        delta=delta,
-        beta_x=tuple(float(v) for v in theta[3:]),
-    )
-    estimate = AteEstimate(
-        delta_hat=delta,
-        method="gmm_linear_x" if covariates else "gmm_linear",
-        pair=pair,
-        se=se,
-        ci_low=delta - 1.96 * se,
-        ci_high=delta + 1.96 * se,
-        params=params,
-    )
-    return estimate, g @ np.linalg.inv(a_n)[DELTA_INDEX]
+    names = (pair.z, pair.w, treatment, outcome, *covariates)
+    layout = _moment_columns(names, pair, treatment, outcome, covariates)
+    return _pair_fit(_centred(data, names), layout, pair)
 
 
 def gmm_linear_ate(

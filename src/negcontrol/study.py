@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from itertools import combinations
 
 import numpy as np
@@ -25,7 +25,7 @@ from scipy.stats import rankdata
 from .aggregate import enumerate_pairs, majority_vote_estimate, weighted_estimate
 from .data import Dataset
 from .errors import NegcontrolError
-from .estimate import NcPair, gmm_linear_ate, per_observation_moments, sandwich_cov
+from .estimate import NcPair, _centred, _fit_centred, gmm_linear_ate
 from .search import find_nc
 from .simulate import GraphSpec, builtin_graph, ground_truth_dncts, realize_coefficients
 
@@ -161,27 +161,18 @@ def _resolve_spec(config: StudyConfig) -> GraphSpec:
 
 
 def _naive_fit(data: Dataset, treatment: str, outcome: str, covariates):
-    """OLS of outcome on treatment (plus covariates) with a robust SE."""
-    n = data.n
-    x_cols = data.columns(covariates) if covariates else np.empty((n, 0))
-    m = np.column_stack([np.ones(n), data.column(treatment), x_cols])
-    y = data.column(outcome)
-    a_n = m.T @ m / n
-    theta = np.linalg.solve(a_n, m.T @ y / n)
-    g = per_observation_moments(m, m, y, theta)
-    var = sandwich_cov(a_n, g)
-    delta = float(theta[1])
-    se = float(np.sqrt(var[1, 1]))
+    """OLS of outcome on treatment (plus covariates) with a robust SE: the
+    centred solve with instruments and regressors both (T, X)."""
+    names = (treatment, *covariates, outcome)
+    x = list(range(len(names) - 1))
+    _, beta, psi = _fit_centred(_centred(data, names), (x, x, len(x)), 0)
+    delta = float(beta[0])
+    se = float(np.linalg.norm(psi)) / data.n
     return delta, se, delta - 1.96 * se, delta + 1.96 * se
 
 
 def _as_tuple(est) -> tuple[float, float, float, float]:
     return est.delta_hat, est.se, est.ci_low, est.ci_high
-
-
-def _random_pair_fit(data, pair, treatment, outcome, covariates):
-    est = gmm_linear_ate(data, pair, treatment, outcome, covariates)
-    return _as_tuple(est)
 
 
 def _default_grid(n: int) -> tuple[float, ...]:
@@ -260,9 +251,9 @@ def _one_replication(
                         z, w = rng.choice(3, size=2, replace=False)
                         pair = NcPair(triple[z], triple[w])
                     try:
-                        estimates["random"] = _random_pair_fit(
+                        estimates["random"] = _as_tuple(gmm_linear_ate(
                             data, pair, treatment, outcome, config.covariates
-                        )
+                        ))
                         last_error = None
                         break
                     except NegcontrolError as exc:
@@ -401,37 +392,18 @@ def run_study(config: StudyConfig) -> StudyResult:
             }
             if len(deltas) >= 2:
                 bias = float(deltas.mean() - true_delta)
-                metrics.append(
-                    MethodMetrics(
-                        method=method,
-                        n=n,
-                        replications=len(reps),
-                        failures=n_fail,
-                        bias=bias,
-                        proportion_bias_pct=(
-                            100.0 * bias / true_delta
-                            if true_delta
-                            else float("nan")
-                        ),
-                        mc_se=float(deltas.std(ddof=1)),
-                        mean_estimated_se=float(ses.mean()),
-                        coverage_95=float(covered.mean()),
-                    )
+                summary = (
+                    bias,
+                    100.0 * bias / true_delta if true_delta else float("nan"),
+                    float(deltas.std(ddof=1)),
+                    float(ses.mean()),
+                    float(covered.mean()),
                 )
             else:
-                metrics.append(
-                    MethodMetrics(
-                        method=method,
-                        n=n,
-                        replications=len(reps),
-                        failures=n_fail,
-                        bias=float("nan"),
-                        proportion_bias_pct=float("nan"),
-                        mc_se=float("nan"),
-                        mean_estimated_se=float("nan"),
-                        coverage_95=float("nan"),
-                    )
-                )
+                summary = (float("nan"),) * 5
+            metrics.append(
+                MethodMetrics(method, n, len(reps), n_fail, *summary)
+            )
         details[n] = detail
 
     return StudyResult(
@@ -461,56 +433,25 @@ def _fmt(value) -> str:
 
 
 def write_study_outputs(result: StudyResult, out_dir) -> dict:
-    """Write metrics.csv, roc.csv, and failures.csv into ``out_dir``."""
+    """Write metrics.csv, roc.csv, and failures.csv into ``out_dir``: one
+    column per field of ``MethodMetrics``, ``RocPoint`` and
+    ``FailureRecord``."""
     import os
 
     os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "metrics": os.path.join(out_dir, "metrics.csv"),
-        "roc": os.path.join(out_dir, "roc.csv"),
-        "failures": os.path.join(out_dir, "failures.csv"),
+    tables = {
+        "metrics": (MethodMetrics, result.metrics),
+        "roc": (RocPoint, result.roc),
+        "failures": (FailureRecord, result.failures),
     }
-    with open(paths["metrics"], "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "method",
-                "n",
-                "replications",
-                "failures",
-                "bias",
-                "proportion_bias_pct",
-                "mc_se",
-                "mean_estimated_se",
-                "coverage_95",
-            ]
-        )
-        for m in result.metrics:
-            writer.writerow(
-                [
-                    m.method,
-                    m.n,
-                    m.replications,
-                    m.failures,
-                    _fmt(m.bias),
-                    _fmt(m.proportion_bias_pct),
-                    _fmt(m.mc_se),
-                    _fmt(m.mean_estimated_se),
-                    _fmt(m.coverage_95),
-                ]
-            )
-    with open(paths["roc"], "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["n", "alpha", "tpr", "fpr"])
-        for point in result.roc:
-            writer.writerow(
-                [point.n, _fmt(point.alpha), _fmt(point.tpr), _fmt(point.fpr)]
-            )
-    with open(paths["failures"], "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["n", "replication", "method", "error"])
-        for record in result.failures:
-            writer.writerow(
-                [record.n, record.replication, record.method, record.error]
+    paths = {}
+    for name, (cls, records) in tables.items():
+        paths[name] = os.path.join(out_dir, f"{name}.csv")
+        with open(paths[name], "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow([f.name for f in fields(cls)])
+            writer.writerows(
+                [_fmt(value) for value in astuple(record)]
+                for record in records
             )
     return paths

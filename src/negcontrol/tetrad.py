@@ -165,6 +165,9 @@ def _wishart_batch(
     w = np.where(applicable, d_corr / sigma_corr,
                  np.where(d_corr >= 0.0, math.inf, -math.inf))
     p = erfc(np.abs(w) / math.sqrt(2.0))  # 0 where w is infinite
-    scale = sd[a] * sd[b] * sd[c] * sd[d]
+    with np.errstate(over="ignore"):
+        # beyond the float range d_hat and sigma_hat are +-inf, which is
+        # right; w and p come from the correlation scale and stay finite
+        scale = sd[a] * sd[b] * sd[c] * sd[d]
     sigma = np.where(applicable, sigma_corr * scale, 0.0)
     return d_corr * scale, sigma, w, p

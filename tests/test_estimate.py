@@ -15,6 +15,7 @@ from negcontrol.estimate import (
     NcPair,
     closed_form_ate,
     design_matrices,
+    fit_pair,
     gmm_linear_ate,
     mean_moments,
     moment_jacobian,
@@ -268,3 +269,27 @@ def test_estimate_json_shape(simple_data):
     cdoc = closed.to_json_dict()
     assert cdoc["method"] == "closed_form"
     assert cdoc["se"] is None
+
+
+@pytest.mark.parametrize("covariates", [(), ("Z2",)])
+@pytest.mark.parametrize("z, w", [("Z1", "Z3"), ("Z3", "Z1"), ("Z4", "Z3")])
+def test_fit_pair_matches_raw_sandwich_reference(
+    simple_data, z, w, covariates
+):
+    # The centred solve against the raw design [1, Z, T, X] written out:
+    # solve, per-observation moments, sandwich.
+    pair = NcPair(z, w)
+    est, psi = fit_pair(simple_data, pair, "T", "O", covariates)
+    q, m, y = design_matrices(simple_data, pair, "T", "O", covariates)
+    theta, a_n = solve_linear_moments(q, m, y, pair=pair)
+    var = sandwich_cov(a_n, per_observation_moments(q, m, y, theta))
+    assert est.delta_hat == pytest.approx(theta[DELTA_INDEX], rel=1e-10)
+    se = np.sqrt(var[DELTA_INDEX, DELTA_INDEX])
+    assert est.se == pytest.approx(se, rel=1e-10)
+    assert est.params.alpha0 == pytest.approx(theta[0], rel=1e-10)
+    assert est.params.alpha1 == pytest.approx(theta[1], rel=1e-10)
+    np.testing.assert_allclose(est.params.beta_x, theta[3:], rtol=1e-10)
+    assert len(est.params.beta_x) == len(covariates)
+    assert np.linalg.norm(psi) / simple_data.n == pytest.approx(
+        est.se, rel=1e-12
+    )

@@ -217,10 +217,10 @@ def test_report_json_degenerate_w_is_null():
     assert all(t["p"] == 0.0 for v in doc["verdicts"] for t in v["tests"])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_find_nc_overflow_is_inapplicable_not_nan(simple_data):
-    # Rescaling the candidates by 1e60 overflows the 4x4 determinants; each
-    # sub-test must then be reported as inapplicable (p = 0), never as NaN.
+    # Rescaling the candidates by 1e60 would overflow the 4x4 determinants
+    # of the covariance; the search takes them on the correlation scale, so
+    # no sub-test may come out NaN and nothing may warn.
     candidates = ("Z1", "Z2", "Z3", "Z4")
     values = simple_data.values.copy()
     for name in candidates:
@@ -341,10 +341,12 @@ def test_find_nc_verdicts_are_scale_free(simple_data, exponents):
     assert _verdict_flags(scaled) == _verdict_flags(base)
 
 
-@pytest.mark.parametrize("scale", [1e60, 1e-60])
+@pytest.mark.parametrize("scale", [1e60, 1e-60, 1e120])
 def test_find_nc_extreme_scale_keeps_dncts(simple_data, scale):
     # The determinants of the covariance overflow (1e60) or their variance
-    # vanishes (1e-60); on the correlation scale nothing moves.
+    # vanishes (1e-60); on the correlation scale nothing moves.  At 1e120
+    # d_hat and sigma_hat, carried back to covariance units, are +-inf,
+    # without an overflow warning.
     scaled = _rescaled(simple_data, {name: scale for name in SIMPLE_CANDIDATES})
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

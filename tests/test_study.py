@@ -7,9 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from negcontrol.estimate import (
+    per_observation_moments,
+    sandwich_cov,
+    solve_linear_moments,
+)
 from negcontrol.simulate import builtin_graph
 from negcontrol.study import (
     StudyConfig,
+    _naive_fit,
     roc_curve,
     run_study,
     write_study_outputs,
@@ -247,3 +253,21 @@ def test_details_expose_replication_table(small_result):
     assert len(det["labels"]) == n_triples
     assert set(det["estimates"]) == {"naive", "random", "dance"}
     assert len(det["found"]) == 8
+
+
+@pytest.mark.parametrize("covariates", [(), ("Z1", "Z2")])
+def test_naive_fit_matches_raw_ols(simple_data, covariates):
+    # The centred solve against OLS on the raw design [1, T, X] with the
+    # reference sandwich.
+    n = simple_data.n
+    m = np.column_stack([
+        np.ones(n), simple_data.column("T"),
+        *(simple_data.column(name) for name in covariates),
+    ])
+    y = simple_data.column("O")
+    theta, a_n = solve_linear_moments(m, m, y)
+    var = sandwich_cov(a_n, per_observation_moments(m, m, y, theta))
+    delta, se, ci_low, ci_high = _naive_fit(simple_data, "T", "O", covariates)
+    assert delta == pytest.approx(theta[1], rel=1e-10)
+    assert se == pytest.approx(np.sqrt(var[1, 1]), rel=1e-10)
+    assert (ci_low, ci_high) == (delta - 1.96 * se, delta + 1.96 * se)
