@@ -56,8 +56,9 @@ def _name_list(text: str) -> list[str]:
     return names
 
 
-def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _emit(text: str, out: str | None) -> None:
+    """Write a subcommand's JSON text and a newline to ``out`` or stdout."""
+    text += "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -84,7 +85,7 @@ def _cmd_find(args) -> int:
         args.outcome,
         alpha=args.alpha,
     )
-    _emit(report.to_json_dict(), args.out)
+    _emit(report.to_json(), args.out)
     return _EXIT_OK if report.dncts else _EXIT_NO_DNCT
 
 
@@ -104,7 +105,8 @@ def _cmd_estimate(args) -> int:
         estimate = gmm_linear_ate(
             data, pair, args.treatment, args.outcome, covariates
         )
-    _emit(estimate.to_json_dict(), args.out)
+    _emit(json.dumps(estimate.to_json_dict(), indent=2, sort_keys=True),
+          args.out)
     return _EXIT_OK
 
 
@@ -122,7 +124,7 @@ def _cmd_dance(args) -> int:
         bootstrap_draws=args.boot_b,
         seed=args.seed,
     )
-    _emit(result.to_json_dict(), args.out)
+    _emit(result.to_json(), args.out)
     return _EXIT_OK if result.estimate is not None else _EXIT_NO_DNCT
 
 
@@ -146,17 +148,15 @@ def _cmd_simulate(args) -> int:
     write_csv(data, args.out)
     if args.manifest is not None:
         dncts, true_delta = ground_truth_dncts(spec)
-        _emit(
-            {
-                "graph": graph_spec_to_json_dict(spec),
-                "true_delta": true_delta,
-                "true_dncts": [list(t) for t in dncts],
-                "n": args.n,
-                "seed": args.seed,
-                "data_path": args.out,
-            },
-            args.manifest,
-        )
+        manifest = {
+            "graph": graph_spec_to_json_dict(spec),
+            "true_delta": true_delta,
+            "true_dncts": [list(t) for t in dncts],
+            "n": args.n,
+            "seed": args.seed,
+            "data_path": args.out,
+        }
+        _emit(json.dumps(manifest, indent=2, sort_keys=True), args.manifest)
     return _EXIT_OK
 
 

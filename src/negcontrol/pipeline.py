@@ -39,8 +39,16 @@ class DanceResult:
             ),
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        """``json.dumps(self.to_json_dict(), indent=2, sort_keys=True)``,
+        with the search report written by ``FindNcReport.to_json``."""
+        estimate = (
+            "null" if self.estimate is None
+            else json.dumps(self.estimate.to_json_dict(), indent=2,
+                            sort_keys=True).replace("\n", "\n  ")
+        )
+        return (f'{{\n  "estimate": {estimate},\n'
+                f'  "find": {self.report._json("  ")}\n}}')
 
 
 def dance(

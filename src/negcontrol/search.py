@@ -16,13 +16,22 @@ With the default test function, ``wishart_test``, both ``find_nc`` and
 matrix (``tetrad._wishart_batch``), so verdicts do not depend on the scale
 of any column.  Any other ``test_fn`` is called once per sub-test, six times
 per triple.
+
+Either way the results land in one columnar ``FindNcReport``: the sorted
+candidate names, a (T, 3) array of each triple's indices into them, and
+(T, 6) arrays of the six sub-tests' statistics.  The ``DnctVerdict`` and
+``TetradResult`` objects of ``all_verdicts`` are built from those arrays on
+first access, and ``FindNcReport.to_json`` writes the report's JSON
+straight from them.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 import numpy as np
@@ -45,6 +54,10 @@ Triple = tuple[str, str, str]
 
 TestFn = Callable[[CovMatrix, TetradSpec, int, float], TetradResult]
 
+# Positions within the triple (x, y, z) of the variables a, b, c of the
+# sub-tests ({a,b},{c,T}) and ({a,b},{c,O}), in ``triple_specs`` order.
+_PAIR_ROWS = ((0, 1, 2), (0, 2, 1), (2, 1, 0))
+
 
 def canonical_triple(candidate) -> Triple:
     """Sorted tuple form of a candidate triple; validates distinctness."""
@@ -56,17 +69,18 @@ def canonical_triple(candidate) -> Triple:
 
 def triple_specs(candidate, treatment: str, outcome: str) -> list[TetradSpec]:
     """The six tetrads that certify a candidate triple, in fixed order."""
-    x, y, z = canonical_triple(candidate)
-    if treatment in (x, y, z) or outcome in (x, y, z):
+    triple = canonical_triple(candidate)
+    if treatment in triple or outcome in triple:
         raise ValueError(
             f"candidate triple {candidate} must exclude treatment and outcome"
         )
     if treatment == outcome:
         raise ValueError("treatment and outcome must differ")
-    pairs = [((x, y), z), ((x, z), y), ((z, y), x)]
-    specs = [TetradSpec(left, (rest, treatment)) for left, rest in pairs]
-    specs += [TetradSpec(left, (rest, outcome)) for left, rest in pairs]
-    return specs
+    return [
+        TetradSpec((triple[a], triple[b]), (triple[c], role))
+        for role in (treatment, outcome)
+        for a, b, c in _PAIR_ROWS
+    ]
 
 
 @dataclass(frozen=True)
@@ -104,75 +118,127 @@ def _degenerate_result(
     )
 
 
-def _wishart_verdicts(
-    cov: CovMatrix, n: int, triples, treatment: str, outcome: str,
-    alpha: float,
-) -> list[DnctVerdict]:
-    """``dnct_validate`` with ``wishart_test`` for each canonical triple, as
-    one ``_wishart_batch`` over all their sub-tests."""
-    specs = [spec for triple in triples
-             for spec in triple_specs(triple, treatment, outcome)]
-    pos = cov.index_of
-    quads = np.array([[pos(name) for name in spec.variables] for spec in specs],
-                     dtype=np.intp)
-    columns = (arr.tolist() for arr in _wishart_batch(cov, quads, n, alpha))
-    results = [
-        TetradResult(spec=spec, d_hat=d_hat, sigma_hat=sigma, w_stat=w,
-                     p_value=p, alpha=alpha, vanishes=p > alpha)
-        for spec, d_hat, sigma, w, p in zip(specs, *columns)
-    ]
-    return [
-        DnctVerdict(
-            candidate=triple,
-            passed=all(r.vanishes for r in results[6 * i:6 * i + 6]),
-            sub_results=tuple(results[6 * i:6 * i + 6]),
-        )
-        for i, triple in enumerate(triples)
-    ]
+_COLUMNS = ("triples", "d_hat", "sigma_hat", "w", "p", "vanishes")
 
 
-def dnct_validate(
-    cov: CovMatrix,
-    n: int,
-    candidate,
-    treatment: str,
-    outcome: str,
-    alpha: float,
-    test_fn: TestFn = wishart_test,
-) -> DnctVerdict:
-    """Run all six certifying tetrad tests for one candidate triple.
-
-    ``test_fn`` must follow the ``wishart_test`` signature, so an
-    alternative vanishing-determinant test can be swapped in.
-    """
-    triple = canonical_triple(candidate)
-    if test_fn is wishart_test:
-        return _wishart_verdicts(cov, n, [triple], treatment, outcome,
-                                 alpha)[0]
-    results = []
-    for spec in triple_specs(triple, treatment, outcome):
-        try:
-            results.append(test_fn(cov, spec, n, alpha))
-        except DegenerateVarianceError:
-            results.append(_degenerate_result(cov, spec, alpha))
-    return DnctVerdict(
-        candidate=triple,
-        passed=all(r.vanishes for r in results),
-        sub_results=tuple(results),
-    )
+def _bits(array: np.ndarray) -> tuple:
+    """What report equality compares of an array: dtype, shape and bytes,
+    with every NaN made the same NaN."""
+    if array.dtype.kind == "f":
+        array = np.where(np.isnan(array), np.nan, array)
+    return array.dtype.str, array.shape, array.tobytes()
 
 
-@dataclass(frozen=True)
+def _numbers(array: np.ndarray, nonfinite) -> list[str]:
+    """The JSON text of every entry of ``array``, row-major: its
+    ``float.__repr__``, as ``json`` writes a finite float, or for an
+    infinite or NaN entry what ``nonfinite`` makes of it."""
+    values = array.ravel().tolist()
+    texts = list(map(float.__repr__, values))
+    for i in np.flatnonzero(~np.isfinite(array.ravel())).tolist():
+        texts[i] = nonfinite(values[i])
+    return texts
+
+
+def _json_list(items, pad: str) -> str:
+    """Already-encoded JSON ``items`` as an indented list closing at
+    indentation ``pad``."""
+    if not items:
+        return "[]"
+    inner = ",\n".join(pad + "  " + item for item in items)
+    return f"[\n{inner}\n{pad}]"
+
+
+@dataclass(frozen=True, eq=False)
 class FindNcReport:
-    """Search output: validated triples plus the full verdict table."""
+    """Search output, kept as columns.
+
+    Row t of ``triples`` holds the indices into the sorted ``candidates``
+    of the t-th triple tested, in lexicographic order of the triples; row
+    t of ``d_hat``, ``sigma_hat``, ``w``, ``p`` and ``vanishes`` holds its
+    six sub-tests in ``triple_specs`` order.  An inapplicable sub-test has
+    ``sigma_hat = 0``, ``p = 0`` and ``w = +-inf``.  Two reports are equal
+    when their names and alpha are equal and their arrays bit-equal, NaN
+    equal to NaN.
+    """
 
     treatment: str
     outcome: str
     alpha_used: float
-    dncts: tuple[Triple, ...]
-    all_verdicts: tuple[DnctVerdict, ...]
+    candidates: tuple[str, ...]
+    triples: np.ndarray
+    d_hat: np.ndarray
+    sigma_hat: np.ndarray
+    w: np.ndarray
+    p: np.ndarray
+    vanishes: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "alpha_used", float(self.alpha_used))
+        object.__setattr__(self, "candidates", tuple(self.candidates))
+        for name in _COLUMNS:
+            column = np.array(getattr(self, name))
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def _key(self) -> tuple:
+        return self.treatment, self.outcome, self.alpha_used, self.candidates
+
+    def __eq__(self, other):
+        if not isinstance(other, FindNcReport):
+            return NotImplemented
+        return self._key() == other._key() and all(
+            _bits(getattr(self, name)) == _bits(getattr(other, name))
+            for name in _COLUMNS
+        )
+
+    def __hash__(self):
+        return hash((self._key(), self.triples.tobytes()))
+
+    @property
+    def passed(self) -> np.ndarray:
+        """Per triple: do all six sub-tests vanish?"""
+        return self.vanishes.all(axis=1)
+
+    @property
+    def min_p(self) -> np.ndarray:
+        """Per triple: the smallest sub-test p-value."""
+        return self.p.min(axis=1)
+
+    @cached_property
+    def dncts(self) -> tuple[Triple, ...]:
+        """The triples that passed, in lexicographic order."""
+        names = self.candidates
+        return tuple(
+            tuple(names[i] for i in row)
+            for row in self.triples[self.passed].tolist()
+        )
+
+    @cached_property
+    def all_verdicts(self) -> tuple[DnctVerdict, ...]:
+        """One ``DnctVerdict`` per triple, built from the columns."""
+        names = self.candidates
+        rows = zip(
+            self.triples.tolist(), self.passed.tolist(), self.d_hat.tolist(),
+            self.sigma_hat.tolist(), self.w.tolist(), self.p.tolist(),
+            self.vanishes.tolist(),
+        )
+        verdicts = []
+        for row, passed, *columns in rows:
+            triple = tuple(names[i] for i in row)
+            specs = triple_specs(triple, self.treatment, self.outcome)
+            results = tuple(
+                TetradResult(spec=spec, d_hat=d_hat, sigma_hat=sigma,
+                             w_stat=w, p_value=p, alpha=self.alpha_used,
+                             vanishes=vanishes)
+                for spec, d_hat, sigma, w, p, vanishes in zip(specs, *columns)
+            )
+            verdicts.append(DnctVerdict(triple, passed, results))
+        return tuple(verdicts)
 
     def to_json_dict(self) -> dict:
+        """The report as a JSON document; the reference ``to_json`` must
+        reproduce."""
         return {
             "treatment": self.treatment,
             "outcome": self.outcome,
@@ -202,8 +268,131 @@ class FindNcReport:
             ],
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        """``json.dumps(self.to_json_dict(), indent=2, sort_keys=True)``,
+        written straight from the columns."""
+        return self._json("")
+
+    def _json(self, pad: str) -> str:
+        """``to_json`` for a report nested at indentation ``pad``: every
+        line after the first is prefixed with it."""
+        key, verdict = pad + "  ", pad + "    "
+        test = verdict + "    "
+        names = [encode_basestring_ascii(name) for name in self.candidates]
+        roles = (encode_basestring_ascii(self.treatment),
+                 encode_basestring_ascii(self.outcome))
+        one_test = (
+            f'{{\n{test}  "left": [\n{test}    %s,\n{test}    %s\n'
+            f'{test}  ],\n{test}  "p": %s,\n{test}  "right": [\n'
+            f'{test}    %s,\n{test}    %s\n{test}  ],\n{test}  "w": %s\n'
+            f'{test}}}'
+        )
+        one_verdict = (
+            f'{{\n{verdict}  "passed": %s,\n{verdict}  "tests": %s,\n'
+            f'{verdict}  "triple": %s\n{verdict}}}'
+        )
+        p_texts = _numbers(self.p, json.dumps)
+        w_texts = _numbers(self.w, lambda value: "null")
+        blocks = []
+        for t, (row, passed) in enumerate(
+            zip(self.triples.tolist(), self.passed.tolist())
+        ):
+            triple = [names[i] for i in row]
+            tests = [
+                one_test % (triple[a], triple[b], p_texts[6 * t + k],
+                            triple[c], roles[k // 3], w_texts[6 * t + k])
+                for k, (a, b, c) in enumerate(_PAIR_ROWS * 2)
+            ]
+            blocks.append(one_verdict % (
+                "true" if passed else "false",
+                _json_list(tests, verdict + "  "),
+                _json_list(triple, verdict + "  "),
+            ))
+        dncts = [
+            _json_list([names[i] for i in row], verdict)
+            for row in self.triples[self.passed].tolist()
+        ]
+        return (
+            f'{{\n{key}"alpha": {json.dumps(self.alpha_used)},\n'
+            f'{key}"dncts": {_json_list(dncts, key)},\n'
+            f'{key}"outcome": {roles[1]},\n{key}"treatment": {roles[0]},\n'
+            f'{key}"verdicts": {_json_list(blocks, key)}\n{pad}}}'
+        )
+
+
+def _scan(
+    cov: CovMatrix,
+    n: int,
+    names: tuple[str, ...],
+    triples: np.ndarray,
+    treatment: str,
+    outcome: str,
+    alpha: float,
+    test_fn: TestFn,
+) -> FindNcReport:
+    """The six sub-tests of every row of ``triples``, a (T, 3) array of
+    increasing indices into the sorted ``names``, as one report."""
+    if test_fn is wishart_test:
+        members = np.array([cov.index_of(name) for name in names],
+                           dtype=np.intp)[triples]
+        quads = np.empty((len(triples), 6, 4), dtype=np.intp)
+        quads[:, :, :3] = members[:, np.array(_PAIR_ROWS * 2)]
+        quads[:, :3, 3] = cov.index_of(treatment)
+        quads[:, 3:, 3] = cov.index_of(outcome)
+        d_hat, sigma_hat, w, p = (
+            column.reshape(-1, 6)
+            for column in _wishart_batch(cov, quads.reshape(-1, 4), n, alpha)
+        )
+        vanishes = p > alpha
+    else:
+        results = []
+        for row in triples.tolist():
+            for spec in triple_specs([names[i] for i in row], treatment,
+                                     outcome):
+                try:
+                    results.append(test_fn(cov, spec, n, alpha))
+                except DegenerateVarianceError:
+                    results.append(_degenerate_result(cov, spec, alpha))
+        d_hat, sigma_hat, w, p = (
+            np.array([getattr(r, field) for r in results],
+                     dtype=float).reshape(-1, 6)
+            for field in ("d_hat", "sigma_hat", "w_stat", "p_value")
+        )
+        vanishes = np.array([bool(r.vanishes) for r in results],
+                            dtype=bool).reshape(-1, 6)
+    return FindNcReport(
+        treatment=treatment,
+        outcome=outcome,
+        alpha_used=alpha,
+        candidates=names,
+        triples=triples,
+        d_hat=d_hat,
+        sigma_hat=sigma_hat,
+        w=w,
+        p=p,
+        vanishes=vanishes,
+    )
+
+
+def dnct_validate(
+    cov: CovMatrix,
+    n: int,
+    candidate,
+    treatment: str,
+    outcome: str,
+    alpha: float,
+    test_fn: TestFn = wishart_test,
+) -> DnctVerdict:
+    """Run all six certifying tetrad tests for one candidate triple.
+
+    ``test_fn`` must follow the ``wishart_test`` signature, so an
+    alternative vanishing-determinant test can be swapped in.
+    """
+    triple = canonical_triple(candidate)
+    triple_specs(triple, treatment, outcome)  # raises on a role overlap
+    report = _scan(cov, n, triple, np.array([[0, 1, 2]], dtype=np.intp),
+                   treatment, outcome, alpha, test_fn)
+    return report.all_verdicts[0]
 
 
 def find_nc(
@@ -235,6 +424,8 @@ def find_nc(
         )
     if treatment in candidates or outcome in candidates:
         raise ValueError("candidates must exclude treatment and outcome")
+    if treatment == outcome:
+        raise ValueError("treatment and outcome must differ")
     for name in (treatment, outcome, *candidates):
         data.index_of(name)  # raises UnknownVariableError
     n = data.n
@@ -242,20 +433,7 @@ def find_nc(
         alpha = 1.0 / n
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    cov = covariance(data)
-    triples = list(combinations(candidates, 3))
-    if test_fn is wishart_test:
-        verdicts = _wishart_verdicts(cov, n, triples, treatment, outcome,
-                                     alpha)
-    else:
-        verdicts = [
-            dnct_validate(cov, n, triple, treatment, outcome, alpha, test_fn)
-            for triple in triples
-        ]
-    return FindNcReport(
-        treatment=treatment,
-        outcome=outcome,
-        alpha_used=alpha,
-        dncts=tuple(v.candidate for v in verdicts if v.passed),
-        all_verdicts=tuple(verdicts),
-    )
+    triples = np.array(list(combinations(range(len(candidates)), 3)),
+                       dtype=np.intp)
+    return _scan(covariance(data), n, tuple(candidates), triples, treatment,
+                 outcome, float(alpha), test_fn)

@@ -213,7 +213,6 @@ def _one_replication(
     candidates = spec.candidates
     alpha = config.alpha if config.alpha is not None else 1.0 / n
     report = find_nc(data, candidates, treatment, outcome, alpha=alpha)
-    min_p = np.array([v.min_p for v in report.all_verdicts])
     estimates: dict = {}
     errors: dict = {}
 
@@ -286,7 +285,7 @@ def _one_replication(
     return _RepOutcome(
         n=n,
         replication=replication,
-        min_p=min_p,
+        min_p=report.min_p,
         found=report.dncts,
         estimates=estimates,
         errors=errors,
@@ -304,7 +303,8 @@ def run_study(config: StudyConfig) -> StudyResult:
     spec = _resolve_spec(config)
     true_dncts, true_delta = ground_truth_dncts(spec)
     triples = list(combinations(sorted(spec.candidates), 3))
-    labels = np.array([t in set(true_dncts) for t in triples])
+    true_set = set(true_dncts)
+    labels = np.array([t in true_set for t in triples])
 
     fixed_triple = None
     if "random" in config.methods and config.random_scheme == "triplet_fixed":

@@ -10,12 +10,15 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 from negcontrol.cli import main
-from negcontrol.data import load_csv
+from negcontrol.data import Dataset, load_csv, write_csv
+from negcontrol.pipeline import dance
+from negcontrol.search import find_nc
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schema"
 
@@ -309,6 +312,63 @@ def test_dance_byte_identical_across_runs(tmp_path, sim_csv):
         assert code == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+# ---------------------------------------------------------------------------
+# find and dance files against json.dumps of the library's documents
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def golden_csvs(tmp_path_factory, simple_data):
+    """``simple_data`` as a CSV, and the same with a constant candidate K,
+    whose sub-tests are all inapplicable."""
+    root = tmp_path_factory.mktemp("golden")
+    plain, constant = root / "simple.csv", root / "constant.csv"
+    write_csv(simple_data, plain)
+    values = np.column_stack([simple_data.values, np.full(simple_data.n, 5.0)])
+    write_csv(Dataset((*simple_data.variable_names, "K"), values), constant)
+    return {"simple": plain, "constant": constant}
+
+
+def _golden(doc) -> bytes:
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize("dataset", ["simple", "constant"])
+def test_find_file_equals_json_dumps(tmp_path, golden_csvs, dataset):
+    path, out = golden_csvs[dataset], tmp_path / "find.json"
+    code = main(["find", "--data", str(path), "--treatment", "T",
+                 "--outcome", "O", "--out", str(out)])
+    data = load_csv(path)
+    candidates = [n for n in data.variable_names if n not in ("T", "O")]
+    report = find_nc(data, candidates, "T", "O")
+    assert code == 0
+    assert out.read_bytes() == _golden(report.to_json_dict())
+
+
+_DANCE_VARIANTS = {
+    "sandwich": ([], {}),
+    "bootstrap": (["--ci", "bootstrap", "--boot-b", "20", "--seed", "3"],
+                  {"ci_method": "bootstrap", "bootstrap_draws": 20,
+                   "seed": 3}),
+    "majority": (["--aggregate", "majority"], {"aggregate": "majority"}),
+    "no-triple": (["--alpha", "0.9999"], {"alpha": 0.9999}),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_DANCE_VARIANTS))
+@pytest.mark.parametrize("dataset", ["simple", "constant"])
+def test_dance_file_equals_json_dumps(tmp_path, golden_csvs, dataset,
+                                      variant):
+    flags, kwargs = _DANCE_VARIANTS[variant]
+    path, out = golden_csvs[dataset], tmp_path / "dance.json"
+    code = main(["dance", "--data", str(path), "--treatment", "T",
+                 "--outcome", "O", *flags, "--out", str(out)])
+    result = dance(load_csv(path), "T", "O", **kwargs)
+    assert code == (3 if variant == "no-triple" else 0)
+    assert (result.estimate is None) == (variant == "no-triple")
+    assert out.read_bytes() == _golden(result.to_json_dict())
 
 
 # ---------------------------------------------------------------------------

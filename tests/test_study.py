@@ -12,10 +12,13 @@ from negcontrol.estimate import (
     sandwich_cov,
     solve_linear_moments,
 )
-from negcontrol.simulate import builtin_graph
+from negcontrol.search import find_nc
+from negcontrol.simulate import builtin_graph, generate
 from negcontrol.study import (
+    _STREAM_DATA,
     StudyConfig,
     _naive_fit,
+    _resolve_spec,
     roc_curve,
     run_study,
     write_study_outputs,
@@ -253,6 +256,23 @@ def test_details_expose_replication_table(small_result):
     assert len(det["labels"]) == n_triples
     assert set(det["estimates"]) == {"naive", "random", "dance"}
     assert len(det["found"]) == 8
+
+
+def test_details_min_p_matches_verdicts(small_result):
+    # each replication's min_p row, bit for bit, against the smallest p of
+    # each verdict of a search on the same draw
+    config = small_result.config
+    spec = _resolve_spec(config)
+    for n in config.sample_sizes:
+        rows = small_result.details[n]["min_p"]
+        for r in range(config.replications):
+            data = generate(spec, n, np.random.SeedSequence(
+                (config.master_seed, _STREAM_DATA, n, r)))
+            report = find_nc(data, spec.candidates, spec.treatment,
+                             spec.outcome, alpha=1.0 / n)
+            expected = [min(t.p_value for t in v.sub_results)
+                        for v in report.all_verdicts]
+            assert rows[r].tobytes() == np.array(expected).tobytes()
 
 
 @pytest.mark.parametrize("covariates", [(), ("Z1", "Z2")])
