@@ -126,6 +126,19 @@ class AggregateResult:
         }
 
 
+def _check_interval_options(
+    ci_method: str, bootstrap_draws: int, bootstrap_ci: str
+) -> None:
+    """Reject interval options ``weighted_estimate`` would not accept,
+    before any pair is searched for or fitted."""
+    if ci_method not in ("sandwich", "bootstrap"):
+        raise ValueError(f"unknown ci_method: {ci_method!r}")
+    if bootstrap_ci not in ("normal", "percentile"):
+        raise ValueError(f"unknown bootstrap_ci: {bootstrap_ci!r}")
+    if ci_method == "bootstrap" and bootstrap_draws < 2:
+        raise ValueError("bootstrap needs at least 2 draws")
+
+
 def _interval(center: float, se: float) -> tuple[float, float]:
     return center - 1.96 * se, center + 1.96 * se
 
@@ -221,10 +234,7 @@ def weighted_estimate(
     "bootstrap" (row resampling with the pair set held fixed;
     ``bootstrap_ci`` picks a normal or percentile interval).
     """
-    if ci_method not in ("sandwich", "bootstrap"):
-        raise ValueError(f"unknown ci_method: {ci_method!r}")
-    if bootstrap_ci not in ("normal", "percentile"):
-        raise ValueError(f"unknown bootstrap_ci: {bootstrap_ci!r}")
+    _check_interval_options(ci_method, bootstrap_draws, bootstrap_ci)
     covariates = tuple(covariates)
     pairs, weights = _weighted_pairs(table, pair_space)
     names = [treatment, outcome, *covariates,
@@ -255,8 +265,6 @@ def weighted_estimate(
         ci_low, ci_high = _interval(delta_hat, se)
         method = "weighted_sandwich"
     else:
-        if bootstrap_draws < 2:
-            raise ValueError("bootstrap needs at least 2 draws")
         boot = _bootstrap_se(
             centred[0], layouts, weights, bootstrap_draws, seed
         )

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -70,7 +71,6 @@ def _candidates(data, args) -> list[str]:
     if args.candidates is not None:
         return args.candidates
     excluded = {args.treatment, args.outcome}
-    excluded.update(getattr(args, "covariates", None) or ())
     return [name for name in data.variable_names if name not in excluded]
 
 
@@ -160,36 +160,16 @@ def _cmd_simulate(args) -> int:
     return _EXIT_OK
 
 
-_CONFIG_KEYS = {
-    "graph",
-    "family",
-    "strength",
-    "sample_sizes",
-    "replications",
-    "methods",
-    "alpha",
-    "alpha_grid",
-    "master_seed",
-    "covariates",
-    "random_scheme",
-    "aggregate",
-    "u_sd",
-}
-
-
 def _cmd_evaluate(args) -> int:
     with open(args.config) as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict):
         raise ValueError("config must be a JSON object")
-    unknown = set(payload) - _CONFIG_KEYS
+    unknown = set(payload) - {field.name for field in fields(StudyConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     if isinstance(payload.get("graph"), dict):
         payload["graph"] = graph_spec_from_json_dict(payload["graph"])
-    for key in ("sample_sizes", "methods", "covariates", "alpha_grid"):
-        if key in payload and payload[key] is not None:
-            payload[key] = tuple(payload[key])
     config = StudyConfig(**payload)
     result = run_study(config)
     write_study_outputs(result, args.out)

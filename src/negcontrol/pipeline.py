@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .aggregate import (
     AggregateResult,
+    _check_interval_options,
     enumerate_pairs,
     majority_vote_estimate,
     weighted_estimate,
@@ -79,6 +80,7 @@ def dance(
         ]
     if aggregate not in ("weighted", "majority"):
         raise ValueError(f"unknown aggregate: {aggregate!r}")
+    _check_interval_options(ci_method, bootstrap_draws, bootstrap_ci)
     report = find_nc(data, candidates, treatment, outcome, alpha=alpha)
     if not report.dncts:
         return DanceResult(report=report, estimate=None)

@@ -11,15 +11,15 @@ The six-test set is closed under permutations of the triple, so verdicts do
 not depend on the order candidates are written in; triples are canonicalized
 (sorted) before testing.
 
-With the default test function, ``wishart_test``, both ``find_nc`` and
-``dnct_validate`` run every sub-test in one batched pass on the correlation
-matrix (``tetrad._wishart_batch``), so verdicts do not depend on the scale
-of any column.  Any other ``test_fn`` is called once per sub-test, six times
-per triple.
+Both ``find_nc`` and ``dnct_validate`` run every sub-test in one batched
+pass on the correlation matrix (``tetrad._wishart_batch``), so verdicts do
+not depend on the scale of any column.  ``tetrad.wishart_test`` is the
+scalar reference that pass is tested against.
 
-Either way the results land in one columnar ``FindNcReport``: the sorted
-candidate names, a (T, 3) array of each triple's indices into them, and
-(T, 6) arrays of the six sub-tests' statistics.  The ``DnctVerdict`` and
+The results land in one columnar ``FindNcReport``: the sorted candidate
+names, a (T, 3) array of each triple's indices into them, and (T, 6)
+arrays of the six sub-tests' statistics.  A sub-test vanishes when its
+p-value exceeds the report's alpha.  The ``DnctVerdict`` and
 ``TetradResult`` objects of ``all_verdicts`` are built from those arrays on
 first access, and ``FindNcReport.to_json`` writes the report's JSON
 straight from them.
@@ -32,13 +32,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from json.encoder import encode_basestring_ascii
-from typing import Callable
 
 import numpy as np
 
-from .data import CovMatrix, Dataset, covariance, sub_determinant
-from .errors import DegenerateVarianceError, TooFewCandidatesError
-from .tetrad import TetradResult, TetradSpec, _wishart_batch, wishart_test
+from .data import CovMatrix, Dataset, covariance
+from .errors import TooFewCandidatesError
+from .tetrad import TetradResult, TetradSpec, _wishart_batch
 
 __all__ = [
     "Triple",
@@ -51,8 +50,6 @@ __all__ = [
 ]
 
 Triple = tuple[str, str, str]
-
-TestFn = Callable[[CovMatrix, TetradSpec, int, float], TetradResult]
 
 # Positions within the triple (x, y, z) of the variables a, b, c of the
 # sub-tests ({a,b},{c,T}) and ({a,b},{c,O}), in ``triple_specs`` order.
@@ -87,8 +84,8 @@ def triple_specs(candidate, treatment: str, outcome: str) -> list[TetradSpec]:
 class DnctVerdict:
     """All six sub-test results for one candidate triple.
 
-    ``passed`` is True only when every sub-test vanishes.  A degenerate
-    variance in a sub-test counts as not vanishing; the placeholder result
+    ``passed`` is True only when every sub-test vanishes.  An inapplicable
+    sub-test (degenerate variance) counts as not vanishing; its result
     carries sigma_hat = 0 and p_value = 0.
     """
 
@@ -102,23 +99,7 @@ class DnctVerdict:
         return min(r.p_value for r in self.sub_results)
 
 
-def _degenerate_result(
-    cov: CovMatrix, spec: TetradSpec, alpha: float
-) -> TetradResult:
-    d_hat = sub_determinant(cov, spec.left, spec.right)
-    w = math.inf if d_hat >= 0 else -math.inf
-    return TetradResult(
-        spec=spec,
-        d_hat=d_hat,
-        sigma_hat=0.0,
-        w_stat=w,
-        p_value=0.0,
-        alpha=alpha,
-        vanishes=False,
-    )
-
-
-_COLUMNS = ("triples", "d_hat", "sigma_hat", "w", "p", "vanishes")
+_COLUMNS = ("triples", "d_hat", "sigma_hat", "w", "p")
 
 
 def _bits(array: np.ndarray) -> tuple:
@@ -155,11 +136,11 @@ class FindNcReport:
 
     Row t of ``triples`` holds the indices into the sorted ``candidates``
     of the t-th triple tested, in lexicographic order of the triples; row
-    t of ``d_hat``, ``sigma_hat``, ``w``, ``p`` and ``vanishes`` holds its
-    six sub-tests in ``triple_specs`` order.  An inapplicable sub-test has
-    ``sigma_hat = 0``, ``p = 0`` and ``w = +-inf``.  Two reports are equal
-    when their names and alpha are equal and their arrays bit-equal, NaN
-    equal to NaN.
+    t of ``d_hat``, ``sigma_hat``, ``w`` and ``p`` holds its six sub-tests
+    in ``triple_specs`` order, and a sub-test vanishes when ``p`` exceeds
+    ``alpha_used``.  An inapplicable sub-test has ``sigma_hat = 0``,
+    ``p = 0`` and ``w = +-inf``.  Two reports are equal when their names
+    and alpha are equal and their arrays bit-equal, NaN equal to NaN.
     """
 
     treatment: str
@@ -171,7 +152,6 @@ class FindNcReport:
     sigma_hat: np.ndarray
     w: np.ndarray
     p: np.ndarray
-    vanishes: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "alpha_used", float(self.alpha_used))
@@ -194,6 +174,11 @@ class FindNcReport:
 
     def __hash__(self):
         return hash((self._key(), self.triples.tobytes()))
+
+    @property
+    def vanishes(self) -> np.ndarray:
+        """Per sub-test: is its p-value above ``alpha_used``?"""
+        return self.p > self.alpha_used
 
     @property
     def passed(self) -> np.ndarray:
@@ -328,38 +313,19 @@ def _scan(
     treatment: str,
     outcome: str,
     alpha: float,
-    test_fn: TestFn,
 ) -> FindNcReport:
     """The six sub-tests of every row of ``triples``, a (T, 3) array of
     increasing indices into the sorted ``names``, as one report."""
-    if test_fn is wishart_test:
-        members = np.array([cov.index_of(name) for name in names],
-                           dtype=np.intp)[triples]
-        quads = np.empty((len(triples), 6, 4), dtype=np.intp)
-        quads[:, :, :3] = members[:, np.array(_PAIR_ROWS * 2)]
-        quads[:, :3, 3] = cov.index_of(treatment)
-        quads[:, 3:, 3] = cov.index_of(outcome)
-        d_hat, sigma_hat, w, p = (
-            column.reshape(-1, 6)
-            for column in _wishart_batch(cov, quads.reshape(-1, 4), n, alpha)
-        )
-        vanishes = p > alpha
-    else:
-        results = []
-        for row in triples.tolist():
-            for spec in triple_specs([names[i] for i in row], treatment,
-                                     outcome):
-                try:
-                    results.append(test_fn(cov, spec, n, alpha))
-                except DegenerateVarianceError:
-                    results.append(_degenerate_result(cov, spec, alpha))
-        d_hat, sigma_hat, w, p = (
-            np.array([getattr(r, field) for r in results],
-                     dtype=float).reshape(-1, 6)
-            for field in ("d_hat", "sigma_hat", "w_stat", "p_value")
-        )
-        vanishes = np.array([bool(r.vanishes) for r in results],
-                            dtype=bool).reshape(-1, 6)
+    members = np.array([cov.index_of(name) for name in names],
+                       dtype=np.intp)[triples]
+    quads = np.empty((len(triples), 6, 4), dtype=np.intp)
+    quads[:, :, :3] = members[:, np.array(_PAIR_ROWS * 2)]
+    quads[:, :3, 3] = cov.index_of(treatment)
+    quads[:, 3:, 3] = cov.index_of(outcome)
+    d_hat, sigma_hat, w, p = (
+        column.reshape(-1, 6)
+        for column in _wishart_batch(cov, quads.reshape(-1, 4), n, alpha)
+    )
     return FindNcReport(
         treatment=treatment,
         outcome=outcome,
@@ -370,7 +336,6 @@ def _scan(
         sigma_hat=sigma_hat,
         w=w,
         p=p,
-        vanishes=vanishes,
     )
 
 
@@ -381,17 +346,12 @@ def dnct_validate(
     treatment: str,
     outcome: str,
     alpha: float,
-    test_fn: TestFn = wishart_test,
 ) -> DnctVerdict:
-    """Run all six certifying tetrad tests for one candidate triple.
-
-    ``test_fn`` must follow the ``wishart_test`` signature, so an
-    alternative vanishing-determinant test can be swapped in.
-    """
+    """Run all six certifying tetrad tests for one candidate triple."""
     triple = canonical_triple(candidate)
     triple_specs(triple, treatment, outcome)  # raises on a role overlap
     report = _scan(cov, n, triple, np.array([[0, 1, 2]], dtype=np.intp),
-                   treatment, outcome, alpha, test_fn)
+                   treatment, outcome, alpha)
     return report.all_verdicts[0]
 
 
@@ -401,7 +361,6 @@ def find_nc(
     treatment: str,
     outcome: str,
     alpha: float | None = None,
-    test_fn: TestFn = wishart_test,
 ) -> FindNcReport:
     """Brute-force scan of every unordered candidate triple.
 
@@ -436,4 +395,4 @@ def find_nc(
     triples = np.array(list(combinations(range(len(candidates)), 3)),
                        dtype=np.intp)
     return _scan(covariance(data), n, tuple(candidates), triples, treatment,
-                 outcome, float(alpha), test_fn)
+                 outcome, float(alpha))

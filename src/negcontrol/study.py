@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
+from collections.abc import Sequence
 from dataclasses import astuple, dataclass, field, fields, replace
 from itertools import combinations
 
@@ -50,6 +52,16 @@ _STREAM_RANDOM = 202
 _STREAM_FIXED_TRIPLET = 303
 
 
+def _listed(name: str, value) -> tuple:
+    """``value``, a list of entries, as a tuple; anything else, a single
+    string included, is rejected."""
+    if isinstance(value, (str, bytes)) or not isinstance(
+        value, (Sequence, np.ndarray)
+    ):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Design of one replication study."""
@@ -69,20 +81,34 @@ class StudyConfig:
     u_sd: float = math.sqrt(2.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "sample_sizes", tuple(self.sample_sizes))
-        object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "covariates", tuple(self.covariates))
+        for name in ("sample_sizes", "methods", "covariates"):
+            object.__setattr__(self, name, _listed(name, getattr(self, name)))
         if self.alpha_grid is not None:
-            object.__setattr__(self, "alpha_grid", tuple(self.alpha_grid))
+            object.__setattr__(self, "alpha_grid",
+                               _listed("alpha_grid", self.alpha_grid))
+        integer = (numbers.Integral, "an integer")
+        number = (numbers.Real, "a number")
+        for name, value, (kind, noun) in (
+            ("replications", self.replications, integer),
+            ("master_seed", self.master_seed, integer),
+            *(("a sample size", n, integer) for n in self.sample_sizes),
+            ("u_sd", self.u_sd, number),
+            *(("alpha", a, number) for a in (self.alpha,) if a is not None),
+            *(("an alpha_grid entry", a, number)
+              for a in self.alpha_grid or ()),
+        ):
+            # JSON's true and false are not numbers here
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {noun}, got {value!r}")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if not self.sample_sizes:
             raise ValueError("at least one sample size required")
         if any(n < 10 for n in self.sample_sizes):
             raise ValueError("sample sizes must be at least 10")
-        unknown = set(self.methods) - set(_METHODS)
+        unknown = [m for m in self.methods if m not in _METHODS]
         if unknown:
-            raise ValueError(f"unknown methods: {sorted(unknown)}")
+            raise ValueError(f"unknown methods: {unknown}")
         if self.random_scheme not in _RANDOM_SCHEMES:
             raise ValueError(f"unknown random_scheme: {self.random_scheme!r}")
         if self.aggregate not in ("weighted", "majority"):

@@ -1,4 +1,5 @@
-"""Shared fixtures: Monte Carlo studies reused across acceptance checks.
+"""Shared fixtures: Monte Carlo studies reused across acceptance checks,
+and the scalar reference of the batched search.
 
 The six study fixtures below are the expensive part of the suite (a few
 seconds each); they are session-scoped so every test module reads the same
@@ -7,11 +8,53 @@ frozen run.  Master seeds are fixed so results are bit-reproducible.
 
 from __future__ import annotations
 
+import math
+from itertools import combinations
+
 import numpy as np
 import pytest
 
+from negcontrol.data import covariance, sub_determinant
+from negcontrol.errors import DegenerateVarianceError
+from negcontrol.search import DnctVerdict, triple_specs
 from negcontrol.simulate import builtin_graph, generate
 from negcontrol.study import StudyConfig, run_study
+from negcontrol.tetrad import TetradResult, wishart_test
+
+
+def _wishart_verdicts(data, candidates, treatment, outcome, alpha):
+    """The verdict of every candidate triple, in lexicographic order, from
+    one ``wishart_test`` per sub-test on the covariance.  A sub-test whose
+    variance is degenerate gets the inapplicable result the search records:
+    sigma_hat = 0, p = 0 and w = +-inf by the sign of d_hat."""
+    cov = covariance(data)
+    verdicts = []
+    for triple in combinations(sorted(candidates), 3):
+        results = []
+        for spec in triple_specs(triple, treatment, outcome):
+            try:
+                results.append(wishart_test(cov, spec, data.n, alpha))
+            except DegenerateVarianceError:
+                d_hat = sub_determinant(cov, spec.left, spec.right)
+                results.append(TetradResult(
+                    spec=spec, d_hat=d_hat, sigma_hat=0.0,
+                    w_stat=math.inf if d_hat >= 0 else -math.inf,
+                    p_value=0.0, alpha=alpha, vanishes=False,
+                ))
+        verdicts.append(DnctVerdict(
+            candidate=triple,
+            passed=all(r.vanishes for r in results),
+            sub_results=tuple(results),
+        ))
+    return tuple(verdicts)
+
+
+@pytest.fixture(scope="session")
+def wishart_verdicts():
+    """``(data, candidates, treatment, outcome, alpha) -> verdicts``: the
+    search's verdicts rebuilt by the scalar ``wishart_test``, which the
+    batched scan is tested against."""
+    return _wishart_verdicts
 
 
 @pytest.fixture(scope="session")

@@ -289,6 +289,20 @@ def test_weighted_validates_arguments(simple_data, simple_truth):
         )
 
 
+def test_weighted_rejects_draw_count_before_fitting():
+    # pair (a, c) is singular (c is constant), but the draw count is
+    # rejected before any pair is fitted
+    values = np.random.default_rng(3).normal(size=(200, 5))
+    values[:, 4] = 5.0
+    data = Dataset(("T", "O", "a", "b", "c"), values)
+    table = enumerate_pairs([("a", "b", "c")])
+    with pytest.raises(SingularMomentMatrixError):
+        weighted_estimate(data, table, "T", "O")
+    with pytest.raises(ValueError, match="at least 2 draws"):
+        weighted_estimate(data, table, "T", "O", ci_method="bootstrap",
+                          bootstrap_draws=1)
+
+
 def test_majority_vote_tie_breaks_lexicographically(simple_data, simple_truth):
     dncts, _ = simple_truth
     # A single triple gives all three unordered pairs frequency 2, so the

@@ -420,6 +420,27 @@ def test_evaluate_unknown_key_exit_2(tmp_path):
     assert main(["evaluate", "--config", str(config), "--out", str(tmp_path / "r")]) == 2
 
 
+@pytest.mark.parametrize("overrides", [
+    {"sample_sizes": 5},
+    {"replications": "abc"},
+    {"replications": 2.5, "sample_sizes": [100]},
+    {"methods": 3},
+    {"alpha_grid": 0.1},
+    {"replications": True},
+    {"master_seed": 1.5},
+    {"sample_sizes": [100.0]},
+    {"alpha": "0.01"},
+    {"alpha_grid": ["0.1"]},
+    {"methods": [["dance"]]},
+    {"u_sd": [1.4]},
+])
+def test_evaluate_mistyped_config_exit_2(tmp_path, capsys, overrides):
+    config = _eval_config(tmp_path, **overrides)
+    code = main(["evaluate", "--config", str(config), "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_evaluate_malformed_json_exit_2(tmp_path):
     config = tmp_path / "broken.json"
     config.write_text("{not json")

@@ -72,6 +72,20 @@ def test_dance_option_validation(pipeline_data):
         dance(data, "T", "O", ci_method="exact")
 
 
+@pytest.mark.parametrize("options", [
+    # no triple passes at this alpha, so the search alone never fits a pair
+    {"alpha": 0.9999, "ci_method": "bogus"},
+    # majority vote reads no interval option, and still checks them
+    {"aggregate": "majority", "ci_method": "bogus"},
+    {"aggregate": "majority", "bootstrap_ci": "bca"},
+])
+def test_dance_checks_interval_options_before_searching(pipeline_data,
+                                                        options):
+    _, data = pipeline_data
+    with pytest.raises(ValueError):
+        dance(data, "T", "O", **options)
+
+
 def test_both_aggregators_cover_truth_across_seeded_runs():
     # Across 100 seeded simulate-then-estimate runs, the 95% intervals of
     # both aggregation strategies must cover the known effect at least 90%

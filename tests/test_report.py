@@ -13,17 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from negcontrol.data import covariance, sub_determinant
-from negcontrol.errors import DegenerateVarianceError
 from negcontrol.pipeline import DanceResult
-from negcontrol.search import (
-    DnctVerdict,
-    FindNcReport,
-    dnct_validate,
-    find_nc,
-    triple_specs,
-)
-from negcontrol.tetrad import TetradResult, wishart_test
+from negcontrol.search import FindNcReport, find_nc
 
 SIMPLE_CANDIDATES = ("Z1", "Z2", "Z3", "Z4")
 
@@ -73,12 +64,6 @@ def _reports(draw):
     p[inapplicable] = 0.0
     w[inapplicable] = np.where(np.arange(p.size).reshape(shape) % 2, np.inf,
                                -np.inf)[inapplicable]
-    vanishes = draw(st.sampled_from(["none", "all", "mixed"]))
-    if vanishes == "mixed":
-        vanishes = np.array(draw(st.lists(
-            st.booleans(), min_size=p.size, max_size=p.size))).reshape(shape)
-    else:
-        vanishes = np.full(shape, vanishes == "all")
     return FindNcReport(
         treatment=treatment,
         outcome=outcome,
@@ -89,7 +74,6 @@ def _reports(draw):
         sigma_hat=column(_FLOATS),
         w=w,
         p=p,
-        vanishes=vanishes,
     )
 
 
@@ -110,100 +94,10 @@ def test_to_json_empty_and_all_passed(simple_data):
         assert report.to_json() == _reference(report.to_json_dict())
 
 
-# ---------------------------------------------------------------------------
-# custom test functions: the same arrays, the old objects
-# ---------------------------------------------------------------------------
-
-
-def _old_verdicts(data, candidates, treatment, outcome, alpha, test_fn):
-    """The verdict objects as the search built them one by one, before it
-    kept columns."""
-    cov = covariance(data)
-    verdicts = []
-    for triple in combinations(sorted(candidates), 3):
-        results = []
-        for spec in triple_specs(triple, treatment, outcome):
-            try:
-                results.append(test_fn(cov, spec, data.n, alpha))
-            except DegenerateVarianceError:
-                d_hat = sub_determinant(cov, spec.left, spec.right)
-                results.append(TetradResult(
-                    spec=spec, d_hat=d_hat, sigma_hat=0.0,
-                    w_stat=math.inf if d_hat >= 0 else -math.inf,
-                    p_value=0.0, alpha=alpha, vanishes=False,
-                ))
-        verdicts.append(DnctVerdict(
-            candidate=triple,
-            passed=all(r.vanishes for r in results),
-            sub_results=tuple(results),
-        ))
-    return tuple(verdicts)
-
-
-def _inverted_test(cov, spec, n, alpha):
-    # vanishes exactly where p > alpha does not
-    result = wishart_test(cov, spec, n, alpha)
-    return dataclasses.replace(result, vanishes=not result.vanishes)
-
-
-def _degenerate_with_o(cov, spec, n, alpha):
-    # every sub-test against the outcome is declared degenerate
-    if "O" in spec.right:
-        raise DegenerateVarianceError(f"declared degenerate: {spec}")
-    return wishart_test(cov, spec, n, alpha)
-
-
-@pytest.mark.parametrize("test_fn", [_inverted_test, _degenerate_with_o])
-def test_custom_test_fn_verdicts_match_old_objects(simple_data, test_fn):
-    report = find_nc(simple_data, SIMPLE_CANDIDATES, "T", "O", alpha=0.01,
-                     test_fn=test_fn)
-    old = _old_verdicts(simple_data, SIMPLE_CANDIDATES, "T", "O", 0.01,
-                        test_fn)
-    assert report.all_verdicts == old
-    assert report.dncts == tuple(v.candidate for v in old if v.passed)
-    assert report.to_json() == _reference(report.to_json_dict())
-    cov = covariance(simple_data)
-    for verdict in old:
-        assert dnct_validate(cov, simple_data.n, verdict.candidate[::-1],
-                             "T", "O", 0.01, test_fn=test_fn) == verdict
-
-
-def test_custom_vanishes_rule_is_kept(simple_data):
-    report = find_nc(simple_data, SIMPLE_CANDIDATES, "T", "O", alpha=0.01,
-                     test_fn=_inverted_test)
-    assert np.array_equal(report.vanishes, report.p <= 0.01)
-    degenerate = find_nc(simple_data, SIMPLE_CANDIDATES, "T", "O",
-                         alpha=0.01, test_fn=_degenerate_with_o)
-    assert degenerate.dncts == ()
-    assert np.all(degenerate.p[:, 3:] == 0.0)
-    assert np.all(degenerate.sigma_hat[:, 3:] == 0.0)
-    assert np.all(np.isinf(degenerate.w[:, 3:]))
-
-
-def _numpy_scalar_test(cov, spec, n, alpha):
-    result = wishart_test(cov, spec, n, alpha)
-    return dataclasses.replace(
-        result, d_hat=np.float64(result.d_hat),
-        sigma_hat=np.float64(result.sigma_hat),
-        w_stat=np.float64(result.w_stat), p_value=np.float64(result.p_value),
-        vanishes=np.bool_(result.vanishes),
-    )
-
-
-def _plain_test(cov, spec, n, alpha):
-    return wishart_test(cov, spec, n, alpha)
-
-
-@pytest.mark.parametrize("alpha, test_fn, reference_fn", [
-    (np.float64(0.01), wishart_test, wishart_test),
-    (0.01, _numpy_scalar_test, _plain_test),
-])
-def test_numpy_scalars_print_as_json_numbers(simple_data, alpha, test_fn,
-                                             reference_fn):
-    report = find_nc(simple_data, SIMPLE_CANDIDATES, "T", "O", alpha=alpha,
-                     test_fn=test_fn)
-    plain = find_nc(simple_data, SIMPLE_CANDIDATES, "T", "O", alpha=0.01,
-                    test_fn=reference_fn)
+def test_numpy_scalars_print_as_json_numbers(simple_data):
+    report = find_nc(simple_data, SIMPLE_CANDIDATES, "T", "O",
+                     alpha=np.float64(0.01))
+    plain = find_nc(simple_data, SIMPLE_CANDIDATES, "T", "O", alpha=0.01)
     assert type(report.alpha_used) is float
     text = report.to_json()
     assert "np." not in text

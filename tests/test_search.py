@@ -21,7 +21,6 @@ from negcontrol.search import (
     triple_specs,
 )
 from negcontrol.simulate import builtin_graph, generate, ground_truth_dncts
-from negcontrol.tetrad import wishart_test
 
 SIMPLE_CANDIDATES = ("Z1", "Z2", "Z3", "Z4")
 
@@ -232,11 +231,6 @@ def test_find_nc_overflow_is_inapplicable_not_nan(simple_data):
     assert not any(np.isnan(p) for p in p_values)
 
 
-def _loop_test(cov, spec, n, alpha):
-    # not wishart_test itself, so the search takes its per-sub-test loop
-    return wishart_test(cov, spec, n, alpha)
-
-
 def _wide_dataset(n=3000, candidates=20, seed=51):
     # One latent factor behind T, O and every Z; Z(2i) also depends on
     # Z(2i-1), which breaks every triple that holds both.
@@ -250,14 +244,22 @@ def _wide_dataset(n=3000, candidates=20, seed=51):
     return Dataset(names, np.column_stack([t, o, zs]))
 
 
-def _assert_same_report(fast, slow):
-    assert fast.dncts == slow.dncts
-    assert len(fast.all_verdicts) == len(slow.all_verdicts)
-    for a, b in zip(fast.all_verdicts, slow.all_verdicts):
+def _assert_same_subtest(r, q):
+    # the batched scan's result r against wishart_test's q; each caller
+    # checks w and p at its own tolerance
+    assert r.spec == q.spec
+    assert r.vanishes == q.vanishes
+    assert r.d_hat == pytest.approx(q.d_hat, rel=1e-12, abs=1e-12)
+    assert r.sigma_hat == pytest.approx(q.sigma_hat, rel=1e-12)
+
+
+def _assert_same_report(report, verdicts):
+    assert report.dncts == tuple(v.candidate for v in verdicts if v.passed)
+    assert len(report.all_verdicts) == len(verdicts)
+    for a, b in zip(report.all_verdicts, verdicts):
         assert (a.candidate, a.passed) == (b.candidate, b.passed)
-        for r, q in zip(a.sub_results, b.sub_results):
-            assert r.spec == q.spec
-            assert r.vanishes == q.vanishes
+        for r, q in zip(a.sub_results, b.sub_results, strict=True):
+            _assert_same_subtest(r, q)
             assert abs(r.p_value - q.p_value) <= 1e-12
             if math.isfinite(q.w_stat):
                 assert abs(r.w_stat - q.w_stat) <= 1e-12
@@ -265,54 +267,35 @@ def _assert_same_report(fast, slow):
                 assert r.w_stat == q.w_stat
 
 
-def test_find_nc_batch_matches_loop_simple(simple_data):
+def test_find_nc_batch_matches_loop_simple(simple_data, wishart_verdicts):
     fast = find_nc(simple_data, SIMPLE_CANDIDATES, "T", "O")
-    slow = find_nc(simple_data, SIMPLE_CANDIDATES, "T", "O",
-                   test_fn=_loop_test)
+    slow = wishart_verdicts(simple_data, SIMPLE_CANDIDATES, "T", "O",
+                            1.0 / simple_data.n)
     _assert_same_report(fast, slow)
     assert fast.dncts == (("Z1", "Z3", "Z4"), ("Z2", "Z3", "Z4"))
 
 
-def test_find_nc_batch_matches_loop_wide():
+def test_find_nc_batch_matches_loop_wide(wishart_verdicts):
     data = _wide_dataset()
     candidates = [name for name in data.variable_names if name[0] == "Z"]
     fast = find_nc(data, candidates, "T", "O")
-    slow = find_nc(data, candidates, "T", "O", test_fn=_loop_test)
+    slow = wishart_verdicts(data, candidates, "T", "O", 1.0 / data.n)
     assert len(fast.all_verdicts) == 1140
     _assert_same_report(fast, slow)
     # both outcomes occur, so the comparison covers passing and failing
     assert 0 < len(fast.dncts) < len(fast.all_verdicts)
 
 
-def test_dnct_validate_batch_matches_loop(simple_data):
+def test_dnct_validate_batch_matches_loop(simple_data, wishart_verdicts):
     cov = covariance(simple_data)
     for triple in itertools.combinations(SIMPLE_CANDIDATES, 3):
         fast = dnct_validate(cov, simple_data.n, triple, "T", "O", 1e-3)
-        slow = dnct_validate(cov, simple_data.n, triple, "T", "O", 1e-3,
-                             test_fn=_loop_test)
+        (slow,) = wishart_verdicts(simple_data, triple, "T", "O", 1e-3)
         assert fast.passed == slow.passed
-        for r, q in zip(fast.sub_results, slow.sub_results):
-            assert r.spec == q.spec
+        for r, q in zip(fast.sub_results, slow.sub_results, strict=True):
+            _assert_same_subtest(r, q)
             assert r.w_stat == pytest.approx(q.w_stat, rel=1e-12, abs=1e-12)
             assert r.p_value == pytest.approx(q.p_value, rel=1e-12, abs=1e-12)
-
-
-def test_custom_test_fn_is_called_six_times_per_triple(simple_data):
-    calls = []
-
-    def counting(cov, spec, n, alpha):
-        calls.append(spec)
-        return wishart_test(cov, spec, n, alpha)
-
-    report = find_nc(simple_data, SIMPLE_CANDIDATES, "T", "O",
-                     test_fn=counting)
-    assert len(calls) == 6 * 4
-    assert calls == [r.spec for v in report.all_verdicts
-                     for r in v.sub_results]
-    calls.clear()
-    dnct_validate(covariance(simple_data), simple_data.n,
-                  ("Z1", "Z3", "Z4"), "T", "O", 0.05, test_fn=counting)
-    assert len(calls) == 6
 
 
 def _rescaled(data, scales):
