@@ -28,9 +28,12 @@ from .estimate import (
     BridgeParams,
     NcPair,
     _centred,
+    _fit_centred,
     _moment_columns,
-    _pair_fit,
+    _pair_estimate,
+    _sandwich_se,
     _solve_centred,
+    _stacked_columns,
     gmm_linear_ate,
 )
 from .search import canonical_triple
@@ -169,7 +172,7 @@ def _weighted_pairs(
 
 def _bootstrap_se(
     xc: np.ndarray,
-    layouts: list,
+    layout,
     weights: np.ndarray,
     draws: int,
     seed,
@@ -178,8 +181,8 @@ def _bootstrap_se(
 
     A row resample is fully described by how often it draws each row, so
     a draw weights the rows of the centred columns ``xc`` by their counts
-    and forms one count-weighted centred moment matrix; every pair solves
-    its system, given by ``layouts``, from that matrix.
+    and forms one count-weighted centred moment matrix; one stacked solve
+    on that matrix fits every pair, whose systems ``layout`` stacks.
 
     Each slot derives its own random stream from (seed, slot, attempt), so
     a slot's draw does not depend on how the other slots went.  A slot
@@ -202,13 +205,10 @@ def _bootstrap_se(
             dev *= np.sqrt(counts)[:, None]
             moments = dev.T @ dev / n
             try:
-                deltas = [
-                    _solve_centred(moments, q, m, y)[0][DELTA_INDEX - 1]
-                    for q, m, y in layouts
-                ]
+                beta, _ = _solve_centred(moments, *layout)
             except SingularMomentMatrixError:
                 continue
-            return float(weights @ np.array(deltas))
+            return float(weights @ beta[:, DELTA_INDEX - 1].copy())
         raise BootstrapDegenerateError(
             f"bootstrap slot {slot} failed {_BOOT_RETRIES_PER_SLOT} times"
         )
@@ -230,8 +230,9 @@ def weighted_estimate(
 ) -> AggregateResult:
     """Frequency-weighted average of the per-pair moment estimates.
 
-    ``ci_method`` is "sandwich" (stacked sandwich with cross-pair meat) or
-    "bootstrap" (row resampling with the pair set held fixed;
+    Every pair is fitted by one stacked solve on one centred moment
+    matrix.  ``ci_method`` is "sandwich" (stacked sandwich with cross-pair
+    meat) or "bootstrap" (row resampling with the pair set held fixed;
     ``bootstrap_ci`` picks a normal or percentile interval).
     """
     _check_interval_options(ci_method, bootstrap_draws, bootstrap_ci)
@@ -239,34 +240,32 @@ def weighted_estimate(
     pairs, weights = _weighted_pairs(table, pair_space)
     names = [treatment, outcome, *covariates,
              *sorted({name for pair in pairs for name in (pair.z, pair.w)})]
-    layouts = [
-        _moment_columns(names, pair, treatment, outcome, covariates)
-        for pair in pairs
-    ]
+    layout = _stacked_columns(names, pairs, treatment, outcome, covariates)
     # one centred copy of the columns the pairs read, for the fits and the
     # bootstrap alike
     centred = _centred(data, names)
-    estimates = []
-    # the weighted sum of the pairs' influence vectors; its norm gives the
-    # stacked sandwich variance omega' V omega
-    influence = np.zeros(data.n)
-    for pair, layout, weight in zip(pairs, layouts, weights):
-        est, psi = _pair_fit(centred, layout, pair)
-        estimates.append(est)
-        influence += weight * psi
-    deltas = np.array([est.delta_hat for est in estimates])
-    delta_hat = float(weights @ deltas)
-    per_pair = tuple(
-        (est.pair, est, float(weight))
-        for est, weight in zip(estimates, weights)
+    alpha0, beta, inv = _fit_centred(centred, layout, pairs)
+    # each pair's SE and that of the weighted average, omega' V omega with
+    # the cross-pair covariance included; beta = (alpha1, delta, bx) has
+    # no alpha0
+    ses, weighted_se = _sandwich_se(
+        centred[0], layout, beta, inv, DELTA_INDEX - 1, weights
     )
+    per_pair = tuple(
+        (pair, _pair_estimate(pair, a0, slopes, se), float(weight))
+        for pair, a0, slopes, se, weight in zip(
+            pairs, alpha0, beta, ses, weights
+        )
+    )
+    # dot a contiguous copy: BLAS sums a strided column in another order
+    delta_hat = float(weights @ beta[:, DELTA_INDEX - 1].copy())
     if ci_method == "sandwich":
-        se = float(np.linalg.norm(influence)) / data.n
+        se = weighted_se
         ci_low, ci_high = _interval(delta_hat, se)
         method = "weighted_sandwich"
     else:
         boot = _bootstrap_se(
-            centred[0], layouts, weights, bootstrap_draws, seed
+            centred[0], layout, weights, bootstrap_draws, seed
         )
         se = float(np.std(boot, ddof=1))
         if bootstrap_ci == "normal":

@@ -22,6 +22,17 @@ number of its correlation-scale form S[q, m] / outer(sd_q, sd_m) is not
 finite or above 1e12.  Neither that number nor delta moves when a column
 is shifted; rescaling T or O multiplies delta by s_O / s_T.  The raw-design
 functions (``design_matrices`` ... ``sandwich_cov``) are the references.
+
+The solve is stacked: P pairs read their (P, d, d) systems as one
+fancy-index slice of S, are checked by one stacked ``np.linalg.cond`` and
+inverted by one stacked ``np.linalg.inv``; a single fit is a stack of one.
+For P pairs at once, delta's influence vectors are psi = (Xc @ B) *
+(Xc @ C) on the centred columns Xc, where column k of B holds pair k's
+residual weights y - a1*W - delta*T - bx'X and column k of C holds delta's
+row of its inverse.  Per-pair SEs are the column norms of psi over n and
+the weighted sandwich SE is |psi @ w| / n; both are summed over fixed row
+blocks, so no n x P matrix is ever formed.  A single fit forms its one
+psi directly and returns it.
 """
 from __future__ import annotations
 
@@ -52,6 +63,10 @@ _COND_LIMIT = 1e12
 
 # index of delta within theta = (a0, a1, delta, bx...)
 DELTA_INDEX = 2
+
+# rows per block of the influence GEMMs, which keeps their (rows, P)
+# temporaries a few MB however large n is
+_ROW_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -145,13 +160,15 @@ def closed_form_ate(
     if formula == "alternate":
         q, m = m, q
     try:
-        beta, _ = _solve_centred(cov.entries, q, m, cov.index_of(outcome))
+        beta, _ = _solve_centred(
+            cov.entries, [q], [m], cov.index_of(outcome)
+        )
     except SingularMomentMatrixError as exc:
         raise SingularDenominatorError(
             f"denominator is numerically zero for pair ({pair.z}, {pair.w})"
             f": {exc}"
         ) from None
-    return AteEstimate(float(beta[1]), method="closed_form", pair=pair)
+    return AteEstimate(float(beta[0, 1]), method="closed_form", pair=pair)
 
 
 def _moment_columns(
@@ -170,26 +187,47 @@ def _moment_columns(
     return [index[pair.z], t, *x], [index[pair.w], t, *x], index[outcome]
 
 
+def _stacked_columns(
+    names, pairs, treatment: str, outcome: str, covariates=()
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Every pair's ``_moment_columns`` stacked: (P, d) instrument and
+    regressor positions and the outcome's position."""
+    layouts = [
+        _moment_columns(names, pair, treatment, outcome, covariates)
+        for pair in pairs
+    ]
+    qs, ms = (np.array([layout[i] for layout in layouts]) for i in (0, 1))
+    return qs, ms, layouts[0][2]
+
+
 def _solve_centred(
-    moments: np.ndarray, q, m, y: int, pair: NcPair | None = None
+    moments: np.ndarray, qs, ms, y: int, pairs=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve ``moments[q, m] beta = moments[q, y]`` for a centred
-    second-moment matrix ``moments``; returns beta and the inverse of
-    ``moments[q, m]``.  SingularMomentMatrixError when the correlation-scale
-    system ``moments[q, m] / outer(sd_q, sd_m)`` has a condition number
-    that is not finite or above 1e12."""
+    """Solve the P systems ``moments[qs[k], ms[k]] beta_k = moments[qs[k],
+    y]`` of a centred second-moment matrix ``moments`` in one stacked pass;
+    returns beta (P, d) and the inverses (P, d, d).
+    SingularMomentMatrixError names the first of ``pairs`` whose
+    correlation-scale system ``moments[q, m] / outer(sd_q, sd_m)`` has a
+    condition number that is not finite or above 1e12."""
+    qs, ms = np.asarray(qs), np.asarray(ms)
     sd = np.sqrt(np.diag(moments))
     sd[sd == 0.0] = 1.0
-    corr = moments[np.ix_(q, m)] / np.outer(sd[q], sd[m])
-    cond = float(np.linalg.cond(corr))
-    if not cond <= _COND_LIMIT:  # NaN as well
+    sd_q, sd_m = sd[qs], sd[ms]
+    corr = moments[qs[:, :, None], ms[:, None, :]] / (
+        sd_q[:, :, None] * sd_m[:, None, :]
+    )
+    cond = np.linalg.cond(corr)
+    failed = np.flatnonzero(~(cond <= _COND_LIMIT))  # NaN as well
+    if failed.size:
+        k = failed[0]
         raise SingularMomentMatrixError(
             "correlation-scale moment matrix is singular or near-singular",
-            cond=cond,
-            pair=pair,
+            cond=float(cond[k]),
+            pair=None if pairs is None else pairs[k],
         )
-    inv = np.linalg.inv(corr) / np.outer(sd[m], sd[q])
-    return inv @ moments[q, y], inv
+    inv = np.linalg.inv(corr) / (sd_m[:, :, None] * sd_q[:, None, :])
+    # a stacked matmul, not einsum, so each beta has a lone solve's bits
+    return (inv @ moments[qs, y][:, :, None])[:, :, 0], inv
 
 
 def _centred(
@@ -207,15 +245,50 @@ def _centred(
     return xc, means + residue, xc.T @ xc / data.n
 
 
-def _fit_centred(centred, layout, j: int, pair=None):
-    """alpha0, the slopes beta and beta[j]'s influence vector, whose norm
-    over n is its sandwich SE, on ``centred = _centred(data, names)`` with
-    ``layout = (q, m, y)`` positions among ``names``."""
-    xc, means, moments = centred
-    q, m, y = layout
-    beta, inv = _solve_centred(moments, q, m, y, pair)
-    psi = (xc[:, y] - xc[:, m] @ beta) * (xc[:, q] @ inv[j])
-    return float(means[y] - means[m] @ beta), beta, psi
+def _fit_centred(centred, layout, pairs=None):
+    """The stacked fit on ``centred = _centred(data, names)`` with
+    ``layout = (qs, ms, y)`` positions among ``names``: alpha0 (P,), the
+    slopes beta (P, d) and the inverses (P, d, d) of the systems."""
+    _, means, moments = centred
+    qs, ms, y = layout
+    beta, inv = _solve_centred(moments, qs, ms, y, pairs)
+    alpha0 = means[y] - (means[ms][:, None, :] @ beta[:, :, None])[:, 0, 0]
+    return alpha0, beta, inv
+
+
+def _influence(xc, layout, beta, inv, j: int) -> np.ndarray:
+    """beta[0, j]'s influence vector for a stack of one system: the centred
+    residual times the centred instruments times its row of the inverse."""
+    (q,), (m,), y = layout
+    return (xc[:, y] - xc[:, m] @ beta[0]) * (xc[:, q] @ inv[0, j])
+
+
+def _sandwich_se(xc, layout, beta, inv, j: int, weights):
+    """Each system's sandwich SE of beta[:, j] and that of their
+    ``weights`` average, from ``psi = (xc @ B) * (xc @ C)``: column k of B
+    holds system k's residual weights and column k of C its row j of the
+    inverse.  The column norms over n of psi, and the norm over n of
+    ``psi @ weights``, are summed over blocks of ``_ROW_BLOCK`` rows, so
+    no n x P matrix is formed."""
+    qs, ms, y = layout
+    n = xc.shape[0]
+    cols = np.arange(len(beta))[:, None]
+    # the roles are distinct, so y is none of a system's regressors
+    resid = np.zeros((xc.shape[1], len(beta)))
+    resid[y] = 1.0
+    resid[ms, cols] = -beta
+    instr = np.zeros_like(resid)
+    instr[qs, cols] = inv[:, j]
+    sumsq = np.zeros(len(beta))
+    total = 0.0
+    for start in range(0, n, _ROW_BLOCK):
+        rows = xc[start:start + _ROW_BLOCK]
+        psi = rows @ resid
+        psi *= rows @ instr
+        sumsq += np.einsum("ij,ij->j", psi, psi)
+        influence = psi @ weights
+        total += influence @ influence
+    return np.sqrt(sumsq) / n, float(np.sqrt(total)) / n
 
 
 def design_matrices(
@@ -293,14 +366,12 @@ def sandwich_cov(a_n: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (cov + cov.T) / 2.0
 
 
-def _pair_fit(centred, layout, pair: NcPair) -> tuple[AteEstimate, np.ndarray]:
-    """``fit_pair`` on ``centred = _centred(data, names)``, with ``layout``
-    the pair's ``_moment_columns`` among ``names``."""
-    # beta = (alpha1, delta, bx) has no alpha0
-    alpha0, beta, psi = _fit_centred(centred, layout, DELTA_INDEX - 1, pair)
+def _pair_estimate(pair: NcPair, alpha0, beta, se) -> AteEstimate:
+    """One pair's estimate from its alpha0, its slopes
+    beta = (alpha1, delta, bx) and delta's SE."""
     delta = float(beta[DELTA_INDEX - 1])
-    se = float(np.linalg.norm(psi)) / len(psi)
-    estimate = AteEstimate(
+    se = float(se)
+    return AteEstimate(
         delta_hat=delta,
         method="gmm_linear_x" if len(beta) > 2 else "gmm_linear",
         pair=pair,
@@ -308,10 +379,9 @@ def _pair_fit(centred, layout, pair: NcPair) -> tuple[AteEstimate, np.ndarray]:
         ci_low=delta - 1.96 * se,
         ci_high=delta + 1.96 * se,
         params=BridgeParams(
-            alpha0, float(beta[0]), delta, tuple(beta[2:].tolist())
+            float(alpha0), float(beta[0]), delta, tuple(beta[2:].tolist())
         ),
     )
-    return estimate, psi
 
 
 def fit_pair(
@@ -332,8 +402,13 @@ def fit_pair(
     """
     covariates = tuple(covariates)
     names = (pair.z, pair.w, treatment, outcome, *covariates)
-    layout = _moment_columns(names, pair, treatment, outcome, covariates)
-    return _pair_fit(_centred(data, names), layout, pair)
+    layout = _stacked_columns(names, [pair], treatment, outcome, covariates)
+    centred = _centred(data, names)
+    alpha0, beta, inv = _fit_centred(centred, layout, [pair])
+    # beta = (alpha1, delta, bx) has no alpha0
+    psi = _influence(centred[0], layout, beta, inv, DELTA_INDEX - 1)
+    se = float(np.linalg.norm(psi)) / data.n
+    return _pair_estimate(pair, alpha0[0], beta[0], se), psi
 
 
 def gmm_linear_ate(

@@ -26,8 +26,14 @@ from scipy.stats import rankdata
 
 from .aggregate import enumerate_pairs, majority_vote_estimate, weighted_estimate
 from .data import Dataset
-from .errors import NegcontrolError
-from .estimate import NcPair, _centred, _fit_centred, gmm_linear_ate
+from .errors import NegcontrolError, UnknownVariableError
+from .estimate import (
+    NcPair,
+    _centred,
+    _fit_centred,
+    _influence,
+    gmm_linear_ate,
+)
 from .search import find_nc
 from .simulate import GraphSpec, builtin_graph, ground_truth_dncts, realize_coefficients
 
@@ -100,6 +106,11 @@ class StudyConfig:
             # JSON's true and false are not numbers here
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ValueError(f"{name} must be {noun}, got {value!r}")
+        for name in ("family", "strength", "random_scheme", "aggregate"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(
+                    f"{name} must be a string, got {getattr(self, name)!r}"
+                )
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if not self.sample_sizes:
@@ -190,9 +201,12 @@ def _naive_fit(data: Dataset, treatment: str, outcome: str, covariates):
     """OLS of outcome on treatment (plus covariates) with a robust SE: the
     centred solve with instruments and regressors both (T, X)."""
     names = (treatment, *covariates, outcome)
-    x = list(range(len(names) - 1))
-    _, beta, psi = _fit_centred(_centred(data, names), (x, x, len(x)), 0)
-    delta = float(beta[0])
+    x = [list(range(len(names) - 1))]
+    layout = (x, x, len(names) - 1)
+    centred = _centred(data, names)
+    _, beta, inv = _fit_centred(centred, layout)
+    delta = float(beta[0, 0])
+    psi = _influence(centred[0], layout, beta, inv, 0)
     se = float(np.linalg.norm(psi)) / data.n
     return delta, se, delta - 1.96 * se, delta + 1.96 * se
 
@@ -324,9 +338,13 @@ def run_study(config: StudyConfig) -> StudyResult:
     Returns per-(method, n) metrics, detection ROC points per n, a failure
     table, and per-n detail arrays.  Replications yielding no validated
     triplets are excluded from the estimate summaries but counted in the
-    failure column.
+    failure column.  UnknownVariableError, before any replication, when a
+    covariate is not a measured node of the graph.
     """
     spec = _resolve_spec(config)
+    for name in config.covariates:
+        if name not in spec.measured:
+            raise UnknownVariableError(name)
     true_dncts, true_delta = ground_truth_dncts(spec)
     triples = list(combinations(sorted(spec.candidates), 3))
     true_set = set(true_dncts)

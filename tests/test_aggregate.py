@@ -2,20 +2,28 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from negcontrol.data import Dataset, covariance
 from negcontrol.errors import EmptyDnctListError, SingularMomentMatrixError
 from negcontrol.estimate import (
+    _ROW_BLOCK,
     DELTA_INDEX,
     NcPair,
+    _centred,
+    _moment_columns,
     design_matrices,
+    fit_pair,
     gmm_linear_ate,
     per_observation_moments,
+    sandwich_cov,
     solve_linear_moments,
 )
 from negcontrol.aggregate import (
+    _weighted_pairs,
     enumerate_pairs,
     joint_gmm_triplet,
     majority_vote_estimate,
@@ -301,6 +309,95 @@ def test_weighted_rejects_draw_count_before_fitting():
     with pytest.raises(ValueError, match="at least 2 draws"):
         weighted_estimate(data, table, "T", "O", ci_method="bootstrap",
                           bootstrap_draws=1)
+
+
+def _first_singular_pair(data, pairs):
+    """The per-pair loop: the first of ``pairs`` whose correlation-scale
+    system has a condition number that is not finite or above 1e12, and
+    that number, on the moments ``weighted_estimate`` reads."""
+    names = ["T", "O", *sorted({n for pair in pairs for n in (pair.z, pair.w)})]
+    _, _, moments = _centred(data, names)
+    sd = np.sqrt(np.diag(moments))
+    sd[sd == 0.0] = 1.0
+    for pair in pairs:
+        q, m, _ = _moment_columns(names, pair, "T", "O")
+        corr = moments[np.ix_(q, m)] / np.outer(sd[q], sd[m])
+        cond = float(np.linalg.cond(corr))
+        if not cond <= 1e12:
+            return pair, cond
+    return None, None
+
+
+@pytest.mark.parametrize("ci_method", ["sandwich", "bootstrap"])
+def test_stacked_solve_reports_first_singular_pair(ci_method):
+    # c is T plus noise at 1e-12 of its scale, so every pair holding c is
+    # near-singular with a finite condition number; the first of them in
+    # pair order sits mid-list, after fits that succeed
+    rng = np.random.default_rng(11)
+    values = rng.normal(size=(500, 6))
+    values[:, 1] += values[:, 0]
+    values[:, 4] = values[:, 0] + 1e-12 * rng.normal(size=500)
+    data = Dataset(("T", "O", "a", "b", "c", "d"), values)
+    table = enumerate_pairs([("a", "b", "d"), ("b", "c", "d")])
+    pairs, _ = _weighted_pairs(table, "ordered")
+    pair, cond = _first_singular_pair(data, pairs)
+    assert 0 < pairs.index(pair) < len(pairs) - 1
+    assert np.isfinite(cond)
+    with pytest.raises(SingularMomentMatrixError) as info:
+        weighted_estimate(data, table, "T", "O", ci_method=ci_method,
+                          bootstrap_draws=5)
+    assert info.value.pair == pair
+    assert info.value.cond == cond
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_weighted_ses_across_row_block_boundary(offset):
+    # n just below, at and one past the block size of the influence sums,
+    # with a covariate so that every system is 3 x 3
+    n = _ROW_BLOCK + offset
+    rng = np.random.default_rng(23)
+    values = rng.normal(size=(n, 6))
+    values[:, 0] += values[:, 2:].sum(axis=1)  # T
+    values[:, 1] += 0.5 * values[:, 0] + values[:, 2:].sum(axis=1)  # O
+    data = Dataset(("T", "O", "a", "b", "c", "x"), values)
+    result = weighted_estimate(
+        data, enumerate_pairs([("a", "b", "c")]), "T", "O", covariates=("x",)
+    )
+    assert len(result.per_pair) == 6
+    influence = np.zeros(n)
+    for pair, est, weight in result.per_pair:
+        q, m, y = design_matrices(data, pair, "T", "O", ("x",))
+        theta, a_n = solve_linear_moments(q, m, y, pair=pair)
+        var = sandwich_cov(a_n, per_observation_moments(q, m, y, theta))
+        assert est.se == pytest.approx(
+            np.sqrt(var[DELTA_INDEX, DELTA_INDEX]), rel=1e-12
+        )
+        influence += weight * fit_pair(data, pair, "T", "O", ("x",))[1]
+    assert result.se == pytest.approx(np.linalg.norm(influence) / n, rel=1e-12)
+
+
+def test_weighted_sandwich_memory_stays_below_one_n_by_p_matrix():
+    # 30 ordered pairs on 300 000 rows: an n x P matrix of float64 is 72 MB,
+    # and the row-blocked influence sums never form one
+    n, controls = 300_000, ("a", "b", "c", "d", "e", "f")
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=(n, 2 + len(controls)))
+    values[:, 0] += values[:, 2:].sum(axis=1)
+    values[:, 1] += values[:, 2:].sum(axis=1)
+    data = Dataset(("T", "O", *controls), values)
+    table = enumerate_pairs(
+        [(a, b, c) for i, a in enumerate(controls)
+         for j, b in enumerate(controls[i + 1:], i + 1)
+         for c in controls[j + 1:]]
+    )
+    assert table.total_pairs == 30
+    tracemalloc.start()
+    try:
+        weighted_estimate(data, table, "T", "O")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * table.total_pairs * 8 / 2
 
 
 def test_majority_vote_tie_breaks_lexicographically(simple_data, simple_truth):

@@ -433,12 +433,26 @@ def test_evaluate_unknown_key_exit_2(tmp_path):
     {"alpha_grid": ["0.1"]},
     {"methods": [["dance"]]},
     {"u_sd": [1.4]},
+    {"strength": [1]},
+    {"family": 1},
+    {"random_scheme": ["triplet_fixed"]},
+    {"aggregate": {"weighted": 1}},
 ])
 def test_evaluate_mistyped_config_exit_2(tmp_path, capsys, overrides):
     config = _eval_config(tmp_path, **overrides)
     code = main(["evaluate", "--config", str(config), "--out", str(tmp_path / "r")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_evaluate_unknown_covariate_exit_2_before_any_replication(
+    tmp_path, capsys
+):
+    config = _eval_config(tmp_path, covariates=["nope"])
+    out_dir = tmp_path / "r"
+    assert main(["evaluate", "--config", str(config), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == "error: unknown variable: 'nope'\n"
+    assert not out_dir.exists()
 
 
 def test_evaluate_malformed_json_exit_2(tmp_path):
