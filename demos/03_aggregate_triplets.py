@@ -2,13 +2,11 @@
 
 The search usually certifies several triples, each contributing six
 ordered control pairs, and pairs shared by many triples deserve more
-weight.  Three aggregation strategies are available:
+weight.  Two aggregation strategies are available:
 
 * frequency-weighted average of per-pair moment fits (the default), with
   either a stacked sandwich variance or a row-resampling bootstrap;
-* majority vote: spend all the data on the single most frequent pair;
-* a joint moment fit that forces one shared effect across a triple's six
-  bridge systems.
+* majority vote: spend all the data on the single most frequent pair.
 
 Run:  python3 demos/03_aggregate_triplets.py
 """
@@ -20,7 +18,6 @@ from negcontrol import (
     enumerate_pairs,
     generate,
     ground_truth_dncts,
-    joint_gmm_triplet,
     majority_vote_estimate,
     weighted_estimate,
 )
@@ -73,21 +70,12 @@ print(
     f"majority vote:      {vote.delta_hat:.4f}  se {vote.se:.4f}  "
     f"(winning pair ({winner.z}, {winner.w}))"
 )
-
-# ---------------------------------------------------------------------
-# The joint fit stacks all six bridge systems of one triple with a shared
-# effect parameter.
-# ---------------------------------------------------------------------
-triple = sorted(truth)[0]
-joint = joint_gmm_triplet(data, triple, "T", "O")
-print(f"joint fit {triple}: {joint.delta_hat:.4f}  se {joint.se:.4f}")
 print()
 
 for name, result in (
     ("weighted", weighted),
     ("bootstrap", boot),
     ("majority", vote),
-    ("joint", joint),
 ):
     hit = result.ci_low <= true_delta <= result.ci_high
     print(f"  {name:9s} CI covers the truth: {hit}")

@@ -7,9 +7,11 @@ The pipeline has three stages, each usable on its own:
    tests and keeps those whose members look pairwise confounder-only.
 2. ``closed_form_ate`` / ``gmm_linear_ate`` turn one validated control
    pair into a treatment-effect estimate via a linear outcome bridge.
-3. ``weighted_estimate`` / ``majority_vote_estimate`` /
-   ``joint_gmm_triplet`` aggregate estimates across the validated pairs;
-   the joint fit solves its stacked linear moments by least squares.
+3. ``weighted_estimate`` / ``majority_vote_estimate`` aggregate
+   estimates across the validated pairs.
+
+All three stages read one statistic of the data: its columns centred
+once, and their cross products.
 
 Every stage runs serially; reruns with the same seeds are byte-identical.
 
@@ -21,7 +23,6 @@ from .aggregate import (
     AggregateResult,
     PairFrequencyTable,
     enumerate_pairs,
-    joint_gmm_triplet,
     majority_vote_estimate,
     weighted_estimate,
 )
@@ -138,7 +139,6 @@ __all__ = [
     "graph_spec_from_json_dict",
     "graph_spec_to_json_dict",
     "ground_truth_dncts",
-    "joint_gmm_triplet",
     "load_csv",
     "load_graph_json",
     "majority_vote_estimate",

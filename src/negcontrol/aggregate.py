@@ -1,14 +1,16 @@
 """Combining effect estimates across the negative-control pairs contained
 in validated triplets.
 
-Three aggregators:
+Two aggregators:
 
 * ``majority_vote_estimate`` -- estimate once from the most frequent pair.
 * ``weighted_estimate`` -- frequency-weighted average of per-pair moment
   estimates; variance from the stacked sandwich (cross-pair meat) or a
   row-resampling bootstrap.
-* ``joint_gmm_triplet`` -- one overidentified moment system for a single
-  triplet, sharing the effect parameter across all six instrument blocks.
+
+Both read the dataset's one centred moment statistic (see ``data``): the
+fits solve on its cross products, and the sandwich and every bootstrap
+draw read its centred copy of just the columns the pairs use.
 """
 from __future__ import annotations
 
@@ -25,15 +27,13 @@ from .errors import (
 from .estimate import (
     DELTA_INDEX,
     AteEstimate,
-    BridgeParams,
     NcPair,
-    _centred,
     _fit_centred,
-    _moment_columns,
     _pair_estimate,
     _sandwich_se,
     _solve_centred,
     _stacked_columns,
+    _used_columns,
     gmm_linear_ate,
 )
 from .search import canonical_triple
@@ -44,7 +44,6 @@ __all__ = [
     "enumerate_pairs",
     "majority_vote_estimate",
     "weighted_estimate",
-    "joint_gmm_triplet",
 ]
 
 # per-slot bootstrap redraw budget; total retries stay below 10x the draws
@@ -230,26 +229,22 @@ def weighted_estimate(
 ) -> AggregateResult:
     """Frequency-weighted average of the per-pair moment estimates.
 
-    Every pair is fitted by one stacked solve on one centred moment
-    matrix.  ``ci_method`` is "sandwich" (stacked sandwich with cross-pair
-    meat) or "bootstrap" (row resampling with the pair set held fixed;
-    ``bootstrap_ci`` picks a normal or percentile interval).
+    Every pair is fitted by one stacked solve on the dataset's centred
+    moment matrix.  ``ci_method`` is "sandwich" (stacked sandwich with
+    cross-pair meat) or "bootstrap" (row resampling with the pair set held
+    fixed; ``bootstrap_ci`` picks a normal or percentile interval).
     """
     _check_interval_options(ci_method, bootstrap_draws, bootstrap_ci)
     covariates = tuple(covariates)
     pairs, weights = _weighted_pairs(table, pair_space)
-    names = [treatment, outcome, *covariates,
-             *sorted({name for pair in pairs for name in (pair.z, pair.w)})]
-    layout = _stacked_columns(names, pairs, treatment, outcome, covariates)
-    # one centred copy of the columns the pairs read, for the fits and the
-    # bootstrap alike
-    centred = _centred(data, names)
-    alpha0, beta, inv = _fit_centred(centred, layout, pairs)
+    layout = _stacked_columns(data, pairs, treatment, outcome, covariates)
+    alpha0, beta, inv = _fit_centred(data, layout, pairs)
+    xc, local = _used_columns(data, layout)
     # each pair's SE and that of the weighted average, omega' V omega with
     # the cross-pair covariance included; beta = (alpha1, delta, bx) has
     # no alpha0
     ses, weighted_se = _sandwich_se(
-        centred[0], layout, beta, inv, DELTA_INDEX - 1, weights
+        xc, local, beta, inv, DELTA_INDEX - 1, weights
     )
     per_pair = tuple(
         (pair, _pair_estimate(pair, a0, slopes, se), float(weight))
@@ -264,9 +259,7 @@ def weighted_estimate(
         ci_low, ci_high = _interval(delta_hat, se)
         method = "weighted_sandwich"
     else:
-        boot = _bootstrap_se(
-            centred[0], layout, weights, bootstrap_draws, seed
-        )
+        boot = _bootstrap_se(xc, local, weights, bootstrap_draws, seed)
         se = float(np.std(boot, ddof=1))
         if bootstrap_ci == "normal":
             ci_low, ci_high = _interval(delta_hat, se)
@@ -306,112 +299,4 @@ def majority_vote_estimate(
         ci_high=est.ci_high,
         method="majority_vote",
         per_pair=((winner, est, 1.0),),
-    )
-
-
-def joint_gmm_triplet(
-    data: Dataset,
-    triple,
-    treatment: str,
-    outcome: str,
-    covariates=(),
-) -> AggregateResult:
-    """One shared-parameter moment fit for a single validated triplet.
-
-    Parameters are (alpha0, alpha1, beta_x) per outcome-side control plus
-    one shared delta (last coordinate).  The moments are the six
-    instrument blocks q(1, Z, T, X) * residual(W); they are linear in the
-    parameters, so every block is a slice of one Gram matrix A'A / n with
-    A = [1, triple, T, O, X], and the overidentified system is fitted by
-    one least-squares solve.  The standard error is the norm of delta's
-    influence vector.
-
-    Raises
-    ------
-    ValueError
-        A covariate coincides with a triple member, the treatment or the
-        outcome.
-    SingularMomentMatrixError
-        Stacked system rank-deficient.
-    """
-    covariates = tuple(covariates)
-    members = canonical_triple(triple)
-    names = (*members, treatment, outcome, *covariates)
-    if len(set(names)) != len(names):
-        raise ValueError(
-            "triple, treatment, outcome, and covariates must be distinct"
-        )
-    n = data.n
-    a = np.column_stack([np.ones(n), data.columns(names)])
-    gram = a.T @ a / n
-    # (outcome-side W, exposure-side Z)
-    combos = [(w, z) for w in members for z in members if z != w]
-    per_bridge = 2 + len(covariates)
-    n_params = 3 * per_bridge + 1
-    block_dim = per_bridge + 1
-    # each bridge's parameter positions in the column order of M = [1, W, T, X]
-    bridge_params = {
-        w: [k * per_bridge, k * per_bridge + 1, n_params - 1,
-            *range(k * per_bridge + 2, (k + 1) * per_bridge)]
-        for k, w in enumerate(members)
-    }
-    a_mat = np.zeros((6 * block_dim, n_params))
-    c_vec = np.zeros(6 * block_dim)
-    blocks = []
-    for row, (w_var, z_var) in enumerate(combos):
-        q, m, y_col = _moment_columns(
-            names, NcPair(z=z_var, w=w_var), treatment, outcome, covariates
-        )
-        # positions in A, after the intercept
-        q, m, y_col = [0, *np.add(q, 1)], [0, *np.add(m, 1)], y_col + 1
-        rows = slice(row * block_dim, (row + 1) * block_dim)
-        a_mat[rows, bridge_params[w_var]] = gram[np.ix_(q, m)]
-        c_vec[rows] = gram[q, y_col]
-        blocks.append((rows, w_var, q, m, y_col))
-    rank = np.linalg.matrix_rank(a_mat)
-    if rank < n_params:
-        cond = float(np.linalg.cond(a_mat))
-        raise SingularMomentMatrixError(
-            f"stacked moment system has rank {rank} < {n_params}", cond=cond
-        )
-
-    theta = np.linalg.lstsq(a_mat, c_vec, rcond=None)[0]
-    delta = float(theta[-1])
-
-    # sandwich variance of delta: the squared norm of its influence vector
-    # G u / n, with G the per-observation moments of all six blocks
-    u = a_mat @ np.linalg.inv(a_mat.T @ a_mat)[:, -1]
-    psi = np.zeros(n)
-    for rows, w_var, q, m, y_col in blocks:
-        resid = a[:, y_col] - a[:, m] @ theta[bridge_params[w_var]]
-        psi += (a[:, q] @ u[rows]) * resid
-    se = float(np.linalg.norm(psi)) / n
-
-    per_pair = []
-    for w_var, z_var in combos:
-        params = theta[bridge_params[w_var]]
-        pair = NcPair(z=z_var, w=w_var)
-        est = AteEstimate(
-            delta_hat=delta,
-            method="joint_gmm",
-            pair=pair,
-            se=se,
-            ci_low=delta - 1.96 * se,
-            ci_high=delta + 1.96 * se,
-            params=BridgeParams(
-                alpha0=float(params[0]),
-                alpha1=float(params[1]),
-                delta=delta,
-                beta_x=tuple(float(v) for v in params[3:]),
-            ),
-        )
-        per_pair.append((pair, est, 1.0 / 6.0))
-    ci_low, ci_high = _interval(delta, se)
-    return AggregateResult(
-        delta_hat=delta,
-        se=se,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        method="joint_gmm",
-        per_pair=tuple(per_pair),
     )

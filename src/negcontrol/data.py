@@ -4,6 +4,12 @@ Everything downstream (tetrad tests, the triplet search, the moment
 estimators) consumes the two immutable containers defined here, so the
 loading rules are strict: named numeric columns, no missing values, and a
 covariance matrix that is symmetric by construction and safe to share.
+
+A dataset's second moments are computed once, in one place: its columns
+centred in two passes, their means and their cross products.  The search
+reads them through ``covariance``; every pair fit, the naive fit and the
+bootstrap read them directly.  So both stages see the same statistic, and
+a constant column has zero variance in both.
 """
 from __future__ import annotations
 
@@ -11,6 +17,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -96,16 +103,37 @@ class Dataset:
         return self.values[:, self.index_of(name)]
 
     def columns(self, names) -> np.ndarray:
-        """Read-only (n, k) view of the named columns, in the given order."""
+        """New, writeable (n, k) array of the named columns, in the given
+        order."""
         idx = [self.index_of(name) for name in names]
         return self.values[:, idx]
+
+    @cached_property
+    def _centred(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every column centred, the column means and the cross products
+        ``xc.T @ xc``: the one second-moment statistic of the dataset.
+
+        Formed on first use and read-only, so every caller shares one
+        copy.  The second pass removes what rounding left of the means, so
+        a constant column centres to zero and stays singular next to
+        columns with large offsets."""
+        means = self.values.mean(axis=0)
+        xc = self.values - means
+        residue = xc.mean(axis=0)
+        xc -= residue
+        means += residue
+        gram = xc.T @ xc
+        for array in (xc, means, gram):
+            array.flags.writeable = False
+        return xc, means, gram
 
 
 @dataclass(frozen=True)
 class CovMatrix:
     """Sample covariance matrix with a variable-name index.
 
-    Symmetric by construction (stored as the average of the raw product
+    ``covariance`` fills it from a dataset's centred cross products.
+    Symmetric by construction (stored as the average of the product
     matrix and its transpose) and read-only, so one instance can back many
     concurrent tetrad evaluations.
     """
@@ -247,13 +275,12 @@ def write_csv(data: Dataset, path) -> None:
 
 
 def covariance(data: Dataset) -> CovMatrix:
-    """Sample covariance of all columns, denominator n - 1."""
+    """Sample covariance of all columns, denominator n - 1: the dataset's
+    centred cross products times 1 / (n - 1), symmetrised."""
     if data.n < 2:
         raise TooFewSamplesError("covariance requires at least 2 rows")
-    raw = np.cov(data.values, rowvar=False, ddof=1)
-    raw = np.atleast_2d(raw)
-    entries = (raw + raw.T) / 2.0
-    return CovMatrix(data.variable_names, entries)
+    raw = data._centred[2] * (1.0 / (data.n - 1))
+    return CovMatrix(data.variable_names, (raw + raw.T) / 2.0)
 
 
 def sub_determinant(cov: CovMatrix, rows, cols) -> float:

@@ -65,7 +65,7 @@ class SingularDenominatorError(NegcontrolError):
 class SingularMomentMatrixError(NegcontrolError):
     """The moment system is singular or near-singular: ``cond`` is the
     condition number of its correlation-scale form (of the raw system in
-    ``solve_linear_moments`` and ``joint_gmm_triplet``)."""
+    ``solve_linear_moments``)."""
 
     def __init__(self, message: str, cond: float | None = None, pair=None):
         self.cond = cond

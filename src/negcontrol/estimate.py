@@ -14,7 +14,11 @@ Two routes to the same target:
   per-observation outer-product meat.
 
 Both routes, every bootstrap draw and the study's naive regression run one
-solve on centred moments (Frisch-Waugh-Lovell): with S a centred
+solve on centred moments (Frisch-Waugh-Lovell).  S is the dataset's one
+centred statistic, formed once per dataset (``data.Dataset._centred``): the
+fits read its cross products over n, ``closed_form_ate`` the same over
+n - 1 through ``covariance``, and the sandwich and the bootstrap draws its
+centred copy of the columns the pairs read.  With S a centred
 second-moment matrix, whose denominator cancels, the slopes (a1, delta, bx)
 solve S[q, m] beta = S[q, y] with q = (Z, T, X), m = (W, T, X), and
 a0 = mean(y) - mean(m)' beta.  The system is rejected when the condition
@@ -172,32 +176,45 @@ def closed_form_ate(
 
 
 def _moment_columns(
-    names, pair: NcPair, treatment: str, outcome: str, covariates=()
+    data, pair: NcPair, treatment: str, outcome: str, covariates=()
 ) -> tuple[list[int], list[int], int]:
     """Positions of the instruments (Z, T, X), the regressors (W, T, X) and
-    the outcome among ``names``; ValueError unless the roles are distinct."""
+    the outcome among the columns of ``data``; ValueError unless the roles
+    are distinct."""
     roles = (pair.z, pair.w, treatment, outcome, *covariates)
     if len(set(roles)) != len(roles):
         raise ValueError(
             "pair, treatment, outcome, and covariates must be distinct"
         )
-    index = {name: i for i, name in enumerate(names)}
-    x = [index[name] for name in covariates]
-    t = index[treatment]
-    return [index[pair.z], t, *x], [index[pair.w], t, *x], index[outcome]
+    z, w, t, y, *x = (data.index_of(name) for name in roles)
+    return [z, t, *x], [w, t, *x], y
 
 
 def _stacked_columns(
-    names, pairs, treatment: str, outcome: str, covariates=()
+    data, pairs, treatment: str, outcome: str, covariates=()
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Every pair's ``_moment_columns`` stacked: (P, d) instrument and
     regressor positions and the outcome's position."""
     layouts = [
-        _moment_columns(names, pair, treatment, outcome, covariates)
+        _moment_columns(data, pair, treatment, outcome, covariates)
         for pair in pairs
     ]
     qs, ms = (np.array([layout[i] for layout in layouts]) for i in (0, 1))
     return qs, ms, layouts[0][2]
+
+
+def _used_columns(data: Dataset, layout):
+    """The centred columns a stacked ``layout`` reads and the layout
+    renumbered to their positions.  If the pairs read every column the
+    dataset's copy is used as is; otherwise theirs are copied once, so the
+    GEMMs and the draws do not grow with the columns no pair reads."""
+    qs, ms, y = layout
+    used = np.unique(np.concatenate([qs.ravel(), ms.ravel(), [y]]))
+    xc = data._centred[0]
+    if len(used) == xc.shape[1]:
+        return xc, layout
+    qs, ms, y = (np.searchsorted(used, pos) for pos in (qs, ms, y))
+    return xc[:, used], (qs, ms, int(y))
 
 
 def _solve_centred(
@@ -230,28 +247,13 @@ def _solve_centred(
     return (inv @ moments[qs, y][:, :, None])[:, :, 0], inv
 
 
-def _centred(
-    data: Dataset, names
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One copy of the named columns centred in place, their means and
-    their n-denominator centred second-moment matrix.  The second pass
-    removes what rounding left of the means, so that a constant column
-    stays singular next to columns with large offsets."""
-    xc = data.columns(names)
-    means = xc.mean(axis=0)
-    xc -= means
-    residue = xc.mean(axis=0)
-    xc -= residue
-    return xc, means + residue, xc.T @ xc / data.n
-
-
-def _fit_centred(centred, layout, pairs=None):
-    """The stacked fit on ``centred = _centred(data, names)`` with
-    ``layout = (qs, ms, y)`` positions among ``names``: alpha0 (P,), the
-    slopes beta (P, d) and the inverses (P, d, d) of the systems."""
-    _, means, moments = centred
+def _fit_centred(data: Dataset, layout, pairs=None):
+    """The stacked fit on the centred moments of ``data`` with ``layout =
+    (qs, ms, y)`` column positions: alpha0 (P,), the slopes beta (P, d)
+    and the inverses (P, d, d) of the systems."""
+    _, means, gram = data._centred
     qs, ms, y = layout
-    beta, inv = _solve_centred(moments, qs, ms, y, pairs)
+    beta, inv = _solve_centred(gram / data.n, qs, ms, y, pairs)
     alpha0 = means[y] - (means[ms][:, None, :] @ beta[:, :, None])[:, 0, 0]
     return alpha0, beta, inv
 
@@ -300,14 +302,12 @@ def design_matrices(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Instrument matrix Q = [1, Z, T, X], regressor matrix M = [1, W, T, X],
     and outcome vector y, aligned with theta = (alpha0, alpha1, delta, bx)."""
-    covariates = tuple(covariates)
-    names = (pair.z, pair.w, treatment, outcome, *covariates)
-    q, m, _ = _moment_columns(names, pair, treatment, outcome, covariates)
-    a = np.column_stack([np.ones(data.n), data.columns(names)])
-    q, m = ([0, *np.add(cols, 1)] for cols in (q, m))  # after the intercept
+    q, m, _ = _moment_columns(data, pair, treatment, outcome, covariates)
+    ones = np.ones((data.n, 1))
     # rounding depends on memory layout: Q and M stay row-major and y a
     # strided view of the data, so the fits are stable to the last bit
-    return a.take(q, axis=1), a.take(m, axis=1), data.column(outcome)
+    return (np.hstack([ones, data.values[:, q]]),
+            np.hstack([ones, data.values[:, m]]), data.column(outcome))
 
 
 def solve_linear_moments(
@@ -400,13 +400,10 @@ def fit_pair(
     of several pairs' ``psi`` gives the variance of their weighted average
     with the cross-pair covariance included.
     """
-    covariates = tuple(covariates)
-    names = (pair.z, pair.w, treatment, outcome, *covariates)
-    layout = _stacked_columns(names, [pair], treatment, outcome, covariates)
-    centred = _centred(data, names)
-    alpha0, beta, inv = _fit_centred(centred, layout, [pair])
+    layout = _stacked_columns(data, [pair], treatment, outcome, covariates)
+    alpha0, beta, inv = _fit_centred(data, layout, [pair])
     # beta = (alpha1, delta, bx) has no alpha0
-    psi = _influence(centred[0], layout, beta, inv, DELTA_INDEX - 1)
+    psi = _influence(data._centred[0], layout, beta, inv, DELTA_INDEX - 1)
     se = float(np.linalg.norm(psi)) / data.n
     return _pair_estimate(pair, alpha0[0], beta[0], se), psi
 

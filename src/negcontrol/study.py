@@ -29,7 +29,6 @@ from .data import Dataset
 from .errors import NegcontrolError, UnknownVariableError
 from .estimate import (
     NcPair,
-    _centred,
     _fit_centred,
     _influence,
     gmm_linear_ate,
@@ -200,13 +199,11 @@ def _resolve_spec(config: StudyConfig) -> GraphSpec:
 def _naive_fit(data: Dataset, treatment: str, outcome: str, covariates):
     """OLS of outcome on treatment (plus covariates) with a robust SE: the
     centred solve with instruments and regressors both (T, X)."""
-    names = (treatment, *covariates, outcome)
-    x = [list(range(len(names) - 1))]
-    layout = (x, x, len(names) - 1)
-    centred = _centred(data, names)
-    _, beta, inv = _fit_centred(centred, layout)
+    x = [[data.index_of(name) for name in (treatment, *covariates)]]
+    layout = (x, x, data.index_of(outcome))
+    _, beta, inv = _fit_centred(data, layout)
     delta = float(beta[0, 0])
-    psi = _influence(centred[0], layout, beta, inv, 0)
+    psi = _influence(data._centred[0], layout, beta, inv, 0)
     se = float(np.linalg.norm(psi)) / data.n
     return delta, se, delta - 1.96 * se, delta + 1.96 * se
 

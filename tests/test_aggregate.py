@@ -1,4 +1,4 @@
-"""Tests for pair enumeration and the three triplet-level aggregators."""
+"""Tests for pair enumeration and the two triplet-level aggregators."""
 
 from __future__ import annotations
 
@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 
 from negcontrol.data import Dataset, covariance
-from negcontrol.errors import EmptyDnctListError, SingularMomentMatrixError
+from negcontrol.errors import (
+    EmptyDnctListError,
+    SingularMomentMatrixError,
+    UnknownVariableError,
+)
 from negcontrol.estimate import (
     _ROW_BLOCK,
     DELTA_INDEX,
     NcPair,
-    _centred,
     _moment_columns,
     design_matrices,
     fit_pair,
@@ -25,7 +28,6 @@ from negcontrol.estimate import (
 from negcontrol.aggregate import (
     _weighted_pairs,
     enumerate_pairs,
-    joint_gmm_triplet,
     majority_vote_estimate,
     weighted_estimate,
 )
@@ -315,12 +317,11 @@ def _first_singular_pair(data, pairs):
     """The per-pair loop: the first of ``pairs`` whose correlation-scale
     system has a condition number that is not finite or above 1e12, and
     that number, on the moments ``weighted_estimate`` reads."""
-    names = ["T", "O", *sorted({n for pair in pairs for n in (pair.z, pair.w)})]
-    _, _, moments = _centred(data, names)
+    moments = data._centred[2] / data.n
     sd = np.sqrt(np.diag(moments))
     sd[sd == 0.0] = 1.0
     for pair in pairs:
-        q, m, _ = _moment_columns(names, pair, "T", "O")
+        q, m, _ = _moment_columns(data, pair, "T", "O")
         corr = moments[np.ix_(q, m)] / np.outer(sd[q], sd[m])
         cond = float(np.linalg.cond(corr))
         if not cond <= 1e12:
@@ -424,47 +425,15 @@ def test_majority_vote_prefers_most_frequent(simple_data, simple_truth):
     assert (pair.z, pair.w) == ("Z3", "Z4")
 
 
-def test_joint_gmm_agrees_with_weighted(simple_data, simple_truth):
-    dncts, true_delta = simple_truth
-    triple = dncts[0]
-    joint = joint_gmm_triplet(simple_data, triple, "T", "O")
-    assert joint.method == "joint_gmm"
-    weighted = weighted_estimate(
-        simple_data, enumerate_pairs([triple]), "T", "O"
-    )
-    assert joint.delta_hat == pytest.approx(weighted.delta_hat, abs=3 * joint.se)
-    assert joint.delta_hat == pytest.approx(true_delta, abs=4 * joint.se)
-    # Six bridges share one effect parameter.
-    assert len(joint.per_pair) == 6
-    assert {est.delta_hat for _, est, _ in joint.per_pair} == {joint.delta_hat}
-
-
-def test_joint_gmm_with_covariates(simple_data, simple_truth):
-    dncts, true_delta = simple_truth
-    joint = joint_gmm_triplet(
-        simple_data, dncts[0], "T", "O", covariates=("Z2",)
-    )
-    assert np.isfinite(joint.se) and joint.se > 0
-    assert joint.delta_hat == pytest.approx(true_delta, abs=5 * joint.se)
-
-
-def test_joint_gmm_frozen_values(simple_data):
-    # Recorded from the fit on this fixture; pins the solver, not just the
-    # statistical tolerance of the tests above.
-    triple = ("Z1", "Z3", "Z4")
-    plain = joint_gmm_triplet(simple_data, triple, "T", "O")
-    assert plain.delta_hat == pytest.approx(0.3789236355010884, rel=1e-12)
-    assert plain.se == pytest.approx(0.009141266332001094, rel=1e-12)
-    adjusted = joint_gmm_triplet(
-        simple_data, triple, "T", "O", covariates=("Z2",)
-    )
-    assert adjusted.delta_hat == pytest.approx(0.43655930523485315, rel=1e-12)
-    assert adjusted.se == pytest.approx(0.03485189777302145, rel=1e-12)
-
-
-@pytest.mark.parametrize("covariates", [("Z2",), ("T",), ("O",)])
-def test_joint_gmm_rejects_overlapping_covariates(simple_data, covariates):
-    with pytest.raises(ValueError):
-        joint_gmm_triplet(
-            simple_data, ("Z2", "Z3", "Z4"), "T", "O", covariates=covariates
-        )
+@pytest.mark.parametrize("covariates, error", [
+    (("Z2",), ValueError),
+    (("T",), ValueError),
+    (("O",), ValueError),
+    (("nope",), UnknownVariableError),
+])
+def test_weighted_rejects_overlapping_or_unknown_roles(
+    simple_data, covariates, error
+):
+    table = enumerate_pairs([("Z2", "Z3", "Z4")])
+    with pytest.raises(error):
+        weighted_estimate(simple_data, table, "T", "O", covariates=covariates)

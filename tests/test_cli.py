@@ -15,6 +15,11 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
+from negcontrol.aggregate import (
+    enumerate_pairs,
+    majority_vote_estimate,
+    weighted_estimate,
+)
 from negcontrol.cli import main
 from negcontrol.data import Dataset, load_csv, write_csv
 from negcontrol.pipeline import dance
@@ -312,6 +317,40 @@ def test_dance_byte_identical_across_runs(tmp_path, sim_csv):
         assert code == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_dance_with_constant_column_exit_0(tmp_path, simple_data):
+    # one-pass centring left the constant 0.1 a variance near 1e-27, so the
+    # search passed triples holding K and dance exited 2 on their fits
+    path, out = tmp_path / "constant.csv", tmp_path / "dance.json"
+    values = np.column_stack([simple_data.values, np.full(simple_data.n, 0.1)])
+    write_csv(Dataset((*simple_data.variable_names, "K"), values), path)
+    code = main(["dance", "--data", str(path), "--treatment", "T",
+                 "--outcome", "O", "--out", str(out)])
+    assert code == 0
+    doc = json.loads(out.read_text())
+    _validate(doc, "dance_result.v1.json")
+    assert doc["find"]["dncts"]
+    assert all("K" not in triple for triple in doc["find"]["dncts"])
+
+
+def test_aggregate_method_enum_is_what_the_library_emits(simple_data):
+    table = enumerate_pairs([("Z1", "Z3", "Z4")])
+    results = [
+        weighted_estimate(simple_data, table, "T", "O"),
+        *(
+            weighted_estimate(simple_data, table, "T", "O",
+                              ci_method="bootstrap", bootstrap_draws=5,
+                              bootstrap_ci=interval)
+            for interval in ("normal", "percentile")
+        ),
+        majority_vote_estimate(simple_data, table, "T", "O"),
+    ]
+    for result in results:
+        _validate(result.to_json_dict(), "aggregate_result.v1.json")
+    schema = json.loads((SCHEMA_DIR / "aggregate_result.v1.json").read_text())
+    methods = set(schema["properties"]["method"]["enum"])
+    assert {result.method for result in results} == methods
 
 
 # ---------------------------------------------------------------------------

@@ -43,10 +43,10 @@ NAMES = ("a", "b", "c", "d")
 
 # Sample covariance (denominator n-1) of TABLE, computed independently.
 COV_ROWS = [
-    [5.800000000000001, -3.25, 2.1000000000000005, -1.85],
+    [5.800000000000001, -3.25, 2.0999999999999996, -1.85],
     [-3.25, 7.5, -2.75, 5.25],
-    [2.1000000000000005, -2.75, 3.7, 0.050000000000000044],
-    [-1.85, 5.25, 0.050000000000000044, 7.7],
+    [2.0999999999999996, -2.75, 3.7, 0.05],
+    [-1.85, 5.25, 0.05, 7.7],
 ]
 
 
@@ -355,6 +355,18 @@ def test_dataset_column_lookup(table_dataset):
     np.testing.assert_array_equal(got, TABLE[:, [3, 0]])
     with pytest.raises(UnknownVariableError):
         table_dataset.column("zz")
+
+
+def test_centred_statistic_is_cached_and_read_only(table_dataset):
+    # every fit reads this one copy, so no caller may write to it
+    xc, means, gram = table_dataset._centred
+    assert table_dataset._centred[0] is xc
+    for array in (xc, means, gram):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    np.testing.assert_allclose(means, TABLE.mean(axis=0), rtol=1e-15)
+    np.testing.assert_allclose(xc, TABLE - TABLE.mean(axis=0), atol=1e-15)
+    np.testing.assert_allclose(gram / 4, COV_ROWS, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,13 @@ from hypothesis import strategies as st
 
 from negcontrol.aggregate import enumerate_pairs, weighted_estimate
 from negcontrol.data import Dataset, covariance
-from negcontrol.errors import SingularMomentMatrixError
+from negcontrol.errors import (
+    SingularDenominatorError,
+    SingularMomentMatrixError,
+)
 from negcontrol.estimate import NcPair, closed_form_ate, gmm_linear_ate
 from negcontrol.pipeline import dance
+from negcontrol.search import find_nc
 from negcontrol.simulate import ground_truth_dncts
 from negcontrol.study import _naive_fit
 
@@ -142,3 +146,45 @@ def test_closed_form_tiny_control_scale(simple_data, formula):
     base = closed_form_ate(covariance(simple_data), PAIR, "T", "O", formula)
     est = closed_form_ate(covariance(moved), PAIR, "T", "O", formula)
     assert est.delta_hat == pytest.approx(base.delta_hat, rel=1e-10)
+
+
+@pytest.fixture(scope="module")
+def base_dncts(with_constant):
+    return find_nc(with_constant, ROLES[2:], "T", "O").dncts
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(ROLES), shift=st.floats(-1e6, 1e6))
+def test_search_follows_shift(with_constant, base_dncts, name, shift):
+    moved = _transformed(with_constant, name, shift)
+    assert find_nc(moved, ROLES[2:], "T", "O").dncts == base_dncts
+
+
+# one-pass centring (np.cov) left the constant K a variance near 1e-27, so
+# the search passed six triples holding K and the fit then rejected them
+def test_search_marks_constant_column_inapplicable(with_constant):
+    report = find_nc(with_constant, ROLES[2:], "T", "O")
+    holds_k = (report.triples == report.candidates.index("K")).any(axis=1)
+    assert holds_k.sum() == 6
+    assert not report.sigma_hat[holds_k].any()
+    assert not report.p[holds_k].any()
+    assert all("K" not in triple for triple in report.dncts)
+
+
+def test_dance_ignores_constant_column(simple_data, with_constant):
+    base = dance(simple_data, "T", "O")
+    result = dance(with_constant, "T", "O")
+    assert result.report.dncts == base.report.dncts
+    assert result.estimate.delta_hat == pytest.approx(
+        base.estimate.delta_hat, rel=1e-12
+    )
+    assert result.estimate.se == pytest.approx(base.estimate.se, rel=1e-12)
+
+
+def test_closed_form_rejects_constant_control_beside_shifted_treatment(
+    with_constant,
+):
+    moved = _transformed(with_constant, "T", shift=1e6)
+    with pytest.raises(SingularDenominatorError):
+        closed_form_ate(covariance(moved), NcPair("Z1", "K"), "T", "O")
