@@ -10,7 +10,9 @@ Two aggregators:
 
 Both read the dataset's one centred moment statistic (see ``data``): the
 fits solve on its cross products, and the sandwich and every bootstrap
-draw read its centred copy of just the columns the pairs use.
+draw read its centred copy of just the columns the pairs use.  Every
+sandwich SE, each pair's, the weighted average's and the majority pair's,
+comes from the one row-blocked sandwich of ``estimate._fit_stack``.
 """
 from __future__ import annotations
 
@@ -28,12 +30,11 @@ from .estimate import (
     DELTA_INDEX,
     AteEstimate,
     NcPair,
-    _fit_centred,
+    _fit_stack,
+    _interval,
     _pair_estimate,
-    _sandwich_se,
     _solve_centred,
     _stacked_columns,
-    _used_columns,
     gmm_linear_ate,
 )
 from .search import canonical_triple
@@ -141,10 +142,6 @@ def _check_interval_options(
         raise ValueError("bootstrap needs at least 2 draws")
 
 
-def _interval(center: float, se: float) -> tuple[float, float]:
-    return center - 1.96 * se, center + 1.96 * se
-
-
 def _unordered_pairs(table: PairFrequencyTable) -> list[tuple[NcPair, int]]:
     """Both orientations of each pair folded into one entry, sorted, with
     the smaller name as z."""
@@ -153,20 +150,6 @@ def _unordered_pairs(table: PairFrequencyTable) -> list[tuple[NcPair, int]]:
         key = tuple(sorted((pair.z, pair.w)))
         merged[key] = merged.get(key, 0) + freq
     return [(NcPair(z=a, w=b), freq) for (a, b), freq in sorted(merged.items())]
-
-
-def _weighted_pairs(
-    table: PairFrequencyTable, pair_space: str
-) -> tuple[list[NcPair], np.ndarray]:
-    if pair_space == "ordered":
-        selected = list(table.entries)
-    elif pair_space == "unordered":
-        selected = _unordered_pairs(table)
-    else:
-        raise ValueError(f"unknown pair_space: {pair_space!r}")
-    pairs = [pair for pair, _ in selected]
-    freqs = np.array([freq for _, freq in selected], dtype=float)
-    return pairs, freqs / freqs.sum()
 
 
 def _bootstrap_se(
@@ -225,7 +208,6 @@ def weighted_estimate(
     bootstrap_draws: int = 500,
     bootstrap_ci: str = "normal",
     seed: int = 0,
-    pair_space: str = "ordered",
 ) -> AggregateResult:
     """Frequency-weighted average of the per-pair moment estimates.
 
@@ -236,15 +218,14 @@ def weighted_estimate(
     """
     _check_interval_options(ci_method, bootstrap_draws, bootstrap_ci)
     covariates = tuple(covariates)
-    pairs, weights = _weighted_pairs(table, pair_space)
+    pairs = [pair for pair, _ in table.entries]
+    freqs = np.array([freq for _, freq in table.entries], dtype=float)
+    weights = freqs / freqs.sum()
     layout = _stacked_columns(data, pairs, treatment, outcome, covariates)
-    alpha0, beta, inv = _fit_centred(data, layout, pairs)
-    xc, local = _used_columns(data, layout)
     # each pair's SE and that of the weighted average, omega' V omega with
-    # the cross-pair covariance included; beta = (alpha1, delta, bx) has
-    # no alpha0
-    ses, weighted_se = _sandwich_se(
-        xc, local, beta, inv, DELTA_INDEX - 1, weights
+    # the cross-pair covariance included
+    alpha0, beta, ses, weighted_se, xc, local = _fit_stack(
+        data, layout, weights, pairs=pairs
     )
     per_pair = tuple(
         (pair, _pair_estimate(pair, a0, slopes, se), float(weight))

@@ -102,12 +102,6 @@ class Dataset:
         """Read-only view of one column."""
         return self.values[:, self.index_of(name)]
 
-    def columns(self, names) -> np.ndarray:
-        """New, writeable (n, k) array of the named columns, in the given
-        order."""
-        idx = [self.index_of(name) for name in names]
-        return self.values[:, idx]
-
     @cached_property
     def _centred(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every column centred, the column means and the cross products

@@ -27,16 +27,18 @@ finite or above 1e12.  Neither that number nor delta moves when a column
 is shifted; rescaling T or O multiplies delta by s_O / s_T.  The raw-design
 functions (``design_matrices`` ... ``sandwich_cov``) are the references.
 
-The solve is stacked: P pairs read their (P, d, d) systems as one
-fancy-index slice of S, are checked by one stacked ``np.linalg.cond`` and
-inverted by one stacked ``np.linalg.inv``; a single fit is a stack of one.
-For P pairs at once, delta's influence vectors are psi = (Xc @ B) *
-(Xc @ C) on the centred columns Xc, where column k of B holds pair k's
-residual weights y - a1*W - delta*T - bx'X and column k of C holds delta's
-row of its inverse.  Per-pair SEs are the column norms of psi over n and
-the weighted sandwich SE is |psi @ w| / n; both are summed over fixed row
-blocks, so no n x P matrix is ever formed.  A single fit forms its one
-psi directly and returns it.
+The solve is stacked: P systems read their (P, d, d) slices of S as one
+fancy-index slice, are checked by one stacked ``np.linalg.cond`` and
+inverted by one stacked ``np.linalg.inv``.  ``_fit_stack`` is the one path
+from systems to estimates and SEs: a single pair fit and the naive
+regression are stacks of one, and the weighted aggregate stacks every
+pair.  For P systems the influence vectors of a slope are psi = (Xc @ B)
+* (Xc @ C) on the centred columns Xc, where column k of B holds system
+k's residual weights y - a1*W - delta*T - bx'X and column k of C holds
+the slope's row of its inverse.  Per-system SEs are the column norms of
+psi over n and the weighted sandwich SE is |psi @ w| / n; both are summed
+over fixed row blocks in ``_sandwich_se``, so no n x P matrix is ever
+formed.
 """
 from __future__ import annotations
 
@@ -53,7 +55,6 @@ __all__ = [
     "AteEstimate",
     "closed_form_ate",
     "gmm_linear_ate",
-    "fit_pair",
     "design_matrices",
     "solve_linear_moments",
     "mean_moments",
@@ -247,50 +248,53 @@ def _solve_centred(
     return (inv @ moments[qs, y][:, :, None])[:, :, 0], inv
 
 
-def _fit_centred(data: Dataset, layout, pairs=None):
-    """The stacked fit on the centred moments of ``data`` with ``layout =
-    (qs, ms, y)`` column positions: alpha0 (P,), the slopes beta (P, d)
-    and the inverses (P, d, d) of the systems."""
-    _, means, gram = data._centred
-    qs, ms, y = layout
-    beta, inv = _solve_centred(gram / data.n, qs, ms, y, pairs)
-    alpha0 = means[y] - (means[ms][:, None, :] @ beta[:, :, None])[:, 0, 0]
-    return alpha0, beta, inv
-
-
-def _influence(xc, layout, beta, inv, j: int) -> np.ndarray:
-    """beta[0, j]'s influence vector for a stack of one system: the centred
-    residual times the centred instruments times its row of the inverse."""
-    (q,), (m,), y = layout
-    return (xc[:, y] - xc[:, m] @ beta[0]) * (xc[:, q] @ inv[0, j])
-
-
 def _sandwich_se(xc, layout, beta, inv, j: int, weights):
     """Each system's sandwich SE of beta[:, j] and that of their
     ``weights`` average, from ``psi = (xc @ B) * (xc @ C)``: column k of B
     holds system k's residual weights and column k of C its row j of the
     inverse.  The column norms over n of psi, and the norm over n of
     ``psi @ weights``, are summed over blocks of ``_ROW_BLOCK`` rows, so
-    no n x P matrix is formed."""
+    no n x P matrix is formed.
+
+    A lone system is padded with an empty second one: numpy and BLAS then
+    run the kernels of a wider stack, whose columns do not depend on the
+    others, so a system's SE has the same bits in every stack."""
     qs, ms, y = layout
-    n = xc.shape[0]
-    cols = np.arange(len(beta))[:, None]
+    n, p = xc.shape[0], len(beta)
+    cols = np.arange(p)[:, None]
     # the roles are distinct, so y is none of a system's regressors
-    resid = np.zeros((xc.shape[1], len(beta)))
+    resid = np.zeros((xc.shape[1], max(p, 2)))
     resid[y] = 1.0
     resid[ms, cols] = -beta
     instr = np.zeros_like(resid)
     instr[qs, cols] = inv[:, j]
-    sumsq = np.zeros(len(beta))
+    sumsq = np.zeros(resid.shape[1])
     total = 0.0
     for start in range(0, n, _ROW_BLOCK):
         rows = xc[start:start + _ROW_BLOCK]
         psi = rows @ resid
         psi *= rows @ instr
         sumsq += np.einsum("ij,ij->j", psi, psi)
-        influence = psi @ weights
+        influence = psi[:, :p] @ weights
         total += influence @ influence
-    return np.sqrt(sumsq) / n, float(np.sqrt(total)) / n
+    return np.sqrt(sumsq[:p]) / n, float(np.sqrt(total)) / n
+
+
+def _fit_stack(data: Dataset, layout, weights, j: int = DELTA_INDEX - 1,
+               pairs=None):
+    """The stacked fit on the centred moments of ``data`` with ``layout =
+    (qs, ms, y)`` column positions, and its sandwich SEs: alpha0 (P,), the
+    slopes beta (P, d), each system's SE of beta[:, j] (by default delta,
+    as beta = (alpha1, delta, bx) has no alpha0), the SE of their
+    ``weights`` average, and the centred columns the systems read with the
+    layout renumbered to them (``_used_columns``)."""
+    _, means, gram = data._centred
+    qs, ms, y = layout
+    beta, inv = _solve_centred(gram / data.n, qs, ms, y, pairs)
+    alpha0 = means[y] - (means[ms][:, None, :] @ beta[:, :, None])[:, 0, 0]
+    xc, local = _used_columns(data, layout)
+    ses, weighted_se = _sandwich_se(xc, local, beta, inv, j, weights)
+    return alpha0, beta, ses, weighted_se, xc, local
 
 
 def design_matrices(
@@ -366,46 +370,28 @@ def sandwich_cov(a_n: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (cov + cov.T) / 2.0
 
 
+def _interval(center: float, se: float) -> tuple[float, float]:
+    """The 95% normal interval center -/+ 1.96 se."""
+    return center - 1.96 * se, center + 1.96 * se
+
+
 def _pair_estimate(pair: NcPair, alpha0, beta, se) -> AteEstimate:
     """One pair's estimate from its alpha0, its slopes
     beta = (alpha1, delta, bx) and delta's SE."""
     delta = float(beta[DELTA_INDEX - 1])
     se = float(se)
+    ci_low, ci_high = _interval(delta, se)
     return AteEstimate(
         delta_hat=delta,
         method="gmm_linear_x" if len(beta) > 2 else "gmm_linear",
         pair=pair,
         se=se,
-        ci_low=delta - 1.96 * se,
-        ci_high=delta + 1.96 * se,
+        ci_low=ci_low,
+        ci_high=ci_high,
         params=BridgeParams(
             float(alpha0), float(beta[0]), delta, tuple(beta[2:].tolist())
         ),
     )
-
-
-def fit_pair(
-    data: Dataset,
-    pair: NcPair,
-    treatment: str,
-    outcome: str,
-    covariates=(),
-) -> tuple[AteEstimate, np.ndarray]:
-    """One pair's moment fit: the estimate and delta's influence vector
-    ``psi``, the centred instruments times the residual times delta's row
-    of ``S[q, m]^{-1}``; on the raw design it is ``g A^{-T} e_delta``, with
-    ``g`` the per-observation moments and ``A = Q'M / n``.
-
-    ``sum(psi**2) / n**2`` is delta's sandwich variance, and a weighted sum
-    of several pairs' ``psi`` gives the variance of their weighted average
-    with the cross-pair covariance included.
-    """
-    layout = _stacked_columns(data, [pair], treatment, outcome, covariates)
-    alpha0, beta, inv = _fit_centred(data, layout, [pair])
-    # beta = (alpha1, delta, bx) has no alpha0
-    psi = _influence(data._centred[0], layout, beta, inv, DELTA_INDEX - 1)
-    se = float(np.linalg.norm(psi)) / data.n
-    return _pair_estimate(pair, alpha0[0], beta[0], se), psi
 
 
 def gmm_linear_ate(
@@ -415,9 +401,12 @@ def gmm_linear_ate(
     outcome: str,
     covariates=(),
 ) -> AteEstimate:
-    """Exactly identified linear-bridge moment estimate with sandwich SE.
+    """Exactly identified linear-bridge moment estimate with sandwich SE:
+    the stacked fit of one pair.
 
     With no covariates the point estimate equals ``closed_form_ate`` to
     floating-point precision.
     """
-    return fit_pair(data, pair, treatment, outcome, covariates)[0]
+    layout = _stacked_columns(data, [pair], treatment, outcome, covariates)
+    alpha0, beta, ses, *_ = _fit_stack(data, layout, np.ones(1), pairs=[pair])
+    return _pair_estimate(pair, alpha0[0], beta[0], ses[0])

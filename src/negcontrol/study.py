@@ -24,15 +24,10 @@ from itertools import combinations
 import numpy as np
 from scipy.stats import rankdata
 
-from .aggregate import enumerate_pairs, majority_vote_estimate, weighted_estimate
 from .data import Dataset
 from .errors import NegcontrolError, UnknownVariableError
-from .estimate import (
-    NcPair,
-    _fit_centred,
-    _influence,
-    gmm_linear_ate,
-)
+from .estimate import NcPair, _fit_stack, _interval, gmm_linear_ate
+from .pipeline import _aggregate
 from .search import find_nc
 from .simulate import GraphSpec, builtin_graph, ground_truth_dncts, realize_coefficients
 
@@ -199,13 +194,12 @@ def _resolve_spec(config: StudyConfig) -> GraphSpec:
 def _naive_fit(data: Dataset, treatment: str, outcome: str, covariates):
     """OLS of outcome on treatment (plus covariates) with a robust SE: the
     centred solve with instruments and regressors both (T, X)."""
-    x = [[data.index_of(name) for name in (treatment, *covariates)]]
-    layout = (x, x, data.index_of(outcome))
-    _, beta, inv = _fit_centred(data, layout)
-    delta = float(beta[0, 0])
-    psi = _influence(data._centred[0], layout, beta, inv, 0)
-    se = float(np.linalg.norm(psi)) / data.n
-    return delta, se, delta - 1.96 * se, delta + 1.96 * se
+    x = np.array([[data.index_of(name) for name in (treatment, *covariates)]])
+    _, beta, ses, *_ = _fit_stack(
+        data, (x, x, data.index_of(outcome)), np.ones(1), j=0
+    )
+    delta, se = float(beta[0, 0]), float(ses[0])
+    return delta, se, *_interval(delta, se)
 
 
 def _as_tuple(est) -> tuple[float, float, float, float]:
@@ -234,6 +228,7 @@ def _one_replication(
     config: StudyConfig,
     n: int,
     replication: int,
+    candidates: list,
     triples: list,
     fixed_triple,
 ) -> _RepOutcome:
@@ -247,7 +242,6 @@ def _one_replication(
         ),
     )
     treatment, outcome = spec.treatment, spec.outcome
-    candidates = spec.candidates
     alpha = config.alpha if config.alpha is not None else 1.0 / n
     report = find_nc(data, candidates, treatment, outcome, alpha=alpha)
     estimates: dict = {}
@@ -264,11 +258,10 @@ def _one_replication(
     if "random" in config.methods:
         try:
             if config.random_scheme == "triplet_fixed":
-                table = enumerate_pairs([fixed_triple])
-                est = weighted_estimate(
-                    data, table, treatment, outcome, config.covariates
-                )
-                estimates["random"] = _as_tuple(est)
+                estimates["random"] = _as_tuple(_aggregate(
+                    data, [fixed_triple], treatment, outcome,
+                    config.covariates, "weighted",
+                ))
             else:
                 rng = np.random.default_rng(
                     np.random.SeedSequence(
@@ -306,16 +299,10 @@ def _one_replication(
             errors["dance"] = "no_dnct"
         else:
             try:
-                table = enumerate_pairs(report.dncts)
-                if config.aggregate == "weighted":
-                    est = weighted_estimate(
-                        data, table, treatment, outcome, config.covariates
-                    )
-                else:
-                    est = majority_vote_estimate(
-                        data, table, treatment, outcome, config.covariates
-                    )
-                estimates["dance"] = _as_tuple(est)
+                estimates["dance"] = _as_tuple(_aggregate(
+                    data, report.dncts, treatment, outcome,
+                    config.covariates, config.aggregate,
+                ))
             except NegcontrolError as exc:
                 errors["dance"] = f"{type(exc).__name__}: {exc}"
 
@@ -335,15 +322,25 @@ def run_study(config: StudyConfig) -> StudyResult:
     Returns per-(method, n) metrics, detection ROC points per n, a failure
     table, and per-n detail arrays.  Replications yielding no validated
     triplets are excluded from the estimate summaries but counted in the
-    failure column.  UnknownVariableError, before any replication, when a
-    covariate is not a measured node of the graph.
+    failure column.  The candidate controls are the graph's candidates
+    less the covariates, as in ``dance``; the search, the ROC triples, the
+    true triplets and the random draws all read that one set.
+    UnknownVariableError, before any replication, when a covariate is not
+    a measured node of the graph, and ValueError when it is the treatment
+    or the outcome.
     """
     spec = _resolve_spec(config)
     for name in config.covariates:
         if name not in spec.measured:
             raise UnknownVariableError(name)
+        if name in (spec.treatment, spec.outcome):
+            raise ValueError(
+                f"covariate {name!r} is the treatment or the outcome"
+            )
+    candidates = [c for c in spec.candidates if c not in config.covariates]
     true_dncts, true_delta = ground_truth_dncts(spec)
-    triples = list(combinations(sorted(spec.candidates), 3))
+    true_dncts = [t for t in true_dncts if set(t) <= set(candidates)]
+    triples = list(combinations(sorted(candidates), 3))
     true_set = set(true_dncts)
     labels = np.array([t in true_set for t in triples])
 
@@ -357,7 +354,8 @@ def run_study(config: StudyConfig) -> StudyResult:
         fixed_triple = triples[int(rng.integers(len(triples)))]
 
     outcomes = [
-        _one_replication(spec, config, n, r, triples, fixed_triple)
+        _one_replication(spec, config, n, r, candidates, triples,
+                         fixed_triple)
         for n in config.sample_sizes
         for r in range(config.replications)
     ]

@@ -19,14 +19,12 @@ from negcontrol.estimate import (
     NcPair,
     _moment_columns,
     design_matrices,
-    fit_pair,
     gmm_linear_ate,
     per_observation_moments,
     sandwich_cov,
     solve_linear_moments,
 )
 from negcontrol.aggregate import (
-    _weighted_pairs,
     enumerate_pairs,
     majority_vote_estimate,
     weighted_estimate,
@@ -111,18 +109,8 @@ def test_weighted_per_pair_matches_single_fits(simple_data, simple_truth):
     for pair, est, _ in result.per_pair:
         single = gmm_linear_ate(simple_data, pair, "T", "O")
         assert est.delta_hat == pytest.approx(single.delta_hat, abs=1e-12)
-        assert est.se == pytest.approx(single.se, abs=1e-12)
-
-
-def test_weighted_unordered_pair_space(simple_data, simple_truth):
-    dncts, _ = simple_truth
-    table = enumerate_pairs([dncts[0]])
-    result = weighted_estimate(simple_data, table, "T", "O", pair_space="unordered")
-    # Unordered space keeps one orientation per control pair: 3 fits.
-    assert len(result.per_pair) == 3
-    assert sum(w for _, _, w in result.per_pair) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        weighted_estimate(simple_data, table, "T", "O", pair_space="diagonal")
+        # both come from the one stacked fit and its blocked sandwich
+        assert est.se == single.se
 
 
 def _stacked_sandwich_variance(data, per_pair, covariates):
@@ -147,7 +135,8 @@ def _stacked_sandwich_variance(data, per_pair, covariates):
     return float(omega @ v @ omega)
 
 
-@pytest.mark.parametrize("pair_space", ["ordered", "unordered"])
+# weights are over the ordered pairs, the only pair space
+@pytest.mark.parametrize("pair_space", ["ordered"])
 @pytest.mark.parametrize("case", ["first", "second", "both", "covariate"])
 def test_weighted_sandwich_matches_stacked_reference(
     simple_data, simple_truth, case, pair_space
@@ -161,7 +150,7 @@ def test_weighted_sandwich_matches_stacked_reference(
     }[case]
     result = weighted_estimate(
         simple_data, enumerate_pairs(triples), "T", "O",
-        covariates=covariates, pair_space=pair_space,
+        covariates=covariates,
     )
     expected = _stacked_sandwich_variance(
         simple_data, result.per_pair, covariates
@@ -340,7 +329,7 @@ def test_stacked_solve_reports_first_singular_pair(ci_method):
     values[:, 4] = values[:, 0] + 1e-12 * rng.normal(size=500)
     data = Dataset(("T", "O", "a", "b", "c", "d"), values)
     table = enumerate_pairs([("a", "b", "d"), ("b", "c", "d")])
-    pairs, _ = _weighted_pairs(table, "ordered")
+    pairs = [pair for pair, _ in table.entries]
     pair, cond = _first_singular_pair(data, pairs)
     assert 0 < pairs.index(pair) < len(pairs) - 1
     assert np.isfinite(cond)
@@ -373,7 +362,8 @@ def test_weighted_ses_across_row_block_boundary(offset):
         assert est.se == pytest.approx(
             np.sqrt(var[DELTA_INDEX, DELTA_INDEX]), rel=1e-12
         )
-        influence += weight * fit_pair(data, pair, "T", "O", ("x",))[1]
+        g = per_observation_moments(q, m, y, theta)
+        influence += weight * (g @ np.linalg.inv(a_n)[DELTA_INDEX])
     assert result.se == pytest.approx(np.linalg.norm(influence) / n, rel=1e-12)
 
 

@@ -494,6 +494,26 @@ def test_evaluate_unknown_covariate_exit_2_before_any_replication(
     assert not out_dir.exists()
 
 
+def test_evaluate_candidate_covariate_exit_0(tmp_path):
+    config = _eval_config(
+        tmp_path, covariates=["Z1"], sample_sizes=[200], replications=2
+    )
+    out_dir = tmp_path / "r"
+    assert main(["evaluate", "--config", str(config), "--out", str(out_dir)]) == 0
+    assert (out_dir / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["T", "O"])
+def test_evaluate_treatment_or_outcome_covariate_exit_2_before_any_replication(
+    tmp_path, capsys, name
+):
+    config = _eval_config(tmp_path, covariates=[name])
+    out_dir = tmp_path / "out"
+    assert main(["evaluate", "--config", str(config), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith("error: covariate")
+    assert not out_dir.exists()
+
+
 def test_evaluate_malformed_json_exit_2(tmp_path):
     config = tmp_path / "broken.json"
     config.write_text("{not json")

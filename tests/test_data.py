@@ -351,8 +351,6 @@ def test_dataset_values_read_only(table_dataset):
 
 def test_dataset_column_lookup(table_dataset):
     np.testing.assert_array_equal(table_dataset.column("c"), TABLE[:, 2])
-    got = table_dataset.columns(("d", "a"))
-    np.testing.assert_array_equal(got, TABLE[:, [3, 0]])
     with pytest.raises(UnknownVariableError):
         table_dataset.column("zz")
 

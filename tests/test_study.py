@@ -275,6 +275,27 @@ def test_details_min_p_matches_verdicts(small_result):
             assert rows[r].tobytes() == np.array(expected).tobytes()
 
 
+@pytest.mark.parametrize("scheme", ["triplet_fixed", "pair_per_rep",
+                                    "triplet_per_rep"])
+def test_candidate_covariate_is_no_candidate(scheme):
+    # as in ``dance``, a covariate is adjusted for and never searched
+    config = _small_config(covariates=("Z1",), sample_sizes=(200,),
+                           replications=2, random_scheme=scheme)
+    result = run_study(config)
+    detail = result.details[200]
+    assert detail["triples"] and result.true_dncts and any(detail["found"])
+    for triple in (*detail["triples"], *result.true_dncts,
+                   *(t for found in detail["found"] for t in found)):
+        assert "Z1" not in triple
+    assert all(f.error == "no_dnct" for f in result.failures)
+    spec = _resolve_spec(config)
+    for r in range(config.replications):
+        data = generate(spec, 200, np.random.SeedSequence(
+            (config.master_seed, _STREAM_DATA, 200, r)))
+        expected = _naive_fit(data, spec.treatment, spec.outcome, ("Z1",))
+        assert detail["estimates"]["naive"]["delta"][r] == expected[0]
+
+
 @pytest.mark.parametrize("covariates", [(), ("Z1", "Z2")])
 def test_naive_fit_matches_raw_ols(simple_data, covariates):
     # The centred solve against OLS on the raw design [1, T, X] with the
