@@ -176,6 +176,15 @@ def closed_form_ate(
     return AteEstimate(float(beta[0, 1]), method="closed_form", pair=pair)
 
 
+def _check_distinct(*roles: str) -> None:
+    """ValueError unless the roles (a pair, the treatment, the outcome and
+    the covariates, or some of them) name distinct variables."""
+    if len(set(roles)) != len(roles):
+        raise ValueError(
+            "pair, treatment, outcome, and covariates must be distinct"
+        )
+
+
 def _moment_columns(
     data, pair: NcPair, treatment: str, outcome: str, covariates=()
 ) -> tuple[list[int], list[int], int]:
@@ -183,10 +192,7 @@ def _moment_columns(
     the outcome among the columns of ``data``; ValueError unless the roles
     are distinct."""
     roles = (pair.z, pair.w, treatment, outcome, *covariates)
-    if len(set(roles)) != len(roles):
-        raise ValueError(
-            "pair, treatment, outcome, and covariates must be distinct"
-        )
+    _check_distinct(*roles)
     z, w, t, y, *x = (data.index_of(name) for name in roles)
     return [z, t, *x], [w, t, *x], y
 

@@ -19,6 +19,7 @@ from .aggregate import (
     weighted_estimate,
 )
 from .data import Dataset
+from .estimate import _check_distinct
 from .search import FindNcReport, find_nc
 
 __all__ = ["DanceResult", "dance"]
@@ -70,9 +71,11 @@ def dance(
     ``candidates`` defaults to every column except the treatment, the
     outcome, and the covariates.  ``alpha`` defaults to 1/n.  ``aggregate``
     is "weighted" (frequency-weighted pair average) or "majority" (single
-    most frequent pair).
+    most frequent pair).  ValueError, before the search, when a covariate
+    is repeated or is the treatment or the outcome.
     """
     covariates = tuple(covariates)
+    _check_distinct(treatment, outcome, *covariates)
     if candidates is None:
         excluded = {treatment, outcome, *covariates}
         candidates = [

@@ -26,7 +26,13 @@ from scipy.stats import rankdata
 
 from .data import Dataset
 from .errors import NegcontrolError, UnknownVariableError
-from .estimate import NcPair, _fit_stack, _interval, gmm_linear_ate
+from .estimate import (
+    NcPair,
+    _check_distinct,
+    _fit_stack,
+    _interval,
+    gmm_linear_ate,
+)
 from .pipeline import _aggregate
 from .search import find_nc
 from .simulate import GraphSpec, builtin_graph, ground_truth_dncts, realize_coefficients
@@ -327,7 +333,7 @@ def run_study(config: StudyConfig) -> StudyResult:
     true triplets and the random draws all read that one set.
     UnknownVariableError, before any replication, when a covariate is not
     a measured node of the graph, and ValueError when it is the treatment
-    or the outcome.
+    or the outcome or is repeated.
     """
     spec = _resolve_spec(config)
     for name in config.covariates:
@@ -337,6 +343,7 @@ def run_study(config: StudyConfig) -> StudyResult:
             raise ValueError(
                 f"covariate {name!r} is the treatment or the outcome"
             )
+    _check_distinct(spec.treatment, spec.outcome, *config.covariates)
     candidates = [c for c in spec.candidates if c not in config.covariates]
     true_dncts, true_delta = ground_truth_dncts(spec)
     true_dncts = [t for t in true_dncts if set(t) <= set(candidates)]

@@ -20,6 +20,7 @@ from negcontrol.aggregate import (
     majority_vote_estimate,
     weighted_estimate,
 )
+from negcontrol import simulate
 from negcontrol.cli import main
 from negcontrol.data import Dataset, load_csv, write_csv
 from negcontrol.pipeline import dance
@@ -512,6 +513,22 @@ def test_evaluate_treatment_or_outcome_covariate_exit_2_before_any_replication(
     assert main(["evaluate", "--config", str(config), "--out", str(out_dir)]) == 2
     assert capsys.readouterr().err.startswith("error: covariate")
     assert not out_dir.exists()
+
+
+def test_evaluate_repeated_covariate_exit_2_before_any_replication(
+    tmp_path, capsys, monkeypatch
+):
+    draws = []
+    monkeypatch.setattr(simulate, "generate",
+                        lambda *args, **kwargs: draws.append(args))
+    config = _eval_config(tmp_path, covariates=["Z1", "Z1"])
+    out_dir = tmp_path / "out"
+    assert main(["evaluate", "--config", str(config), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == (
+        "error: pair, treatment, outcome, and covariates must be distinct\n"
+    )
+    assert not out_dir.exists()
+    assert draws == []
 
 
 def test_evaluate_malformed_json_exit_2(tmp_path):

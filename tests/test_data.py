@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import csv
+import errno
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -14,6 +17,8 @@ from hypothesis.extra import numpy as hnp
 from negcontrol.data import (
     CovMatrix,
     Dataset,
+    _line_ranges,
+    _parse_range,
     _scan_csv,
     covariance,
     load_csv,
@@ -310,6 +315,238 @@ def test_load_csv_matches_scan_reference(tmp_path_factory, raw):
     path = tmp_path_factory.mktemp("ref") / "data.csv"
     path.write_bytes(raw)
     assert _outcome(load_csv, path) == _outcome(_scan_csv, path)
+
+
+# ---------------------------------------------------------------------------
+# load_csv split into byte ranges parsed by forked children
+# ---------------------------------------------------------------------------
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+
+def _force_split(mp, k, chunk=16):
+    """Cut bodies of a few hundred bytes into ``k`` ranges, parsed ``chunk``
+    bytes (rounded up to a line end) at a time."""
+    mp.setattr("negcontrol.data._PARSE_CHUNK", chunk)
+    mp.setattr("negcontrol.data._workers", lambda: k)
+
+
+def _no_scan(path):
+    raise AssertionError("load_csv fell back to the scan")
+
+
+def _grid_lines(rows=40, cols=3):
+    """A header and ``rows`` rows of floats of mixed magnitude, so lines
+    differ in length."""
+    rng = np.random.default_rng(0)
+    grid = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(
+        -3, 4, size=(rows, cols))
+    return [",".join(f"c{j}" for j in range(cols))] + [
+        ",".join(map(repr, row)) for row in grid.tolist()
+    ]
+
+
+def _write_lines(path, lines, end="\n", final=True):
+    path.write_bytes((end.join(lines) + end * final).encode())
+    return path
+
+
+def _ranges(path):
+    """The [start, stop) byte ranges load_csv cuts the body of ``path``
+    into."""
+    with open(path, "rb") as handle:
+        handle.readline()
+        return [(a, a + n) for a, n in _line_ranges(handle)]
+
+
+def _line_offset(lines, i):
+    """Byte offset of line ``i`` in a file of ``lines`` ended by LF."""
+    return sum(len(text) + 1 for text in lines[:i])
+
+
+def _range_of_line(path, lines, i):
+    start = _line_offset(lines, i)
+    return next(r for r, (a, b) in enumerate(_ranges(path)) if a <= start < b)
+
+
+@needs_fork
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "end, final", [("\n", True), ("\r\n", True), ("\n", False)],
+    ids=["lf", "crlf", "no-final-newline"],
+)
+def test_split_load_csv_matches_scan(tmp_path, monkeypatch, k, end, final):
+    path = _write_lines(tmp_path / "data.csv", _grid_lines(), end, final)
+    _force_split(monkeypatch, k)
+    assert len(_ranges(path)) == k
+    reference = _scan_csv(path)
+    monkeypatch.setattr("negcontrol.data._scan_csv", _no_scan)
+    data = load_csv(path)
+    assert data.variable_names == reference.variable_names
+    assert data.values.tobytes() == reference.values.tobytes()
+
+
+@needs_fork
+def test_split_load_csv_one_row_last_range(tmp_path, monkeypatch):
+    # the second cut lands in the long row, so the last range is one row
+    lines = ["a,b", *["1.5,2.5"] * 6, "0." + "0" * 200 + "1,3.0", "4.0,5.0"]
+    path = _write_lines(tmp_path / "data.csv", lines)
+    _force_split(monkeypatch, 2)
+    (_, cut), (_, end) = _ranges(path)
+    assert path.read_bytes()[cut:end] == b"4.0,5.0\n"
+    reference = _scan_csv(path)
+    monkeypatch.setattr("negcontrol.data._scan_csv", _no_scan)
+    assert load_csv(path).values.tobytes() == reference.values.tobytes()
+
+
+@needs_fork
+@pytest.mark.parametrize("target", [1, 2], ids=["range2", "range3"])
+@pytest.mark.parametrize("fault", ["cell", "blank", "short", "long"])
+def test_split_load_csv_fault_reports_scan_position(tmp_path, monkeypatch,
+                                                    target, fault):
+    _force_split(monkeypatch, 4)
+    lines = _grid_lines()
+    path = _write_lines(tmp_path / "data.csv", lines)
+    inside = [i for i in range(1, len(lines))
+              if _range_of_line(path, lines, i) == target]
+    line = inside[len(inside) // 2]
+    cells = lines[line].split(",")
+    if fault == "cell":
+        lines[line] = ",".join([cells[0], "x", *cells[2:]])
+    elif fault == "blank":
+        lines.insert(line, "")
+    elif fault == "short":
+        lines[line] = ",".join(cells[:-1])
+    else:
+        lines[line] += ",1"
+    _write_lines(path, lines)
+    assert _range_of_line(path, lines, line) == target
+    with pytest.raises(MissingValueError) as got:
+        load_csv(path)
+    with pytest.raises(MissingValueError) as ref:
+        _scan_csv(path)
+    assert (got.value.row, got.value.column) == (ref.value.row,
+                                                 ref.value.column)
+    assert got.value.row == line + 1
+
+
+def _open_descriptors():
+    return len(os.listdir("/proc/self/fd"))
+
+
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                                reason="no /proc/self/fd")
+
+
+class _ParentRangeError(Exception):
+    pass
+
+
+@needs_fork
+@needs_proc
+@pytest.mark.parametrize("outcome", ["loads", "bad-cell", "parent-raises"])
+def test_split_load_csv_leaves_no_child_or_descriptor(tmp_path, monkeypatch,
+                                                      outcome):
+    k = 4
+    lines = _grid_lines()
+    if outcome == "bad-cell":
+        lines[-2] = "x,1,2"  # in the last range
+    path = _write_lines(tmp_path / "data.csv", lines)
+    _force_split(monkeypatch, k)
+    forked = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    if outcome == "parent-raises":
+        parent = os.getpid()
+
+        def parse(*args):
+            if os.getpid() == parent:
+                raise _ParentRangeError
+            return _parse_range(*args)
+
+        monkeypatch.setattr("negcontrol.data._parse_range", parse)
+    before = _open_descriptors()
+    if outcome == "loads":
+        load_csv(path)
+    else:
+        with pytest.raises(MissingValueError if outcome == "bad-cell"
+                           else _ParentRangeError):
+            load_csv(path)
+    assert len(forked) == k - 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_descriptors() == before
+
+
+def _no_fork():
+    raise OSError(errno.EAGAIN, "no process to spare")
+
+
+@needs_fork
+@needs_proc
+def test_split_load_csv_parses_unforked_ranges_itself(tmp_path, monkeypatch):
+    path = _write_lines(tmp_path / "data.csv", _grid_lines())
+    _force_split(monkeypatch, 4)
+    reference = _scan_csv(path)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    monkeypatch.setattr("negcontrol.data._scan_csv", _no_scan)
+    before = _open_descriptors()
+    assert load_csv(path).values.tobytes() == reference.values.tobytes()
+    assert _open_descriptors() == before
+
+
+@needs_fork
+def test_split_load_csv_child_exit_status_sends_file_to_scan(tmp_path,
+                                                             monkeypatch):
+    # every child sends its rows, then exits 3: the rows are not trusted
+    path = _write_lines(tmp_path / "data.csv", _grid_lines())
+    _force_split(monkeypatch, 3)
+    reference, scans = _scan_csv(path), []
+    real_exit = os._exit
+    monkeypatch.setattr(os, "_exit", lambda code: real_exit(3))
+    monkeypatch.setattr("negcontrol.data._scan_csv",
+                        lambda p: scans.append(p) or reference)
+    assert load_csv(path) is reference
+    assert scans == [path]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+def test_load_csv_reads_a_pipe_in_one_range(tmp_path, monkeypatch):
+    # a pipe cannot seek, so its body is parsed here as it streams in
+    raw = "\n".join(_grid_lines()).encode() + b"\n"
+    reference = _scan_csv(_write_lines(tmp_path / "data.csv", _grid_lines()))
+    path = tmp_path / "fifo"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, args=(raw,),
+                              daemon=True)
+    writer.start()
+    _force_split(monkeypatch, 4)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    monkeypatch.setattr("negcontrol.data._scan_csv", _no_scan)
+    try:
+        data = load_csv(path)
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert data.values.tobytes() == reference.values.tobytes()
+
+
+@needs_fork
+@settings(deadline=None, max_examples=100)
+@given(_csv_files())
+def test_split_load_csv_matches_scan_reference(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("split") / "data.csv"
+    path.write_bytes(raw)
+    with pytest.MonkeyPatch.context() as mp:
+        _force_split(mp, 4, chunk=1)
+        assert _outcome(load_csv, path) == _outcome(_scan_csv, path)
 
 
 # ---------------------------------------------------------------------------

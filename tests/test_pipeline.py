@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from negcontrol import pipeline
 from negcontrol.pipeline import DanceResult, dance
 from negcontrol.simulate import builtin_graph, generate
 
@@ -84,6 +85,19 @@ def test_dance_checks_interval_options_before_searching(pipeline_data,
     _, data = pipeline_data
     with pytest.raises(ValueError):
         dance(data, "T", "O", **options)
+
+
+@pytest.mark.parametrize("covariates", [("Z1", "Z1"), ("T",), ("O",)])
+def test_dance_rejects_covariate_roles_before_searching(pipeline_data,
+                                                        monkeypatch,
+                                                        covariates):
+    _, data = pipeline_data
+    searches = []
+    monkeypatch.setattr(pipeline, "find_nc",
+                        lambda *args, **kwargs: searches.append(args))
+    with pytest.raises(ValueError, match="covariates must be distinct"):
+        dance(data, "T", "O", covariates=covariates)
+    assert searches == []
 
 
 def test_both_aggregators_cover_truth_across_seeded_runs():
