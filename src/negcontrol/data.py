@@ -17,18 +17,31 @@ range runs the same ``np.loadtxt`` call, which rounds each cell alone, so
 the values do not depend on how the file was cut.  A file that some range
 does not parse clean, or whose header holds a quote or a bare carriage
 return, is parsed again by the per-cell scan, which names the first bad
-cell.
+cell.  A pipe is read once, and the scan reads the same bytes.
+
+Writing splits the same way.  The rows are cut into contiguous ranges, one
+per CPU, at most one per ``_FORMAT_CHUNK`` cells: nearly all of the time
+goes to the shortest ``repr`` of each float, which holds the interpreter
+lock, and below that size a fork costs more than it saves.  Forked
+children format every range after the first and send the bytes back over
+pipes; this process formats the first into the file, then copies each
+child's bytes after it in fixed-size chunks.  Every range is formatted by
+the same code, so the file does not depend on the split.  An output that is
+not a regular file is one range.  A range no child could be forked for is
+formatted here; so is every range from the first child that failed on,
+after the file is cut back to where that child's range began.
 """
 from __future__ import annotations
 
 import csv
+import io
 import locale
 import math
 import os
 import stat
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -50,6 +63,11 @@ __all__ = [
 ]
 
 _WRITE_BLOCK = 8192  # rows per tolist() in write_csv
+# cells per forked process in write_csv: 72k cells write in 38 ms as two
+# ranges against 59 ms as one, 18k cells in 15 ms either way (2 vCPUs,
+# a 150 MB process: the fork copies its page tables)
+_FORMAT_CHUNK = 1 << 15
+_COPY_CHUNK = 1 << 16  # bytes per read of a child's pipe in write_csv
 # bytes per np.loadtxt call, and the body per forked process: a 4 MiB
 # body parses in 28 ms as two ranges against 40 ms as one (2 vCPUs)
 _PARSE_CHUNK = 2 << 20
@@ -186,6 +204,7 @@ def load_csv(path) -> Dataset:
     the first are parsed by forked children, which send their rows back over
     pipes, while this process parses the first; below two chunks, from a
     pipe, or where ``os.fork`` is missing, the one range is parsed here.
+    A pipe is read once, whole, and both parsers below read those bytes.
     Every range is parsed by ``np.loadtxt`` a chunk at a time, and kept
     only when it parsed every line into one finite value per header name.
     Each cell is rounded by the same parser whichever range holds it, so
@@ -211,11 +230,15 @@ def load_csv(path) -> Dataset:
     """
     encoding = locale.getpreferredencoding(False)  # as open() decodes
     with open(path, "rb") as handle:
-        names = _plain_header(handle.readline(), encoding)
-        values = (_parse_body(handle, path, len(names), encoding)
+        # a pipe cannot be read twice, so the scan must see these bytes
+        raw = None if _is_file(handle) else handle.read()
+        body = handle if raw is None else io.BytesIO(raw)
+        names = _plain_header(body.readline(), encoding)
+        values = (_parse_body(body, path, len(names), encoding)
                   if names else None)
     if values is None or len(values) < 2:
-        return _scan_csv(path)
+        return _scan_csv(path if raw is None else io.TextIOWrapper(
+            io.BytesIO(raw), encoding=encoding, newline=""))
     return Dataset(tuple(names), values)
 
 
@@ -255,15 +278,22 @@ def _workers() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def _is_file(handle) -> bool:
+    """Whether ``handle`` is a regular file, whose bytes other processes
+    can reach by offset; a pipe or a terminal passes its bytes once, in
+    order, and bytes in memory have no descriptor."""
+    return (not isinstance(handle, io.BytesIO)
+            and stat.S_ISREG(os.fstat(handle.fileno()).st_mode))
+
+
 def _line_ranges(handle) -> list[tuple[int, float]]:
     """(offset, length) byte ranges that cut the rest of ``handle`` at line
     ends into about equal runs of whole lines, one per process; one range
-    of unbounded length for a file that cannot seek, such as a pipe.  The
-    handle is left where it was."""
-    info = os.fstat(handle.fileno())
-    if not stat.S_ISREG(info.st_mode):
-        return [(0, math.inf)]
-    start, size = handle.tell(), info.st_size
+    of unbounded length for anything but a regular file.  The handle is
+    left where it was."""
+    if not _is_file(handle):
+        return [(handle.tell(), math.inf)]
+    start, size = handle.tell(), os.fstat(handle.fileno()).st_size
     k = max(1, min(_workers(), (size - start) // _PARSE_CHUNK))
     cuts = [start]
     for i in range(1, k):
@@ -290,8 +320,8 @@ def _parse_body(handle, path, width: int, encoding: str):
     try:
         for offset, length in ranges[1:]:
             try:
-                children.append(
-                    _spawn(path, offset, length, width, encoding))
+                children.append(_spawn(partial(
+                    _parse_file, path, offset, length, width, encoding)))
             except OSError:  # no process to spare
                 break
         blocks = [_parse_range(handle, ranges[0][1], width, encoding)]
@@ -300,10 +330,18 @@ def _parse_body(handle, path, width: int, encoding: str):
             handle.seek(offset)
             blocks.append(_parse_range(handle, length, width, encoding))
     finally:
-        clean = _reap(children)
+        clean = all(_reap(children))
     if not clean or any(block is None for block in blocks):
         return None
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
+def _parse_file(path, offset: int, length: int, width: int, encoding: str):
+    """``_parse_range`` of ``length`` bytes of ``path`` from ``offset``,
+    through a handle of its own."""
+    with open(path, "rb") as handle:
+        handle.seek(offset)
+        return _parse_range(handle, length, width, encoding)
 
 
 def _parse_range(handle, length: float, width: int, encoding: str):
@@ -341,12 +379,12 @@ def _parse_range(handle, length: float, width: int, encoding: str):
     return np.concatenate(blocks)
 
 
-def _spawn(path, offset: int, length: int, width: int, encoding: str):
-    """Fork a child that parses ``length`` bytes of ``path`` from
-    ``offset`` and sends its row count and float64 rows down a pipe.
-    Returns the child's pid and the pipe's read end.  The child exits 1,
-    sending nothing, when its range does not parse clean, and never
-    returns into the caller."""
+def _spawn(task):
+    """Fork a child that runs ``task()`` and sends the buffer it returns
+    down a pipe, its byte count first.  Returns the child's pid and the
+    pipe's read end.  The child exits 1, sending nothing, when ``task``
+    returns None, and leaves by ``os._exit``, so it never returns into the
+    caller or flushes a buffer it shares with this process."""
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -358,12 +396,11 @@ def _spawn(path, offset: int, length: int, width: int, encoding: str):
         code = 1
         try:
             os.close(read)
-            with open(path, "rb") as handle:
-                handle.seek(offset)
-                block = _parse_range(handle, length, width, encoding)
-            if block is not None:
-                _send(write, len(block).to_bytes(8, "little"))
-                _send(write, block)
+            payload = task()
+            if payload is not None:
+                view = memoryview(payload).cast("B")
+                _send(write, len(view).to_bytes(8, "little"))
+                _send(write, view)
                 code = 0
         finally:
             os._exit(code)
@@ -388,31 +425,55 @@ def _read_into(fd: int, buffer) -> bool:
     return True
 
 
+def _payload_size(fd: int) -> int | None:
+    """The byte count a child sent first on ``fd``; None if it sent none."""
+    head = bytearray(8)
+    return int.from_bytes(head, "little") if _read_into(fd, head) else None
+
+
 def _receive(fd: int, width: int):
     """The rows a child sent on ``fd``, or None if it sent none."""
-    head = bytearray(8)
-    if not _read_into(fd, head):
+    size = _payload_size(fd)
+    if size is None:
         return None
-    block = np.empty((int.from_bytes(head, "little"), width))
-    return block if _read_into(fd, block) else None
+    block = np.empty(size // 8)
+    return block.reshape(-1, width) if _read_into(fd, block) else None
 
 
-def _reap(children) -> bool:
-    """Close every child's pipe, then wait for it; True if all exited 0.
+def _copy_payload(fd: int, handle) -> bool:
+    """Copy the bytes a child sent on ``fd`` into ``handle``,
+    ``_COPY_CHUNK`` at a time, so this process never holds them all; False
+    if they ended early."""
+    left = _payload_size(fd)
+    if left is None:
+        return False
+    chunk = memoryview(bytearray(min(left, _COPY_CHUNK)))
+    while left:
+        piece = chunk[:min(left, len(chunk))]
+        if not _read_into(fd, piece):
+            return False
+        handle.write(piece)
+        left -= len(piece)
+    return True
+
+
+def _reap(children) -> list[bool]:
+    """Close every child's pipe, then wait for it; for each, whether it
+    exited 0.
 
     A child still writing gets EPIPE once its pipe is closed, so this never
     waits on a child that waits on this process."""
-    clean = True
     for _, read in children:
         os.close(read)
-    for pid, _ in children:
-        clean &= os.waitpid(pid, 0)[1] == 0
-    return clean
+    return [os.waitpid(pid, 0)[1] == 0 for pid, _ in children]
 
 
-def _scan_csv(path) -> Dataset:
-    """``load_csv`` parsed cell by cell with ``float``; the reference."""
-    with open(path, newline="") as handle:
+def _scan_csv(source) -> Dataset:
+    """``load_csv`` parsed cell by cell with ``float``; the reference.
+    ``source`` is a path, or a text stream over the bytes of a pipe
+    already read, decoded as ``open`` decodes."""
+    with (source if isinstance(source, io.TextIOBase)
+          else open(source, newline="")) as handle:
         reader = csv.reader(handle)
         names = _read_header(reader)
         rows: list[list[float]] = []
@@ -438,16 +499,88 @@ def _scan_csv(path) -> Dataset:
 def write_csv(data: Dataset, path) -> None:
     """Write a dataset as a strict numeric CSV that ``load_csv`` round-trips.
 
-    Floats are written with ``repr`` so the round trip is exact.
+    Floats are written with ``repr`` so the round trip is exact.  The rows
+    are cut into ``k`` contiguous ranges of about equal length, ``k`` the
+    smaller of the CPUs this process may use, the number of rows, and the
+    cell count in ``_FORMAT_CHUNK`` units (at least one).  Ranges after
+    the first are formatted by forked children, which send their bytes back
+    over pipes, while this process formats the first into the file; it then
+    copies each child's bytes after it, in order.  Every range is formatted
+    by the same code, so the bytes do not depend on ``k``.
+
+    An output that is not a regular file (a pipe, a terminal) is one range
+    with no child.  Ranges no child could be forked for are formatted here.
+    When a child exits non-zero or sends fewer bytes than it announced, the
+    file is cut back to where that child's range began and the rest is
+    formatted here, so the bytes are the same whatever failed.
     """
-    with open(path, "w", newline="") as handle:
-        csv.writer(handle).writerow(data.variable_names)
-        # a block of rows at a time: one tolist() of a 200k-row set
-        # costs about 65 MB of Python floats
-        for start in range(0, data.n, _WRITE_BLOCK):
-            block = data.values[start:start + _WRITE_BLOCK].tolist()
-            handle.writelines(",".join(map(repr, row)) + "\r\n"
-                              for row in block)
+    encoding = locale.getpreferredencoding(False)  # as open() encodes
+    header = io.StringIO()
+    csv.writer(header).writerow(data.variable_names)
+    with open(path, "wb") as handle:
+        handle.write(header.getvalue().encode(encoding))
+        _write_rows(handle, data.values, encoding)
+
+
+def _row_ranges(handle, values: np.ndarray) -> list[tuple[int, int]]:
+    """[start, stop) row ranges that cut ``values`` into about equal runs,
+    one per process; one range for anything but a regular file."""
+    n, p = values.shape
+    k = (max(1, min(_workers(), n, n * p // _FORMAT_CHUNK))
+         if _is_file(handle) else 1)
+    cuts = [i * n // k for i in range(k + 1)]
+    return list(zip(cuts, cuts[1:]))
+
+
+def _write_rows(handle, values: np.ndarray, encoding: str) -> None:
+    """Write the CSV lines of ``values`` to ``handle``.
+
+    Ranges after the first go to forked children; this process formats the
+    first meanwhile, then copies the children's bytes in order.  From the
+    first child that failed on, the file is cut back and its ranges and
+    the rest are formatted here.  Every pipe is closed and every child
+    reaped however this returns or raises."""
+    ranges = _row_ranges(handle, values)
+    children: list[tuple[int, int]] = []
+    marks: list[int] = []  # where each copied child's bytes begin
+    sent: list[bool] = []  # whether all of them arrived
+    try:
+        for start, stop in ranges[1:]:
+            try:
+                children.append(_spawn(partial(
+                    _format_rows, values[start:stop], encoding)))
+            except OSError:  # no process to spare
+                break
+        handle.writelines(_row_blocks(values[slice(*ranges[0])], encoding))
+        for _, read in children:
+            marks.append(handle.tell())
+            sent.append(_copy_payload(read, handle))
+            if not sent[-1]:
+                break
+    finally:
+        exits = _reap(children)
+    kept = next((i for i, ok in enumerate(zip(sent, exits)) if not all(ok)),
+                len(sent))
+    if kept < len(sent):
+        handle.seek(marks[kept])
+        handle.truncate()
+    for start, stop in ranges[kept + 1:]:
+        handle.writelines(_row_blocks(values[start:stop], encoding))
+
+
+def _row_blocks(values: np.ndarray, encoding: str):
+    """The encoded CSV lines of ``values``, ``_WRITE_BLOCK`` rows at a
+    time: one tolist() of a 200k-row set costs about 65 MB of Python
+    floats."""
+    for start in range(0, len(values), _WRITE_BLOCK):
+        block = values[start:start + _WRITE_BLOCK].tolist()
+        yield "".join([",".join(map(repr, row)) + "\r\n"
+                       for row in block]).encode(encoding)
+
+
+def _format_rows(values: np.ndarray, encoding: str) -> bytes:
+    """All the encoded CSV lines of ``values``, as a child sends them."""
+    return b"".join(_row_blocks(values, encoding))
 
 
 def covariance(data: Dataset) -> CovMatrix:

@@ -1,5 +1,6 @@
 """Shared fixtures: Monte Carlo studies reused across acceptance checks,
-and the scalar reference of the batched search.
+the scalar reference of the batched search, and a guard that every test
+reaps the processes it forks.
 
 The six study fixtures below are the expensive part of the suite (a few
 seconds each); they are session-scoped so every test module reads the same
@@ -9,6 +10,7 @@ frozen run.  Master seeds are fixed so results are bit-reproducible.
 from __future__ import annotations
 
 import math
+import os
 from itertools import combinations
 
 import numpy as np
@@ -20,6 +22,20 @@ from negcontrol.search import DnctVerdict, triple_specs
 from negcontrol.simulate import builtin_graph, generate
 from negcontrol.study import StudyConfig, run_study
 from negcontrol.tetrad import TetradResult, wishart_test
+
+
+@pytest.fixture(autouse=True)
+def _reaps_its_children():
+    """Fail a test that leaves a child process unreaped: ``load_csv`` and
+    ``write_csv`` fork, and must wait for every child they start."""
+    yield
+    if not hasattr(os, "WNOHANG"):
+        return
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process was left unreaped ({pid or 'running'})")
 
 
 def _wishart_verdicts(data, candidates, treatment, outcome, alpha):

@@ -6,6 +6,7 @@ import csv
 import errno
 import os
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,9 +18,13 @@ from hypothesis.extra import numpy as hnp
 from negcontrol.data import (
     CovMatrix,
     Dataset,
+    _format_rows,
     _line_ranges,
     _parse_range,
+    _row_blocks,
+    _row_ranges,
     _scan_csv,
+    _send,
     covariance,
     load_csv,
     sub_determinant,
@@ -453,16 +458,7 @@ def test_split_load_csv_leaves_no_child_or_descriptor(tmp_path, monkeypatch,
         lines[-2] = "x,1,2"  # in the last range
     path = _write_lines(tmp_path / "data.csv", lines)
     _force_split(monkeypatch, k)
-    forked = []
-    real_fork = os.fork
-
-    def counting_fork():
-        pid = real_fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
+    forked = _count_forks(monkeypatch)
     if outcome == "parent-raises":
         parent = os.getpid()
 
@@ -547,6 +543,230 @@ def test_split_load_csv_matches_scan_reference(tmp_path_factory, raw):
     with pytest.MonkeyPatch.context() as mp:
         _force_split(mp, 4, chunk=1)
         assert _outcome(load_csv, path) == _outcome(_scan_csv, path)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+def test_load_csv_pipe_bad_cell_reports_position(tmp_path):
+    # a pipe is read once, so the scan must read the bytes the parse read
+    path = tmp_path / "fifo"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes,
+                              args=(b"a,b\n1,x\n3,4\n",), daemon=True)
+    writer.start()
+    try:
+        with pytest.raises(MissingValueError) as got:
+            load_csv(path)
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert (got.value.row, got.value.column) == (2, 2)
+
+
+# ---------------------------------------------------------------------------
+# write_csv split into row ranges formatted by forked children
+# ---------------------------------------------------------------------------
+
+
+def _force_write_split(mp, k):
+    """Cut every dataset into ``k`` row ranges, or one per row if fewer."""
+    mp.setattr("negcontrol.data._FORMAT_CHUNK", 1)
+    mp.setattr("negcontrol.data._workers", lambda: k)
+
+
+def _count_forks(mp):
+    """The pids of the children forked from here on.  A child sees the
+    pids of the siblings forked before it, so ``len`` is its own index."""
+    forked = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    mp.setattr(os, "fork", counting_fork)
+    return forked
+
+
+def _awkward_dataset(rows):
+    """Floats of every magnitude, with -0.0, the smallest subnormal and
+    +-max in the first and last rows, under header names csv must quote."""
+    rng = np.random.default_rng(rows)
+    values = rng.normal(size=(rows, 3)) * 10.0 ** rng.integers(
+        -300, 300, size=(rows, 3))
+    values[0] = [-0.0, 5e-324, _MAX]
+    values[-1, :2] = [-_MAX, 0.1 + 0.2]
+    return Dataset(("x,1", 'say "y"', "z"), values)
+
+
+def _reference_bytes(data, tmp_path):
+    _reference_write_csv(data, tmp_path / "ref.csv")
+    return (tmp_path / "ref.csv").read_bytes()
+
+
+def _assert_no_leak(before):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_descriptors() == before
+
+
+@needs_fork
+@needs_proc
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("rows", ["k", 9], ids=["one-row-ranges", "9-rows"])
+def test_split_write_csv_matches_reference(tmp_path, monkeypatch, k, rows):
+    rows = k if rows == "k" else rows
+    data = _awkward_dataset(rows)
+    path = tmp_path / "data.csv"
+    _force_write_split(monkeypatch, k)
+    with open(path, "wb") as handle:
+        ranges = _row_ranges(handle, data.values)
+    assert len(ranges) == k and ranges[-1][1] == rows
+    if rows == k:
+        assert ranges[-1] == (k - 1, k)  # a last range of one row
+    forked = _count_forks(monkeypatch)
+    before = _open_descriptors()
+    write_csv(data, path)
+    assert len(forked) == k - 1
+    _assert_no_leak(before)
+    assert path.read_bytes() == _reference_bytes(data, tmp_path)
+
+
+@needs_fork
+@settings(deadline=None, max_examples=40)
+@given(
+    hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    st.integers(1, 4),
+)
+def test_split_write_csv_matches_reference_any_shape(tmp_path_factory, values,
+                                                     k):
+    tmp_path = tmp_path_factory.mktemp("split-write")
+    data = Dataset(tuple(f"v{j}" for j in range(values.shape[1])), values)
+    with pytest.MonkeyPatch.context() as mp:
+        _force_write_split(mp, k)
+        write_csv(data, tmp_path / "data.csv")
+    assert (tmp_path / "data.csv").read_bytes() == _reference_bytes(
+        data, tmp_path)
+
+
+@needs_fork
+@needs_proc
+def test_split_write_csv_formats_unforked_ranges_itself(tmp_path,
+                                                        monkeypatch):
+    data = _awkward_dataset(9)
+    _force_write_split(monkeypatch, 4)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    before = _open_descriptors()
+    write_csv(data, tmp_path / "data.csv")
+    _assert_no_leak(before)
+    assert (tmp_path / "data.csv").read_bytes() == _reference_bytes(
+        data, tmp_path)
+
+
+@needs_fork
+@needs_proc
+@pytest.mark.parametrize("failing", [0, 1, 2], ids=["child1", "child2",
+                                                    "child3"])
+@pytest.mark.parametrize("how", ["exit-3-after-sending", "exit-3-after-more",
+                                 "short-payload"])
+def test_split_write_csv_redoes_a_failed_child(tmp_path, monkeypatch,
+                                               failing, how):
+    # from the failed child's range on, the parent formats the rows itself
+    data = _awkward_dataset(40)
+    _force_write_split(monkeypatch, 4)
+    forked = _count_forks(monkeypatch)
+    if how.startswith("exit-3"):
+        real_exit = os._exit
+        monkeypatch.setattr(os, "_exit", lambda code: real_exit(
+            3 if len(forked) == failing else code))
+        if how == "exit-3-after-more":  # the file must be cut back
+            monkeypatch.setattr(
+                "negcontrol.data._format_rows",
+                lambda *args: _format_rows(*args)
+                + b"1,2,3\r\n" * 50 * (len(forked) == failing))
+    else:
+        def send(fd, payload):
+            view = memoryview(payload).cast("B")
+            if len(forked) == failing and len(view) > 8:  # not the count
+                view = view[:len(view) // 2]
+            _send(fd, view)
+
+        monkeypatch.setattr("negcontrol.data._send", send)
+    before = _open_descriptors()
+    write_csv(data, tmp_path / "data.csv")
+    assert len(forked) == 3
+    _assert_no_leak(before)
+    assert (tmp_path / "data.csv").read_bytes() == _reference_bytes(
+        data, tmp_path)
+
+
+@needs_fork
+@needs_proc
+def test_split_write_csv_reaps_children_when_the_parent_fails(tmp_path,
+                                                              monkeypatch):
+    data = _awkward_dataset(40)
+    _force_write_split(monkeypatch, 4)
+    forked = _count_forks(monkeypatch)
+    parent = os.getpid()
+
+    def blocks(*args):
+        if os.getpid() == parent:
+            raise _ParentRangeError
+        return _row_blocks(*args)
+
+    monkeypatch.setattr("negcontrol.data._row_blocks", blocks)
+    before = _open_descriptors()
+    with pytest.raises(_ParentRangeError):
+        write_csv(data, tmp_path / "data.csv")
+    assert len(forked) == 3
+    _assert_no_leak(before)
+
+
+@needs_fork
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+def test_write_csv_to_a_pipe_forks_nothing(tmp_path, monkeypatch):
+    data = _awkward_dataset(9)
+    path = tmp_path / "fifo"
+    os.mkfifo(path)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(path.read_bytes()),
+                              daemon=True)
+    reader.start()
+    _force_write_split(monkeypatch, 4)
+    forked = _count_forks(monkeypatch)
+    try:
+        write_csv(data, path)
+    finally:
+        reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert forked == []
+    assert got == [_reference_bytes(data, tmp_path)]
+
+
+@needs_fork
+def test_split_write_csv_streams_child_bytes(tmp_path, monkeypatch):
+    # the parent copies a child's bytes through one fixed chunk; holding
+    # them whole would cost it a child's share of the file
+    data = Dataset(("a", "b", "c", "d"),
+                   np.random.default_rng(1).normal(size=(40_000, 4)))
+    _force_write_split(monkeypatch, 2)
+    # small blocks keep the parent's own formatting far below that share
+    monkeypatch.setattr("negcontrol.data._WRITE_BLOCK", 256)
+    path = tmp_path / "data.csv"
+    tracemalloc.start()
+    try:
+        write_csv(data, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    child_share = path.stat().st_size // 2
+    assert child_share > 1_000_000
+    assert peak < child_share / 4
 
 
 # ---------------------------------------------------------------------------
