@@ -440,6 +440,15 @@ def _receive(fd: int, width: int):
     return block.reshape(-1, width) if _read_into(fd, block) else None
 
 
+def _receive_bytes(fd: int) -> bytearray | None:
+    """The bytes a child sent on ``fd``, or None if they ended early."""
+    size = _payload_size(fd)
+    if size is None:
+        return None
+    payload = bytearray(size)
+    return payload if _read_into(fd, payload) else None
+
+
 def _copy_payload(fd: int, handle) -> bool:
     """Copy the bytes a child sent on ``fd`` into ``handle``,
     ``_COPY_CHUNK`` at a time, so this process never holds them all; False

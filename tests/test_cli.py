@@ -8,6 +8,7 @@ are checked against the schemas shipped in ``schema/``.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from negcontrol.aggregate import (
     majority_vote_estimate,
     weighted_estimate,
 )
-from negcontrol import simulate
+from negcontrol import simulate, study
 from negcontrol.cli import main
 from negcontrol.data import Dataset, load_csv, write_csv
 from negcontrol.pipeline import dance
@@ -452,6 +453,33 @@ def test_evaluate_byte_identical_across_runs(tmp_path):
         blobs.append(
             tuple((out_dir / f).read_bytes() for f in ("metrics.csv", "roc.csv", "failures.csv"))
         )
+    assert blobs[0] == blobs[1]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_evaluate_split_study_matches_one_process(tmp_path, monkeypatch):
+    # 36 000 rows: above the floor, so with two CPUs a child runs half
+    config = _eval_config(tmp_path, sample_sizes=[1000, 3000],
+                          replications=9)
+    assert 9 * 4000 >= 2 * study._STUDY_CHUNK
+    forks = []
+    real_fork = os.fork
+    blobs = []
+    for tag in ("forked", "one-process"):
+        with monkeypatch.context() as mp:
+            if tag == "forked":
+                mp.setattr(study, "_workers", lambda: 2)
+                mp.setattr(os, "fork",
+                           lambda: forks.append(1) or real_fork())
+            else:
+                mp.delattr(os, "fork")
+            out_dir = tmp_path / tag
+            code = main(["evaluate", "--config", str(config),
+                         "--out", str(out_dir)])
+        assert code == 0
+        blobs.append(tuple((out_dir / f).read_bytes() for f in (
+            "metrics.csv", "roc.csv", "failures.csv")))
+    assert forks == [1]
     assert blobs[0] == blobs[1]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -14,14 +15,25 @@ from negcontrol.estimate import (
 )
 from negcontrol.search import find_nc
 from negcontrol.simulate import builtin_graph, generate
+from negcontrol.data import _send
 from negcontrol.study import (
     _STREAM_DATA,
+    _STUDY_CHUNK,
     StudyConfig,
     _naive_fit,
+    _one_replication,
     _resolve_spec,
     roc_curve,
     run_study,
     write_study_outputs,
+)
+from test_data import (
+    _assert_no_leak,
+    _count_forks,
+    _no_fork,
+    _open_descriptors,
+    needs_fork,
+    needs_proc,
 )
 
 
@@ -312,3 +324,209 @@ def test_naive_fit_matches_raw_ols(simple_data, covariates):
     assert delta == pytest.approx(theta[1], rel=1e-10)
     assert se == pytest.approx(np.sqrt(var[1, 1]), rel=1e-10)
     assert (ci_low, ci_high) == (delta - 1.96 * se, delta + 1.96 * se)
+
+
+# ---------------------------------------------------------------------------
+# replications split into parts run by forked children
+# ---------------------------------------------------------------------------
+
+
+def _force_split(mp, k):
+    """Run every study in ``min(k, jobs)`` parts, whatever its size."""
+    mp.setattr("negcontrol.study._STUDY_CHUNK", 1)
+    mp.setattr("negcontrol.study._workers", lambda: k)
+
+
+def _split_config(**overrides):
+    # 10 jobs, so 4 parts hold 3, 3, 2 and 2 of them
+    return _small_config(sample_sizes=(200, 400), replications=5,
+                         **overrides)
+
+
+def _parts(config, k):
+    """The (n, replication) jobs of each of ``k`` parts, in run order."""
+    jobs = [(n, r) for n in config.sample_sizes
+            for r in range(config.replications)]
+    return [jobs[i::k] for i in range(k)]
+
+
+def _record_own_jobs(mp):
+    """The (n, replication) jobs run in this process from here on, in
+    order; a child's jobs are not recorded."""
+    parent, own = os.getpid(), []
+
+    def replication(spec, config, n, replication, **kwargs):
+        if os.getpid() == parent:
+            own.append((n, replication))
+        return _one_replication(spec, config, n, replication, **kwargs)
+
+    mp.setattr("negcontrol.study._one_replication", replication)
+    return own
+
+
+def _fingerprint(result, tmp_path):
+    """Everything a study returns that a split could change, as bytes and
+    plain values: the three output files and every detail array."""
+    paths = write_study_outputs(result, tmp_path / "out")
+    files = {name: Path(path).read_bytes() for name, path in paths.items()}
+    details = {
+        n: (detail["triples"], detail["labels"].tobytes(),
+            detail["min_p"].tobytes(), detail["found"],
+            {method: {key: array.tobytes() for key, array in arrays.items()}
+             for method, arrays in detail["estimates"].items()})
+        for n, detail in result.details.items()
+    }
+    return files, details, repr(result.auc)
+
+
+_SPLIT_VARIANTS = {
+    "triplet_fixed": {},
+    "pair_per_rep": {"random_scheme": "pair_per_rep"},
+    "triplet_per_rep": {"random_scheme": "triplet_per_rep"},
+    "majority": {"aggregate": "majority"},
+    "no-dnct": {"alpha": 0.2},  # 6 of the 10 replications fail
+}
+
+
+@pytest.fixture(scope="module")
+def serial_fingerprints(tmp_path_factory):
+    """The serial run of each split variant, and of its ROC alone."""
+    out = {}
+    for name, overrides in _SPLIT_VARIANTS.items():
+        config = _split_config(**overrides)
+        result = run_study(config)
+        out[name] = _fingerprint(result, tmp_path_factory.mktemp(name))
+        out[name, "roc"] = repr(roc_curve(config))
+    return out
+
+
+@needs_fork
+@needs_proc
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("variant", list(_SPLIT_VARIANTS))
+def test_split_study_matches_serial(tmp_path, monkeypatch,
+                                    serial_fingerprints, k, variant):
+    config = _split_config(**_SPLIT_VARIANTS[variant])
+    _force_split(monkeypatch, k)
+    forked = _count_forks(monkeypatch)
+    own = _record_own_jobs(monkeypatch)
+    before = _open_descriptors()
+    result = run_study(config)
+    assert len(forked) == k - 1
+    assert own == _parts(config, k)[0]
+    _assert_no_leak(before)
+    assert _fingerprint(result, tmp_path) == serial_fingerprints[variant]
+    # roc_curve runs the search alone through the same split
+    roc = repr(roc_curve(config))
+    assert len(forked) == 2 * (k - 1)
+    assert roc == serial_fingerprints[variant, "roc"]
+
+
+@needs_fork
+@needs_proc
+def test_split_study_runs_unforked_parts_itself(tmp_path, monkeypatch,
+                                                serial_fingerprints):
+    config = _split_config()
+    _force_split(monkeypatch, 4)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    own = _record_own_jobs(monkeypatch)
+    before = _open_descriptors()
+    result = run_study(config)
+    _assert_no_leak(before)
+    assert own == sum(_parts(config, 4), [])  # each job once
+    assert _fingerprint(result, tmp_path) == serial_fingerprints[
+        "triplet_fixed"]
+
+
+@needs_fork
+@needs_proc
+@pytest.mark.parametrize("failing", [0, 1, 2], ids=["child1", "child2",
+                                                    "child3"])
+@pytest.mark.parametrize("how", ["exit-3-after-sending", "short-payload"])
+def test_split_study_reruns_a_failed_child(tmp_path, monkeypatch,
+                                           serial_fingerprints, failing, how):
+    # the failed child's part, and no other, is run again in this process
+    config = _split_config()
+    _force_split(monkeypatch, 4)
+    forked = _count_forks(monkeypatch)
+    own = _record_own_jobs(monkeypatch)
+    if how == "exit-3-after-sending":
+        real_exit = os._exit
+        monkeypatch.setattr(os, "_exit", lambda code: real_exit(
+            3 if len(forked) == failing else code))
+    else:
+        def send(fd, payload):
+            view = memoryview(payload).cast("B")
+            if len(forked) == failing and len(view) > 8:  # not the count
+                view = view[:len(view) // 2]
+            _send(fd, view)
+
+        monkeypatch.setattr("negcontrol.data._send", send)
+    before = _open_descriptors()
+    result = run_study(config)
+    assert len(forked) == 3
+    _assert_no_leak(before)
+    parts = _parts(config, 4)
+    assert own == parts[0] + parts[failing + 1]
+    assert _fingerprint(result, tmp_path) == serial_fingerprints[
+        "triplet_fixed"]
+
+
+class _ReplicationError(Exception):
+    pass
+
+
+@needs_fork
+@needs_proc
+@pytest.mark.parametrize("raising", [(1,), (4,), (2, 4), (4, 9)],
+                         ids=["child", "parent", "child-first",
+                              "parent-first"])
+def test_split_study_raises_the_serial_exception(monkeypatch, raising):
+    # with 4 parts, jobs 0, 4 and 8 are this process's; the others are
+    # the children's.  The serial loop raises at the first raising job.
+    config = _split_config()
+    jobs = sum(_parts(config, 1), [])
+
+    def replication(spec, config, n, replication, **kwargs):
+        if jobs.index((n, replication)) in raising:
+            raise _ReplicationError(f"n={n} replication={replication}")
+        return _one_replication(spec, config, n, replication, **kwargs)
+
+    monkeypatch.setattr("negcontrol.study._one_replication", replication)
+    with pytest.raises(_ReplicationError) as serial:
+        run_study(config)
+    _force_split(monkeypatch, 4)
+    forked = _count_forks(monkeypatch)
+    before = _open_descriptors()
+    with pytest.raises(_ReplicationError) as split:
+        run_study(config)
+    assert len(forked) == 3
+    _assert_no_leak(before)
+    assert str(split.value) == str(serial.value)
+    assert str(serial.value) == "n={} replication={}".format(
+        *jobs[min(raising)])
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "config",
+    [
+        # the benchmark's warm-up: 8 000 rows
+        StudyConfig(graph="complex", strength="strong",
+                    sample_sizes=(1000, 3000), replications=2),
+        # one row short of two parts
+        StudyConfig(graph="simple", sample_sizes=(_STUDY_CHUNK,
+                                                  _STUDY_CHUNK - 1),
+                    replications=1, methods=()),
+        # the small study of the tests above
+        _small_config(),
+    ],
+    ids=["warm-up", "floor", "small"],
+)
+def test_study_under_the_floor_forks_nothing(monkeypatch, config):
+    # a fork costs more than a part of fewer than _STUDY_CHUNK rows saves
+    monkeypatch.setattr("negcontrol.study._workers", lambda: 4)
+    forks = []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or _no_fork())
+    run_study(config)
+    assert forks == []
