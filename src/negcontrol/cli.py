@@ -15,7 +15,10 @@ controlled by ``--seed``; repeated invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
+import stat
 import sys
 from dataclasses import fields
 
@@ -57,14 +60,33 @@ def _name_list(text: str) -> list[str]:
     return names
 
 
-def _emit(text: str, out: str | None) -> None:
-    """Write a subcommand's JSON text and a newline to ``out`` or stdout."""
-    text += "\n"
+def _emit(write_json, out: str | None) -> None:
+    """Stream a subcommand's JSON and a newline to ``out`` or stdout:
+    ``write_json`` is called with the handle's ``write`` and hands it the
+    text in pieces.  When it raises, a regular file it left partly written
+    at ``out`` is removed before the error goes on; a link or a device,
+    such as ``/dev/stdout``, is left alone."""
     if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as handle:
-            handle.write(text)
+        write_json(sys.stdout.write)
+        sys.stdout.write("\n")
+        return
+    handle = open(out, "w")
+    try:
+        with handle:
+            write_json(handle.write)
+            handle.write("\n")
+    except BaseException:
+        with contextlib.suppress(OSError):
+            if stat.S_ISREG(os.lstat(out).st_mode):
+                os.remove(out)
+        raise
+
+
+def _text(doc):
+    """A ``write_json`` for ``_emit`` that writes ``doc`` as
+    ``json.dumps`` with ``indent=2, sort_keys=True`` gives it."""
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    return lambda write: write(text)
 
 
 def _candidates(data, args) -> list[str]:
@@ -85,8 +107,8 @@ def _cmd_find(args) -> int:
         args.outcome,
         alpha=args.alpha,
     )
-    _emit(report.to_json(), args.out)
-    return _EXIT_OK if report.dncts else _EXIT_NO_DNCT
+    _emit(report._write_json, args.out)
+    return _EXIT_OK if report.passed.any() else _EXIT_NO_DNCT
 
 
 def _cmd_estimate(args) -> int:
@@ -105,8 +127,7 @@ def _cmd_estimate(args) -> int:
         estimate = gmm_linear_ate(
             data, pair, args.treatment, args.outcome, covariates
         )
-    _emit(json.dumps(estimate.to_json_dict(), indent=2, sort_keys=True),
-          args.out)
+    _emit(_text(estimate.to_json_dict()), args.out)
     return _EXIT_OK
 
 
@@ -124,7 +145,7 @@ def _cmd_dance(args) -> int:
         bootstrap_draws=args.boot_b,
         seed=args.seed,
     )
-    _emit(result.to_json(), args.out)
+    _emit(result._write_json, args.out)
     return _EXIT_OK if result.estimate is not None else _EXIT_NO_DNCT
 
 
@@ -156,7 +177,7 @@ def _cmd_simulate(args) -> int:
             "seed": args.seed,
             "data_path": args.out,
         }
-        _emit(json.dumps(manifest, indent=2, sort_keys=True), args.manifest)
+        _emit(_text(manifest), args.manifest)
     return _EXIT_OK
 
 

@@ -8,6 +8,7 @@ comes back empty, so callers can branch on "no valid negative controls").
 """
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 
@@ -43,14 +44,22 @@ class DanceResult:
 
     def to_json(self) -> str:
         """``json.dumps(self.to_json_dict(), indent=2, sort_keys=True)``,
-        with the search report written by ``FindNcReport.to_json``."""
+        written by the streaming writer."""
+        text = io.StringIO()
+        self._write_json(text.write)
+        return text.getvalue()
+
+    def _write_json(self, write) -> None:
+        """Stream ``to_json`` to ``write``, the search report in the
+        blocks of ``FindNcReport``'s writer."""
         estimate = (
             "null" if self.estimate is None
             else json.dumps(self.estimate.to_json_dict(), indent=2,
                             sort_keys=True).replace("\n", "\n  ")
         )
-        return (f'{{\n  "estimate": {estimate},\n'
-                f'  "find": {self.report._json("  ")}\n}}')
+        write(f'{{\n  "estimate": {estimate},\n  "find": ')
+        self.report._write_json(write, "  ")
+        write("\n}")
 
 
 def dance(

@@ -21,7 +21,7 @@ from negcontrol.aggregate import (
     majority_vote_estimate,
     weighted_estimate,
 )
-from negcontrol import simulate, study
+from negcontrol import search, simulate, study
 from negcontrol.cli import main
 from negcontrol.data import Dataset, load_csv, write_csv
 from negcontrol.pipeline import dance
@@ -410,6 +410,75 @@ def test_dance_file_equals_json_dumps(tmp_path, golden_csvs, dataset,
     assert code == (3 if variant == "no-triple" else 0)
     assert (result.estimate is None) == (variant == "no-triple")
     assert out.read_bytes() == _golden(result.to_json_dict())
+
+
+@pytest.mark.parametrize("block", [1, 3, search._JSON_BLOCK])
+def test_find_and_dance_stream_what_to_json_gives(tmp_path, golden_csvs,
+                                                  capsys, monkeypatch, block):
+    monkeypatch.setattr(search, "_JSON_BLOCK", block)
+    path = golden_csvs["constant"]
+    data = load_csv(path)
+    candidates = [n for n in data.variable_names if n not in ("T", "O")]
+    expected = {"find": find_nc(data, candidates, "T", "O").to_json(),
+                "dance": dance(data, "T", "O").to_json()}
+    for command, text in expected.items():
+        argv = [command, "--data", str(path), "--treatment", "T",
+                "--outcome", "O"]
+        out = tmp_path / f"{command}.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == (text + "\n").encode()
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == text + "\n"
+
+
+def _fail_after_first_block(monkeypatch, error):
+    """Make the report writer raise ``error`` once its first block of one
+    triple has gone to the output."""
+    monkeypatch.setattr(search, "_JSON_BLOCK", 1)
+    fields = search.FindNcReport._verdict_fields
+    calls = []
+
+    def failing(self, *args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise error
+        return fields(self, *args)
+
+    monkeypatch.setattr(search.FindNcReport, "_verdict_fields", failing)
+    return calls
+
+
+@pytest.mark.parametrize("error, code", [(ValueError("bad"), 2),
+                                         (OSError("disk full"), 1)])
+@pytest.mark.parametrize("command", ["find", "dance"])
+def test_failed_stream_leaves_no_partial_file(tmp_path, golden_csvs, capsys,
+                                              monkeypatch, command, error,
+                                              code):
+    out = tmp_path / "report.json"
+    out.write_text("an earlier report")
+    calls = _fail_after_first_block(monkeypatch, error)
+    assert main([command, "--data", str(golden_csvs["simple"]),
+                 "--treatment", "T", "--outcome", "O",
+                 "--out", str(out)]) == code
+    assert len(calls) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_failed_stream_leaves_a_linked_output_alone(tmp_path, golden_csvs,
+                                                    monkeypatch):
+    # a link such as /dev/stdout is never removed, only the file it names
+    # is left as far as it was written
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("")
+    link.symlink_to(target)
+    _fail_after_first_block(monkeypatch, ValueError("bad"))
+    assert main(["find", "--data", str(golden_csvs["simple"]),
+                 "--treatment", "T", "--outcome", "O",
+                 "--out", str(link)]) == 2
+    assert link.is_symlink()
+    assert target.read_text().startswith("{\n")
 
 
 # ---------------------------------------------------------------------------

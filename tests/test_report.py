@@ -1,4 +1,4 @@
-"""Tests for the columnar search report: its direct JSON writer, the
+"""Tests for the columnar search report: its streamed JSON writer, the
 verdict objects it builds on demand, and its equality."""
 
 from __future__ import annotations
@@ -6,13 +6,16 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import tracemalloc
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from negcontrol import search
 from negcontrol.pipeline import DanceResult
 from negcontrol.search import FindNcReport, find_nc
 
@@ -104,6 +107,87 @@ def test_numpy_scalars_print_as_json_numbers(simple_data):
     assert text == _reference(report.to_json_dict())
     assert text == plain.to_json()
     assert report == plain
+
+
+# ---------------------------------------------------------------------------
+# the streamed writer: block boundaries and memory
+# ---------------------------------------------------------------------------
+
+_BLOCKS = (1, 2, 3, 7)
+
+
+def _assert_matches_json_dumps(report):
+    assert report.to_json() == _reference(report.to_json_dict())
+    nested = DanceResult(report=report, estimate=None)
+    assert nested.to_json() == _reference(nested.to_json_dict())
+
+
+@pytest.mark.parametrize("block", _BLOCKS)
+@settings(max_examples=25, deadline=None)
+@given(report=_reports())
+def test_to_json_matches_json_dumps_at_every_block_size(block, report):
+    with mock.patch.object(search, "_JSON_BLOCK", block):
+        _assert_matches_json_dumps(report)
+
+
+def _random_report(k: int, seed: int = 0) -> FindNcReport:
+    """A hand-built report over ``k`` candidates with non-ASCII names, in
+    which most triples pass and some sub-tests are inapplicable."""
+    rng = np.random.default_rng(seed)
+    names = [f"Z{i}é" for i in range(k)]
+    triples = np.array(list(combinations(range(k), 3)), dtype=np.intp)
+    shape = (len(triples), 6)
+    p, w = rng.random(shape), rng.normal(size=shape)
+    inapplicable = rng.random(shape) < 0.05
+    p[inapplicable], w[inapplicable] = 0.0, np.inf
+    return FindNcReport("T", "O", 0.01, names, triples,
+                        rng.normal(size=shape), rng.random(shape), w, p)
+
+
+@pytest.mark.parametrize("block", [*_BLOCKS, search._JSON_BLOCK])
+def test_to_json_when_blocks_do_not_divide_the_triples(block):
+    report = _random_report(6)  # 20 triples
+    assert 0 < report.passed.sum() < 20
+    with mock.patch.object(search, "_JSON_BLOCK", block):
+        _assert_matches_json_dumps(report)
+
+
+@pytest.mark.parametrize("block", [*_BLOCKS, search._JSON_BLOCK])
+def test_to_json_without_triples(block):
+    empty = np.empty((0, 6))
+    report = FindNcReport("T", "O", 0.5, ("A", "B"),
+                          np.empty((0, 3), dtype=np.intp),
+                          empty, empty, empty, empty)
+    with mock.patch.object(search, "_JSON_BLOCK", block):
+        _assert_matches_json_dumps(report)
+        doc = json.loads(report.to_json())
+    assert doc["dncts"] == [] and doc["verdicts"] == []
+    assert '"dncts": [],' in report.to_json()
+
+
+def _streamed_peak(report) -> tuple[int, int, int]:
+    """Traced peak memory of streaming ``report`` into a sink that keeps
+    only the lengths it receives; also the longest piece and the total."""
+    lengths = []
+    tracemalloc.start()
+    try:
+        report._write_json(lambda text: lengths.append(len(text)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, max(lengths), sum(lengths)
+
+
+def test_streamed_memory_does_not_grow_with_the_report():
+    small, large = _random_report(26), _random_report(34)  # 2 600, 5 984
+    assert len(small.triples) >= 8 * search._JSON_BLOCK
+    small_peak, block, small_total = _streamed_peak(small)
+    large_peak, _, large_total = _streamed_peak(large)
+    assert large_total > 2 * small_total
+    for peak, total in ((small_peak, small_total), (large_peak, large_total)):
+        assert peak < 4 * block
+        assert peak < total / 2
+    assert large_peak < 1.25 * small_peak
 
 
 # ---------------------------------------------------------------------------
