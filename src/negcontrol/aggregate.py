@@ -27,7 +27,6 @@ from .errors import (
     SingularMomentMatrixError,
 )
 from .estimate import (
-    DELTA_INDEX,
     AteEstimate,
     NcPair,
     _fit_stack,
@@ -35,6 +34,7 @@ from .estimate import (
     _pair_estimate,
     _solve_centred,
     _stacked_columns,
+    _weighted_delta,
     gmm_linear_ate,
 )
 from .search import canonical_triple
@@ -88,14 +88,30 @@ def enumerate_pairs(dncts) -> PairFrequencyTable:
     triples = [canonical_triple(t) for t in dncts]
     if not triples:
         raise EmptyDnctListError("no validated triplets to aggregate")
-    counts: dict[tuple[str, str], int] = {}
-    for x, y, z in triples:
-        for a, b in ((x, y), (y, x), (x, z), (z, x), (y, z), (z, y)):
-            counts[(a, b)] = counts.get((a, b), 0) + 1
+    names = sorted({name for triple in triples for name in triple})
+    index = {name: i for i, name in enumerate(names)}
+    counts = _pair_counts(
+        np.array([[index[name] for name in t] for t in triples]), len(names)
+    )
     entries = tuple(
-        (NcPair(z=a, w=b), counts[(a, b)]) for a, b in sorted(counts)
+        (NcPair(z=names[a], w=names[b]), int(counts[a, b]))
+        for a, b in zip(*np.nonzero(counts))
     )
     return PairFrequencyTable(entries=entries)
+
+
+# the ordered pairs (0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1) of a
+# triple's positions
+_ORDERED_PAIRS = np.array([[0, 1, 0, 2, 1, 2], [1, 0, 2, 0, 2, 1]])
+
+
+def _pair_counts(rows: np.ndarray, c: int) -> np.ndarray:
+    """The (c, c) matrix of how many of the triples ``rows``, a (D, 3)
+    array of distinct indices below ``c``, hold each ordered pair.  Read
+    row by row, its nonzero entries are the pairs of ``enumerate_pairs``
+    in its order when the indices follow the names' order."""
+    z, w = rows.T[_ORDERED_PAIRS]
+    return np.bincount((z * c + w).ravel(), minlength=c * c).reshape(c, c)
 
 
 @dataclass(frozen=True)
@@ -190,7 +206,7 @@ def _bootstrap_se(
                 beta, _ = _solve_centred(moments, *layout)
             except SingularMomentMatrixError:
                 continue
-            return float(weights @ beta[:, DELTA_INDEX - 1].copy())
+            return _weighted_delta(weights, beta)
         raise BootstrapDegenerateError(
             f"bootstrap slot {slot} failed {_BOOT_RETRIES_PER_SLOT} times"
         )
@@ -224,8 +240,8 @@ def weighted_estimate(
     layout = _stacked_columns(data, pairs, treatment, outcome, covariates)
     # each pair's SE and that of the weighted average, omega' V omega with
     # the cross-pair covariance included
-    alpha0, beta, ses, weighted_se, xc, local = _fit_stack(
-        data, layout, weights, pairs=pairs
+    alpha0, beta, ses, delta_hat, weighted_se, xc, local = _fit_stack(
+        data._centred, layout, weights, pairs=pairs
     )
     per_pair = tuple(
         (pair, _pair_estimate(pair, a0, slopes, se), float(weight))
@@ -233,8 +249,6 @@ def weighted_estimate(
             pairs, alpha0, beta, ses, weights
         )
     )
-    # dot a contiguous copy: BLAS sums a strided column in another order
-    delta_hat = float(weights @ beta[:, DELTA_INDEX - 1].copy())
     if ci_method == "sandwich":
         se = weighted_se
         ci_low, ci_high = _interval(delta_hat, se)

@@ -68,9 +68,9 @@ _WRITE_BLOCK = 8192  # rows per tolist() in write_csv
 # a 150 MB process: the fork copies its page tables)
 _FORMAT_CHUNK = 1 << 15
 _COPY_CHUNK = 1 << 16  # bytes per read of a child's pipe in write_csv
-# bytes per np.loadtxt call, and the body per forked process: a 4 MiB
-# body parses in 28 ms as two ranges against 40 ms as one (2 vCPUs)
-_PARSE_CHUNK = 2 << 20
+# bytes per np.loadtxt call, and the body per forked process: a 3 MiB
+# body parses in 20 ms as two ranges against 25 ms as one (2 vCPUs)
+_PARSE_CHUNK = 1 << 20
 
 
 def _build_index(names: tuple[str, ...]) -> dict[str, int]:
@@ -136,22 +136,30 @@ class Dataset:
 
     @cached_property
     def _centred(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every column centred, the column means and the cross products
-        ``xc.T @ xc``: the one second-moment statistic of the dataset.
-
-        Formed on first use and read-only, so every caller shares one
-        copy.  The second pass removes what rounding left of the means, so
-        a constant column centres to zero and stays singular next to
-        columns with large offsets."""
-        means = self.values.mean(axis=0)
-        xc = self.values - means
-        residue = xc.mean(axis=0)
-        xc -= residue
-        means += residue
-        gram = xc.T @ xc
-        for array in (xc, means, gram):
+        """``_centre`` of the values: the one second-moment statistic of
+        the dataset, formed on first use and read-only, so every caller
+        shares one copy."""
+        centred = _centre(self.values)
+        for array in centred:
             array.flags.writeable = False
-        return xc, means, gram
+        return centred
+
+
+def _centre(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every column of the (..., n, p) ``values`` centred, the column means
+    (..., p) and the cross products ``xc.T @ xc`` (..., p, p), of each
+    matrix of a stack alike; each matrix's results have the bits it has
+    alone.
+
+    The second pass removes what rounding left of the means, so a constant
+    column centres to zero and stays singular next to columns with large
+    offsets."""
+    means = values.mean(axis=-2)
+    xc = values - means[..., None, :]
+    residue = xc.mean(axis=-2)
+    xc -= residue[..., None, :]
+    means += residue
+    return xc, means, np.matmul(xc.swapaxes(-1, -2), xc)
 
 
 @dataclass(frozen=True)
@@ -200,10 +208,11 @@ def load_csv(path) -> Dataset:
 
     The body after the header is cut at line ends into ``k`` byte ranges of
     about equal size, ``k`` the smaller of the CPUs this process may use and
-    the body's size in ``_PARSE_CHUNK`` units (at least one).  Ranges after
-    the first are parsed by forked children, which send their rows back over
-    pipes, while this process parses the first; below two chunks, from a
-    pipe, or where ``os.fork`` is missing, the one range is parsed here.
+    the body's size in ``_PARSE_CHUNK`` (1 MiB) units, at least one.  Ranges
+    after the first are parsed by forked children, which send their rows
+    back over pipes, while this process parses the first; below two chunks
+    (2 MiB), from a pipe, or where ``os.fork`` is missing, the one range is
+    parsed here.
     A pipe is read once, whole, and both parsers below read those bytes.
     Every range is parsed by ``np.loadtxt`` a chunk at a time, and kept
     only when it parsed every line into one finite value per header name.
@@ -597,8 +606,15 @@ def covariance(data: Dataset) -> CovMatrix:
     centred cross products times 1 / (n - 1), symmetrised."""
     if data.n < 2:
         raise TooFewSamplesError("covariance requires at least 2 rows")
-    raw = data._centred[2] * (1.0 / (data.n - 1))
-    return CovMatrix(data.variable_names, (raw + raw.T) / 2.0)
+    return CovMatrix(data.variable_names,
+                     _covariance_entries(data._centred[2], data.n))
+
+
+def _covariance_entries(gram: np.ndarray, n: int) -> np.ndarray:
+    """The cross products ``gram`` (..., p, p) of samples of ``n`` rows
+    times 1 / (n - 1), symmetrised: each matrix of a stack alike."""
+    raw = gram * (1.0 / (n - 1))
+    return (raw + raw.swapaxes(-1, -2)) / 2.0
 
 
 def sub_determinant(cov: CovMatrix, rows, cols) -> float:

@@ -39,9 +39,15 @@ the slope's row of its inverse.  Per-system SEs are the column norms of
 psi over n and the weighted sandwich SE is |psi @ w| / n; both are summed
 over fixed row blocks in ``_sandwich_se``, so no n x P matrix is ever
 formed.
+
+``_solve_centred``, ``_sandwich_se`` and ``_fit_stack`` also take a stack
+of R datasets' statistics on a leading axis, all solved for the same
+systems: a study pass fits its replications' naive and fixed-triplet
+systems so.  Each dataset of a stack gets the bits it gets alone.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,97 +216,142 @@ def _stacked_columns(
     return qs, ms, layouts[0][2]
 
 
-def _used_columns(data: Dataset, layout):
-    """The centred columns a stacked ``layout`` reads and the layout
-    renumbered to their positions.  If the pairs read every column the
-    dataset's copy is used as is; otherwise theirs are copied once, so the
-    GEMMs and the draws do not grow with the columns no pair reads."""
+def _used_columns(xc: np.ndarray, layout):
+    """The centred columns of ``xc`` (..., n, p) that a stacked ``layout``
+    reads and the layout renumbered to their positions.  If the systems
+    read every column ``xc`` is used as is; otherwise theirs are copied
+    once, so the GEMMs and the draws do not grow with the columns no system
+    reads."""
     qs, ms, y = layout
     used = np.unique(np.concatenate([qs.ravel(), ms.ravel(), [y]]))
-    xc = data._centred[0]
-    if len(used) == xc.shape[1]:
+    if len(used) == xc.shape[-1]:
         return xc, layout
     qs, ms, y = (np.searchsorted(used, pos) for pos in (qs, ms, y))
-    return xc[:, used], (qs, ms, int(y))
+    return xc[..., used], (qs, ms, int(y))
 
 
 def _solve_centred(
-    moments: np.ndarray, qs, ms, y: int, pairs=None
+    moments: np.ndarray, qs, ms, y: int, pairs=None, errors=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve the P systems ``moments[qs[k], ms[k]] beta_k = moments[qs[k],
     y]`` of a centred second-moment matrix ``moments`` in one stacked pass;
     returns beta (P, d) and the inverses (P, d, d).
     SingularMomentMatrixError names the first of ``pairs`` whose
     correlation-scale system ``moments[q, m] / outer(sd_q, sd_m)`` has a
-    condition number that is not finite or above 1e12."""
+    condition number that is not finite or above 1e12.
+
+    ``moments`` may be a stack (R, p, p) of such matrices, all solved for
+    the same systems: beta is then (R, P, d), the inverses (R, P, d, d),
+    and each matrix's results have the bits they have alone.  Given a list
+    ``errors``, nothing is raised: each matrix's error, or None, is
+    appended to it, and its failing systems are solved as identities."""
     qs, ms = np.asarray(qs), np.asarray(ms)
-    sd = np.sqrt(np.diag(moments))
+    sd = np.sqrt(np.diagonal(moments, axis1=-2, axis2=-1))
     sd[sd == 0.0] = 1.0
-    sd_q, sd_m = sd[qs], sd[ms]
-    corr = moments[qs[:, :, None], ms[:, None, :]] / (
-        sd_q[:, :, None] * sd_m[:, None, :]
+    sd_q, sd_m = sd[..., qs], sd[..., ms]
+    corr = moments[..., qs[:, :, None], ms[:, None, :]] / (
+        sd_q[..., :, None] * sd_m[..., None, :]
     )
     cond = np.linalg.cond(corr)
-    failed = np.flatnonzero(~(cond <= _COND_LIMIT))  # NaN as well
-    if failed.size:
-        k = failed[0]
-        raise SingularMomentMatrixError(
-            "correlation-scale moment matrix is singular or near-singular",
-            cond=float(cond[k]),
-            pair=None if pairs is None else pairs[k],
-        )
-    inv = np.linalg.inv(corr) / (sd_m[:, :, None] * sd_q[:, None, :])
+    failed = ~(cond <= _COND_LIMIT)  # NaN as well
+    found = [None] * (cond.size // len(qs))
+    for member, k in zip(*np.nonzero(failed.reshape(len(found), -1))):
+        if found[member] is None:  # the member's first failing system
+            found[member] = SingularMomentMatrixError(
+                "correlation-scale moment matrix is singular or "
+                "near-singular",
+                cond=float(cond.reshape(len(found), -1)[member, k]),
+                pair=None if pairs is None else pairs[k],
+            )
+    if errors is None:
+        for error in found:
+            if error is not None:
+                raise error
+    else:
+        errors += found
+        if failed.any():
+            corr[failed] = np.eye(len(ms[0]))
+    inv = np.linalg.inv(corr) / (sd_m[..., :, None] * sd_q[..., None, :])
     # a stacked matmul, not einsum, so each beta has a lone solve's bits
-    return (inv @ moments[qs, y][:, :, None])[:, :, 0], inv
+    return (inv @ moments[..., qs, y][..., None])[..., 0], inv
 
 
 def _sandwich_se(xc, layout, beta, inv, j: int, weights):
-    """Each system's sandwich SE of beta[:, j] and that of their
+    """Each system's sandwich SE of beta[..., j] and that of their
     ``weights`` average, from ``psi = (xc @ B) * (xc @ C)``: column k of B
     holds system k's residual weights and column k of C its row j of the
     inverse.  The column norms over n of psi, and the norm over n of
     ``psi @ weights``, are summed over blocks of ``_ROW_BLOCK`` rows, so
-    no n x P matrix is formed.
+    no n x P matrix is formed.  Both products of a block are written into
+    one buffer allocated once per call.
 
-    A lone system is padded with an empty second one: numpy and BLAS then
-    run the kernels of a wider stack, whose columns do not depend on the
-    others, so a system's SE has the same bits in every stack."""
+    ``xc`` may be a stack (R, n, p) of centred columns, one per dataset,
+    with beta (R, P, d) and the inverses (R, P, d, d) of its systems; the
+    SEs are then (R, P) and (R,), and each dataset's have the bits they
+    have alone.  A lone system is padded with an empty second one: numpy
+    and BLAS then run the kernels of a wider stack, whose columns do not
+    depend on the others, so a system's SE has the same bits in every
+    stack."""
     qs, ms, y = layout
-    n, p = xc.shape[0], len(beta)
+    *stack, n, width = xc.shape
+    p = beta.shape[-2]
     cols = np.arange(p)[:, None]
     # the roles are distinct, so y is none of a system's regressors
-    resid = np.zeros((xc.shape[1], max(p, 2)))
-    resid[y] = 1.0
-    resid[ms, cols] = -beta
+    resid = np.zeros((*stack, width, max(p, 2)))
+    resid[..., y, :] = 1.0
+    resid[..., ms, cols] = -beta
     instr = np.zeros_like(resid)
-    instr[qs, cols] = inv[:, j]
-    sumsq = np.zeros(resid.shape[1])
-    total = 0.0
+    instr[..., qs, cols] = inv[..., j, :]
+    sumsq = np.zeros((*stack, resid.shape[-1]))
+    total = np.zeros(stack)
+    # a row of every dataset's psi, and the rows of one block
+    row = math.prod(stack) * resid.shape[-1]
+    buffer = np.empty(2 * row * min(n, _ROW_BLOCK))
     for start in range(0, n, _ROW_BLOCK):
-        rows = xc[start:start + _ROW_BLOCK]
-        psi = rows @ resid
-        psi *= rows @ instr
-        sumsq += np.einsum("ij,ij->j", psi, psi)
-        influence = psi[:, :p] @ weights
-        total += influence @ influence
-    return np.sqrt(sumsq[:p]) / n, float(np.sqrt(total)) / n
+        rows = xc[..., start:start + _ROW_BLOCK, :]
+        size = row * rows.shape[-2]
+        shape = (*stack, rows.shape[-2], resid.shape[-1])
+        psi = np.matmul(rows, resid, out=buffer[:size].reshape(shape))
+        psi *= np.matmul(rows, instr,
+                         out=buffer[size:2 * size].reshape(shape))
+        sumsq += np.einsum("...ij,...ij->...j", psi, psi)
+        influence = psi[..., :p] @ weights
+        total += (influence[..., None, :] @ influence[..., None])[..., 0, 0]
+    # a float, or a list of one per dataset
+    return np.sqrt(sumsq[..., :p]) / n, (np.sqrt(total) / n).tolist()
 
 
-def _fit_stack(data: Dataset, layout, weights, j: int = DELTA_INDEX - 1,
-               pairs=None):
-    """The stacked fit on the centred moments of ``data`` with ``layout =
-    (qs, ms, y)`` column positions, and its sandwich SEs: alpha0 (P,), the
-    slopes beta (P, d), each system's SE of beta[:, j] (by default delta,
-    as beta = (alpha1, delta, bx) has no alpha0), the SE of their
-    ``weights`` average, and the centred columns the systems read with the
-    layout renumbered to them (``_used_columns``)."""
-    _, means, gram = data._centred
+def _weighted_delta(weights, beta, j: int = DELTA_INDEX - 1):
+    """The ``weights`` average of beta[..., j]: a float, or one per
+    matrix of a stack, each with the bits it has alone."""
+    # dot a contiguous copy: BLAS sums a strided column in another order
+    if beta.ndim == 2:
+        return float(weights @ beta[:, j].copy())
+    return [_weighted_delta(weights, member, j) for member in beta]
+
+
+def _fit_stack(centred, layout, weights, j: int = DELTA_INDEX - 1,
+               pairs=None, errors=None):
+    """The stacked fit on the centred statistic ``centred = (xc, means,
+    gram)`` of a dataset (``Dataset._centred``) with ``layout = (qs, ms,
+    y)`` column positions, and its sandwich SEs: alpha0 (P,), the slopes
+    beta (P, d), each system's SE of beta[:, j] (by default delta, as
+    beta = (alpha1, delta, bx) has no alpha0), the ``weights`` average of
+    beta[:, j] and its SE, and the centred columns the systems read with
+    the layout renumbered to them (``_used_columns``).
+
+    ``centred`` may hold a stack of R datasets of one size (``data._centre``
+    of an (R, n, p) array); every result then gains a leading axis of R,
+    and ``errors`` is as for ``_solve_centred``."""
+    xc, means, gram = centred
     qs, ms, y = layout
-    beta, inv = _solve_centred(gram / data.n, qs, ms, y, pairs)
-    alpha0 = means[y] - (means[ms][:, None, :] @ beta[:, :, None])[:, 0, 0]
-    xc, local = _used_columns(data, layout)
-    ses, weighted_se = _sandwich_se(xc, local, beta, inv, j, weights)
-    return alpha0, beta, ses, weighted_se, xc, local
+    beta, inv = _solve_centred(gram / xc.shape[-2], qs, ms, y, pairs, errors)
+    alpha0 = means[..., y, None] - (
+        means[..., ms][..., None, :] @ beta[..., :, None])[..., 0, 0]
+    used, local = _used_columns(xc, layout)
+    ses, weighted_se = _sandwich_se(used, local, beta, inv, j, weights)
+    return (alpha0, beta, ses, _weighted_delta(weights, beta, j),
+            weighted_se, used, local)
 
 
 def design_matrices(
@@ -414,5 +465,6 @@ def gmm_linear_ate(
     floating-point precision.
     """
     layout = _stacked_columns(data, [pair], treatment, outcome, covariates)
-    alpha0, beta, ses, *_ = _fit_stack(data, layout, np.ones(1), pairs=[pair])
+    alpha0, beta, ses, *_ = _fit_stack(data._centred, layout, np.ones(1),
+                                       pairs=[pair])
     return _pair_estimate(pair, alpha0[0], beta[0], ses[0])

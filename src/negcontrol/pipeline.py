@@ -96,26 +96,15 @@ def dance(
     report = find_nc(data, candidates, treatment, outcome, alpha=alpha)
     if not report.dncts:
         return DanceResult(report=report, estimate=None)
-    estimate = _aggregate(
-        data, report.dncts, treatment, outcome, covariates, aggregate,
-        ci_method=ci_method, bootstrap_draws=bootstrap_draws,
-        bootstrap_ci=bootstrap_ci, seed=seed,
-    )
-    return DanceResult(report=report, estimate=estimate)
-
-
-def _aggregate(
-    data: Dataset, dncts, treatment: str, outcome: str, covariates,
-    aggregate: str, **interval,
-) -> AggregateResult:
-    """The pairs of the triplets ``dncts`` aggregated by ``aggregate``:
-    "majority" or "weighted", the latter with ``interval`` options of
-    ``weighted_estimate``."""
-    table = enumerate_pairs(dncts)
+    table = enumerate_pairs(report.dncts)
     if aggregate == "majority":
-        return majority_vote_estimate(
+        estimate = majority_vote_estimate(
             data, table, treatment, outcome, covariates
         )
-    return weighted_estimate(
-        data, table, treatment, outcome, covariates, **interval
-    )
+    else:
+        estimate = weighted_estimate(
+            data, table, treatment, outcome, covariates, ci_method=ci_method,
+            bootstrap_draws=bootstrap_draws, bootstrap_ci=bootstrap_ci,
+            seed=seed,
+        )
+    return DanceResult(report=report, estimate=estimate)

@@ -39,7 +39,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .data import CovMatrix, Dataset, covariance
-from .errors import TooFewCandidatesError
+from .errors import TooFewCandidatesError, UnknownVariableError
 from .tetrad import TetradResult, TetradSpec, _wishart_batch
 
 __all__ = [
@@ -356,6 +356,20 @@ class FindNcReport:
         )
 
 
+def _quads(index_of, names, triples: np.ndarray, treatment: str,
+           outcome: str) -> np.ndarray:
+    """The (6 T, 4) column positions, by ``index_of``, of the six sub-tests
+    of every row of ``triples``, a (T, 3) array of increasing indices into
+    the sorted ``names``."""
+    members = np.array([index_of(name) for name in names],
+                       dtype=np.intp)[triples]
+    quads = np.empty((len(triples), 6, 4), dtype=np.intp)
+    quads[:, :, :3] = members[:, np.array(_PAIR_ROWS * 2)]
+    quads[:, :3, 3] = index_of(treatment)
+    quads[:, 3:, 3] = index_of(outcome)
+    return quads.reshape(-1, 4)
+
+
 def _scan(
     cov: CovMatrix,
     n: int,
@@ -367,15 +381,10 @@ def _scan(
 ) -> FindNcReport:
     """The six sub-tests of every row of ``triples``, a (T, 3) array of
     increasing indices into the sorted ``names``, as one report."""
-    members = np.array([cov.index_of(name) for name in names],
-                       dtype=np.intp)[triples]
-    quads = np.empty((len(triples), 6, 4), dtype=np.intp)
-    quads[:, :, :3] = members[:, np.array(_PAIR_ROWS * 2)]
-    quads[:, :3, 3] = cov.index_of(treatment)
-    quads[:, 3:, 3] = cov.index_of(outcome)
+    quads = _quads(cov.index_of, names, triples, treatment, outcome)
     d_hat, sigma_hat, w, p = (
         column.reshape(-1, 6)
-        for column in _wishart_batch(cov, quads.reshape(-1, 4), n, alpha)
+        for column in _wishart_batch(cov, quads, n, alpha)
     )
     return FindNcReport(
         treatment=treatment,
@@ -425,6 +434,18 @@ def find_nc(
     ValueError
         Candidates overlapping treatment/outcome, or alpha outside (0, 1).
     """
+    names, triples, alpha = _search_plan(
+        data.variable_names, candidates, treatment, outcome, data.n, alpha)
+    return _scan(covariance(data), data.n, names, triples, treatment,
+                 outcome, alpha)
+
+
+def _search_plan(variables, candidates, treatment: str, outcome: str,
+                 n: int, alpha: float | None):
+    """``find_nc``'s checks of its arguments, for a dataset of ``n`` rows
+    whose columns are named ``variables``: the sorted candidates, every
+    triple of them as a (T, 3) array of increasing indices, and alpha as
+    a float, 1/n by default."""
     candidates = sorted(candidates)
     if len(set(candidates)) != len(candidates):
         raise ValueError("candidate names must be unique")
@@ -437,13 +458,12 @@ def find_nc(
     if treatment == outcome:
         raise ValueError("treatment and outcome must differ")
     for name in (treatment, outcome, *candidates):
-        data.index_of(name)  # raises UnknownVariableError
-    n = data.n
+        if name not in variables:
+            raise UnknownVariableError(name)
     if alpha is None:
         alpha = 1.0 / n
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     triples = np.array(list(combinations(range(len(candidates)), 3)),
                        dtype=np.intp)
-    return _scan(covariance(data), n, tuple(candidates), triples, treatment,
-                 outcome, float(alpha))
+    return tuple(candidates), triples, float(alpha)

@@ -315,31 +315,46 @@ def generate(
     ``include_latent`` is set (handy for diagnostics).  Column order is
     treatment, outcome, then candidates in node order.
     """
+    names, values = _generate_stack(spec, n, [seed], include_latent)
+    return Dataset(names, values[0])
+
+
+def _generate_stack(spec: GraphSpec, n: int, seeds,
+                    include_latent: bool = False):
+    """``generate``'s column names and the (R, n, k) values of one sample
+    per seed of ``seeds``, each drawn from its own stream as ``generate``
+    draws it alone.  The values are not checked for finiteness."""
     if not spec.is_realized():
         raise GraphSpecError("realize coefficients before generating data")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    rng = np.random.default_rng(seed)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     values: dict[str, np.ndarray] = {}
     intercept = spec.noise.get("intercept", _BINARY_INTERCEPT)
     for node in _topological_order(spec):
-        linear = np.zeros(n)
+        linear = np.zeros((len(rngs), n))
         for e in spec.parents_of(node):
             linear = linear + e.coeff * values[e.parent]
+        draws = np.empty((len(rngs), n))
         if spec.family == "gaussian":
-            values[node] = linear + rng.normal(0.0, spec.noise[node], size=n)
+            # rng.normal(0.0, sd) draws the same 0.0 + sd * z; adding the
+            # +0.0 only turns a -0.0 into +0.0, as adding linear then does
+            for row, rng in zip(draws, rngs):
+                rng.standard_normal(out=row)
+            draws *= spec.noise[node]
+            values[node] = linear + draws
         else:
             if node == spec.latent:
                 prob = np.full(n, 0.5)
             else:
                 prob = _sigmoid(intercept + linear)
-            values[node] = (rng.random(n) < prob).astype(float)
+            for row, rng in zip(draws, rngs):
+                rng.random(out=row)
+            values[node] = (draws < prob).astype(float)
     columns = [spec.treatment, spec.outcome, *spec.candidates]
     if include_latent:
         columns.append(spec.latent)
-    return Dataset(
-        tuple(columns), np.column_stack([values[c] for c in columns])
-    )
+    return tuple(columns), np.stack([values[c] for c in columns], axis=-1)
 
 
 def _reachable(spec: GraphSpec) -> dict[str, set[str]]:

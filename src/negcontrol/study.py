@@ -11,7 +11,20 @@ Three strategies run per replication:
 
 Per-replication seeds derive from (master_seed, stream, n, replication), so
 reruns of one config write byte-identical output, however the replications
-are split over forked processes.
+are split over forked processes and stacked passes.
+
+Replications of one sample size run in stacked passes of at most
+``_STUDY_CHUNK`` simulated rows, at least one replication a pass.  A pass
+of R replications simulates them into one (R, n, k) array, each from its
+own seed, and forms their centred statistics and searches their R
+covariance matrices in one call of each kernel.  The naive fits and the
+fixed triplet's fits share one layout in every replication, so they are
+fitted for all R in one stacked solve and one batched sandwich.  What
+differs between replications, the pairs of the triplets each search
+passed and the pairs drawn per replication, is fitted one replication at
+a time from views of the pass's arrays.  Every kernel gives each matrix of
+a stack the bits it gets alone, so a pass of R writes what R passes of one
+write.
 """
 from __future__ import annotations
 
@@ -27,18 +40,33 @@ from itertools import combinations, zip_longest
 import numpy as np
 from scipy.stats import rankdata
 
-from .data import Dataset, _reap, _receive_bytes, _spawn, _workers
-from .errors import NegcontrolError, UnknownVariableError
+from .aggregate import _pair_counts
+from .data import (
+    Dataset,
+    _centre,
+    _covariance_entries,
+    _reap,
+    _receive_bytes,
+    _spawn,
+    _workers,
+)
+from .errors import UnknownVariableError
 from .estimate import (
+    DELTA_INDEX,
     NcPair,
     _check_distinct,
     _fit_stack,
     _interval,
-    gmm_linear_ate,
 )
-from .pipeline import _aggregate
-from .search import find_nc
-from .simulate import GraphSpec, builtin_graph, ground_truth_dncts, realize_coefficients
+from .search import _quads, _search_plan
+from .simulate import (
+    GraphSpec,
+    _generate_stack,
+    builtin_graph,
+    ground_truth_dncts,
+    realize_coefficients,
+)
+from .tetrad import _wishart_batch
 
 __all__ = [
     "StudyConfig",
@@ -60,10 +88,13 @@ _STREAM_DATA = 101
 _STREAM_RANDOM = 202
 _STREAM_FIXED_TRIPLET = 303
 
-# simulated rows per forked process in run_study: on the strong complex
-# design, 24k rows run in 16 ms as one part or two, 200k in 90 ms as two
-# against 125 ms as one (2 vCPUs, a 100 MB process: the fork copies its
-# page tables)
+# simulated rows per stacked pass, and per forked process, in run_study.
+# On the strong complex design at n = 1000 and 3000, 100 replications ran
+# in one process in 89 ms one a pass, 70 ms in passes of 8k rows and 64 to
+# 66 ms in passes of 16k to 64k rows; a pass of 16k rows holds under 5 MB.
+# Forked, before passes were stacked, 24k rows ran in 16 ms as one part or
+# two, 200k in 90 ms as two against 125 ms as one (2 vCPUs, a 100 MB
+# process: the fork copies its page tables)
 _STUDY_CHUNK = 1 << 14
 
 
@@ -206,19 +237,33 @@ def _resolve_spec(config: StudyConfig) -> GraphSpec:
     )
 
 
+def _fits(centred, layout, weights, j: int = DELTA_INDEX - 1, pairs=None,
+          lone: bool = False) -> list:
+    """Per dataset of the stacked centred statistic ``centred``: the
+    (delta, se, ci_low, ci_high) of the ``weights`` average of its
+    systems' beta[:, j], as ``weighted_estimate`` forms it, or the
+    SingularMomentMatrixError of its first failing system.  A ``lone``
+    system takes its own SE instead, as ``gmm_linear_ate`` does."""
+    errors: list = []
+    _, _, ses, deltas, weighted_ses, *_ = _fit_stack(
+        centred, layout, weights, j, pairs, errors
+    )
+    if lone:
+        weighted_ses = ses[:, 0].tolist()
+    return [error or (delta, se, *_interval(delta, se))
+            for error, delta, se in zip(errors, deltas, weighted_ses)]
+
+
 def _naive_fit(data: Dataset, treatment: str, outcome: str, covariates):
     """OLS of outcome on treatment (plus covariates) with a robust SE: the
     centred solve with instruments and regressors both (T, X)."""
     x = np.array([[data.index_of(name) for name in (treatment, *covariates)]])
-    _, beta, ses, *_ = _fit_stack(
-        data, (x, x, data.index_of(outcome)), np.ones(1), j=0
-    )
-    delta, se = float(beta[0, 0]), float(ses[0])
-    return delta, se, *_interval(delta, se)
-
-
-def _as_tuple(est) -> tuple[float, float, float, float]:
-    return est.delta_hat, est.se, est.ci_low, est.ci_high
+    (fit,) = _fits(tuple(array[None] for array in data._centred),
+                   (x, x, data.index_of(outcome)), np.ones(1), j=0,
+                   lone=True)
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
 
 
 def _default_grid(n: int) -> tuple[float, ...]:
@@ -238,114 +283,225 @@ def _rank_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return float(u_stat / (pos * neg))
 
 
-def _one_replication(
-    spec: GraphSpec,
-    config: StudyConfig,
-    n: int,
-    replication: int,
-    candidates: list,
-    triples: list,
-    fixed_triple,
-) -> _RepOutcome:
-    from .simulate import generate
+@dataclass
+class _Pass:
+    """The stacked half of one pass: its R replications of one sample size
+    ``n`` simulated, centred and searched, and the fits every replication
+    shares the layout of."""
 
-    data = generate(
-        spec,
-        n,
-        np.random.SeedSequence(
-            (config.master_seed, _STREAM_DATA, n, replication)
-        ),
-    )
+    spec: GraphSpec
+    config: StudyConfig
+    columns: dict  # column name -> position
+    drawn: list  # the candidates in graph order, as random draws read them
+    candidates: tuple  # sorted, as the search reads them
+    rows: np.ndarray  # (T, 3) indices of every triple into ``candidates``
+    triples: list  # every triple's names, in the order of ``rows``
+    centred: tuple  # (xc, means, gram) of the R replications, stacked
+    min_p: np.ndarray  # (R, T)
+    passed: np.ndarray  # (R, T)
+    shared: dict  # method -> one fit or error per replication
+
+    def member(self, i: int) -> tuple:
+        """Replication ``i``'s centred statistic, as a stack of one: views
+        of the pass's arrays."""
+        return tuple(array[i:i + 1] for array in self.centred)
+
+    def layout(self, z, w) -> tuple:
+        """The stacked systems of the pairs (``candidates[z[k]]``,
+        ``candidates[w[k]]``): instruments (Z, T, X), regressors (W, T, X)
+        and the outcome, as column positions."""
+        spec, columns = self.spec, self.columns
+        common = [columns[spec.treatment],
+                  *(columns[name] for name in self.config.covariates)]
+        place = np.array([columns[name] for name in self.candidates])
+        qs, ms = (np.column_stack([place[ends], *(np.full(len(ends), at)
+                                                  for at in common)])
+                  for ends in (np.asarray(z), np.asarray(w)))
+        return qs, ms, columns[spec.outcome]
+
+    def pairs(self, z, w) -> "_Pairs":
+        return _Pairs(self.candidates, z, w)
+
+
+@dataclass(frozen=True)
+class _Pairs:
+    """The pairs (``names[z[k]]``, ``names[w[k]]``), each made into an
+    ``NcPair`` only when indexed: only an error names one."""
+
+    names: tuple
+    z: Sequence
+    w: Sequence
+
+    def __getitem__(self, k: int) -> NcPair:
+        return NcPair(self.names[self.z[k]], self.names[self.w[k]])
+
+
+def _pair_weights(rows: np.ndarray, c: int):
+    """The ordered pairs (z, w) of the triples ``rows``, indices below
+    ``c``, in ``enumerate_pairs`` order, and their frequency weights, as
+    ``weighted_estimate`` forms them."""
+    counts = _pair_counts(rows, c)
+    z, w = np.nonzero(counts)
+    freqs = counts[z, w].astype(float)
+    return z, w, freqs / freqs.sum()
+
+
+def _dance_fit(stack: _Pass, i: int, rows: np.ndarray, aggregate: str):
+    """The fit ``dance`` makes of the triples ``rows`` (indices into
+    the pass's candidates) of replication ``i``: the frequency-weighted
+    pair average, or the most frequent pair's own fit."""
+    c = len(stack.candidates)
+    if aggregate == "majority":
+        # the first most frequent pair with z before w, as
+        # majority_vote_estimate picks it
+        upper = np.triu_indices(c, 1)
+        k = int(np.argmax(_pair_counts(rows, c)[upper]))
+        z, w, weights = [upper[0][k]], [upper[1][k]], np.ones(1)
+    else:
+        z, w, weights = _pair_weights(rows, c)
+    (fit,) = _fits(stack.member(i), stack.layout(z, w), weights,
+                   pairs=stack.pairs(z, w), lone=aggregate == "majority")
+    return fit
+
+
+def _run_pass(spec: GraphSpec, config: StudyConfig, jobs: list, *,
+              candidates: list, fixed: int | None) -> list:
+    """The outcomes of ``jobs``, replications of one sample size, run as
+    one stacked pass: simulated into one (R, n, k) array, each from its own
+    seed, centred and searched together; the naive fits and the fixed
+    triplet's fits of every replication in one stacked solve and sandwich.
+    What differs between replications is fitted in ``_one_replication``,
+    one replication at a time."""
+    n = jobs[0][0]
+    names, values = _generate_stack(spec, n, [
+        np.random.SeedSequence((config.master_seed, _STREAM_DATA, n, r))
+        for _, r in jobs
+    ])
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")  # as Dataset has it
     treatment, outcome = spec.treatment, spec.outcome
-    alpha = config.alpha if config.alpha is not None else 1.0 / n
-    report = find_nc(data, candidates, treatment, outcome, alpha=alpha)
+    names_sorted, rows, alpha = _search_plan(
+        names, candidates, treatment, outcome, n, config.alpha)
+    columns = {name: j for j, name in enumerate(names)}
+    centred = _centre(values)
+    p = _wishart_batch(
+        _covariance_entries(centred[2], n),
+        _quads(columns.__getitem__, names_sorted, rows, treatment, outcome),
+        n, alpha,
+    )[3].reshape(len(jobs), len(rows), 6)
+    stack = _Pass(
+        spec, config, columns, candidates, names_sorted, rows,
+        list(combinations(names_sorted, 3)), centred, p.min(axis=-1),
+        (p > alpha).all(axis=-1), {},
+    )
+    if "naive" in config.methods:
+        x = np.array([[columns[name]
+                       for name in (treatment, *config.covariates)]])
+        try:
+            stack.shared["naive"] = _fits(
+                centred, (x, x, columns[outcome]), np.ones(1), j=0,
+                lone=True)
+        except np.linalg.LinAlgError as exc:
+            if len(jobs) > 1:
+                raise  # the serial rerun finds the replication it is of
+            stack.shared["naive"] = [exc]
+    if fixed is not None and "random" in config.methods:
+        z, w, weights = _pair_weights(rows[fixed:fixed + 1],
+                                      len(names_sorted))
+        stack.shared["random"] = _fits(centred, stack.layout(z, w), weights,
+                                       pairs=stack.pairs(z, w))
+    return [_one_replication(spec, config, n, r, stack=stack, i=i)
+            for i, (_, r) in enumerate(jobs)]
+
+
+def _one_replication(spec: GraphSpec, config: StudyConfig, n: int,
+                     replication: int, *, stack: _Pass, i: int) -> _RepOutcome:
+    """Replication ``replication``, member ``i`` of the pass ``stack``: its
+    shared fits, and the fits of its own pairs read from the pass's
+    slices: the random pair or triplet drawn for it, and the pairs of the
+    triplets its search passed."""
     estimates: dict = {}
     errors: dict = {}
 
-    if "naive" in config.methods:
-        try:
-            estimates["naive"] = _naive_fit(
-                data, treatment, outcome, config.covariates
+    def record(method: str, fit) -> None:
+        if isinstance(fit, Exception):
+            errors[method] = f"{type(fit).__name__}: {fit}"
+        else:
+            estimates[method] = fit
+
+    for method, fits in stack.shared.items():
+        record(method, fits[i])
+
+    if "random" in config.methods and "random" not in stack.shared:
+        rng = np.random.default_rng(
+            np.random.SeedSequence(
+                (config.master_seed, _STREAM_RANDOM, n, replication)
             )
-        except (NegcontrolError, np.linalg.LinAlgError) as exc:
-            errors["naive"] = f"{type(exc).__name__}: {exc}"
+        )
+        for _ in range(2):  # one redraw on failure
+            if config.random_scheme == "pair_per_rep":
+                z, w = rng.choice(len(stack.drawn), size=2, replace=False)
+                pair = stack.drawn[z], stack.drawn[w]
+            else:  # triplet_per_rep
+                triple = stack.triples[rng.integers(len(stack.triples))]
+                z, w = rng.choice(3, size=2, replace=False)
+                pair = triple[z], triple[w]
+            z, w = ([stack.candidates.index(name)] for name in pair)
+            (fit,) = _fits(stack.member(i), stack.layout(z, w), np.ones(1),
+                           pairs=stack.pairs(z, w), lone=True)
+            if not isinstance(fit, Exception):
+                break
+        record("random", fit)
 
-    if "random" in config.methods:
-        try:
-            if config.random_scheme == "triplet_fixed":
-                estimates["random"] = _as_tuple(_aggregate(
-                    data, [fixed_triple], treatment, outcome,
-                    config.covariates, "weighted",
-                ))
-            else:
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(
-                        (config.master_seed, _STREAM_RANDOM, n, replication)
-                    )
-                )
-                last_error = None
-                for _ in range(2):  # one redraw on failure
-                    if config.random_scheme == "pair_per_rep":
-                        z, w = rng.choice(
-                            len(candidates), size=2, replace=False
-                        )
-                        pair = NcPair(candidates[z], candidates[w])
-                    else:  # triplet_per_rep
-                        triple = triples[rng.integers(len(triples))]
-                        z, w = rng.choice(3, size=2, replace=False)
-                        pair = NcPair(triple[z], triple[w])
-                    try:
-                        estimates["random"] = _as_tuple(gmm_linear_ate(
-                            data, pair, treatment, outcome, config.covariates
-                        ))
-                        last_error = None
-                        break
-                    except NegcontrolError as exc:
-                        last_error = exc
-                if last_error is not None:
-                    errors["random"] = (
-                        f"{type(last_error).__name__}: {last_error}"
-                    )
-        except NegcontrolError as exc:
-            errors["random"] = f"{type(exc).__name__}: {exc}"
-
+    passed = stack.passed[i]
     if "dance" in config.methods:
-        if not report.dncts:
+        if not passed.any():
             errors["dance"] = "no_dnct"
         else:
-            try:
-                estimates["dance"] = _as_tuple(_aggregate(
-                    data, report.dncts, treatment, outcome,
-                    config.covariates, config.aggregate,
-                ))
-            except NegcontrolError as exc:
-                errors["dance"] = f"{type(exc).__name__}: {exc}"
+            record("dance", _dance_fit(stack, i, stack.rows[passed],
+                                       config.aggregate))
 
     return _RepOutcome(
         n=n,
         replication=replication,
-        min_p=report.min_p,
-        found=report.dncts,
+        min_p=stack.min_p[i],
+        found=tuple(stack.triples[t] for t in np.flatnonzero(passed)),
         estimates=estimates,
         errors=errors,
     )
 
 
-def _run_jobs(one, jobs: list) -> list:
-    """``one(*job)`` for each ``(n, replication)`` job, in no set order, in
-    the ``k`` processes ``run_study`` describes.  The jobs are dealt out in
-    turn, ``jobs[i::k]``, so every part holds the same mix of sample
-    sizes."""
+def _run_jobs(run_pass, jobs: list) -> list:
+    """The outcomes of every ``(n, replication)`` job, in no set order, in
+    the ``k`` processes ``run_study`` describes, each part run by
+    ``_run_part``.  The jobs are dealt out in turn, ``jobs[i::k]``, so every
+    part holds the same mix of sample sizes."""
     k = max(1, min(_workers(), len(jobs),
                    sum(n for n, _ in jobs) // _STUDY_CHUNK))
     try:
-        return _run_parts(one, [jobs[i::k] for i in range(k)])
+        return _run_parts(run_pass, [jobs[i::k] for i in range(k)])
     except Exception:
-        # every child is reaped: raise what the serial loop raises first
-        return [one(*job) for job in jobs]
+        # every child is reaped: raise what the serial loop raises first,
+        # each replication a pass of its own
+        return [outcome for job in jobs for outcome in run_pass([job])]
 
 
-def _run_parts(one, parts: list) -> list:
+def _run_part(run_pass, part: list) -> list:
+    """The outcomes of ``part``: its jobs grouped by n, in order, and each
+    group run by ``run_pass`` in passes of at most ``_STUDY_CHUNK``
+    simulated rows, at least one replication each."""
+    groups: dict[int, list] = {}
+    for job in part:
+        groups.setdefault(job[0], []).append(job)
+    outcomes = []
+    for n, group in groups.items():
+        size = max(1, _STUDY_CHUNK // n)
+        for start in range(0, len(group), size):
+            outcomes += run_pass(group[start:start + size])
+    return outcomes
+
+
+def _run_parts(run_pass, parts: list) -> list:
     """The outcomes of every part of the jobs, part after part.
 
     Parts after the first go to forked children, which send their outcomes
@@ -358,22 +514,23 @@ def _run_parts(one, parts: list) -> list:
     try:
         for part in parts[1:]:
             try:
-                children.append(_spawn(partial(_run_part, one, part)))
+                children.append(_spawn(partial(_pickled_part, run_pass,
+                                               part)))
             except OSError:  # no process to spare
                 break
-        outcomes = [one(*job) for job in parts[0]]
+        outcomes = _run_part(run_pass, parts[0])
         payloads = [_receive_bytes(read) for _, read in children]
     finally:
         exits = _reap(children)
     for part, payload, ok in zip_longest(parts[1:], payloads, exits):
         outcomes += (pickle.loads(payload) if ok and payload is not None
-                     else [one(*job) for job in part])
+                     else _run_part(run_pass, part))
     return outcomes
 
 
-def _run_part(one, part: list) -> bytes:
+def _pickled_part(run_pass, part: list) -> bytes:
     """The pickled outcomes of ``part``, as a child sends them."""
-    return pickle.dumps([one(*job) for job in part], pickle.HIGHEST_PROTOCOL)
+    return pickle.dumps(_run_part(run_pass, part), pickle.HIGHEST_PROTOCOL)
 
 
 def run_study(config: StudyConfig) -> StudyResult:
@@ -389,18 +546,22 @@ def run_study(config: StudyConfig) -> StudyResult:
     a measured node of the graph, and ValueError when it is the treatment
     or the outcome or is repeated.
 
-    The replications run in ``k`` processes, ``k`` the smallest of the
-    CPUs this process may use (``os.sched_getaffinity``, which ``taskset``
-    limits), the number of replications, and their total rows in
-    ``_STUDY_CHUNK`` units (at least one), so a study of fewer than
-    ``2 * _STUDY_CHUNK`` rows forks nothing.  Forked children run every
-    part after the first and send their outcomes back pickled.  A part no
-    child could be forked for, or whose child exits non-zero or sends less
-    than it announced, runs in this process; where ``os.fork`` is missing,
-    every part does.  Should a replication raise, every child is reaped
-    and the replications run again in order, so the exception is the one
-    a serial loop raises first.  Each replication is seeded alone, so the
-    result does not depend on ``k``.
+    The replications of each sample size run in stacked passes of at most
+    ``_STUDY_CHUNK`` (16 384) simulated rows, at least one replication a
+    pass; see the module docstring.  The passes run in ``k`` processes,
+    ``k`` the smallest of the CPUs this process may use
+    (``os.sched_getaffinity``, which ``taskset`` limits), the number of
+    replications, and their total rows in ``_STUDY_CHUNK`` units (at least
+    one), so a study of fewer than ``2 * _STUDY_CHUNK`` rows forks nothing.
+    The replications are dealt out to the processes in turn.  Forked
+    children run every part after the first and send their outcomes back
+    pickled.  A part no child could be forked for, or whose child exits
+    non-zero or sends less than it announced, runs in this process; where
+    ``os.fork`` is missing, every part does.  Should a pass raise, every
+    child is reaped and the replications run again in order, one a pass,
+    so the exception is the one a serial loop raises first.  Each
+    replication is seeded alone, and gets the same bits in a stack as
+    alone, so the result depends neither on ``k`` nor on the passes.
     """
     spec = _resolve_spec(config)
     for name in config.covariates:
@@ -418,18 +579,17 @@ def run_study(config: StudyConfig) -> StudyResult:
     true_set = set(true_dncts)
     labels = np.array([t in true_set for t in triples])
 
-    fixed_triple = None
+    fixed = None
     if "random" in config.methods and config.random_scheme == "triplet_fixed":
         rng = np.random.default_rng(
             np.random.SeedSequence(
                 (config.master_seed, _STREAM_FIXED_TRIPLET)
             )
         )
-        fixed_triple = triples[int(rng.integers(len(triples)))]
+        fixed = int(rng.integers(len(triples)))
 
     outcomes = _run_jobs(
-        partial(_one_replication, spec, config, candidates=candidates,
-                triples=triples, fixed_triple=fixed_triple),
+        partial(_run_pass, spec, config, candidates=candidates, fixed=fixed),
         [(n, r) for n in config.sample_sizes
          for r in range(config.replications)],
     )

@@ -136,29 +136,36 @@ def wishart_test(
 
 
 def _wishart_batch(
-    cov: CovMatrix, quads: np.ndarray, n: int, alpha: float
+    cov, quads: np.ndarray, n: int, alpha: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``wishart_test`` for every row (a, b, c, d) of the (m, 4) index array
     ``quads``, computed on the correlation matrix.
 
-    Returns ``d_hat``, ``sigma_hat`` (both in covariance units), ``w`` and
-    ``p``.  An inapplicable sub-test (see the module docstring) has
-    ``sigma_hat = 0``, ``p = 0`` and ``w = +-inf`` by the sign of ``d_hat``,
-    the result the search records where ``wishart_test`` raises
-    ``DegenerateVarianceError``.
+    ``cov`` is a ``CovMatrix`` or a stack of covariance entries
+    (..., p, p), each of one sample of size ``n``; each covariance gets the
+    bits it gets alone.  Returns ``d_hat``, ``sigma_hat`` (both in
+    covariance units), ``w`` and ``p``, each (..., m).  An inapplicable
+    sub-test (see the module docstring) has ``sigma_hat = 0``, ``p = 0``
+    and ``w = +-inf`` by the sign of ``d_hat``, the result the search
+    records where ``wishart_test`` raises ``DegenerateVarianceError``.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if n < 3:
         raise TooFewSamplesError(f"need n >= 3 for the variance, got {n}")
-    sd = np.sqrt(np.diag(cov.entries))
+    entries = cov.entries if isinstance(cov, CovMatrix) else cov
+    sd = np.sqrt(np.diagonal(entries, axis1=-2, axis2=-1))
     unit = np.where(sd > 0.0, sd, 1.0)
-    corr = cov.entries / np.outer(unit, unit)
+    corr = entries / (unit[..., :, None] * unit[..., None, :])
     a, b, c, d = quads.T
-    d_corr = corr[a, c] * corr[b, d] - corr[a, d] * corr[b, c]
-    det_left = corr[a, a] * corr[b, b] - corr[a, b] * corr[b, a]
-    det_right = corr[c, c] * corr[d, d] - corr[c, d] * corr[d, c]
-    det_all = np.linalg.det(corr[quads[:, :, None], quads[:, None, :]])
+
+    def minor(r1, r2, c1, c2):
+        return (corr[..., r1, c1] * corr[..., r2, c2]
+                - corr[..., r1, c2] * corr[..., r2, c1])
+
+    d_corr = minor(a, b, c, d)
+    det_left, det_right = minor(a, b, a, b), minor(c, d, c, d)
+    det_all = np.linalg.det(corr[..., quads[:, :, None], quads[:, None, :]])
     numerator = det_left * det_right * (n + 1) / (n - 1) - det_all
     applicable = numerator > _NUMERATOR_FLOOR  # False for NaN as well
     sigma_corr = np.sqrt(np.where(applicable, numerator, 1.0) / (n - 2))
@@ -168,6 +175,6 @@ def _wishart_batch(
     with np.errstate(over="ignore"):
         # beyond the float range d_hat and sigma_hat are +-inf, which is
         # right; w and p come from the correlation scale and stay finite
-        scale = sd[a] * sd[b] * sd[c] * sd[d]
+        scale = sd[..., a] * sd[..., b] * sd[..., c] * sd[..., d]
     sigma = np.where(applicable, sigma_corr * scale, 0.0)
     return d_corr * scale, sigma, w, p

@@ -1,6 +1,7 @@
 """Shared fixtures: Monte Carlo studies reused across acceptance checks,
-the scalar reference of the batched search, and a guard that every test
-reaps the processes it forks.
+the scalar reference of the batched search, a switch for how a study's
+replications are split into passes and processes, and a guard that every
+test reaps the processes it forks.
 
 The six study fixtures below are the expensive part of the suite (a few
 seconds each); they are session-scoped so every test module reads the same
@@ -36,6 +37,21 @@ def _reaps_its_children():
     except ChildProcessError:
         return
     pytest.fail(f"a child process was left unreaped ({pid or 'running'})")
+
+
+@pytest.fixture
+def study_passes(monkeypatch):
+    """``split(budget, workers)``: from here on, run every study's
+    replications in stacked passes of at most ``budget`` simulated rows,
+    one replication a pass at ``budget`` 1, on ``workers`` CPUs.  The
+    budget, ``study._STUDY_CHUNK``, also sets how many forked parts share
+    the replications."""
+
+    def split(budget, workers):
+        monkeypatch.setattr("negcontrol.study._STUDY_CHUNK", budget)
+        monkeypatch.setattr("negcontrol.study._workers", lambda: workers)
+
+    return split
 
 
 def _wishart_verdicts(data, candidates, treatment, outcome, alpha):

@@ -392,6 +392,26 @@ def test_split_load_csv_matches_scan(tmp_path, monkeypatch, k, end, final):
 
 
 @needs_fork
+@pytest.mark.parametrize("chunks, parts", [(2.5, 2), (1.0, 1)])
+def test_parse_chunk_splits_a_body_of_two_and_a_half_chunks(
+        tmp_path, monkeypatch, chunks, parts):
+    # on 2 CPUs a body of 2.5 chunks (such as a 3 MiB one) is cut in two,
+    # and a body of one chunk stays whole
+    from negcontrol.data import _PARSE_CHUNK
+
+    monkeypatch.setattr("negcontrol.data._workers", lambda: 2)
+    line = b"1.25,-2.5,3.75\n"
+    rows = int(chunks * _PARSE_CHUNK) // len(line)
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"a,b,c\n" + line * rows)
+    assert len(_ranges(path)) == parts
+    monkeypatch.setattr("negcontrol.data._scan_csv", _no_scan)
+    values = load_csv(path).values
+    assert values.shape == (rows, 3)
+    assert (values == [1.25, -2.5, 3.75]).all()
+
+
+@needs_fork
 def test_split_load_csv_one_row_last_range(tmp_path, monkeypatch):
     # the second cut lands in the long row, so the last range is one row
     lines = ["a,b", *["1.5,2.5"] * 6, "0." + "0" * 200 + "1,3.0", "4.0,5.0"]

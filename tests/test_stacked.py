@@ -1,0 +1,173 @@
+"""Stacked kernels against their slices.
+
+A study pass runs the centring, the search's Wishart scan, the moment
+solve and the sandwich on R datasets at once, each kernel with a leading
+stack axis.  Every dataset of a stack must get the bits it gets alone.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from negcontrol.aggregate import enumerate_pairs, weighted_estimate
+from negcontrol.data import Dataset, _centre, _covariance_entries, covariance
+from negcontrol.errors import SingularMomentMatrixError
+from negcontrol.estimate import (
+    NcPair,
+    _fit_stack,
+    _sandwich_se,
+    _solve_centred,
+    _stacked_columns,
+    _used_columns,
+    gmm_linear_ate,
+)
+from negcontrol.search import _quads, _search_plan
+from negcontrol.simulate import _generate_stack, builtin_graph, generate
+from negcontrol.tetrad import _wishart_batch
+
+NAMES = ("T", "O", "a", "b", "c", "d", "x")
+
+sizes = pytest.mark.parametrize("n", [1000, 3000, 9000])
+stacks = pytest.mark.parametrize("r", [1, 2, 5])
+
+
+def _values(r, n):
+    """``r`` datasets of ``n`` rows over ``NAMES``: T and O driven by the
+    other columns, every column with its own scale and offset."""
+    rng = np.random.default_rng((r, n))
+    values = rng.normal(size=(r, n, len(NAMES)))
+    values[..., 0] += values[..., 2:].sum(axis=-1)
+    values[..., 1] += 0.5 * values[..., 0] + values[..., 2:].sum(axis=-1)
+    values *= 10.0 ** rng.integers(-3, 4, size=len(NAMES))
+    return values + rng.uniform(-1e3, 1e3, size=len(NAMES))
+
+
+def _bits(*arrays) -> list:
+    return [np.asarray(array).tobytes() for array in arrays]
+
+
+@stacks
+@sizes
+def test_centring_matches_each_dataset(n, r):
+    values = _values(r, n)
+    values[-1, :, 4] = 5.0  # a constant column in the last dataset
+    xc, means, gram = _centre(values)
+    for i in range(r):
+        alone = Dataset(NAMES, values[i])._centred
+        assert _bits(xc[i], means[i], gram[i]) == _bits(*alone)
+    assert not xc[-1, :, 4].any()
+
+
+@stacks
+@sizes
+def test_wishart_scan_matches_each_covariance(n, r):
+    values = _values(r, n)
+    cov = _covariance_entries(_centre(values)[2], n)
+    names, rows, alpha = _search_plan(NAMES, NAMES[2:], "T", "O", n, None)
+    quads = _quads(NAMES.index, names, rows, "T", "O")
+    stacked = _wishart_batch(cov, quads, n, alpha)
+    for i in range(r):
+        alone = covariance(Dataset(NAMES, values[i]))
+        assert _bits(cov[i]) == _bits(alone.entries)
+        assert (_bits(*(column[i] for column in stacked))
+                == _bits(*_wishart_batch(alone, quads, n, alpha)))
+
+
+def _all_pairs():
+    return [NcPair(z, w) for z in "abcd" for w in "abcd" if z != w]
+
+
+@stacks
+@sizes
+def test_solve_matches_each_system_and_names_each_first_singular(n, r):
+    values = _values(r, n)
+    rng = np.random.default_rng(5)
+    if r > 1:  # c is T plus noise at 1e-14 of its spread: near-singular
+        t = values[1, :, 0]
+        values[1, :, 4] = t + 1e-14 * t.std() * rng.normal(size=n)
+    if r > 2:  # b is twice T: singular
+        values[2, :, 3] = 2.0 * values[2, :, 0]
+    moments = _centre(values)[2] / n
+    pairs = _all_pairs()
+    qs, ms, y = _stacked_columns(Dataset(NAMES, values[0]), pairs, "T", "O",
+                                 ("x",))
+    errors = []
+    beta, inv = _solve_centred(moments, qs, ms, y, pairs, errors)
+    assert len(errors) == r
+    assert [error is not None for error in errors] == [0 < i < 3
+                                                       for i in range(r)]
+    for i in range(r):
+        try:
+            alone = _solve_centred(moments[i], qs, ms, y, pairs)
+        except SingularMomentMatrixError as exc:
+            error = errors[i]
+            assert (str(error), error.pair, error.cond) == (
+                str(exc), exc.pair, exc.cond)
+            # the member's other systems are solved as they are alone
+            ok = np.array([z != "cb"[i - 1] and w != "cb"[i - 1]
+                           for z, w in ((p.z, p.w) for p in pairs)])
+            alone = _solve_centred(moments[i], qs[ok], ms[ok], y)
+            assert _bits(beta[i][ok], inv[i][ok]) == _bits(*alone)
+        else:
+            assert errors[i] is None
+            assert _bits(beta[i], inv[i]) == _bits(*alone)
+    if r > 1:  # without a list, the first failing member raises
+        with pytest.raises(SingularMomentMatrixError) as info:
+            _solve_centred(moments, qs, ms, y, pairs)
+        assert str(info.value) == str(errors[1])
+
+
+@stacks
+@sizes
+@pytest.mark.parametrize("case", ["lone", "subset"])
+def test_sandwich_matches_each_dataset(n, r, case):
+    # a lone system, padded; and the pairs of one triple with a covariate,
+    # which read a subset of the columns
+    values = _values(r, n)
+    if case == "lone":
+        pairs, covariates = [NcPair("a", "b")], ()
+    else:
+        pairs = [pair for pair, _ in enumerate_pairs([("a", "b", "d")])
+                 .entries]
+        covariates = ("x",)
+    weights = np.full(len(pairs), 1.0 / len(pairs))
+    layout = _stacked_columns(Dataset(NAMES, values[0]), pairs, "T", "O",
+                              covariates)
+    centred = _centre(values)
+    beta, inv = _solve_centred(centred[2] / n, *layout)
+    xc, local = _used_columns(centred[0], layout)
+    assert xc.shape[-1] == (4 if case == "lone" else 6)  # c is not read
+    ses, weighted = _sandwich_se(xc, local, beta, inv, 1, weights)
+    fits = _fit_stack(centred, layout, weights, pairs=pairs)
+    for i in range(r):
+        data = Dataset(NAMES, values[i])
+        alone_xc, alone_local = _used_columns(data._centred[0], layout)
+        alone = _solve_centred(data._centred[2] / n, *layout)
+        assert _bits(xc[i], *local) == _bits(alone_xc, *alone_local)
+        assert (_bits(ses[i], weighted[i])
+                == _bits(*_sandwich_se(alone_xc, alone_local, *alone, 1,
+                                       weights)))
+        # the public fits read the same bits
+        if case == "lone":
+            est = gmm_linear_ate(data, pairs[0], "T", "O")
+            expected = est.delta_hat, est.se
+            got = fits[3][i], fits[2][i][0]
+        else:
+            est = weighted_estimate(data, enumerate_pairs([("a", "b", "d")]),
+                                    "T", "O", covariates)
+            expected = est.delta_hat, est.se
+            got = fits[3][i], fits[4][i]
+        assert _bits(*got) == _bits(*expected)
+
+
+@stacks
+@pytest.mark.parametrize("family", ["gaussian", "binary"])
+def test_generated_stack_matches_each_seed(r, family):
+    spec = builtin_graph("complex", family=family, seed=(3, 7))
+    seeds = [np.random.SeedSequence((3, 101, 1000, k)) for k in range(r)]
+    names, values = _generate_stack(spec, 1000, seeds)
+    for i, seed in enumerate(seeds):
+        data = generate(spec, 1000, np.random.SeedSequence(seed.entropy))
+        assert names == data.variable_names
+        assert values[i].tobytes() == data.values.tobytes()

@@ -15,6 +15,8 @@ from negcontrol.estimate import (
 )
 from negcontrol.search import find_nc
 from negcontrol.simulate import builtin_graph, generate
+from negcontrol import study
+from negcontrol.pipeline import dance
 from negcontrol.data import _send
 from negcontrol.study import (
     _STREAM_DATA,
@@ -530,3 +532,161 @@ def test_study_under_the_floor_forks_nothing(monkeypatch, config):
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or _no_fork())
     run_study(config)
     assert forks == []
+
+
+# ---------------------------------------------------------------------------
+# replications run in stacked passes
+# ---------------------------------------------------------------------------
+
+# pass budgets in simulated rows: one replication a pass, passes of 15 or
+# 3 replications (n = 200, 1000), of 35 or 7, and the default
+_BUDGETS = [1, 3000, 7000, _STUDY_CHUNK]
+
+_PASS_VARIANTS = {
+    "triplet_fixed": {},
+    "pair_per_rep": {"random_scheme": "pair_per_rep"},
+    "triplet_per_rep": {"random_scheme": "triplet_per_rep"},
+    "majority": {"aggregate": "majority"},
+    "covariate": {"covariates": ("Z1",)},
+    "binary": {"family": "binary"},
+    "no-dnct": {"alpha": 0.2},
+}
+
+
+def _pass_config(**overrides):
+    # 12 replications, 7 200 rows
+    return _small_config(sample_sizes=(200, 1000), replications=6,
+                         **overrides)
+
+
+def _outputs(config, tmp_path):
+    """The study's fingerprint (files, details, AUC) and its ROC alone."""
+    return (_fingerprint(run_study(config), tmp_path),
+            repr(roc_curve(config)))
+
+
+@pytest.fixture(scope="module")
+def per_replication_outputs(tmp_path_factory):
+    """Each pass variant run one replication a pass, in one process: the
+    per-replication loop."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("negcontrol.study._STUDY_CHUNK", 1)
+        mp.setattr("negcontrol.study._workers", lambda: 1)
+        return {
+            name: _outputs(_pass_config(**overrides),
+                           tmp_path_factory.mktemp(name))
+            for name, overrides in _PASS_VARIANTS.items()
+        }
+
+
+@needs_fork
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("budget", _BUDGETS)
+@pytest.mark.parametrize("variant", list(_PASS_VARIANTS))
+def test_stacked_passes_match_per_replication_loop(
+        tmp_path, study_passes, per_replication_outputs, variant, budget,
+        workers):
+    study_passes(budget, workers)
+    outputs = _outputs(_pass_config(**_PASS_VARIANTS[variant]), tmp_path)
+    assert outputs == per_replication_outputs[variant]
+
+
+def _copy_column_in(mp, n, replication, target, source):
+    """Simulate replication (n, replication) of every study from here on
+    with column ``target`` a copy of column ``source``."""
+    real = study._generate_stack
+
+    def generate_stack(spec, size, seeds, include_latent=False):
+        names, values = real(spec, size, seeds, include_latent)
+        for i, seed in enumerate(seeds):
+            if tuple(seed.entropy)[-2:] == (n, replication):
+                values[i, :, names.index(target)] = values[
+                    i, :, names.index(source)]
+        return names, values
+
+    mp.setattr("negcontrol.study._generate_stack", generate_stack)
+
+
+@needs_fork
+@pytest.mark.parametrize("aggregate", ["weighted", "majority"])
+def test_singular_pair_fails_only_its_replication(tmp_path, monkeypatch,
+                                                  study_passes, aggregate):
+    # Z6 becomes the covariate Z7 in replication 2 of n = 1000, so every
+    # pair holding Z6 is singular there; its search still passes triples
+    # holding Z6.  With a budget of 3 000 rows, replications 0-2 share a
+    # pass.
+    config = StudyConfig(graph="complex", strength="strong",
+                         sample_sizes=(300, 1000), replications=6,
+                         master_seed=100, covariates=("Z7",),
+                         aggregate=aggregate)
+    _copy_column_in(monkeypatch, 1000, 2, "Z6", "Z7")
+    outputs = {}
+    for budget, workers in [(1, 1), (3000, 1), (3000, 2), (_STUDY_CHUNK, 2)]:
+        study_passes(budget, workers)
+        result = run_study(config)
+        outputs[budget, workers] = _fingerprint(
+            result, tmp_path / f"{budget}-{workers}")
+        singular = {(f.n, f.replication, f.method) for f in result.failures
+                    if f.error.startswith("SingularMomentMatrixError")}
+        assert (1000, 2, "dance") in singular
+        assert {(n, r) for n, r, _ in singular} == {(1000, 2)}
+        found = result.details[1000]["found"][2]
+        assert found and all("Z6" in triple for triple in found)
+    assert len(set(map(repr, outputs.values()))) == 1
+
+
+@needs_fork
+@pytest.mark.parametrize("budget, workers", [(3000, 1), (3000, 2),
+                                             (_STUDY_CHUNK, 1)])
+@pytest.mark.parametrize("raising", [(200, 0), (1000, 1), (1000, 4)])
+def test_pass_raises_the_serial_exception(monkeypatch, study_passes,
+                                          budget, workers, raising):
+    # the replication raises inside a pass of several; the study raises
+    # what the per-replication loop raises
+    config = _pass_config()
+
+    def replication(spec, config, n, replication, **kwargs):
+        if (n, replication) == raising:
+            raise _ReplicationError(f"n={n} replication={replication}")
+        return _one_replication(spec, config, n, replication, **kwargs)
+
+    monkeypatch.setattr("negcontrol.study._one_replication", replication)
+    study_passes(1, 1)
+    with pytest.raises(_ReplicationError) as serial:
+        run_study(config)
+    study_passes(budget, workers)
+    before = _open_descriptors()
+    with pytest.raises(_ReplicationError) as stacked:
+        run_study(config)
+    _assert_no_leak(before)
+    assert type(stacked.value) is type(serial.value)
+    assert str(stacked.value) == str(serial.value) == "n={} replication={}"\
+        .format(*raising)
+
+
+@pytest.mark.parametrize("variant", ["triplet_fixed", "majority",
+                                     "covariate", "binary"])
+def test_stacked_dance_fits_match_dance(study_passes, variant):
+    # each replication's dance estimate, fitted from the pass's arrays, is
+    # the one ``dance`` makes of that replication's dataset
+    config = _pass_config(**_PASS_VARIANTS[variant])
+    study_passes(_STUDY_CHUNK, 1)
+    result = run_study(config)
+    spec = _resolve_spec(config)
+    candidates = [c for c in spec.candidates if c not in config.covariates]
+    for n in config.sample_sizes:
+        found = result.details[n]["found"]
+        fitted = result.details[n]["estimates"]["dance"]
+        expected = []
+        for r in range(config.replications):
+            data = generate(spec, n, np.random.SeedSequence(
+                (config.master_seed, _STREAM_DATA, n, r)))
+            fit = dance(data, spec.treatment, spec.outcome,
+                        candidates=candidates, covariates=config.covariates,
+                        aggregate=config.aggregate)
+            assert fit.report.dncts == found[r]
+            if fit.estimate is not None:
+                expected.append((fit.estimate.delta_hat, fit.estimate.se))
+        assert expected
+        assert (np.array(expected).tobytes()
+                == np.column_stack([fitted["delta"], fitted["se"]]).tobytes())
