@@ -12,24 +12,16 @@ bootstrap read them directly.  So both stages see the same statistic, and
 a constant column has zero variance in both.
 
 A CSV body is cut at line ends into byte ranges, one per CPU for a large
-file, and each range after the first is parsed in a forked child.  Every
-range runs the same ``np.loadtxt`` call, which rounds each cell alone, so
-the values do not depend on how the file was cut.  A file that some range
-does not parse clean, or whose header holds a quote or a bare carriage
-return, is parsed again by the per-cell scan, which names the first bad
-cell.  A pipe is read once, and the scan reads the same bytes.
-
-Writing splits the same way.  The rows are cut into contiguous ranges, one
-per CPU, at most one per ``_FORMAT_CHUNK`` cells: nearly all of the time
-goes to the shortest ``repr`` of each float, which holds the interpreter
-lock, and below that size a fork costs more than it saves.  Forked
-children format every range after the first and send the bytes back over
-pipes; this process formats the first into the file, then copies each
-child's bytes after it in fixed-size chunks.  Every range is formatted by
-the same code, so the file does not depend on the split.  An output that is
-not a regular file is one range.  A range no child could be forked for is
-formatted here; so is every range from the first child that failed on,
-after the file is cut back to where that child's range began.
+file, and the rows into contiguous ranges for a write; ``_fork.map_parts``
+runs the ranges after the first in forked children.  Every range runs the
+same ``np.loadtxt`` call, or the same formatting code, so neither the
+values read nor the bytes written depend on how the work was cut.  A file
+that some range does not parse clean, or whose header holds a quote or a
+bare carriage return, is parsed again by the per-cell scan, which names
+the first bad cell.  A pipe is read once, and the scan reads the same
+bytes.  Nearly all of a write goes to the shortest ``repr`` of each float,
+which holds the interpreter lock, so it splits at most one range per
+``_FORMAT_CHUNK`` cells: below that a fork costs more than it saves.
 """
 from __future__ import annotations
 
@@ -45,6 +37,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
+from ._fork import _copy_payload, _receive_bytes, _workers, map_parts
 from .errors import (
     DuplicateHeaderError,
     MissingValueError,
@@ -67,7 +60,6 @@ _WRITE_BLOCK = 8192  # rows per tolist() in write_csv
 # ranges against 59 ms as one, 18k cells in 15 ms either way (2 vCPUs,
 # a 150 MB process: the fork copies its page tables)
 _FORMAT_CHUNK = 1 << 15
-_COPY_CHUNK = 1 << 16  # bytes per read of a child's pipe in write_csv
 # bytes per np.loadtxt call, and the body per forked process: a 3 MiB
 # body parses in 20 ms as two ranges against 25 ms as one (2 vCPUs)
 _PARSE_CHUNK = 1 << 20
@@ -208,11 +200,9 @@ def load_csv(path) -> Dataset:
 
     The body after the header is cut at line ends into ``k`` byte ranges of
     about equal size, ``k`` the smaller of the CPUs this process may use and
-    the body's size in ``_PARSE_CHUNK`` (1 MiB) units, at least one.  Ranges
-    after the first are parsed by forked children, which send their rows
-    back over pipes, while this process parses the first; below two chunks
-    (2 MiB), from a pipe, or where ``os.fork`` is missing, the one range is
-    parsed here.
+    the body's size in ``_PARSE_CHUNK`` (1 MiB) units, at least one, and
+    parsed by ``_fork.map_parts``; below two chunks (2 MiB) or from a pipe
+    the one range is parsed here.
     A pipe is read once, whole, and both parsers below read those bytes.
     Every range is parsed by ``np.loadtxt`` a chunk at a time, and kept
     only when it parsed every line into one finite value per header name.
@@ -280,13 +270,6 @@ def _read_header(reader) -> list[str]:
     return names
 
 
-def _workers() -> int:
-    """The CPUs this process may use, or 1 where it cannot fork."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def _is_file(handle) -> bool:
     """Whether ``handle`` is a regular file, whose bytes other processes
     can reach by offset; a pipe or a terminal passes its bytes once, in
@@ -317,37 +300,26 @@ def _line_ranges(handle) -> list[tuple[int, float]]:
 
 def _parse_body(handle, path, width: int, encoding: str):
     """The rows of the rest of ``handle`` (the open ``path``), or None
-    unless every range of it parsed clean.
+    unless every range of it parsed clean; ranges after the first are
+    parsed by forked children."""
 
-    Ranges after the first go to forked children; this process parses the
-    first from ``handle`` meanwhile, then reads the children's blocks in
-    order.  Ranges no child could be forked for are parsed here last.
-    Every pipe is closed and every child reaped however this returns or
-    raises."""
-    ranges = _line_ranges(handle)
-    children: list[tuple[int, int]] = []
-    try:
-        for offset, length in ranges[1:]:
-            try:
-                children.append(_spawn(partial(
-                    _parse_file, path, offset, length, width, encoding)))
-            except OSError:  # no process to spare
-                break
-        blocks = [_parse_range(handle, ranges[0][1], width, encoding)]
-        blocks += [_receive(read, width) for _, read in children]
-        for offset, length in ranges[len(children) + 1:]:
-            handle.seek(offset)
-            blocks.append(_parse_range(handle, length, width, encoding))
-    finally:
-        clean = all(_reap(children))
-    if not clean or any(block is None for block in blocks):
+    def parse_here(bounds):
+        handle.seek(bounds[0])
+        return _parse_range(handle, bounds[1], width, encoding)
+
+    blocks = map_parts(
+        _line_ranges(handle), parse_here,
+        lambda bounds: _parse_file(path, *bounds, width, encoding),
+        partial(_receive_rows, width=width))
+    if any(block is None for block in blocks):
         return None
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def _parse_file(path, offset: int, length: int, width: int, encoding: str):
     """``_parse_range`` of ``length`` bytes of ``path`` from ``offset``,
-    through a handle of its own."""
+    through a handle of its own: a forked child's copy of ``handle`` would
+    share its offset with this process."""
     with open(path, "rb") as handle:
         handle.seek(offset)
         return _parse_range(handle, length, width, encoding)
@@ -388,102 +360,11 @@ def _parse_range(handle, length: float, width: int, encoding: str):
     return np.concatenate(blocks)
 
 
-def _spawn(task):
-    """Fork a child that runs ``task()`` and sends the buffer it returns
-    down a pipe, its byte count first.  Returns the child's pid and the
-    pipe's read end.  The child exits 1, sending nothing, when ``task``
-    returns None, and leaves by ``os._exit``, so it never returns into the
-    caller or flushes a buffer it shares with this process."""
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read)
-            payload = task()
-            if payload is not None:
-                view = memoryview(payload).cast("B")
-                _send(write, len(view).to_bytes(8, "little"))
-                _send(write, view)
-                code = 0
-        finally:
-            os._exit(code)
-    os.close(write)
-    return pid, read
-
-
-def _send(fd: int, payload) -> None:
-    view = memoryview(payload).cast("B")
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _read_into(fd: int, buffer) -> bool:
-    """Fill ``buffer`` from ``fd``; False at an early end of file."""
-    view = memoryview(buffer).cast("B")
-    while view:
-        got = os.readv(fd, [view])
-        if not got:
-            return False
-        view = view[got:]
-    return True
-
-
-def _payload_size(fd: int) -> int | None:
-    """The byte count a child sent first on ``fd``; None if it sent none."""
-    head = bytearray(8)
-    return int.from_bytes(head, "little") if _read_into(fd, head) else None
-
-
-def _receive(fd: int, width: int):
-    """The rows a child sent on ``fd``, or None if it sent none."""
-    size = _payload_size(fd)
-    if size is None:
-        return None
-    block = np.empty(size // 8)
-    return block.reshape(-1, width) if _read_into(fd, block) else None
-
-
-def _receive_bytes(fd: int) -> bytearray | None:
-    """The bytes a child sent on ``fd``, or None if they ended early."""
-    size = _payload_size(fd)
-    if size is None:
-        return None
-    payload = bytearray(size)
-    return payload if _read_into(fd, payload) else None
-
-
-def _copy_payload(fd: int, handle) -> bool:
-    """Copy the bytes a child sent on ``fd`` into ``handle``,
-    ``_COPY_CHUNK`` at a time, so this process never holds them all; False
-    if they ended early."""
-    left = _payload_size(fd)
-    if left is None:
-        return False
-    chunk = memoryview(bytearray(min(left, _COPY_CHUNK)))
-    while left:
-        piece = chunk[:min(left, len(chunk))]
-        if not _read_into(fd, piece):
-            return False
-        handle.write(piece)
-        left -= len(piece)
-    return True
-
-
-def _reap(children) -> list[bool]:
-    """Close every child's pipe, then wait for it; for each, whether it
-    exited 0.
-
-    A child still writing gets EPIPE once its pipe is closed, so this never
-    waits on a child that waits on this process."""
-    for _, read in children:
-        os.close(read)
-    return [os.waitpid(pid, 0)[1] == 0 for pid, _ in children]
+def _receive_rows(fd: int, width: int):
+    """The rows a child sent on ``fd``, or None if it sent too few bytes."""
+    payload = _receive_bytes(fd)
+    return None if payload is None else np.frombuffer(payload).reshape(
+        -1, width)
 
 
 def _scan_csv(source) -> Dataset:
@@ -519,18 +400,16 @@ def write_csv(data: Dataset, path) -> None:
 
     Floats are written with ``repr`` so the round trip is exact.  The rows
     are cut into ``k`` contiguous ranges of about equal length, ``k`` the
-    smaller of the CPUs this process may use, the number of rows, and the
-    cell count in ``_FORMAT_CHUNK`` units (at least one).  Ranges after
-    the first are formatted by forked children, which send their bytes back
-    over pipes, while this process formats the first into the file; it then
-    copies each child's bytes after it, in order.  Every range is formatted
-    by the same code, so the bytes do not depend on ``k``.
+    smallest of the CPUs this process may use, the number of rows, and the
+    cell count in ``_FORMAT_CHUNK`` units (at least one), and formatted by
+    ``_fork.map_parts``: this process formats the first range into the
+    file, then copies each child's bytes after it, in order.  Every range
+    is formatted by the same code, so the bytes do not depend on ``k``.
 
-    An output that is not a regular file (a pipe, a terminal) is one range
-    with no child.  Ranges no child could be forked for are formatted here.
-    When a child exits non-zero or sends fewer bytes than it announced, the
-    file is cut back to where that child's range began and the rest is
-    formatted here, so the bytes are the same whatever failed.
+    An output that is not a regular file (a pipe, a terminal) is one range.
+    When a child fails, the file is cut back to where that child's range
+    began and the rest is formatted here, so the bytes are the same
+    whatever failed.
     """
     encoding = locale.getpreferredencoding(False)  # as open() encodes
     header = io.StringIO()
@@ -551,39 +430,29 @@ def _row_ranges(handle, values: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _write_rows(handle, values: np.ndarray, encoding: str) -> None:
-    """Write the CSV lines of ``values`` to ``handle``.
-
-    Ranges after the first go to forked children; this process formats the
-    first meanwhile, then copies the children's bytes in order.  From the
-    first child that failed on, the file is cut back and its ranges and
-    the rest are formatted here.  Every pipe is closed and every child
-    reaped however this returns or raises."""
+    """Write the CSV lines of ``values`` to ``handle``: ranges after the
+    first formatted by forked children and copied in order, and from the
+    first range that failed on, the file cut back and formatted here."""
     ranges = _row_ranges(handle, values)
-    children: list[tuple[int, int]] = []
-    marks: list[int] = []  # where each copied child's bytes begin
-    sent: list[bool] = []  # whether all of them arrived
-    try:
-        for start, stop in ranges[1:]:
-            try:
-                children.append(_spawn(partial(
-                    _format_rows, values[start:stop], encoding)))
-            except OSError:  # no process to spare
-                break
-        handle.writelines(_row_blocks(values[slice(*ranges[0])], encoding))
-        for _, read in children:
-            marks.append(handle.tell())
-            sent.append(_copy_payload(read, handle))
-            if not sent[-1]:
-                break
-    finally:
-        exits = _reap(children)
-    kept = next((i for i, ok in enumerate(zip(sent, exits)) if not all(ok)),
-                len(sent))
-    if kept < len(sent):
-        handle.seek(marks[kept])
+    marks: list[int] = []  # where each child's bytes begin
+
+    def format_here(bounds):
+        handle.writelines(_row_blocks(values[slice(*bounds)], encoding))
+        return True
+
+    def copy(fd):
+        marks.append(handle.tell())
+        return _copy_payload(fd, handle) or None
+
+    done = map_parts(
+        ranges, format_here,
+        lambda bounds: _format_rows(values[slice(*bounds)], encoding), copy)
+    if None in done:
+        kept = done.index(None)  # a child's range, never the first
+        handle.seek(marks[kept - 1])
         handle.truncate()
-    for start, stop in ranges[kept + 1:]:
-        handle.writelines(_row_blocks(values[start:stop], encoding))
+        for bounds in ranges[kept:]:
+            format_here(bounds)
 
 
 def _row_blocks(values: np.ndarray, encoding: str):

@@ -35,21 +35,14 @@ import pickle
 from collections.abc import Sequence
 from dataclasses import astuple, dataclass, field, fields, replace
 from functools import partial
-from itertools import combinations, zip_longest
+from itertools import combinations
 
 import numpy as np
 from scipy.stats import rankdata
 
 from .aggregate import _pair_counts
-from .data import (
-    Dataset,
-    _centre,
-    _covariance_entries,
-    _reap,
-    _receive_bytes,
-    _spawn,
-    _workers,
-)
+from ._fork import _receive_bytes, _workers, map_parts
+from .data import Dataset, _centre, _covariance_entries
 from .errors import UnknownVariableError
 from .estimate import (
     DELTA_INDEX,
@@ -502,35 +495,25 @@ def _run_part(run_pass, part: list) -> list:
 
 
 def _run_parts(run_pass, parts: list) -> list:
-    """The outcomes of every part of the jobs, part after part.
-
-    Parts after the first go to forked children, which send their outcomes
-    back pickled; this process runs the first meanwhile.  A part no child
-    could be forked for, or whose child exited non-zero or sent less than
-    it announced, is run here.  Every pipe is closed and every child reaped
-    however this returns or raises."""
-    children: list[tuple[int, int]] = []
-    payloads: list = []
-    try:
-        for part in parts[1:]:
-            try:
-                children.append(_spawn(partial(_pickled_part, run_pass,
-                                               part)))
-            except OSError:  # no process to spare
-                break
-        outcomes = _run_part(run_pass, parts[0])
-        payloads = [_receive_bytes(read) for _, read in children]
-    finally:
-        exits = _reap(children)
-    for part, payload, ok in zip_longest(parts[1:], payloads, exits):
-        outcomes += (pickle.loads(payload) if ok and payload is not None
-                     else _run_part(run_pass, part))
-    return outcomes
+    """The outcomes of every part of the jobs, part after part: parts after
+    the first run by forked children, which send their outcomes back
+    pickled, and a part whose child failed run again here."""
+    results = map_parts(parts, partial(_run_part, run_pass),
+                        partial(_pickled_part, run_pass), _unpickled)
+    return [outcome for part, result in zip(parts, results)
+            for outcome in (_run_part(run_pass, part) if result is None
+                            else result)]
 
 
 def _pickled_part(run_pass, part: list) -> bytes:
     """The pickled outcomes of ``part``, as a child sends them."""
     return pickle.dumps(_run_part(run_pass, part), pickle.HIGHEST_PROTOCOL)
+
+
+def _unpickled(fd: int) -> list | None:
+    """The outcomes a child sent on ``fd``, or None if they ended early."""
+    payload = _receive_bytes(fd)
+    return None if payload is None else pickle.loads(payload)
 
 
 def run_study(config: StudyConfig) -> StudyResult:
@@ -548,20 +531,17 @@ def run_study(config: StudyConfig) -> StudyResult:
 
     The replications of each sample size run in stacked passes of at most
     ``_STUDY_CHUNK`` (16 384) simulated rows, at least one replication a
-    pass; see the module docstring.  The passes run in ``k`` processes,
-    ``k`` the smallest of the CPUs this process may use
-    (``os.sched_getaffinity``, which ``taskset`` limits), the number of
+    pass; see the module docstring.  The replications are dealt out in
+    turn into ``k`` parts, ``k`` the smallest of the CPUs this process may
+    use (``os.sched_getaffinity``, which ``taskset`` limits), the number of
     replications, and their total rows in ``_STUDY_CHUNK`` units (at least
-    one), so a study of fewer than ``2 * _STUDY_CHUNK`` rows forks nothing.
-    The replications are dealt out to the processes in turn.  Forked
-    children run every part after the first and send their outcomes back
-    pickled.  A part no child could be forked for, or whose child exits
-    non-zero or sends less than it announced, runs in this process; where
-    ``os.fork`` is missing, every part does.  Should a pass raise, every
-    child is reaped and the replications run again in order, one a pass,
-    so the exception is the one a serial loop raises first.  Each
-    replication is seeded alone, and gets the same bits in a stack as
-    alone, so the result depends neither on ``k`` nor on the passes.
+    one), so a study of fewer than ``2 * _STUDY_CHUNK`` rows forks nothing;
+    ``_fork.map_parts`` runs the parts.  A part whose child failed runs
+    again in this process.  Should a pass raise, the replications run
+    again in order, one a pass, so the exception is the one a serial loop
+    raises first.  Each replication is seeded alone, and gets the same
+    bits in a stack as alone, so the result depends neither on ``k`` nor
+    on the passes.
     """
     spec = _resolve_spec(config)
     for name in config.covariates:

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from negcontrol._fork import _send
 from negcontrol.data import (
     CovMatrix,
     Dataset,
@@ -24,7 +25,6 @@ from negcontrol.data import (
     _row_blocks,
     _row_ranges,
     _scan_csv,
-    _send,
     covariance,
     load_csv,
     sub_determinant,
@@ -533,6 +533,35 @@ def test_split_load_csv_child_exit_status_sends_file_to_scan(tmp_path,
     assert scans == [path]
 
 
+@needs_fork
+@needs_proc
+@pytest.mark.parametrize("failing", [0, 1, 2], ids=["child1", "child2",
+                                                    "child3"])
+def test_split_load_csv_short_payload_sends_file_to_scan(tmp_path,
+                                                         monkeypatch, failing):
+    # one child announces its rows and sends half of them
+    path = _write_lines(tmp_path / "data.csv", _grid_lines())
+    _force_split(monkeypatch, 4)
+    forked = _count_forks(monkeypatch)
+    reference, scans = _scan_csv(path), []
+
+    def send(fd, payload):
+        view = memoryview(payload).cast("B")
+        if len(forked) == failing and len(view) > 8:  # not the count
+            view = view[:len(view) // 2]
+        _send(fd, view)
+
+    monkeypatch.setattr("negcontrol._fork._send", send)
+    monkeypatch.setattr("negcontrol.data._scan_csv",
+                        lambda p: scans.append(p) or _scan_csv(p))
+    before = _open_descriptors()
+    data = load_csv(path)
+    assert len(forked) == 3
+    _assert_no_leak(before)
+    assert scans == [path]
+    assert data.values.tobytes() == reference.values.tobytes()
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
 def test_load_csv_reads_a_pipe_in_one_range(tmp_path, monkeypatch):
     # a pipe cannot seek, so its body is parsed here as it streams in
@@ -699,6 +728,16 @@ def test_split_write_csv_redoes_a_failed_child(tmp_path, monkeypatch,
     # from the failed child's range on, the parent formats the rows itself
     data = _awkward_dataset(40)
     _force_write_split(monkeypatch, 4)
+    with open(tmp_path / "data.csv", "wb") as handle:
+        ranges = _row_ranges(handle, data.values)
+    parent, formatted = os.getpid(), []
+
+    def blocks(values, encoding):
+        if os.getpid() == parent:
+            formatted.append(values.tobytes())
+        return _row_blocks(values, encoding)
+
+    monkeypatch.setattr("negcontrol.data._row_blocks", blocks)
     forked = _count_forks(monkeypatch)
     if how.startswith("exit-3"):
         real_exit = os._exit
@@ -716,11 +755,13 @@ def test_split_write_csv_redoes_a_failed_child(tmp_path, monkeypatch,
                 view = view[:len(view) // 2]
             _send(fd, view)
 
-        monkeypatch.setattr("negcontrol.data._send", send)
+        monkeypatch.setattr("negcontrol._fork._send", send)
     before = _open_descriptors()
     write_csv(data, tmp_path / "data.csv")
     assert len(forked) == 3
     _assert_no_leak(before)
+    assert formatted == [data.values[start:stop].tobytes()
+                         for start, stop in ranges[:1] + ranges[failing + 1:]]
     assert (tmp_path / "data.csv").read_bytes() == _reference_bytes(
         data, tmp_path)
 

@@ -17,7 +17,7 @@ from negcontrol.search import find_nc
 from negcontrol.simulate import builtin_graph, generate
 from negcontrol import study
 from negcontrol.pipeline import dance
-from negcontrol.data import _send
+from negcontrol._fork import _send
 from negcontrol.study import (
     _STREAM_DATA,
     _STUDY_CHUNK,
@@ -463,7 +463,7 @@ def test_split_study_reruns_a_failed_child(tmp_path, monkeypatch,
                 view = view[:len(view) // 2]
             _send(fd, view)
 
-        monkeypatch.setattr("negcontrol.data._send", send)
+        monkeypatch.setattr("negcontrol._fork._send", send)
     before = _open_descriptors()
     result = run_study(config)
     assert len(forked) == 3
