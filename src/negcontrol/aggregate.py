@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # noqa: F401  loaded on import, not on the first draw
 
 from .data import Dataset
 from .errors import (

@@ -223,7 +223,9 @@ def _used_columns(xc: np.ndarray, layout):
     once, so the GEMMs and the draws do not grow with the columns no system
     reads."""
     qs, ms, y = layout
-    used = np.unique(np.concatenate([qs.ravel(), ms.ravel(), [y]]))
+    # not np.unique: on numpy 2 it loads numpy.ma on first use
+    used = np.flatnonzero(
+        np.bincount(np.concatenate([qs.ravel(), ms.ravel(), [y]])))
     if len(used) == xc.shape[-1]:
         return xc, layout
     qs, ms, y = (np.searchsorted(used, pos) for pos in (qs, ms, y))

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 
 import numpy as np
+import numpy.random  # noqa: F401  loaded on import, not on the first draw
 
 from .data import Dataset
 from .errors import GraphSpecError

@@ -38,7 +38,7 @@ from functools import partial
 from itertools import combinations
 
 import numpy as np
-from scipy.stats import rankdata
+import numpy.random  # noqa: F401  loaded on import, not on the first draw
 
 from .aggregate import _pair_counts
 from ._fork import _receive_bytes, _workers, map_parts
@@ -265,13 +265,25 @@ def _default_grid(n: int) -> tuple[float, ...]:
     return tuple(sorted(grid))
 
 
+def _average_ranks(scores: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``scores`` (no NaN), each tie group given the mean
+    of its positions: integers or halves, so exact."""
+    order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], scores.size]
+    ranks = np.empty(scores.size)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def _rank_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Probability a true triple outscores a false one (ties count half)."""
     pos = int(labels.sum())
     neg = labels.size - pos
     if pos == 0 or neg == 0:
         return float("nan")
-    ranks = rankdata(scores)
+    ranks = _average_ranks(scores)
     u_stat = ranks[labels].sum() - pos * (pos + 1) / 2.0
     return float(u_stat / (pos * neg))
 

@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .data import CovMatrix, sub_determinant
 from .errors import DegenerateVarianceError, TooFewSamplesError
@@ -43,6 +42,7 @@ from .errors import DegenerateVarianceError, TooFewSamplesError
 __all__ = ["TetradSpec", "TetradResult", "wishart_variance", "wishart_test"]
 
 _NUMERATOR_FLOOR = 64 * np.finfo(float).eps
+_erfc = np.frompyfunc(math.erfc, 1, 1)  # object array out; cast to float
 
 
 @dataclass(frozen=True)
@@ -148,6 +148,8 @@ def _wishart_batch(
     sub-test (see the module docstring) has ``sigma_hat = 0``, ``p = 0``
     and ``w = +-inf`` by the sign of ``d_hat``, the result the search
     records where ``wishart_test`` raises ``DegenerateVarianceError``.
+    ``p`` is ``math.erfc(|w| / sqrt(2))`` element by element, the call
+    ``wishart_test`` makes, so both compute p the same way.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -171,7 +173,7 @@ def _wishart_batch(
     sigma_corr = np.sqrt(np.where(applicable, numerator, 1.0) / (n - 2))
     w = np.where(applicable, d_corr / sigma_corr,
                  np.where(d_corr >= 0.0, math.inf, -math.inf))
-    p = erfc(np.abs(w) / math.sqrt(2.0))  # 0 where w is infinite
+    p = _erfc(np.abs(w) / math.sqrt(2.0)).astype(float)  # 0 where w is inf
     with np.errstate(over="ignore"):
         # beyond the float range d_hat and sigma_hat are +-inf, which is
         # right; w and p come from the correlation scale and stay finite

@@ -171,3 +171,30 @@ def test_generated_stack_matches_each_seed(r, family):
         data = generate(spec, 1000, np.random.SeedSequence(seed.entropy))
         assert names == data.variable_names
         assert values[i].tobytes() == data.values.tobytes()
+
+
+def _used_columns_by_unique(xc, layout):
+    """``_used_columns`` as first written, on ``np.unique``."""
+    qs, ms, y = layout
+    used = np.unique(np.concatenate([qs.ravel(), ms.ravel(), [y]]))
+    if len(used) == xc.shape[-1]:
+        return xc, layout
+    qs, ms, y = (np.searchsorted(used, pos) for pos in (qs, ms, y))
+    return xc[..., used], (qs, ms, int(y))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_used_columns_match_unique(seed):
+    # random layouts over 3 to 12 columns, some reading every column
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(3, 13))
+    pairs, d = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+    xc = rng.normal(size=(2, 7, p))
+    layout = (rng.integers(0, p, size=(pairs, d)),
+              rng.integers(0, p, size=(pairs, d)), int(rng.integers(p)))
+    got_xc, got = _used_columns(xc, layout)
+    ref_xc, ref = _used_columns_by_unique(xc, layout)
+    assert (got_xc is xc) == (ref_xc is xc)
+    assert _bits(got_xc, *got[:2]) == _bits(ref_xc, *ref[:2])
+    assert [a.dtype for a in got[:2]] == [a.dtype for a in ref[:2]]
+    assert type(got[2]) is type(ref[2]) and got[2] == ref[2]

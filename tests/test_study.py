@@ -690,3 +690,32 @@ def test_stacked_dance_fits_match_dance(study_passes, variant):
         assert expected
         assert (np.array(expected).tobytes()
                 == np.column_stack([fitted["delta"], fitted["se"]]).tobytes())
+
+
+def test_rank_auc_hand_worked():
+    # ranks 1, 2.5, 2.5, 4; the positives hold 6.5, so U = 6.5 - 3 = 3.5
+    # of 2 * 2 pairs: 0.8 beats both negatives, 0.4 beats one and ties one
+    scores = np.array([0.1, 0.4, 0.4, 0.8])
+    labels = np.array([False, True, False, True])
+    assert study._rank_auc(scores, labels) == 0.875
+    assert study._rank_auc(np.full(4, 0.3), labels) == 0.5
+    assert np.isnan(study._rank_auc(scores, np.zeros(4, dtype=bool)))
+
+
+@pytest.mark.parametrize("case", ["untied", "heavy ties", "all tied"])
+def test_rank_auc_matches_scipy_rankdata(case):
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(17)
+    scores = {
+        "untied": rng.uniform(size=5000),
+        "heavy ties": rng.integers(0, 7, size=5000) / 7.0,
+        "all tied": np.full(5000, 1e-3),
+    }[case]
+    labels = rng.uniform(size=5000) < 0.3
+    ranks = stats.rankdata(scores)
+    assert study._average_ranks(scores).tobytes() == ranks.tobytes()
+    pos = int(labels.sum())
+    expected = ((ranks[labels].sum() - pos * (pos + 1) / 2.0)
+                / (pos * (labels.size - pos)))
+    got = study._rank_auc(scores, labels)
+    assert np.array(got).tobytes() == np.array(expected).tobytes()

@@ -263,3 +263,24 @@ def test_batch_nan_is_inapplicable_not_rejected():
         else:
             ref = wishart_test(cov, spec, 50, alpha=0.05)
             assert p[i] == pytest.approx(ref.p_value, rel=1e-12)
+
+
+def test_batch_p_is_math_erfc_bit_for_bit():
+    # The batch takes p from math.erfc, the call wishart_test makes, on a
+    # stack of covariances whose last has two near-collinear columns: the
+    # tetrads pairing them are inapplicable, with w = +-inf and p = 0.
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=(3, 200, 6))
+    values[..., 1] += values[..., 0]
+    values[2, :, 5] = values[2, :, 4] + 1e-9 * rng.normal(size=200)
+    stack = np.stack([covariance(Dataset(tuple("abcdef"), v)).entries
+                      for v in values])
+    quads = np.array(list(itertools.permutations(range(6), 4)))
+    _, _, w, p = _wishart_batch(stack, quads, 200, alpha=0.05)
+    assert w.shape == p.shape == (3, len(quads))
+    assert np.isinf(w[2]).any() and not np.isinf(w[:2]).any()
+    assert {math.copysign(1.0, x) for x in w[2][np.isinf(w[2])]} == {-1.0, 1.0}
+    expected = [math.erfc(abs(x) / math.sqrt(2.0)) for x in w.ravel()]
+    assert p.dtype == np.float64
+    assert p.ravel().tobytes() == np.array(expected).tobytes()
+    assert (p[np.isinf(w)] == 0.0).all()
