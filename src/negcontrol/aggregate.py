@@ -8,6 +8,10 @@ Two aggregators:
   estimates; variance from the stacked sandwich (cross-pair meat) or a
   row-resampling bootstrap.
 
+One pair plan, ``_pair_plan``, picks from pair counts the pairs to fit
+and their weights, for ``enumerate_pairs``, the majority vote and the
+study; one builder, ``estimate._layout``, lays out their columns.
+
 Both read the dataset's one centred moment statistic (see ``data``): the
 fits solve on its cross products, and the sandwich and every bootstrap
 draw read its centred copy of just the columns the pairs use.  Every
@@ -17,6 +21,7 @@ comes from the one row-blocked sandwich of ``estimate._fit_stack``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 import numpy.random  # noqa: F401  loaded on import, not on the first draw
@@ -62,6 +67,13 @@ class PairFrequencyTable:
 
     entries: tuple[tuple[NcPair, int], ...]
 
+    def __post_init__(self):
+        for pair, freq in self.entries:  # a bool is not a count here
+            if (isinstance(freq, bool) or not isinstance(freq, Integral)
+                    or freq < 1):
+                raise ValueError(f"frequency of {pair} must be a positive "
+                                 f"integer, got {freq!r}")
+
     @property
     def total_pairs(self) -> int:
         """Number of distinct ordered pairs."""
@@ -94,9 +106,10 @@ def enumerate_pairs(dncts) -> PairFrequencyTable:
     counts = _pair_counts(
         np.array([[index[name] for name in t] for t in triples]), len(names)
     )
+    z, w, _ = _pair_plan(counts)
     entries = tuple(
         (NcPair(z=names[a], w=names[b]), int(counts[a, b]))
-        for a, b in zip(*np.nonzero(counts))
+        for a, b in zip(z, w)
     )
     return PairFrequencyTable(entries=entries)
 
@@ -108,11 +121,28 @@ _ORDERED_PAIRS = np.array([[0, 1, 0, 2, 1, 2], [1, 0, 2, 0, 2, 1]])
 
 def _pair_counts(rows: np.ndarray, c: int) -> np.ndarray:
     """The (c, c) matrix of how many of the triples ``rows``, a (D, 3)
-    array of distinct indices below ``c``, hold each ordered pair.  Read
-    row by row, its nonzero entries are the pairs of ``enumerate_pairs``
-    in its order when the indices follow the names' order."""
+    array of distinct indices below ``c``, hold each ordered pair."""
     z, w = rows.T[_ORDERED_PAIRS]
     return np.bincount((z * c + w).ravel(), minlength=c * c).reshape(c, c)
+
+
+def _pair_plan(counts: np.ndarray, aggregate: str = "weighted"):
+    """The index arrays (z, w) of the pairs an ``aggregate`` fits and their
+    weights, from a (c, c) matrix of ordered-pair counts: every nonzero
+    pair row by row, weighted by its share, or the majority pair z < w,
+    most counts in both orientations, first of equals, with weight 1."""
+    if aggregate == "majority":
+        upper = np.triu_indices(len(counts), 1)
+        k = int(np.argmax((counts + counts.T)[upper]))
+        return upper[0][k:k + 1], upper[1][k:k + 1], np.ones(1)
+    z, w = np.nonzero(counts)
+    freqs = counts[z, w].astype(float)
+    return z, w, freqs / freqs.sum()
+
+
+def _triples_plan(rows: np.ndarray, c: int, aggregate: str = "weighted"):
+    """The ``_pair_plan`` of the (D, 3) index triples ``rows`` below ``c``."""
+    return _pair_plan(_pair_counts(rows, c), aggregate)
 
 
 @dataclass(frozen=True)
@@ -157,16 +187,6 @@ def _check_interval_options(
         raise ValueError(f"unknown bootstrap_ci: {bootstrap_ci!r}")
     if ci_method == "bootstrap" and bootstrap_draws < 2:
         raise ValueError("bootstrap needs at least 2 draws")
-
-
-def _unordered_pairs(table: PairFrequencyTable) -> list[tuple[NcPair, int]]:
-    """Both orientations of each pair folded into one entry, sorted, with
-    the smaller name as z."""
-    merged: dict[tuple[str, str], int] = {}
-    for pair, freq in table.entries:
-        key = tuple(sorted((pair.z, pair.w)))
-        merged[key] = merged.get(key, 0) + freq
-    return [(NcPair(z=a, w=b), freq) for (a, b), freq in sorted(merged.items())]
 
 
 def _bootstrap_se(
@@ -234,6 +254,8 @@ def weighted_estimate(
     fixed; ``bootstrap_ci`` picks a normal or percentile interval).
     """
     _check_interval_options(ci_method, bootstrap_draws, bootstrap_ci)
+    if not table.entries:
+        raise EmptyDnctListError("no control pairs to aggregate")
     covariates = tuple(covariates)
     pairs = [pair for pair, _ in table.entries]
     freqs = np.array([freq for _, freq in table.entries], dtype=float)
@@ -285,8 +307,15 @@ def majority_vote_estimate(
     Frequencies of the two orientations are combined; ties break to the
     lexicographically smallest pair, oriented with the smaller name as z.
     """
-    # max keeps the first of equal frequencies, and the pairs come sorted
-    winner, _ = max(_unordered_pairs(table), key=lambda entry: entry[1])
+    if not table.entries:
+        raise EmptyDnctListError("no control pairs to aggregate")
+    names = sorted({name for pair, _ in table.entries
+                    for name in (pair.z, pair.w)})
+    counts = np.zeros((len(names), len(names)), dtype=np.int64)
+    for pair, freq in table.entries:
+        counts[names.index(pair.z), names.index(pair.w)] += freq
+    (z,), (w,), _ = _pair_plan(counts, "majority")
+    winner = NcPair(names[z], names[w])
     est = gmm_linear_ate(data, winner, treatment, outcome, covariates)
     return AggregateResult(
         delta_hat=est.delta_hat,

@@ -27,6 +27,9 @@ finite or above 1e12.  Neither that number nor delta moves when a column
 is shifted; rescaling T or O multiplies delta by s_O / s_T.  The raw-design
 functions (``design_matrices`` ... ``sandwich_cov``) are the references.
 
+Every system's columns, a pair's or the naive regression's, come from
+one builder, ``_layout``, which checks the roles once for all P systems.
+
 The solve is stacked: P systems read their (P, d, d) slices of S as one
 fancy-index slice, are checked by one stacked ``np.linalg.cond`` and
 inverted by one stacked ``np.linalg.inv``.  ``_fit_stack`` is the one path
@@ -163,17 +166,16 @@ def closed_form_ate(
     SingularDenominatorError
         The correlation-scale system has a condition number that is not
         finite or above 1e12.
+    ValueError
+        The pair, the treatment and the outcome are not distinct.
     """
     if formula not in ("primary", "alternate"):
         raise ValueError(f"unknown formula: {formula!r}")
-    t = cov.index_of(treatment)
-    q, m = [cov.index_of(pair.z), t], [cov.index_of(pair.w), t]
+    qs, ms, y = _stacked_columns(cov, [pair], treatment, outcome)
     if formula == "alternate":
-        q, m = m, q
+        qs, ms = ms, qs
     try:
-        beta, _ = _solve_centred(
-            cov.entries, [q], [m], cov.index_of(outcome)
-        )
+        beta, _ = _solve_centred(cov.entries, qs, ms, y)
     except SingularMomentMatrixError as exc:
         raise SingularDenominatorError(
             f"denominator is numerically zero for pair ({pair.z}, {pair.w})"
@@ -191,29 +193,32 @@ def _check_distinct(*roles: str) -> None:
         )
 
 
-def _moment_columns(
-    data, pair: NcPair, treatment: str, outcome: str, covariates=()
-) -> tuple[list[int], list[int], int]:
-    """Positions of the instruments (Z, T, X), the regressors (W, T, X) and
-    the outcome among the columns of ``data``; ValueError unless the roles
-    are distinct."""
-    roles = (pair.z, pair.w, treatment, outcome, *covariates)
-    _check_distinct(*roles)
-    z, w, t, y, *x = (data.index_of(name) for name in roles)
-    return [z, t, *x], [w, t, *x], y
+def _layout(index_of, names, z, w, treatment: str, outcome: str,
+            covariates=()) -> tuple[np.ndarray, np.ndarray, int]:
+    """The column positions, by ``index_of``, of the systems of the pairs
+    (``names[z[k]]``, ``names[w[k]]``): (P, d) instruments (Z, T, X),
+    (P, d) regressors (W, T, X) and the outcome.  (P, 0) arrays ``z`` and
+    ``w`` give systems without a pair, the naive regression's (T, X).  One
+    ValueError for all P unless the roles are distinct."""
+    _check_distinct(*set(names), treatment, outcome, *covariates)
+    place = np.array([index_of(name)
+                      for name in (*names, treatment, *covariates)])
+    common = place[len(names):]
+    qs, ms = (np.column_stack([place[np.asarray(ends, dtype=np.intp)],
+                               *(np.full(len(ends), at) for at in common)])
+              for ends in (z, w))
+    return qs, ms, index_of(outcome)
 
 
 def _stacked_columns(
     data, pairs, treatment: str, outcome: str, covariates=()
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Every pair's ``_moment_columns`` stacked: (P, d) instrument and
-    regressor positions and the outcome's position."""
-    layouts = [
-        _moment_columns(data, pair, treatment, outcome, covariates)
-        for pair in pairs
-    ]
-    qs, ms = (np.array([layout[i] for layout in layouts]) for i in (0, 1))
-    return qs, ms, layouts[0][2]
+    """The ``_layout`` of the ``NcPair`` list ``pairs`` among the columns
+    of ``data``."""
+    p = len(pairs)
+    return _layout(data.index_of, [pair.z for pair in pairs]
+                   + [pair.w for pair in pairs], range(p), range(p, 2 * p),
+                   treatment, outcome, covariates)
 
 
 def _used_columns(xc: np.ndarray, layout):
@@ -365,7 +370,8 @@ def design_matrices(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Instrument matrix Q = [1, Z, T, X], regressor matrix M = [1, W, T, X],
     and outcome vector y, aligned with theta = (alpha0, alpha1, delta, bx)."""
-    q, m, _ = _moment_columns(data, pair, treatment, outcome, covariates)
+    (q,), (m,), _ = _stacked_columns(data, [pair], treatment, outcome,
+                                     covariates)
     ones = np.ones((data.n, 1))
     # rounding depends on memory layout: Q and M stay row-major and y a
     # strided view of the data, so the fits are stable to the last bit

@@ -81,7 +81,7 @@ def dance(
     outcome, and the covariates.  ``alpha`` defaults to 1/n.  ``aggregate``
     is "weighted" (frequency-weighted pair average) or "majority" (single
     most frequent pair).  ValueError, before the search, when a covariate
-    is repeated or is the treatment or the outcome.
+    is repeated, is the treatment or the outcome, or is a candidate.
     """
     covariates = tuple(covariates)
     _check_distinct(treatment, outcome, *covariates)
@@ -90,6 +90,10 @@ def dance(
         candidates = [
             name for name in data.variable_names if name not in excluded
         ]
+    candidates = list(candidates)
+    shared = [name for name in candidates if name in covariates]
+    if shared:
+        raise ValueError(f"candidates {shared} are also covariates")
     if aggregate not in ("weighted", "majority"):
         raise ValueError(f"unknown aggregate: {aggregate!r}")
     _check_interval_options(ci_method, bootstrap_draws, bootstrap_ci)

@@ -24,7 +24,8 @@ differs between replications, the pairs of the triplets each search
 passed and the pairs drawn per replication, is fitted one replication at
 a time from views of the pass's arrays.  Every kernel gives each matrix of
 a stack the bits it gets alone, so a pass of R writes what R passes of one
-write.
+write.  The pairs and weights are ``aggregate``'s one pair plan, and every
+system, the naive one too, is laid out by ``estimate._layout``.
 """
 from __future__ import annotations
 
@@ -40,9 +41,9 @@ from itertools import combinations
 import numpy as np
 import numpy.random  # noqa: F401  loaded on import, not on the first draw
 
-from .aggregate import _pair_counts
+from .aggregate import _triples_plan
 from ._fork import _receive_bytes, _workers, map_parts
-from .data import Dataset, _centre, _covariance_entries
+from .data import _centre, _covariance_entries
 from .errors import UnknownVariableError
 from .estimate import (
     DELTA_INDEX,
@@ -50,6 +51,7 @@ from .estimate import (
     _check_distinct,
     _fit_stack,
     _interval,
+    _layout,
 )
 from .search import _quads, _search_plan
 from .simulate import (
@@ -230,33 +232,30 @@ def _resolve_spec(config: StudyConfig) -> GraphSpec:
     )
 
 
-def _fits(centred, layout, weights, j: int = DELTA_INDEX - 1, pairs=None,
-          lone: bool = False) -> list:
+def _fits(centred, layout, weights, j: int = DELTA_INDEX - 1,
+          pairs=None) -> list:
     """Per dataset of the stacked centred statistic ``centred``: the
     (delta, se, ci_low, ci_high) of the ``weights`` average of its
     systems' beta[:, j], as ``weighted_estimate`` forms it, or the
-    SingularMomentMatrixError of its first failing system.  A ``lone``
-    system takes its own SE instead, as ``gmm_linear_ate`` does."""
+    SingularMomentMatrixError of its first failing system.  A lone system
+    takes its own SE instead, as ``gmm_linear_ate`` does."""
     errors: list = []
     _, _, ses, deltas, weighted_ses, *_ = _fit_stack(
         centred, layout, weights, j, pairs, errors
     )
-    if lone:
+    if len(weights) == 1:
         weighted_ses = ses[:, 0].tolist()
     return [error or (delta, se, *_interval(delta, se))
             for error, delta, se in zip(errors, deltas, weighted_ses)]
 
 
-def _naive_fit(data: Dataset, treatment: str, outcome: str, covariates):
-    """OLS of outcome on treatment (plus covariates) with a robust SE: the
-    centred solve with instruments and regressors both (T, X)."""
-    x = np.array([[data.index_of(name) for name in (treatment, *covariates)]])
-    (fit,) = _fits(tuple(array[None] for array in data._centred),
-                   (x, x, data.index_of(outcome)), np.ones(1), j=0,
-                   lone=True)
-    if isinstance(fit, Exception):
-        raise fit
-    return fit
+def _naive_fits(centred, index_of, treatment: str, outcome: str,
+                covariates) -> list:
+    """``_fits`` of the OLS of outcome on treatment (plus covariates) with
+    a robust SE: the system without a pair, whose instruments and
+    regressors are both (T, X)."""
+    return _fits(centred, _layout(index_of, (), [[]], [[]], treatment,
+                                  outcome, covariates), np.ones(1), j=0)
 
 
 def _default_grid(n: int) -> tuple[float, ...]:
@@ -297,7 +296,7 @@ class _Pass:
     spec: GraphSpec
     config: StudyConfig
     columns: dict  # column name -> position
-    drawn: list  # the candidates in graph order, as random draws read them
+    drawn: np.ndarray  # ``candidates`` positions in graph order, as drawn
     candidates: tuple  # sorted, as the search reads them
     rows: np.ndarray  # (T, 3) indices of every triple into ``candidates``
     triples: list  # every triple's names, in the order of ``rows``
@@ -311,21 +310,14 @@ class _Pass:
         of the pass's arrays."""
         return tuple(array[i:i + 1] for array in self.centred)
 
-    def layout(self, z, w) -> tuple:
-        """The stacked systems of the pairs (``candidates[z[k]]``,
-        ``candidates[w[k]]``): instruments (Z, T, X), regressors (W, T, X)
-        and the outcome, as column positions."""
-        spec, columns = self.spec, self.columns
-        common = [columns[spec.treatment],
-                  *(columns[name] for name in self.config.covariates)]
-        place = np.array([columns[name] for name in self.candidates])
-        qs, ms = (np.column_stack([place[ends], *(np.full(len(ends), at)
-                                                  for at in common)])
-                  for ends in (np.asarray(z), np.asarray(w)))
-        return qs, ms, columns[spec.outcome]
-
-    def pairs(self, z, w) -> "_Pairs":
-        return _Pairs(self.candidates, z, w)
+    def fits(self, centred, z, w, weights) -> list:
+        """``_fits`` on ``centred`` of the pairs (``candidates[z[k]]``,
+        ``candidates[w[k]]``) with ``weights``."""
+        spec = self.spec
+        layout = _layout(self.columns.__getitem__, self.candidates, z, w,
+                         spec.treatment, spec.outcome, self.config.covariates)
+        return _fits(centred, layout, weights,
+                     pairs=_Pairs(self.candidates, z, w))
 
 
 @dataclass(frozen=True)
@@ -339,34 +331,6 @@ class _Pairs:
 
     def __getitem__(self, k: int) -> NcPair:
         return NcPair(self.names[self.z[k]], self.names[self.w[k]])
-
-
-def _pair_weights(rows: np.ndarray, c: int):
-    """The ordered pairs (z, w) of the triples ``rows``, indices below
-    ``c``, in ``enumerate_pairs`` order, and their frequency weights, as
-    ``weighted_estimate`` forms them."""
-    counts = _pair_counts(rows, c)
-    z, w = np.nonzero(counts)
-    freqs = counts[z, w].astype(float)
-    return z, w, freqs / freqs.sum()
-
-
-def _dance_fit(stack: _Pass, i: int, rows: np.ndarray, aggregate: str):
-    """The fit ``dance`` makes of the triples ``rows`` (indices into
-    the pass's candidates) of replication ``i``: the frequency-weighted
-    pair average, or the most frequent pair's own fit."""
-    c = len(stack.candidates)
-    if aggregate == "majority":
-        # the first most frequent pair with z before w, as
-        # majority_vote_estimate picks it
-        upper = np.triu_indices(c, 1)
-        k = int(np.argmax(_pair_counts(rows, c)[upper]))
-        z, w, weights = [upper[0][k]], [upper[1][k]], np.ones(1)
-    else:
-        z, w, weights = _pair_weights(rows, c)
-    (fit,) = _fits(stack.member(i), stack.layout(z, w), weights,
-                   pairs=stack.pairs(z, w), lone=aggregate == "majority")
-    return fit
 
 
 def _run_pass(spec: GraphSpec, config: StudyConfig, jobs: list, *,
@@ -395,26 +359,23 @@ def _run_pass(spec: GraphSpec, config: StudyConfig, jobs: list, *,
         n, alpha,
     )[3].reshape(len(jobs), len(rows), 6)
     stack = _Pass(
-        spec, config, columns, candidates, names_sorted, rows,
+        spec, config, columns, np.searchsorted(names_sorted, candidates),
+        names_sorted, rows,
         list(combinations(names_sorted, 3)), centred, p.min(axis=-1),
         (p > alpha).all(axis=-1), {},
     )
     if "naive" in config.methods:
-        x = np.array([[columns[name]
-                       for name in (treatment, *config.covariates)]])
         try:
-            stack.shared["naive"] = _fits(
-                centred, (x, x, columns[outcome]), np.ones(1), j=0,
-                lone=True)
+            stack.shared["naive"] = _naive_fits(
+                centred, columns.__getitem__, treatment, outcome,
+                config.covariates)
         except np.linalg.LinAlgError as exc:
             if len(jobs) > 1:
                 raise  # the serial rerun finds the replication it is of
             stack.shared["naive"] = [exc]
     if fixed is not None and "random" in config.methods:
-        z, w, weights = _pair_weights(rows[fixed:fixed + 1],
-                                      len(names_sorted))
-        stack.shared["random"] = _fits(centred, stack.layout(z, w), weights,
-                                       pairs=stack.pairs(z, w))
+        stack.shared["random"] = stack.fits(
+            centred, *_triples_plan(rows[fixed:fixed + 1], len(names_sorted)))
     return [_one_replication(spec, config, n, r, stack=stack, i=i)
             for i, (_, r) in enumerate(jobs)]
 
@@ -445,15 +406,12 @@ def _one_replication(spec: GraphSpec, config: StudyConfig, n: int,
         )
         for _ in range(2):  # one redraw on failure
             if config.random_scheme == "pair_per_rep":
-                z, w = rng.choice(len(stack.drawn), size=2, replace=False)
-                pair = stack.drawn[z], stack.drawn[w]
+                ends = rng.choice(stack.drawn, size=2, replace=False)
             else:  # triplet_per_rep
-                triple = stack.triples[rng.integers(len(stack.triples))]
-                z, w = rng.choice(3, size=2, replace=False)
-                pair = triple[z], triple[w]
-            z, w = ([stack.candidates.index(name)] for name in pair)
-            (fit,) = _fits(stack.member(i), stack.layout(z, w), np.ones(1),
-                           pairs=stack.pairs(z, w), lone=True)
+                ends = rng.choice(stack.rows[rng.integers(len(stack.rows))],
+                                  size=2, replace=False)
+            (fit,) = stack.fits(stack.member(i), ends[:1], ends[1:],
+                                np.ones(1))
             if not isinstance(fit, Exception):
                 break
         record("random", fit)
@@ -463,8 +421,9 @@ def _one_replication(spec: GraphSpec, config: StudyConfig, n: int,
         if not passed.any():
             errors["dance"] = "no_dnct"
         else:
-            record("dance", _dance_fit(stack, i, stack.rows[passed],
-                                       config.aggregate))
+            (fit,) = stack.fits(stack.member(i), *_triples_plan(
+                stack.rows[passed], len(stack.candidates), config.aggregate))
+            record("dance", fit)
 
     return _RepOutcome(
         n=n,

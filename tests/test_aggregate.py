@@ -17,7 +17,7 @@ from negcontrol.estimate import (
     _ROW_BLOCK,
     DELTA_INDEX,
     NcPair,
-    _moment_columns,
+    _stacked_columns,
     design_matrices,
     gmm_linear_ate,
     per_observation_moments,
@@ -25,6 +25,7 @@ from negcontrol.estimate import (
     solve_linear_moments,
 )
 from negcontrol.aggregate import (
+    PairFrequencyTable,
     enumerate_pairs,
     majority_vote_estimate,
     weighted_estimate,
@@ -310,7 +311,7 @@ def _first_singular_pair(data, pairs):
     sd = np.sqrt(np.diag(moments))
     sd[sd == 0.0] = 1.0
     for pair in pairs:
-        q, m, _ = _moment_columns(data, pair, "T", "O")
+        (q,), (m,), _ = _stacked_columns(data, [pair], "T", "O")
         corr = moments[np.ix_(q, m)] / np.outer(sd[q], sd[m])
         cond = float(np.linalg.cond(corr))
         if not cond <= 1e12:
@@ -427,3 +428,67 @@ def test_weighted_rejects_overlapping_or_unknown_roles(
     table = enumerate_pairs([("Z2", "Z3", "Z4")])
     with pytest.raises(error):
         weighted_estimate(simple_data, table, "T", "O", covariates=covariates)
+
+
+# ---------------------------------------------------------------------------
+# hand-built frequency tables
+# ---------------------------------------------------------------------------
+
+
+def _table(*entries):
+    return PairFrequencyTable(tuple((NcPair(z, w), freq)
+                                    for z, w, freq in entries))
+
+
+def test_majority_vote_sums_both_orientations(simple_data):
+    # (Z1, Z4) is the most frequent ordered pair, but {Z2, Z3} wins on the
+    # sum of its two orientations, 2 + 4 against 5 + 0; it is fitted with
+    # the smaller name as z though (Z3, Z2) carries more of its count
+    table = _table(("Z1", "Z4", 5), ("Z2", "Z3", 2), ("Z3", "Z2", 4),
+                   ("Z4", "Z3", 1))
+    result = majority_vote_estimate(simple_data, table, "T", "O")
+    ((pair, est, weight),) = result.per_pair
+    assert (pair, weight) == (NcPair("Z2", "Z3"), 1.0)
+    assert est == gmm_linear_ate(simple_data, pair, "T", "O")
+    assert (result.delta_hat, result.se) == (est.delta_hat, est.se)
+
+
+def test_majority_vote_tie_goes_to_the_smallest_pair(simple_data):
+    # three pairs tie at 3; the smallest, {Z1, Z4}, is listed last and
+    # only in its reverse orientation
+    table = _table(("Z3", "Z4", 3), ("Z3", "Z2", 1), ("Z2", "Z3", 2),
+                   ("Z2", "Z4", 1), ("Z4", "Z1", 3))
+    result = majority_vote_estimate(simple_data, table, "T", "O")
+    assert result.per_pair[0][0] == NcPair("Z1", "Z4")
+
+
+def test_weighted_keeps_the_table_order(simple_data):
+    # not the row-major order enumerate_pairs gives
+    table = _table(("Z4", "Z2", 3), ("Z3", "Z1", 1), ("Z1", "Z3", 2))
+    result = weighted_estimate(simple_data, table, "T", "O")
+    assert [(pair, weight) for pair, _, weight in result.per_pair] == [
+        (NcPair("Z4", "Z2"), 0.5), (NcPair("Z3", "Z1"), 1 / 6),
+        (NcPair("Z1", "Z3"), 2 / 6)]
+    for pair, est, _ in result.per_pair:
+        single = gmm_linear_ate(simple_data, pair, "T", "O")
+        assert (est.delta_hat, est.se) == (single.delta_hat, single.se)
+
+
+@pytest.mark.parametrize("aggregate", [weighted_estimate,
+                                       majority_vote_estimate])
+def test_aggregators_reject_an_empty_table(simple_data, aggregate):
+    with pytest.raises(EmptyDnctListError):
+        aggregate(simple_data, PairFrequencyTable(()), "T", "O")
+
+
+@pytest.mark.parametrize("freq", [0, -1, 1.0, 2.5, True, "2", None,
+                                  np.float64(2.0)])
+def test_table_rejects_a_frequency_that_is_no_positive_integer(freq):
+    with pytest.raises(ValueError, match="positive integer"):
+        _table(("Z2", "Z3", freq), ("Z3", "Z4", 2))
+
+
+def test_table_takes_numpy_integers(simple_data):
+    table = _table(("Z2", "Z3", np.int64(1)), ("Z3", "Z4", np.int32(3)))
+    result = weighted_estimate(simple_data, table, "T", "O")
+    assert [weight for *_, weight in result.per_pair] == [0.25, 0.75]

@@ -321,6 +321,26 @@ def test_dance_byte_identical_across_runs(tmp_path, sim_csv):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+@pytest.mark.parametrize("aggregate", ["weighted", "majority"])
+def test_dance_candidate_covariate_exit_2_before_searching(
+        tmp_path, monkeypatch, capsys, aggregate):
+    spec = simulate.builtin_graph("complex", strength="strong", seed=1)
+    path, out = tmp_path / "complex.csv", tmp_path / "dance.json"
+    write_csv(simulate.generate(spec, 3000, np.random.SeedSequence(5)), path)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr("negcontrol.pipeline.find_nc", no_search)
+    code = main(["dance", "--data", str(path), "--treatment", "T",
+                 "--outcome", "O", "--candidates", "Z1,Z2,Z3,Z6,Z7",
+                 "--covariates", "Z7", "--aggregate", aggregate,
+                 "--out", str(out)])
+    assert code == 2
+    assert "also covariates" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_dance_with_constant_column_exit_0(tmp_path, simple_data):
     # one-pass centring left the constant 0.1 a variance near 1e-27, so the
     # search passed triples holding K and dance exited 2 on their fits

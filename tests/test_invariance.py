@@ -24,7 +24,7 @@ from negcontrol.estimate import NcPair, closed_form_ate, gmm_linear_ate
 from negcontrol.pipeline import dance
 from negcontrol.search import find_nc
 from negcontrol.simulate import ground_truth_dncts
-from negcontrol.study import _naive_fit
+from test_study import _naive_fit
 
 PAIR = NcPair("Z1", "Z3")
 ROLES = ("T", "O", "Z1", "Z2", "Z3", "Z4", "K")

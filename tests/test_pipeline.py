@@ -100,6 +100,23 @@ def test_dance_rejects_covariate_roles_before_searching(pipeline_data,
     assert searches == []
 
 
+def _no_search(*args, **kwargs):
+    raise AssertionError("the search ran")
+
+
+@pytest.mark.parametrize("aggregate", ["weighted", "majority"])
+def test_dance_rejects_a_candidate_covariate_before_searching(monkeypatch,
+                                                              aggregate):
+    # the weighted aggregate used to search and then fail its fits, and
+    # the majority vote to return an estimate from a search over Z7
+    spec = builtin_graph("complex", strength="strong", seed=1)
+    data = generate(spec, 3000, np.random.SeedSequence(5))
+    monkeypatch.setattr(pipeline, "find_nc", _no_search)
+    with pytest.raises(ValueError, match=r"\['Z7'\] are also covariates"):
+        dance(data, "T", "O", candidates=["Z1", "Z2", "Z3", "Z6", "Z7"],
+              covariates=("Z7",), aggregate=aggregate)
+
+
 def test_both_aggregators_cover_truth_across_seeded_runs():
     # Across 100 seeded simulate-then-estimate runs, the 95% intervals of
     # both aggregation strategies must cover the known effect at least 90%

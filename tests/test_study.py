@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import os
+from dataclasses import replace
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from negcontrol.aggregate import enumerate_pairs, weighted_estimate
+from negcontrol.errors import SingularMomentMatrixError
 from negcontrol.estimate import (
+    NcPair,
+    gmm_linear_ate,
     per_observation_moments,
     sandwich_cov,
     solve_linear_moments,
@@ -22,7 +28,7 @@ from negcontrol.study import (
     _STREAM_DATA,
     _STUDY_CHUNK,
     StudyConfig,
-    _naive_fit,
+    _naive_fits,
     _one_replication,
     _resolve_spec,
     roc_curve,
@@ -37,6 +43,15 @@ from test_data import (
     needs_fork,
     needs_proc,
 )
+
+
+def _naive_fit(data, treatment, outcome, covariates):
+    """The study's naive fit of one dataset, a stack of one."""
+    (fit,) = _naive_fits(tuple(array[None] for array in data._centred),
+                         data.index_of, treatment, outcome, covariates)
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
 
 
 def _small_config(**overrides):
@@ -688,6 +703,73 @@ def test_stacked_dance_fits_match_dance(study_passes, variant):
             if fit.estimate is not None:
                 expected.append((fit.estimate.delta_hat, fit.estimate.se))
         assert expected
+        assert (np.array(expected).tobytes()
+                == np.column_stack([fitted["delta"], fitted["se"]]).tobytes())
+
+
+def _random_fit(config, spec, data, candidates, triples, n, r):
+    """The random arm's fit of replication (n, r), redrawn from the
+    study's own seed streams and fitted by the library."""
+    covariates = config.covariates
+    if config.random_scheme == "triplet_fixed":
+        rng = np.random.default_rng(np.random.SeedSequence(
+            (config.master_seed, study._STREAM_FIXED_TRIPLET)))
+        table = enumerate_pairs([triples[rng.integers(len(triples))]])
+        return weighted_estimate(data, table, spec.treatment, spec.outcome,
+                                 covariates)
+    rng = np.random.default_rng(np.random.SeedSequence(
+        (config.master_seed, study._STREAM_RANDOM, n, r)))
+    for attempt in range(2):  # one redraw on failure, as the study has it
+        if config.random_scheme == "pair_per_rep":
+            z, w = rng.choice(len(candidates), size=2, replace=False)
+            pair = candidates[z], candidates[w]
+        else:
+            triple = triples[rng.integers(len(triples))]
+            z, w = rng.choice(3, size=2, replace=False)
+            pair = triple[z], triple[w]
+        try:
+            return gmm_linear_ate(data, NcPair(*pair), spec.treatment,
+                                  spec.outcome, covariates)
+        except SingularMomentMatrixError:
+            if attempt:
+                raise
+
+
+def _reversed_candidates(config):
+    """``config`` on its graph with the candidates listed in reverse, so
+    the graph order a random pair is drawn in is not the sorted order."""
+    spec = _resolve_spec(config)
+    nodes = tuple(n for n in spec.nodes if n not in spec.candidates)
+    return replace(config, graph=replace(
+        spec, nodes=nodes + spec.candidates[::-1]))
+
+
+@pytest.mark.parametrize("variant", ["triplet_fixed", "pair_per_rep",
+                                     "triplet_per_rep", "covariate",
+                                     "reversed"])
+def test_stacked_random_fits_match_the_library(study_passes, variant):
+    # each replication's random estimate is the library's fit of the
+    # triplet or pair the study drew for it: the fixed triplet's weighted
+    # estimate, or the drawn pair's own fit
+    if variant == "reversed":
+        config = _reversed_candidates(
+            _pass_config(random_scheme="pair_per_rep"))
+    else:
+        config = _pass_config(**_PASS_VARIANTS[variant])
+    study_passes(_STUDY_CHUNK, 1)
+    result = run_study(config)
+    assert not [f for f in result.failures if f.method == "random"]
+    spec = _resolve_spec(config)
+    candidates = [c for c in spec.candidates if c not in config.covariates]
+    triples = list(combinations(sorted(candidates), 3))
+    for n in config.sample_sizes:
+        fitted = result.details[n]["estimates"]["random"]
+        expected = []
+        for r in range(config.replications):
+            data = generate(spec, n, np.random.SeedSequence(
+                (config.master_seed, _STREAM_DATA, n, r)))
+            fit = _random_fit(config, spec, data, candidates, triples, n, r)
+            expected.append((fit.delta_hat, fit.se))
         assert (np.array(expected).tobytes()
                 == np.column_stack([fitted["delta"], fitted["se"]]).tobytes())
 
