@@ -62,7 +62,8 @@ class PairFrequencyTable:
     """Ordered-pair frequencies accumulated over validated triplets.
 
     Each triplet {a, b, c} contributes its six ordered pairs once, so the
-    frequencies sum to 6 * (number of triplets).
+    frequencies sum to 6 * (number of triplets).  ValueError unless each
+    pair is listed once with a positive integer frequency.
     """
 
     entries: tuple[tuple[NcPair, int], ...]
@@ -73,6 +74,8 @@ class PairFrequencyTable:
                     or freq < 1):
                 raise ValueError(f"frequency of {pair} must be a positive "
                                  f"integer, got {freq!r}")
+        if len({pair for pair, _ in self.entries}) != len(self.entries):
+            raise ValueError("each ordered pair must appear once")
 
     @property
     def total_pairs(self) -> int:

@@ -89,20 +89,12 @@ def _text(doc):
     return lambda write: write(text)
 
 
-def _candidates(data, args) -> list[str]:
-    if args.candidates is not None:
-        return args.candidates
-    excluded = {args.treatment, args.outcome}
-    return [name for name in data.variable_names if name not in excluded]
-
-
 def _cmd_find(args) -> int:
     from .search import find_nc
 
-    data = load_csv(args.data)
     report = find_nc(
-        data,
-        _candidates(data, args),
+        load_csv(args.data),
+        args.candidates,
         args.treatment,
         args.outcome,
         alpha=args.alpha,

@@ -259,7 +259,12 @@ def _solve_centred(
     corr = moments[..., qs[:, :, None], ms[:, None, :]] / (
         sd_q[..., :, None] * sd_m[..., None, :]
     )
-    cond = np.linalg.cond(corr)
+    try:
+        cond = np.linalg.cond(corr)
+    except np.linalg.LinAlgError:  # the SVD fails on an inf or NaN entry
+        finite = np.isfinite(corr).all(axis=(-2, -1))
+        corr[~finite] = np.eye(len(ms[0]))
+        cond = np.where(finite, np.linalg.cond(corr), np.inf)
     failed = ~(cond <= _COND_LIMIT)  # NaN as well
     found = [None] * (cond.size // len(qs))
     for member, k in zip(*np.nonzero(failed.reshape(len(found), -1))):

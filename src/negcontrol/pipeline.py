@@ -20,8 +20,7 @@ from .aggregate import (
     weighted_estimate,
 )
 from .data import Dataset
-from .estimate import _check_distinct
-from .search import FindNcReport, find_nc
+from .search import FindNcReport, _search_plan, find_nc
 
 __all__ = ["DanceResult", "dance"]
 
@@ -80,20 +79,15 @@ def dance(
     ``candidates`` defaults to every column except the treatment, the
     outcome, and the covariates.  ``alpha`` defaults to 1/n.  ``aggregate``
     is "weighted" (frequency-weighted pair average) or "majority" (single
-    most frequent pair).  ValueError, before the search, when a covariate
-    is repeated, is the treatment or the outcome, or is a candidate.
+    most frequent pair).  The run plan (``search._search_plan``) checks
+    the roles and the level before the search: ValueError when a
+    covariate is repeated, is the treatment or the outcome, or is a
+    candidate, UnknownVariableError when a role is no column.
     """
     covariates = tuple(covariates)
-    _check_distinct(treatment, outcome, *covariates)
-    if candidates is None:
-        excluded = {treatment, outcome, *covariates}
-        candidates = [
-            name for name in data.variable_names if name not in excluded
-        ]
-    candidates = list(candidates)
-    shared = [name for name in candidates if name in covariates]
-    if shared:
-        raise ValueError(f"candidates {shared} are also covariates")
+    candidates, _, alpha = _search_plan(
+        data.variable_names, candidates, treatment, outcome, data.n, alpha,
+        covariates)
     if aggregate not in ("weighted", "majority"):
         raise ValueError(f"unknown aggregate: {aggregate!r}")
     _check_interval_options(ci_method, bootstrap_draws, bootstrap_ci)

@@ -16,6 +16,9 @@ pass on the correlation matrix (``tetrad._wishart_batch``), so verdicts do
 not depend on the scale of any column.  ``tetrad.wishart_test`` is the
 scalar reference that pass is tested against.
 
+One run plan, ``_search_plan``, checks the roles and the level before
+any work, for every search, for ``dance`` and for ``run_study``.
+
 The results land in one columnar ``FindNcReport``: the sorted candidate
 names, a (T, 3) array of each triple's indices into them, and (T, 6)
 arrays of the six sub-tests' statistics.  A sub-test vanishes when its
@@ -40,6 +43,7 @@ import numpy as np
 
 from .data import CovMatrix, Dataset, covariance
 from .errors import TooFewCandidatesError, UnknownVariableError
+from .estimate import _check_distinct
 from .tetrad import TetradResult, TetradSpec, _wishart_batch
 
 __all__ = [
@@ -408,11 +412,11 @@ def dnct_validate(
     alpha: float,
 ) -> DnctVerdict:
     """Run all six certifying tetrad tests for one candidate triple."""
-    triple = canonical_triple(candidate)
-    triple_specs(triple, treatment, outcome)  # raises on a role overlap
-    report = _scan(cov, n, triple, np.array([[0, 1, 2]], dtype=np.intp),
-                   treatment, outcome, alpha)
-    return report.all_verdicts[0]
+    names, triples, alpha = _search_plan(
+        cov.variable_index, canonical_triple(candidate), treatment, outcome,
+        n, alpha)
+    return _scan(cov, n, names, triples, treatment, outcome,
+                 alpha).all_verdicts[0]
 
 
 def find_nc(
@@ -424,13 +428,16 @@ def find_nc(
 ) -> FindNcReport:
     """Brute-force scan of every unordered candidate triple.
 
-    ``alpha`` defaults to 1/n.  Verdicts are reported in lexicographic
-    order of the canonical triple.
+    The run plan takes ``candidates`` None as every column but the
+    treatment and the outcome, and ``alpha`` None as 1/n.  Verdicts are
+    reported in lexicographic order of the canonical triple.
 
     Raises
     ------
     TooFewCandidatesError
         Fewer than three candidates.
+    UnknownVariableError
+        A role or a candidate that is no column of ``data``.
     ValueError
         Candidates overlapping treatment/outcome, or alpha outside (0, 1).
     """
@@ -441,11 +448,18 @@ def find_nc(
 
 
 def _search_plan(variables, candidates, treatment: str, outcome: str,
-                 n: int, alpha: float | None):
-    """``find_nc``'s checks of its arguments, for a dataset of ``n`` rows
-    whose columns are named ``variables``: the sorted candidates, every
-    triple of them as a (T, 3) array of increasing indices, and alpha as
-    a float, 1/n by default."""
+                 n: int, alpha: float | None, covariates=()):
+    """The run plan of ``n`` rows of columns ``variables``: distinct roles,
+    and at least three candidates, by default every other column.  Returns
+    the sorted candidates, their triples as a (T, 3) array of increasing
+    indices, and alpha as a float in (0, 1), 1/n by default."""
+    roles = (treatment, outcome, *covariates)
+    if {treatment, outcome} & set(covariates):
+        raise ValueError("covariates must be distinct from the treatment "
+                         "and the outcome")
+    _check_distinct(*roles)
+    if candidates is None:
+        candidates = [name for name in variables if name not in roles]
     candidates = sorted(candidates)
     if len(set(candidates)) != len(candidates):
         raise ValueError("candidate names must be unique")
@@ -453,11 +467,11 @@ def _search_plan(variables, candidates, treatment: str, outcome: str,
         raise TooFewCandidatesError(
             f"need at least 3 candidates, got {len(candidates)}"
         )
-    if treatment in candidates or outcome in candidates:
-        raise ValueError("candidates must exclude treatment and outcome")
-    if treatment == outcome:
-        raise ValueError("treatment and outcome must differ")
-    for name in (treatment, outcome, *candidates):
+    shared = [name for name in candidates if name in roles]
+    if shared:
+        raise ValueError(f"candidates {shared} are also covariates, the "
+                         "treatment or the outcome")
+    for name in (*roles, *candidates):
         if name not in variables:
             raise UnknownVariableError(name)
     if alpha is None:

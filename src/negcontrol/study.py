@@ -36,7 +36,6 @@ import pickle
 from collections.abc import Sequence
 from dataclasses import astuple, dataclass, field, fields, replace
 from functools import partial
-from itertools import combinations
 
 import numpy as np
 import numpy.random  # noqa: F401  loaded on import, not on the first draw
@@ -44,11 +43,9 @@ import numpy.random  # noqa: F401  loaded on import, not on the first draw
 from .aggregate import _triples_plan
 from ._fork import _receive_bytes, _workers, map_parts
 from .data import _centre, _covariance_entries
-from .errors import UnknownVariableError
 from .estimate import (
     DELTA_INDEX,
     NcPair,
-    _check_distinct,
     _fit_stack,
     _interval,
     _layout,
@@ -148,6 +145,10 @@ class StudyConfig:
                 )
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
+        if not self.u_sd > 0:
+            raise ValueError(f"u_sd must be positive, got {self.u_sd!r}")
+        if not all(0 < a <= 1 for a in self.alpha_grid or ()):
+            raise ValueError("alpha_grid entries must lie in (0, 1]")
         if not self.sample_sizes:
             raise ValueError("at least one sample size required")
         if any(n < 10 for n in self.sample_sizes):
@@ -299,7 +300,6 @@ class _Pass:
     drawn: np.ndarray  # ``candidates`` positions in graph order, as drawn
     candidates: tuple  # sorted, as the search reads them
     rows: np.ndarray  # (T, 3) indices of every triple into ``candidates``
-    triples: list  # every triple's names, in the order of ``rows``
     centred: tuple  # (xc, means, gram) of the R replications, stacked
     min_p: np.ndarray  # (R, T)
     passed: np.ndarray  # (R, T)
@@ -334,13 +334,13 @@ class _Pairs:
 
 
 def _run_pass(spec: GraphSpec, config: StudyConfig, jobs: list, *,
-              candidates: list, fixed: int | None) -> list:
-    """The outcomes of ``jobs``, replications of one sample size, run as
-    one stacked pass: simulated into one (R, n, k) array, each from its own
-    seed, centred and searched together; the naive fits and the fixed
-    triplet's fits of every replication in one stacked solve and sandwich.
-    What differs between replications is fitted in ``_one_replication``,
-    one replication at a time."""
+              plans: dict, fixed: int | None) -> list:
+    """The outcomes of ``jobs``, replications of one sample size n, run as
+    one stacked pass of the plan ``plans[n]``: simulated into one (R, n, k)
+    array, each from its own seed, centred and searched together; the
+    naive fits and the fixed triplet's fits of every replication in one
+    stacked solve and sandwich.  What differs between replications is
+    fitted in ``_one_replication``, one replication at a time."""
     n = jobs[0][0]
     names, values = _generate_stack(spec, n, [
         np.random.SeedSequence((config.master_seed, _STREAM_DATA, n, r))
@@ -349,33 +349,26 @@ def _run_pass(spec: GraphSpec, config: StudyConfig, jobs: list, *,
     if not np.all(np.isfinite(values)):
         raise ValueError("values must be finite")  # as Dataset has it
     treatment, outcome = spec.treatment, spec.outcome
-    names_sorted, rows, alpha = _search_plan(
-        names, candidates, treatment, outcome, n, config.alpha)
+    candidates, rows, alpha = plans[n]
     columns = {name: j for j, name in enumerate(names)}
     centred = _centre(values)
     p = _wishart_batch(
         _covariance_entries(centred[2], n),
-        _quads(columns.__getitem__, names_sorted, rows, treatment, outcome),
+        _quads(columns.__getitem__, candidates, rows, treatment, outcome),
         n, alpha,
     )[3].reshape(len(jobs), len(rows), 6)
     stack = _Pass(
-        spec, config, columns, np.searchsorted(names_sorted, candidates),
-        names_sorted, rows,
-        list(combinations(names_sorted, 3)), centred, p.min(axis=-1),
-        (p > alpha).all(axis=-1), {},
+        spec, config, columns,
+        np.argsort([columns[name] for name in candidates]), candidates,
+        rows, centred, p.min(axis=-1), (p > alpha).all(axis=-1), {},
     )
     if "naive" in config.methods:
-        try:
-            stack.shared["naive"] = _naive_fits(
-                centred, columns.__getitem__, treatment, outcome,
-                config.covariates)
-        except np.linalg.LinAlgError as exc:
-            if len(jobs) > 1:
-                raise  # the serial rerun finds the replication it is of
-            stack.shared["naive"] = [exc]
+        stack.shared["naive"] = _naive_fits(
+            centred, columns.__getitem__, treatment, outcome,
+            config.covariates)
     if fixed is not None and "random" in config.methods:
         stack.shared["random"] = stack.fits(
-            centred, *_triples_plan(rows[fixed:fixed + 1], len(names_sorted)))
+            centred, *_triples_plan(rows[fixed:fixed + 1], len(candidates)))
     return [_one_replication(spec, config, n, r, stack=stack, i=i)
             for i, (_, r) in enumerate(jobs)]
 
@@ -429,7 +422,8 @@ def _one_replication(spec: GraphSpec, config: StudyConfig, n: int,
         n=n,
         replication=replication,
         min_p=stack.min_p[i],
-        found=tuple(stack.triples[t] for t in np.flatnonzero(passed)),
+        found=tuple(tuple(stack.candidates[j] for j in row)
+                    for row in stack.rows[passed].tolist()),
         estimates=estimates,
         errors=errors,
     )
@@ -493,12 +487,11 @@ def run_study(config: StudyConfig) -> StudyResult:
     Returns per-(method, n) metrics, detection ROC points per n, a failure
     table, and per-n detail arrays.  Replications yielding no validated
     triplets are excluded from the estimate summaries but counted in the
-    failure column.  The candidate controls are the graph's candidates
-    less the covariates, as in ``dance``; the search, the ROC triples, the
-    true triplets and the random draws all read that one set.
-    UnknownVariableError, before any replication, when a covariate is not
-    a measured node of the graph, and ValueError when it is the treatment
-    or the outcome or is repeated.
+    failure column.  Before any replication, one run plan per sample size
+    (``search._search_plan``, as in ``dance``) checks the covariates and
+    alpha and takes as candidates the graph's candidates less the
+    covariates; the search, the ROC triples, the true triplets and the
+    random draws all read that one set.
 
     The replications of each sample size run in stacked passes of at most
     ``_STUDY_CHUNK`` (16 384) simulated rows, at least one replication a
@@ -515,18 +508,14 @@ def run_study(config: StudyConfig) -> StudyResult:
     on the passes.
     """
     spec = _resolve_spec(config)
-    for name in config.covariates:
-        if name not in spec.measured:
-            raise UnknownVariableError(name)
-        if name in (spec.treatment, spec.outcome):
-            raise ValueError(
-                f"covariate {name!r} is the treatment or the outcome"
-            )
-    _check_distinct(spec.treatment, spec.outcome, *config.covariates)
-    candidates = [c for c in spec.candidates if c not in config.covariates]
+    plans = {n: _search_plan(spec.measured, None, spec.treatment,
+                             spec.outcome, n, config.alpha,
+                             config.covariates)
+             for n in config.sample_sizes}
+    candidates, rows, _ = plans[config.sample_sizes[0]]
+    triples = [tuple(candidates[j] for j in row) for row in rows.tolist()]
     true_dncts, true_delta = ground_truth_dncts(spec)
     true_dncts = [t for t in true_dncts if set(t) <= set(candidates)]
-    triples = list(combinations(sorted(candidates), 3))
     true_set = set(true_dncts)
     labels = np.array([t in true_set for t in triples])
 
@@ -540,7 +529,7 @@ def run_study(config: StudyConfig) -> StudyResult:
         fixed = int(rng.integers(len(triples)))
 
     outcomes = _run_jobs(
-        partial(_run_pass, spec, config, candidates=candidates, fixed=fixed),
+        partial(_run_pass, spec, config, plans=plans, fixed=fixed),
         [(n, r) for n in config.sample_sizes
          for r in range(config.replications)],
     )

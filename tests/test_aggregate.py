@@ -488,6 +488,12 @@ def test_table_rejects_a_frequency_that_is_no_positive_integer(freq):
         _table(("Z2", "Z3", freq), ("Z3", "Z4", 2))
 
 
+def test_table_rejects_a_repeated_pair():
+    # counted twice, it was fitted twice and summed by the majority vote
+    with pytest.raises(ValueError, match="appear once"):
+        _table(("Z1", "Z3", 1), ("Z1", "Z3", 2))
+
+
 def test_table_takes_numpy_integers(simple_data):
     table = _table(("Z2", "Z3", np.int64(1)), ("Z3", "Z4", np.int32(3)))
     result = weighted_estimate(simple_data, table, "T", "O")

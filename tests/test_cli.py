@@ -341,6 +341,20 @@ def test_dance_candidate_covariate_exit_2_before_searching(
     assert not out.exists()
 
 
+def test_dance_unknown_covariate_exit_2(tmp_path, capsys):
+    # at alpha 0.5 nothing validates, so the search used to exit 3 before
+    # any fit read the covariate
+    path, out = tmp_path / "complex.csv", tmp_path / "dance.json"
+    assert main(["simulate", "--graph", "complex", "--n", "300", "--seed",
+                 "3", "--out", str(path)]) == 0
+    code = main(["dance", "--data", str(path), "--treatment", "T",
+                 "--outcome", "O", "--candidates", "Z1,Z2,Z3",
+                 "--covariates", "nope", "--alpha", "0.5", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: unknown variable: 'nope'\n"
+    assert not out.exists()
+
+
 def test_dance_with_constant_column_exit_0(tmp_path, simple_data):
     # one-pass centring left the constant 0.1 a variance near 1e-27, so the
     # search passed triples holding K and dance exited 2 on their fits

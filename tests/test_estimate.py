@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from negcontrol.aggregate import enumerate_pairs, weighted_estimate
 from negcontrol.data import CovMatrix, Dataset, covariance
 from negcontrol.errors import (
     SingularDenominatorError,
@@ -73,6 +74,25 @@ def test_closed_form_singular_denominator():
     cov = CovMatrix(names, mat)
     with pytest.raises(SingularDenominatorError):
         closed_form_ate(cov, NcPair("Z", "W"), "T", "O")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("estimator, error", [
+    (lambda data, pair: gmm_linear_ate(data, pair, "T", "O"),
+     SingularMomentMatrixError),
+    (lambda data, pair: closed_form_ate(covariance(data), pair, "T", "O"),
+     SingularDenominatorError),
+    (lambda data, pair: weighted_estimate(
+        data, enumerate_pairs([(pair.z, pair.w, "Z4")]), "T", "O"),
+     SingularMomentMatrixError),
+], ids=["gmm", "closed", "weighted"])
+def test_overflowing_data_is_a_named_singular_system(simple_data, estimator,
+                                                     error):
+    # the cross products overflow to inf, so the correlation-scale system
+    # holds NaN: its condition number is inf, not an SVD failure
+    data = Dataset(simple_data.variable_names, simple_data.values * 1e160)
+    with pytest.raises(error, match=r"condition number ~inf"):
+        estimator(data, NcPair("Z1", "Z3"))
 
 
 def test_design_matrices_layout(simple_data):

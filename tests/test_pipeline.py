@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from negcontrol import pipeline
+from negcontrol.errors import UnknownVariableError
 from negcontrol.pipeline import DanceResult, dance
 from negcontrol.simulate import builtin_graph, generate
 
@@ -115,6 +116,14 @@ def test_dance_rejects_a_candidate_covariate_before_searching(monkeypatch,
     with pytest.raises(ValueError, match=r"\['Z7'\] are also covariates"):
         dance(data, "T", "O", candidates=["Z1", "Z2", "Z3", "Z6", "Z7"],
               covariates=("Z7",), aggregate=aggregate)
+
+
+def test_dance_rejects_an_unknown_covariate_before_searching(pipeline_data,
+                                                            monkeypatch):
+    _, data = pipeline_data
+    monkeypatch.setattr(pipeline, "find_nc", _no_search)
+    with pytest.raises(UnknownVariableError, match="'nope'"):
+        dance(data, "T", "O", covariates=["nope"])
 
 
 def test_both_aggregators_cover_truth_across_seeded_runs():

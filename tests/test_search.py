@@ -153,6 +153,13 @@ def test_find_nc_alpha_defaults_to_one_over_n():
     assert explicit.alpha_used == 0.01
 
 
+def test_find_nc_candidates_default_to_every_other_column():
+    rng = np.random.default_rng(37)
+    data = _random_dataset(rng, names=("a", "T", "b", "O", "c", "d"))
+    assert find_nc(data, None, "T", "O") == find_nc(
+        data, ("a", "b", "c", "d"), "T", "O")
+
+
 def test_find_nc_scans_all_triples_in_order():
     rng = np.random.default_rng(36)
     names = ("T", "O", "p", "q", "r", "s")

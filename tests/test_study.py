@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import math
 import os
 from dataclasses import replace
 from itertools import combinations
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 from negcontrol.aggregate import enumerate_pairs, weighted_estimate
-from negcontrol.errors import SingularMomentMatrixError
+from negcontrol.errors import SingularMomentMatrixError, TooFewCandidatesError
 from negcontrol.estimate import (
     NcPair,
     gmm_linear_ate,
@@ -83,6 +85,116 @@ def test_config_validation():
         _small_config(random_scheme="coin_flip")
     with pytest.raises(ValueError):
         _small_config(aggregate="median")
+    with pytest.raises(ValueError):  # the ROC points (1, 1) and (0, 0)
+        _small_config(alpha_grid=(-1.0, 2.0))
+    with pytest.raises(ValueError):  # the binary family reads no noise SD
+        _small_config(family="binary", u_sd=-1.0)
+
+
+_SCHEMA = Path(__file__).resolve().parent.parent / "schema"
+
+
+def _schema_bounds() -> list:
+    """Every numeric bound of the study config schema, as (field, keyword,
+    bound, whether it bounds the field's entries, whether they are
+    integers)."""
+    schema = json.loads((_SCHEMA / "study_config.v1.json").read_text())
+    bounds = []
+    for name, prop in schema["properties"].items():
+        for holder, entry in ((prop, False), (prop.get("items", {}), True)):
+            for keyword in ("minimum", "exclusiveMinimum", "maximum",
+                            "exclusiveMaximum", "minItems"):
+                if keyword in holder:
+                    bounds.append((name, keyword, holder[keyword], entry,
+                                   holder.get("type") == "integer"))
+    return bounds
+
+
+def _beside(keyword: str, bound, integer: bool):
+    """A value just outside ``bound`` and one just inside it."""
+    if keyword == "minItems":
+        return bound - 1, bound
+    below, above = ((bound - 1, bound + 1) if integer else
+                    (math.nextafter(bound, -math.inf),
+                     math.nextafter(bound, math.inf)))
+    return {"minimum": (below, bound), "exclusiveMinimum": (bound, above),
+            "maximum": (above, bound),
+            "exclusiveMaximum": (bound, below)}[keyword]
+
+
+@pytest.mark.parametrize("name, keyword, bound, entry, integer",
+                         _schema_bounds(), ids=str)
+def test_config_keeps_every_schema_bound(monkeypatch, name, keyword, bound,
+                                         entry, integer):
+    # a value just outside a bound is rejected before any replication, and
+    # one just inside it is valid to the schema and to StudyConfig
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((_SCHEMA / "study_config.v1.json").read_text())
+    outside, inside = _beside(keyword, bound, integer)
+
+    def payload(value):
+        if keyword == "minItems":  # that many of the field's default entry
+            value = [getattr(StudyConfig(), name)[0]] * value
+        elif entry:
+            value = [value]
+        return {"sample_sizes": [200], "replications": 2, name: value}
+
+    jsonschema.Draft202012Validator(schema).validate(payload(inside))
+    StudyConfig(**payload(inside))
+    draws = []
+    real = study._generate_stack
+    monkeypatch.setattr(study, "_generate_stack",
+                        lambda *args: draws.append(args) or real(*args))
+    with pytest.raises(ValueError):
+        run_study(StudyConfig(**payload(outside)))
+    assert draws == []
+
+
+@pytest.mark.parametrize("methods", [("naive", "random", "dance"),
+                                     ("naive", "dance")])
+def test_too_few_candidates_raise_before_any_replication(monkeypatch,
+                                                         methods):
+    # the simple graph less the covariates Z1 and Z2 leaves Z3 and Z4: the
+    # fixed triplet was drawn from no triple (numpy's "high <= 0")
+    draws = []
+    monkeypatch.setattr(study, "_generate_stack",
+                        lambda *args: draws.append(args))
+    with pytest.raises(TooFewCandidatesError):
+        run_study(_small_config(covariates=("Z1", "Z2"), methods=methods))
+    assert draws == []
+
+
+def test_a_bad_alpha_raises_before_any_fork(monkeypatch, study_passes):
+    spawned = []
+
+    def spawn(task):
+        spawned.append(task)
+        raise OSError("no fork in this test")
+
+    monkeypatch.setattr("negcontrol._fork._spawn", spawn)
+    study_passes(_STUDY_CHUNK, 2)
+    with pytest.raises(ValueError, match="alpha"):
+        run_study(StudyConfig(alpha=2.0))
+    assert spawned == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_study_fails_each_fit_in_one_pass(monkeypatch):
+    # every noise SD 1e160: the cross products overflow, and the naive
+    # systems read as singular instead of failing the SVD and the pass
+    spec = builtin_graph("simple")
+    spec = replace(spec, noise={node: 1e160 for node in spec.noise})
+    passes = []
+    real = study._run_pass
+    monkeypatch.setattr(study, "_run_pass", lambda *args, **kwargs: (
+        passes.append(args) or real(*args, **kwargs)))
+    result = run_study(_small_config(graph=spec, replications=4,
+                                     methods=("naive",)))
+    assert len(passes) == 1
+    assert [(f.replication, f.error) for f in result.failures] == [
+        (r, "SingularMomentMatrixError: correlation-scale moment matrix is "
+            "singular or near-singular (condition number ~inf)")
+        for r in range(4)]
 
 
 def test_metrics_table_shape(small_result):
