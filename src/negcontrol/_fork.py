@@ -17,9 +17,14 @@ announced) or the child exits non-zero; what a stage does with such a part
 is the stage's own policy.  Every pipe is closed before any child is
 waited on, so a child still writing gets EPIPE instead of waiting on this
 process, and every child is reaped however ``map_parts`` returns or raises.
+A ``receive`` that streams a child's bytes on, as the CSV writer and the
+search report do, copies them with ``_copy_payload``, which tells a child
+that sent nothing from one whose bytes ended early.
 
 A stage asks for as many parts as ``_workers`` allows, which is 1 where
-``os.fork`` is missing; each part it sizes by a constant of its own.
+``os.fork`` is missing; each part it sizes by a constant of its own.  The
+CSV parse and write (``data``), the study (``study``) and the search
+report's JSON (``search``) are the stages.
 """
 from __future__ import annotations
 
@@ -118,19 +123,20 @@ def _receive_bytes(fd: int) -> bytearray | None:
     return payload if _read_into(fd, payload) else None
 
 
-def _copy_payload(fd: int, handle) -> bool:
-    """Copy the bytes a child sent on ``fd`` into ``handle``,
-    ``_COPY_CHUNK`` at a time, so this process never holds them all; False
-    if they ended early."""
+def _copy_payload(fd: int, write) -> bool | None:
+    """Copy the bytes a child sent on ``fd`` through ``write``,
+    ``_COPY_CHUNK`` at a time, so this process never holds them all: True
+    when all of them came, False when they ended early, and None, with
+    nothing written, when the child sent no byte count."""
     left = _payload_size(fd)
     if left is None:
-        return False
+        return None
     chunk = memoryview(bytearray(min(left, _COPY_CHUNK)))
     while left:
         piece = chunk[:min(left, len(chunk))]
         if not _read_into(fd, piece):
             return False
-        handle.write(piece)
+        write(piece)
         left -= len(piece)
     return True
 

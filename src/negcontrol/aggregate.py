@@ -9,8 +9,9 @@ Two aggregators:
   row-resampling bootstrap.
 
 One pair plan, ``_pair_plan``, picks from pair counts the pairs to fit
-and their weights, for ``enumerate_pairs``, the majority vote and the
-study; one builder, ``estimate._layout``, lays out their columns.
+and their weights, for ``enumerate_pairs`` and ``dance`` (through
+``_pair_table``), the majority vote and the study; one builder,
+``estimate._layout``, lays out their columns.
 
 Both read the dataset's one centred moment statistic (see ``data``): the
 fits solve on its cross products, and the sandwich and every bootstrap
@@ -102,19 +103,26 @@ def enumerate_pairs(dncts) -> PairFrequencyTable:
         No triplets supplied.
     """
     triples = [canonical_triple(t) for t in dncts]
-    if not triples:
-        raise EmptyDnctListError("no validated triplets to aggregate")
     names = sorted({name for triple in triples for name in triple})
     index = {name: i for i, name in enumerate(names)}
-    counts = _pair_counts(
-        np.array([[index[name] for name in t] for t in triples]), len(names)
-    )
+    rows = np.array([[index[name] for name in t] for t in triples],
+                    dtype=np.intp)
+    return _pair_table(rows.reshape(-1, 3), names)
+
+
+def _pair_table(rows: np.ndarray, names) -> PairFrequencyTable:
+    """The ordered-pair frequencies of the (D, 3) triples ``rows`` of
+    distinct indices into ``names``, in the pair plan's order: what
+    ``enumerate_pairs`` gives for the triples of those names."""
+    if not len(rows):
+        raise EmptyDnctListError("no validated triplets to aggregate")
+    counts = _pair_counts(rows, len(names))
     z, w, _ = _pair_plan(counts)
-    entries = tuple(
-        (NcPair(z=names[a], w=names[b]), int(counts[a, b]))
-        for a, b in zip(z, w)
-    )
-    return PairFrequencyTable(entries=entries)
+    return PairFrequencyTable(entries=tuple(
+        (NcPair(z=names[a], w=names[b]), freq)
+        for a, b, freq in zip(z.tolist(), w.tolist(),
+                              counts[z, w].tolist())
+    ))
 
 
 # the ordered pairs (0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1) of a

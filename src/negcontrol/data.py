@@ -442,7 +442,7 @@ def _write_rows(handle, values: np.ndarray, encoding: str) -> None:
 
     def copy(fd):
         marks.append(handle.tell())
-        return _copy_payload(fd, handle) or None
+        return _copy_payload(fd, handle.write) or None
 
     done = map_parts(
         ranges, format_here,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .aggregate import (
     AggregateResult,
     _check_interval_options,
-    enumerate_pairs,
+    _pair_table,
     majority_vote_estimate,
     weighted_estimate,
 )
@@ -92,9 +92,10 @@ def dance(
         raise ValueError(f"unknown aggregate: {aggregate!r}")
     _check_interval_options(ci_method, bootstrap_draws, bootstrap_ci)
     report = find_nc(data, candidates, treatment, outcome, alpha=alpha)
-    if not report.dncts:
+    passed = report.passed
+    if not passed.any():
         return DanceResult(report=report, estimate=None)
-    table = enumerate_pairs(report.dncts)
+    table = _pair_table(report.triples[passed], report.candidates)
     if aggregate == "majority":
         estimate = majority_vote_estimate(
             data, table, treatment, outcome, covariates

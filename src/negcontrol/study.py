@@ -156,6 +156,11 @@ class StudyConfig:
         unknown = [m for m in self.methods if m not in _METHODS]
         if unknown:
             raise ValueError(f"unknown methods: {unknown}")
+        for name in ("sample_sizes", "methods"):
+            entries = getattr(self, name)
+            repeated = sorted({x for x in entries if entries.count(x) > 1})
+            if repeated:  # each would be run and counted twice
+                raise ValueError(f"{name} repeats {repeated}")
         if self.random_scheme not in _RANDOM_SCHEMES:
             raise ValueError(f"unknown random_scheme: {self.random_scheme!r}")
         if self.aggregate not in ("weighted", "majority"):

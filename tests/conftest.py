@@ -28,8 +28,8 @@ from negcontrol.tetrad import TetradResult, wishart_test
 @pytest.fixture(autouse=True)
 def _reaps_its_children():
     """Fail a test that leaves a child process unreaped: ``load_csv``,
-    ``write_csv`` and ``run_study`` fork, and must wait for every child
-    they start."""
+    ``write_csv``, ``run_study`` and the search report's writer fork, and
+    must wait for every child they start."""
     yield
     if not hasattr(os, "WNOHANG"):
         return

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from negcontrol.data import Dataset, covariance
 from negcontrol.errors import (
@@ -26,6 +29,7 @@ from negcontrol.estimate import (
 )
 from negcontrol.aggregate import (
     PairFrequencyTable,
+    _pair_table,
     enumerate_pairs,
     majority_vote_estimate,
     weighted_estimate,
@@ -66,6 +70,31 @@ def test_enumerate_pairs_frequency_conservation():
 def test_enumerate_pairs_empty():
     with pytest.raises(EmptyDnctListError):
         enumerate_pairs([])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_pair_table_of_index_triples_matches_enumerate_pairs(data):
+    # dance builds its table from the report's index triples; names that
+    # no triple holds must not move a pair, a count or a weight
+    k = data.draw(st.integers(3, 9))
+    names = sorted(data.draw(st.lists(st.text(min_size=1, max_size=3),
+                                      min_size=k, max_size=k, unique=True)))
+    every = list(combinations(range(k), 3))
+    rows = np.array(sorted(data.draw(st.lists(st.sampled_from(every),
+                                              min_size=1, unique=True))),
+                    dtype=np.intp)
+    table = _pair_table(rows, names)
+    reference = enumerate_pairs([[names[i] for i in row] for row in rows])
+    # the same pairs in the same order with the same counts, so the same
+    # weights: each pair's count over their sum
+    assert table.entries == reference.entries
+    assert all(type(freq) is int for _, freq in table.entries)
+
+
+def test_pair_table_of_no_triples_raises():
+    with pytest.raises(EmptyDnctListError):
+        _pair_table(np.empty((0, 3), dtype=np.intp), ["a", "b", "c"])
 
 
 def test_weighted_estimate_invariant_under_triple_reordering(

@@ -25,7 +25,10 @@ from negcontrol import search, simulate, study
 from negcontrol.cli import main
 from negcontrol.data import Dataset, load_csv, write_csv
 from negcontrol.pipeline import dance
+from negcontrol._fork import _send
 from negcontrol.search import find_nc
+from test_data import _count_forks
+from test_report import split_report
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schema"
 
@@ -466,6 +469,56 @@ def test_find_and_dance_stream_what_to_json_gives(tmp_path, golden_csvs,
         assert capsys.readouterr().out == text + "\n"
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("command", ["find", "dance"])
+def test_split_report_goes_out_as_json_dumps(tmp_path, golden_csvs, capsys,
+                                             monkeypatch, command, k):
+    # the 10 triples of the constant CSV, one a block, in k forked runs;
+    # the CSV is parsed in one process
+    split_report(monkeypatch, k, 1)
+    monkeypatch.setattr("negcontrol.data._workers", lambda: 1)
+    path = golden_csvs["constant"]
+    data = load_csv(path)
+    result = (find_nc(data, None, "T", "O") if command == "find"
+              else dance(data, "T", "O"))
+    expected = _golden(result.to_json_dict())
+    forked = _count_forks(monkeypatch)
+    argv = [command, "--data", str(path), "--treatment", "T", "--outcome",
+            "O"]
+    out = tmp_path / f"{command}.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == expected
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == expected
+    assert len(forked) == 2 * (k - 1)
+
+
+@pytest.mark.parametrize("command", ["find", "dance"])
+def test_split_report_short_payload_exit_1_and_no_file(
+        tmp_path, golden_csvs, capsys, monkeypatch, command):
+    # the first child announces its text and sends half of it
+    split_report(monkeypatch, 2, 1)
+    monkeypatch.setattr("negcontrol.data._workers", lambda: 1)
+    forked = _count_forks(monkeypatch)
+
+    def send(fd, payload):
+        view = memoryview(payload).cast("B")
+        if len(view) > 8:  # not the count
+            view = view[:len(view) // 2]
+        _send(fd, view)
+
+    monkeypatch.setattr("negcontrol._fork._send", send)
+    out = tmp_path / "report.json"
+    assert main([command, "--data", str(golden_csvs["constant"]),
+                 "--treatment", "T", "--outcome", "O",
+                 "--out", str(out)]) == 1
+    assert len(forked) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "error: a forked part of the report ended early\n")
+
+
 def _fail_after_first_block(monkeypatch, error):
     """Make the report writer raise ``error`` once its first block of one
     triple has gone to the output."""
@@ -658,6 +711,25 @@ def test_evaluate_repeated_covariate_exit_2_before_any_replication(
     assert capsys.readouterr().err == (
         "error: pair, treatment, outcome, and covariates must be distinct\n"
     )
+    assert not out_dir.exists()
+    assert draws == []
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"sample_sizes": [200, 200]}, "sample_sizes repeats [200]"),
+    ({"methods": ["dance", "naive", "dance"]}, "methods repeats ['dance']"),
+])
+def test_evaluate_repeated_entry_exit_2_before_any_replication(
+    tmp_path, capsys, monkeypatch, overrides, message
+):
+    # a repeat would be run and counted twice in metrics.csv
+    draws = []
+    monkeypatch.setattr(study, "_generate_stack",
+                        lambda *args: draws.append(args))
+    config = _eval_config(tmp_path, **overrides)
+    out_dir = tmp_path / "out"
+    assert main(["evaluate", "--config", str(config), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out_dir.exists()
     assert draws == []
 

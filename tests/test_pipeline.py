@@ -8,6 +8,11 @@ import numpy as np
 import pytest
 
 from negcontrol import pipeline
+from negcontrol.aggregate import (
+    enumerate_pairs,
+    majority_vote_estimate,
+    weighted_estimate,
+)
 from negcontrol.errors import UnknownVariableError
 from negcontrol.pipeline import DanceResult, dance
 from negcontrol.simulate import builtin_graph, generate
@@ -32,6 +37,20 @@ def test_dance_end_to_end(pipeline_data):
     assert est.method == "weighted_sandwich"
     true_delta = spec.edge_coeff("T", "O")
     assert est.delta_hat == pytest.approx(true_delta, abs=5 * est.se)
+
+
+@pytest.mark.parametrize("aggregate", ["weighted", "majority"])
+def test_dance_pairs_match_enumerate_pairs_of_the_dncts(pipeline_data,
+                                                        aggregate):
+    # dance counts pairs from the report's index triples, not its names
+    _, data = pipeline_data
+    result = dance(data, "T", "O", alpha=1e-300, aggregate=aggregate)
+    table = enumerate_pairs(result.report.dncts)
+    estimate = (weighted_estimate(data, table, "T", "O")
+                if aggregate == "weighted"
+                else majority_vote_estimate(data, table, "T", "O"))
+    assert len(result.report.dncts) > 2
+    assert result.estimate == estimate
 
 
 def test_dance_candidates_default_excludes_roles(pipeline_data):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import tracemalloc
 from itertools import combinations
 from unittest import mock
@@ -16,8 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from negcontrol import search
+from negcontrol._fork import _send
 from negcontrol.pipeline import DanceResult
 from negcontrol.search import FindNcReport, find_nc
+from test_data import (
+    _assert_no_leak,
+    _count_forks,
+    _no_fork,
+    _open_descriptors,
+    needs_fork,
+    needs_proc,
+)
 
 SIMPLE_CANDIDATES = ("Z1", "Z2", "Z3", "Z4")
 
@@ -188,6 +198,161 @@ def test_streamed_memory_does_not_grow_with_the_report():
         assert peak < 4 * block
         assert peak < total / 2
     assert large_peak < 1.25 * small_peak
+
+
+# ---------------------------------------------------------------------------
+# the verdict list split over forked processes
+# ---------------------------------------------------------------------------
+
+
+def split_report(mp, k, block):
+    """Cut every report into ``k`` runs of whole blocks of ``block``
+    triples, or one run a block if fewer."""
+    mp.setattr(search, "_JSON_BLOCK", block)
+    mp.setattr(search, "_FORK_BLOCKS", 1)
+    mp.setattr(search, "_workers", lambda: k)
+
+
+def _all_failing(report):
+    return dataclasses.replace(report, p=np.zeros_like(report.p))
+
+
+def _no_triples():
+    empty = np.empty((0, 6))
+    return FindNcReport("T", "O", 0.5, ("A", "B", "C"),
+                        np.empty((0, 3), dtype=np.intp),
+                        empty, empty, empty, empty)
+
+
+_SPLIT_REPORTS = {
+    "20-triples": lambda: _random_report(6),
+    "all-failing": lambda: _all_failing(_random_report(6)),
+    "no-triples": _no_triples,
+}
+
+
+@needs_fork
+@needs_proc
+@pytest.mark.parametrize("block", [1, 3, 7])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("which", sorted(_SPLIT_REPORTS))
+def test_split_report_matches_json_dumps(monkeypatch, which, k, block):
+    report = _SPLIT_REPORTS[which]()
+    split_report(monkeypatch, k, block)
+    runs = search._runs(len(report.triples))
+    blocks = -(-len(report.triples) // block)
+    assert len(runs) == (min(k, blocks) if blocks else 1)
+    forked = _count_forks(monkeypatch)
+    before = _open_descriptors()
+    _assert_matches_json_dumps(report)
+    assert len(forked) == 2 * (len(runs) - 1)  # the report and the nested
+    _assert_no_leak(before)
+
+
+def test_runs_split_find_wide_and_not_a_dance_report(monkeypatch):
+    # 4 060 triples (30 candidates) make two runs on 2 CPUs; 35 triples
+    # (7 candidates) make one on any number
+    monkeypatch.setattr(search, "_workers", lambda: 2)
+    assert search._runs(4060) == [(0, 2048), (2048, 4060)]
+    monkeypatch.setattr(search, "_workers", lambda: 64)
+    assert search._runs(35) == [(0, 35)]
+
+
+@needs_fork
+@pytest.mark.parametrize("triples", [2 * search._FORK_BLOCKS - 1,
+                                     2 * search._FORK_BLOCKS])
+def test_report_below_two_runs_of_the_floor_forks_nothing(monkeypatch,
+                                                         triples):
+    # a run holds at least _FORK_BLOCKS blocks, here of one triple each, so
+    # one block short of two runs forks nothing and two runs fork once
+    report = _random_report(9)
+    report = dataclasses.replace(
+        report, **{name: getattr(report, name)[:triples]
+                   for name in ("triples", "d_hat", "sigma_hat", "w", "p")})
+    monkeypatch.setattr(search, "_JSON_BLOCK", 1)
+    monkeypatch.setattr(search, "_workers", lambda: 4)
+    forked = _count_forks(monkeypatch)
+    assert report.to_json() == _reference(report.to_json_dict())
+    assert len(forked) == (triples >= 2 * search._FORK_BLOCKS)
+
+
+class _OwnRunError(Exception):
+    pass
+
+
+def _failing_fields(mp, where):
+    """Make ``_verdict_fields`` raise in this process (``"here"``) or in
+    every forked child (``"child"``)."""
+    parent, fields = os.getpid(), FindNcReport._verdict_fields
+
+    def failing(self, *args):
+        if (os.getpid() == parent) == (where == "here"):
+            raise _OwnRunError
+        return fields(self, *args)
+
+    mp.setattr(FindNcReport, "_verdict_fields", failing)
+
+
+@needs_fork
+@needs_proc
+@pytest.mark.parametrize("how", ["child-raises", "no-fork"])
+def test_a_run_no_child_sent_is_formatted_here(monkeypatch, how):
+    report = _random_report(6)
+    expected = _reference(report.to_json_dict())
+    split_report(monkeypatch, 3, 2)
+    forked = _count_forks(monkeypatch)
+    if how == "child-raises":
+        _failing_fields(monkeypatch, "child")
+    else:
+        monkeypatch.setattr(os, "fork", _no_fork)
+    before = _open_descriptors()
+    assert report.to_json() == expected
+    assert len(forked) == (2 if how == "child-raises" else 0)
+    _assert_no_leak(before)
+
+
+@needs_fork
+@needs_proc
+@pytest.mark.parametrize("failing", [0, 1], ids=["child1", "child2"])
+@pytest.mark.parametrize("how", ["short-payload", "exit-3-after-sending"])
+def test_a_child_that_fails_after_writing_raises(monkeypatch, failing, how):
+    report = _random_report(6)
+    split_report(monkeypatch, 3, 2)
+    forked = _count_forks(monkeypatch)
+    if how == "short-payload":
+        def send(fd, payload):
+            view = memoryview(payload).cast("B")
+            if len(forked) == failing and len(view) > 8:  # not the count
+                view = view[:len(view) // 2]
+            _send(fd, view)
+
+        monkeypatch.setattr("negcontrol._fork._send", send)
+    else:
+        real_exit = os._exit
+        monkeypatch.setattr(os, "_exit", lambda code: real_exit(
+            3 if len(forked) == failing else code))
+    before = _open_descriptors()
+    written = []
+    with pytest.raises(ChildProcessError):
+        report._write_json(written.append)
+    assert len(forked) == 2
+    _assert_no_leak(before)
+    # what went out before the failure is the start of the report
+    assert _reference(report.to_json_dict()).startswith("".join(written))
+
+
+@needs_fork
+@needs_proc
+def test_own_run_raising_reaps_every_child(monkeypatch):
+    report = _random_report(6)
+    split_report(monkeypatch, 3, 2)
+    forked = _count_forks(monkeypatch)
+    _failing_fields(monkeypatch, "here")
+    before = _open_descriptors()
+    with pytest.raises(_OwnRunError):
+        report.to_json()
+    assert len(forked) == 2
+    _assert_no_leak(before)
 
 
 # ---------------------------------------------------------------------------

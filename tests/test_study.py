@@ -150,6 +150,29 @@ def test_config_keeps_every_schema_bound(monkeypatch, name, keyword, bound,
     assert draws == []
 
 
+@pytest.mark.parametrize("name, entries", [
+    ("sample_sizes", [200, 200]),
+    ("sample_sizes", [300, 200, 300]),
+    ("sample_sizes", [200, 300]),
+    ("methods", ["dance", "dance"]),
+    ("methods", ["naive", "random", "naive"]),
+    ("methods", ["naive", "dance"]),
+    ("methods", []),
+])
+def test_config_and_schema_reject_the_same_repeats(name, entries):
+    # a repeated sample size or method would be run and counted twice
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((_SCHEMA / "study_config.v1.json").read_text())
+    payload = {"sample_sizes": [200], "replications": 2, name: entries}
+    unique = len(set(entries)) == len(entries)
+    assert jsonschema.Draft202012Validator(schema).is_valid(payload) is unique
+    if unique:
+        StudyConfig(**payload)
+    else:
+        with pytest.raises(ValueError, match=f"^{name} repeats"):
+            StudyConfig(**payload)
+
+
 @pytest.mark.parametrize("methods", [("naive", "random", "dance"),
                                      ("naive", "dance")])
 def test_too_few_candidates_raise_before_any_replication(monkeypatch,
