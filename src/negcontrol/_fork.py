@@ -23,8 +23,8 @@ that sent nothing from one whose bytes ended early.
 
 A stage asks for as many parts as ``_workers`` allows, which is 1 where
 ``os.fork`` is missing; each part it sizes by a constant of its own.  The
-CSV parse and write (``data``), the study (``study``) and the search
-report's JSON (``search``) are the stages.
+CSV parse and write (``data``), the study (``study``), the search report's
+JSON (``search``) and the bootstrap draws (``aggregate``) are the stages.
 """
 from __future__ import annotations
 

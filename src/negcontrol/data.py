@@ -16,12 +16,14 @@ file, and the rows into contiguous ranges for a write; ``_fork.map_parts``
 runs the ranges after the first in forked children.  Every range runs the
 same ``np.loadtxt`` call, or the same formatting code, so neither the
 values read nor the bytes written depend on how the work was cut.  A file
-that some range does not parse clean, or whose header holds a quote or a
-bare carriage return, is parsed again by the per-cell scan, which names
-the first bad cell.  A pipe is read once, and the scan reads the same
-bytes.  Nearly all of a write goes to the shortest ``repr`` of each float,
-which holds the interpreter lock, so it splits at most one range per
-``_FORMAT_CHUNK`` cells: below that a fork costs more than it saves.
+whose lines all end in a bare carriage return is held in memory and split
+at those, as one range.  A file that some range does not parse clean, or
+whose header holds a quote or a bare carriage return, is parsed again by
+the per-cell scan, which names the first bad cell.  A pipe is read once,
+and the scan reads the same bytes.  Nearly all of a write goes to the
+shortest ``repr`` of each float, which holds the interpreter lock, so it
+splits at most one range per ``_FORMAT_CHUNK`` cells: below that a fork
+costs more than it saves.
 """
 from __future__ import annotations
 
@@ -204,18 +206,21 @@ def load_csv(path) -> Dataset:
     parsed by ``_fork.map_parts``; below two chunks (2 MiB) or from a pipe
     the one range is parsed here.
     A pipe is read once, whole, and both parsers below read those bytes.
+    A file whose line ends are all bare carriage returns (no line feed in
+    it) is read whole too, and its body, split at those, is one range.
     Every range is parsed by ``np.loadtxt`` a chunk at a time, and kept
     only when it parsed every line into one finite value per header name.
     Each cell is rounded by the same parser whichever range holds it, so
     the values do not depend on ``k``.
 
-    Any other file (a quote or bare carriage return in the header; a blank
-    line, a quoted cell, a bare carriage return or a missing or non-finite
-    value in any range; a cell such as ``1_0`` that only ``float`` reads; a
-    child that fails) is parsed again by the per-cell scan, which accepts
-    what ``float`` accepts and reports the exact position of the first bad
-    cell.  Both parsers round every cell as ``float`` does, so a file
-    written by ``write_csv`` loads back bit for bit.
+    Any other file (a quote in the header; a bare carriage return in a file
+    that also holds a line feed; a blank line, a quoted cell or a missing
+    or non-finite value in any range; a cell such as ``1_0`` that only
+    ``float`` reads; a child that fails) is parsed again by the per-cell
+    scan, which accepts what ``float`` accepts and reports the exact
+    position of the first bad cell.  Both parsers round every cell as
+    ``float`` does, so a file written by ``write_csv`` loads back bit for
+    bit.
 
     Raises
     ------
@@ -232,7 +237,13 @@ def load_csv(path) -> Dataset:
         # a pipe cannot be read twice, so the scan must see these bytes
         raw = None if _is_file(handle) else handle.read()
         body = handle if raw is None else io.BytesIO(raw)
-        names = _plain_header(body.readline(), encoding)
+        line = body.readline()
+        if b"\r" in line and b"\n" not in line:
+            # bare CR line ends and no LF, so ``line`` holds the whole file:
+            # its lines, split at LF instead, parse as any other body
+            body = io.BytesIO(line.replace(b"\r", b"\n"))
+            line = body.readline()
+        names = _plain_header(line, encoding)
         values = (_parse_body(body, path, len(names), encoding)
                   if names else None)
     if values is None or len(values) < 2:

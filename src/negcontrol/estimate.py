@@ -78,8 +78,8 @@ _COND_LIMIT = 1e12
 # index of delta within theta = (a0, a1, delta, bx...)
 DELTA_INDEX = 2
 
-# rows per block of the influence GEMMs, which keeps their (rows, P)
-# temporaries a few MB however large n is
+# rows per block of the influence GEMMs and of a bootstrap draw's moment
+# sums, which keeps their temporaries a few MB however large n is
 _ROW_BLOCK = 8192
 
 

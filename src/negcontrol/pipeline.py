@@ -90,7 +90,7 @@ def dance(
         covariates)
     if aggregate not in ("weighted", "majority"):
         raise ValueError(f"unknown aggregate: {aggregate!r}")
-    _check_interval_options(ci_method, bootstrap_draws, bootstrap_ci)
+    _check_interval_options(ci_method, bootstrap_draws, bootstrap_ci, seed)
     report = find_nc(data, candidates, treatment, outcome, alpha=alpha)
     passed = report.passed
     if not passed.any():

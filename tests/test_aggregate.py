@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import tracemalloc
 from itertools import combinations
 
@@ -10,8 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from negcontrol import aggregate
+from negcontrol._fork import map_parts
 from negcontrol.data import Dataset, covariance
 from negcontrol.errors import (
+    BootstrapDegenerateError,
     EmptyDnctListError,
     SingularMomentMatrixError,
     UnknownVariableError,
@@ -20,6 +24,7 @@ from negcontrol.estimate import (
     _ROW_BLOCK,
     DELTA_INDEX,
     NcPair,
+    _fit_stack,
     _stacked_columns,
     design_matrices,
     gmm_linear_ate,
@@ -29,12 +34,15 @@ from negcontrol.estimate import (
 )
 from negcontrol.aggregate import (
     PairFrequencyTable,
+    _bootstrap_se,
     _pair_table,
+    _resampled_moments,
     enumerate_pairs,
     majority_vote_estimate,
     weighted_estimate,
 )
 from negcontrol.simulate import ground_truth_dncts
+from test_data import needs_fork
 
 
 @pytest.fixture(scope="module")
@@ -330,6 +338,138 @@ def test_weighted_rejects_draw_count_before_fitting():
     with pytest.raises(ValueError, match="at least 2 draws"):
         weighted_estimate(data, table, "T", "O", ci_method="bootstrap",
                           bootstrap_draws=1)
+
+
+@pytest.mark.parametrize("option, value", [
+    ("bootstrap_draws", 5.0), ("bootstrap_draws", True),
+    ("bootstrap_draws", "5"), ("seed", -1), ("seed", True), ("seed", 1.5),
+    ("seed", None),
+])
+def test_weighted_bootstrap_rejects_a_count_or_seed_that_is_no_integer(
+        simple_data, option, value):
+    # a float count failed inside range() with an unnamed TypeError, and a
+    # negative seed only at the first draw
+    table = enumerate_pairs([("Z1", "Z3", "Z4")])
+    with pytest.raises(ValueError, match=option):
+        weighted_estimate(simple_data, table, "T", "O", ci_method="bootstrap",
+                          **{option: value})
+
+
+def test_weighted_bootstrap_takes_numpy_integers(simple_data):
+    table = enumerate_pairs([("Z1", "Z3", "Z4")])
+    plain = weighted_estimate(simple_data, table, "T", "O",
+                              ci_method="bootstrap", bootstrap_draws=9,
+                              seed=4)
+    assert weighted_estimate(
+        simple_data, table, "T", "O", ci_method="bootstrap",
+        bootstrap_draws=np.int32(9), seed=np.uint8(4)) == plain
+    # the sandwich reads no seed
+    assert weighted_estimate(simple_data, table, "T", "O", seed=-1) == (
+        weighted_estimate(simple_data, table, "T", "O"))
+
+
+def _boot_inputs(data, dncts):
+    """The used centred columns, their layout and the weights that
+    ``weighted_estimate`` hands to ``_bootstrap_se``."""
+    table = enumerate_pairs(dncts)
+    pairs = [pair for pair, _ in table.entries]
+    freqs = np.array([freq for _, freq in table.entries], dtype=float)
+    weights = freqs / freqs.sum()
+    layout = _stacked_columns(data, pairs, "T", "O")
+    *_, xc, local = _fit_stack(data._centred, layout, weights, pairs=pairs)
+    return xc, local, weights
+
+
+def _counting_parts(mp):
+    """The ``map_parts`` results of every ``_bootstrap_se`` call from here
+    on, one list of parts each."""
+    calls = []
+
+    def counting(parts, here, child, receive):
+        calls.append(map_parts(parts, here, child, receive))
+        return calls[-1]
+
+    mp.setattr(aggregate, "map_parts", counting)
+    return calls
+
+
+@needs_fork
+@pytest.mark.parametrize("draws", [5, 17, 40])
+def test_bootstrap_draws_do_not_depend_on_the_split(simple_data, simple_truth,
+                                                    monkeypatch, draws):
+    xc, layout, weights = _boot_inputs(simple_data, simple_truth[0])
+    calls = _counting_parts(monkeypatch)
+    runs = []
+    for k in (1, 2, 3):
+        monkeypatch.setattr(aggregate, "_workers", lambda k=k: k)
+        runs.append(_bootstrap_se(xc, layout, weights, draws, 7).tobytes())
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    # 5 draws stay in this process on any CPU count; 17 and 40 split
+    assert [len(parts) for parts in calls] == (
+        [1, 1, 1] if draws == 5 else [1, 2, 3])
+
+
+def _exit_3(part):
+    os._exit(3)
+
+
+@needs_fork
+def test_bootstrap_reruns_the_part_of_a_failed_child(simple_data,
+                                                     simple_truth,
+                                                     monkeypatch):
+    xc, layout, weights = _boot_inputs(simple_data, simple_truth[0])
+    monkeypatch.setattr(aggregate, "_workers", lambda: 1)
+    serial = _bootstrap_se(xc, layout, weights, 17, 3)
+    monkeypatch.setattr(aggregate, "_workers", lambda: 3)
+    monkeypatch.setattr(
+        aggregate, "map_parts",
+        lambda parts, here, child, receive: map_parts(parts, here, _exit_3,
+                                                      receive))
+    assert _bootstrap_se(xc, layout, weights, 17, 3).tobytes() == (
+        serial.tobytes())
+
+
+def _degenerate_inputs():
+    """Three controls, each nonzero in one row of 60: a resample that
+    misses any of those rows makes a pair singular, as about three in four
+    do, so some slots fail all ten attempts."""
+    rng = np.random.default_rng(17)
+    values = rng.normal(size=(60, 5))
+    values[:, 2:] = 0.0
+    values[[3, 8, 13], [2, 3, 4]] = 1.5
+    data = Dataset(("T", "O", "a", "b", "c"), values)
+    return _boot_inputs(data, [("a", "b", "c")])
+
+
+@needs_fork
+def test_bootstrap_names_the_degenerate_slot_of_a_child(monkeypatch):
+    xc, layout, weights = _degenerate_inputs()
+    monkeypatch.setattr(aggregate, "_workers", lambda: 1)
+    with pytest.raises(BootstrapDegenerateError, match="slot 12 "):
+        _bootstrap_se(xc, layout, weights, 20, 1)
+    # slots 0-9 run here and 10-19 in a child, which fails at slot 12;
+    # the part runs again here and raises what the serial loop raises
+    calls = _counting_parts(monkeypatch)
+    monkeypatch.setattr(aggregate, "_workers", lambda: 2)
+    with pytest.raises(BootstrapDegenerateError, match="slot 12 "):
+        _bootstrap_se(xc, layout, weights, 20, 1)
+    assert [part is None for part in calls[0]] == [False, True]
+
+
+@pytest.mark.parametrize("n", [_ROW_BLOCK // 8, _ROW_BLOCK,
+                               2 * _ROW_BLOCK + 77])
+def test_resampled_moments_match_the_weighted_deviations(n):
+    # below one row block, exactly one, and a partial last block
+    rng = np.random.default_rng(n)
+    xc = rng.normal(size=(n, 4)) @ rng.normal(size=(4, 4)) * [1, 1e3, 1e-3, 5]
+    xc -= xc.mean(axis=0)
+    counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
+    dev = xc - counts @ xc / n
+    dev *= np.sqrt(counts)[:, None]
+    buffer = np.empty((2, 4, min(n, _ROW_BLOCK)))
+    np.testing.assert_allclose(
+        _resampled_moments(np.ascontiguousarray(xc.T), counts, buffer),
+        dev.T @ dev / n, rtol=1e-12)
 
 
 def _first_singular_pair(data, pairs):

@@ -344,6 +344,29 @@ def test_dance_candidate_covariate_exit_2_before_searching(
     assert not out.exists()
 
 
+def test_dance_bootstrap_negative_seed_exit_2_before_searching(
+        tmp_path, sim_csv, monkeypatch, capsys):
+    # numpy rejected the seed only at the first draw, after the search
+    # and the fit
+    data_path, _ = sim_csv
+    out = tmp_path / "dance.json"
+    argv = ["dance", "--data", str(data_path), "--treatment", "T",
+            "--outcome", "O", "--seed", "-1", "--out", str(out)]
+    assert main(argv) == 0  # the sandwich reads no seed
+    out.unlink()
+    capsys.readouterr()
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr("negcontrol.pipeline.find_nc", no_search)
+    assert main([*argv, "--ci", "bootstrap"]) == 2
+    assert capsys.readouterr().err == (
+        "error: seed must be a non-negative integer for a bootstrap, "
+        "got -1\n")
+    assert not out.exists()
+
+
 def test_dance_unknown_covariate_exit_2(tmp_path, capsys):
     # at alpha 0.5 nothing validates, so the search used to exit 3 before
     # any fit read the covariate

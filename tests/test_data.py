@@ -391,6 +391,19 @@ def test_split_load_csv_matches_scan(tmp_path, monkeypatch, k, end, final):
     assert data.values.tobytes() == reference.values.tobytes()
 
 
+@pytest.mark.parametrize("final", [True, False],
+                         ids=["final-cr", "no-final-cr"])
+def test_cr_only_load_csv_takes_the_fast_parse(tmp_path, monkeypatch, final):
+    # the header "line" of a CR-only file was the whole file, and held a
+    # bare CR, so every such file went to the scan
+    path = _write_lines(tmp_path / "data.csv", _grid_lines(), "\r", final)
+    reference = _scan_csv(path)
+    monkeypatch.setattr("negcontrol.data._scan_csv", _no_scan)
+    data = load_csv(path)
+    assert data.variable_names == reference.variable_names
+    assert data.values.tobytes() == reference.values.tobytes()
+
+
 @needs_fork
 @pytest.mark.parametrize("chunks, parts", [(2.5, 2), (1.0, 1)])
 def test_parse_chunk_splits_a_body_of_two_and_a_half_chunks(

@@ -124,6 +124,19 @@ def _no_search(*args, **kwargs):
     raise AssertionError("the search ran")
 
 
+@pytest.mark.parametrize("option, value", [
+    ("bootstrap_draws", 5.0), ("bootstrap_draws", False), ("seed", -1),
+    ("seed", True), ("seed", 2.0),
+])
+def test_dance_checks_bootstrap_options_before_searching(pipeline_data,
+                                                         monkeypatch, option,
+                                                         value):
+    _, data = pipeline_data
+    monkeypatch.setattr(pipeline, "find_nc", _no_search)
+    with pytest.raises(ValueError, match=option):
+        dance(data, "T", "O", ci_method="bootstrap", **{option: value})
+
+
 @pytest.mark.parametrize("aggregate", ["weighted", "majority"])
 def test_dance_rejects_a_candidate_covariate_before_searching(monkeypatch,
                                                               aggregate):
