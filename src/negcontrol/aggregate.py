@@ -9,15 +9,20 @@ Two aggregators:
   row-resampling bootstrap.
 
 One pair plan, ``_pair_plan``, picks from pair counts the pairs to fit
-and their weights, for ``enumerate_pairs`` and ``dance`` (through
-``_pair_table``), the majority vote and the study; one builder,
-``estimate._layout``, lays out their columns.
+as index arrays into their names, and their weights, for
+``enumerate_pairs``, ``dance`` and the study (through ``_triples_plan``)
+and the majority vote.  One step, ``_aggregate``, builds every
+``AggregateResult`` from such a plan: ``dance`` passes the plan of the
+triples its search passed, and the two public aggregators the plan of
+their table (``_table_plan``).
 
 Both read the dataset's one centred moment statistic (see ``data``): the
 fits solve on its cross products, and the sandwich and every bootstrap
 draw read its centred copy of just the columns the pairs use.  Every
 sandwich SE, each pair's, the weighted average's and the majority pair's,
-comes from the one row-blocked sandwich of ``estimate._fit_stack``.
+comes from the one row-blocked sandwich of ``estimate._fit_stack``.  The
+majority vote is the fit of its lone pair, so its SE is that pair's, and
+it has no bootstrap.
 
 The bootstrap copies those columns once, transposed to (k, n), and a
 draw sums its count-weighted centred moments over blocks of
@@ -50,10 +55,9 @@ from .estimate import (
     _fit_stack,
     _interval,
     _pair_estimate,
+    _Pairs,
     _solve_centred,
-    _stacked_columns,
     _weighted_delta,
-    gmm_linear_ate,
 )
 from .search import canonical_triple
 
@@ -115,7 +119,8 @@ class PairFrequencyTable:
 
 
 def enumerate_pairs(dncts) -> PairFrequencyTable:
-    """Count ordered control pairs across triplets.
+    """Count ordered control pairs across triplets, in the pair plan's
+    order.
 
     Raises
     ------
@@ -127,16 +132,7 @@ def enumerate_pairs(dncts) -> PairFrequencyTable:
     index = {name: i for i, name in enumerate(names)}
     rows = np.array([[index[name] for name in t] for t in triples],
                     dtype=np.intp)
-    return _pair_table(rows.reshape(-1, 3), names)
-
-
-def _pair_table(rows: np.ndarray, names) -> PairFrequencyTable:
-    """The ordered-pair frequencies of the (D, 3) triples ``rows`` of
-    distinct indices into ``names``, in the pair plan's order: what
-    ``enumerate_pairs`` gives for the triples of those names."""
-    if not len(rows):
-        raise EmptyDnctListError("no validated triplets to aggregate")
-    counts = _pair_counts(rows, len(names))
+    counts = _pair_counts(rows.reshape(-1, 3), len(names))
     z, w, _ = _pair_plan(counts)
     return PairFrequencyTable(entries=tuple(
         (NcPair(z=names[a], w=names[b]), freq)
@@ -152,7 +148,10 @@ _ORDERED_PAIRS = np.array([[0, 1, 0, 2, 1, 2], [1, 0, 2, 0, 2, 1]])
 
 def _pair_counts(rows: np.ndarray, c: int) -> np.ndarray:
     """The (c, c) matrix of how many of the triples ``rows``, a (D, 3)
-    array of distinct indices below ``c``, hold each ordered pair."""
+    array of distinct indices below ``c``, hold each ordered pair;
+    EmptyDnctListError when there are none."""
+    if not len(rows):
+        raise EmptyDnctListError("no validated triplets to aggregate")
     z, w = rows.T[_ORDERED_PAIRS]
     return np.bincount((z * c + w).ravel(), minlength=c * c).reshape(c, c)
 
@@ -208,18 +207,25 @@ class AggregateResult:
 
 
 def _check_interval_options(
-    ci_method: str, bootstrap_draws: int, bootstrap_ci: str, seed
+    aggregate: str, ci_method: str, bootstrap_draws: int, bootstrap_ci: str,
+    seed
 ) -> None:
-    """Reject interval options ``weighted_estimate`` would not accept,
-    before any pair is searched for or fitted: a bootstrap needs an
-    integer count of at least 2 draws and a non-negative integer seed (a
-    bool is neither).  The sandwich reads neither."""
+    """Reject an ``aggregate`` and interval options ``_aggregate`` would
+    not accept, before any pair is searched for or fitted: a bootstrap
+    needs the weighted aggregate, an integer count of at least 2 draws and
+    a non-negative integer seed (a bool is neither).  The sandwich reads
+    neither."""
+    if aggregate not in ("weighted", "majority"):
+        raise ValueError(f"unknown aggregate: {aggregate!r}")
     if ci_method not in ("sandwich", "bootstrap"):
         raise ValueError(f"unknown ci_method: {ci_method!r}")
     if bootstrap_ci not in ("normal", "percentile"):
         raise ValueError(f"unknown bootstrap_ci: {bootstrap_ci!r}")
     if ci_method != "bootstrap":
         return
+    if aggregate != "weighted":
+        raise ValueError(f"ci_method 'bootstrap' needs aggregate 'weighted', "
+                         f"got aggregate {aggregate!r}")
     if not _is_integer(bootstrap_draws) or bootstrap_draws < 2:
         raise ValueError("bootstrap_draws must be an integer of at least 2 "
                          f"draws, got {bootstrap_draws!r}")
@@ -336,6 +342,63 @@ def _received_draws(fd: int):
     return None if payload is None else np.frombuffer(payload)
 
 
+def _aggregate(
+    data: Dataset,
+    names,
+    z: np.ndarray,
+    w: np.ndarray,
+    weights: np.ndarray,
+    roles,
+    aggregate: str = "weighted",
+    ci_method: str = "sandwich",
+    bootstrap_draws: int = 500,
+    bootstrap_ci: str = "normal",
+    seed: int = 0,
+) -> AggregateResult:
+    """The ``aggregate`` of the pairs (``names[z[k]]``, ``names[w[k]]``)
+    with ``weights`` and ``roles = (treatment, outcome, covariates)``: one
+    ``estimate._fit_stack`` fits them all, and the ``weights`` average of
+    their deltas gets the stacked sandwich's SE (with the cross-pair
+    covariance) or a bootstrap's.  The majority vote is its lone pair's
+    fit.  The options are ``_check_interval_options``'s."""
+    alpha0, beta, ses, delta_hat, se, xc, local = _fit_stack(
+        data._centred, data.index_of, names, z, w, weights, roles)
+    per_pair = tuple(
+        (pair, _pair_estimate(pair, a0, slopes, pair_se), float(weight))
+        for pair, a0, slopes, pair_se, weight in zip(
+            _Pairs(names, z, w), alpha0, beta, ses, weights)
+    )
+    ci_low, ci_high = _interval(delta_hat, se)
+    if aggregate == "majority":
+        method = "majority_vote"
+    elif ci_method == "sandwich":
+        method = "weighted_sandwich"
+    else:
+        boot = _bootstrap_se(xc, local, weights, bootstrap_draws, seed)
+        se = float(np.std(boot, ddof=1))
+        if bootstrap_ci == "normal":
+            ci_low, ci_high = _interval(delta_hat, se)
+        else:
+            ci_low = float(np.quantile(boot, 0.025))
+            ci_high = float(np.quantile(boot, 0.975))
+        method = f"weighted_bootstrap_{bootstrap_ci}"
+    return AggregateResult(delta_hat, se, ci_low, ci_high, method, per_pair)
+
+
+def _table_plan(table: PairFrequencyTable):
+    """The names, in sorted order, of the pairs of ``table`` and the pairs
+    as index arrays (z, w) into them with their frequencies, in the
+    table's order; EmptyDnctListError for an empty table."""
+    if not table.entries:
+        raise EmptyDnctListError("no control pairs to aggregate")
+    pairs = [pair for pair, _ in table.entries]
+    names = sorted({name for pair in pairs for name in (pair.z, pair.w)})
+    index = {name: i for i, name in enumerate(names)}
+    return (names, np.array([index[pair.z] for pair in pairs]),
+            np.array([index[pair.w] for pair in pairs]),
+            np.array([freq for _, freq in table.entries]))
+
+
 def weighted_estimate(
     data: Dataset,
     table: PairFrequencyTable,
@@ -354,46 +417,13 @@ def weighted_estimate(
     cross-pair meat) or "bootstrap" (row resampling with the pair set held
     fixed; ``bootstrap_ci`` picks a normal or percentile interval).
     """
-    _check_interval_options(ci_method, bootstrap_draws, bootstrap_ci, seed)
-    if not table.entries:
-        raise EmptyDnctListError("no control pairs to aggregate")
-    covariates = tuple(covariates)
-    pairs = [pair for pair, _ in table.entries]
-    freqs = np.array([freq for _, freq in table.entries], dtype=float)
-    weights = freqs / freqs.sum()
-    layout = _stacked_columns(data, pairs, treatment, outcome, covariates)
-    # each pair's SE and that of the weighted average, omega' V omega with
-    # the cross-pair covariance included
-    alpha0, beta, ses, delta_hat, weighted_se, xc, local = _fit_stack(
-        data._centred, layout, weights, pairs=pairs
-    )
-    per_pair = tuple(
-        (pair, _pair_estimate(pair, a0, slopes, se), float(weight))
-        for pair, a0, slopes, se, weight in zip(
-            pairs, alpha0, beta, ses, weights
-        )
-    )
-    if ci_method == "sandwich":
-        se = weighted_se
-        ci_low, ci_high = _interval(delta_hat, se)
-        method = "weighted_sandwich"
-    else:
-        boot = _bootstrap_se(xc, local, weights, bootstrap_draws, seed)
-        se = float(np.std(boot, ddof=1))
-        if bootstrap_ci == "normal":
-            ci_low, ci_high = _interval(delta_hat, se)
-        else:
-            ci_low = float(np.quantile(boot, 0.025))
-            ci_high = float(np.quantile(boot, 0.975))
-        method = f"weighted_bootstrap_{bootstrap_ci}"
-    return AggregateResult(
-        delta_hat=delta_hat,
-        se=se,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        method=method,
-        per_pair=per_pair,
-    )
+    _check_interval_options("weighted", ci_method, bootstrap_draws,
+                            bootstrap_ci, seed)
+    names, z, w, freqs = _table_plan(table)
+    freqs = freqs.astype(float)
+    return _aggregate(data, names, z, w, freqs / freqs.sum(),
+                      (treatment, outcome, tuple(covariates)), "weighted",
+                      ci_method, bootstrap_draws, bootstrap_ci, seed)
 
 
 def majority_vote_estimate(
@@ -408,21 +438,8 @@ def majority_vote_estimate(
     Frequencies of the two orientations are combined; ties break to the
     lexicographically smallest pair, oriented with the smaller name as z.
     """
-    if not table.entries:
-        raise EmptyDnctListError("no control pairs to aggregate")
-    names = sorted({name for pair, _ in table.entries
-                    for name in (pair.z, pair.w)})
+    names, z, w, freqs = _table_plan(table)
     counts = np.zeros((len(names), len(names)), dtype=np.int64)
-    for pair, freq in table.entries:
-        counts[names.index(pair.z), names.index(pair.w)] += freq
-    (z,), (w,), _ = _pair_plan(counts, "majority")
-    winner = NcPair(names[z], names[w])
-    est = gmm_linear_ate(data, winner, treatment, outcome, covariates)
-    return AggregateResult(
-        delta_hat=est.delta_hat,
-        se=est.se,
-        ci_low=est.ci_low,
-        ci_high=est.ci_high,
-        method="majority_vote",
-        per_pair=((winner, est, 1.0),),
-    )
+    counts[z, w] = freqs
+    return _aggregate(data, names, *_pair_plan(counts, "majority"),
+                      (treatment, outcome, tuple(covariates)), "majority")

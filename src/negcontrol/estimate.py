@@ -33,12 +33,15 @@ one builder, ``_layout``, which checks the roles once for all P systems.
 The solve is stacked: P systems read their (P, d, d) slices of S as one
 fancy-index slice, are checked by one stacked ``np.linalg.cond`` and
 inverted by one stacked ``np.linalg.inv``.  ``_fit_stack`` is the one path
-from systems to estimates and SEs: a single pair fit and the naive
-regression are stacks of one, and the weighted aggregate stacks every
-pair.  For P systems the influence vectors of a slope are psi = (Xc @ B)
-* (Xc @ C) on the centred columns Xc, where column k of B holds system
-k's residual weights y - a1*W - delta*T - bx'X and column k of C holds
-the slope's row of its inverse.  Per-system SEs are the column norms of
+from systems to estimates and SEs, and takes the pairs as index arrays
+into their names with the roles (treatment, outcome, covariates): a
+single pair fit, the majority vote and the naive regression are stacks of
+one, whose average takes the system's own SE, and the weighted aggregate
+stacks every pair.  ``gmm_linear_ate``, ``aggregate._aggregate`` and the
+study call it.  For P systems the influence vectors of a slope are
+psi = (Xc @ B) * (Xc @ C) on the centred columns Xc, where column k of B
+holds system k's residual weights y - a1*W - delta*T - bx'X and column k
+of C holds the slope's row of its inverse.  Per-system SEs are the column norms of
 psi over n and the weighted sandwich SE is |psi @ w| / n; both are summed
 over fixed row blocks in ``_sandwich_se``, so no n x P matrix is ever
 formed.
@@ -51,6 +54,7 @@ systems so.  Each dataset of a stack gets the bits it gets alone.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,7 +175,8 @@ def closed_form_ate(
     """
     if formula not in ("primary", "alternate"):
         raise ValueError(f"unknown formula: {formula!r}")
-    qs, ms, y = _stacked_columns(cov, [pair], treatment, outcome)
+    qs, ms, y = _layout(cov.index_of, (pair.z, pair.w), [0], [1], treatment,
+                        outcome)
     if formula == "alternate":
         qs, ms = ms, qs
     try:
@@ -210,15 +215,18 @@ def _layout(index_of, names, z, w, treatment: str, outcome: str,
     return qs, ms, index_of(outcome)
 
 
-def _stacked_columns(
-    data, pairs, treatment: str, outcome: str, covariates=()
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """The ``_layout`` of the ``NcPair`` list ``pairs`` among the columns
-    of ``data``."""
-    p = len(pairs)
-    return _layout(data.index_of, [pair.z for pair in pairs]
-                   + [pair.w for pair in pairs], range(p), range(p, 2 * p),
-                   treatment, outcome, covariates)
+@dataclass(frozen=True)
+class _Pairs:
+    """The pairs (``names[z[k]]``, ``names[w[k]]``), each made into an
+    ``NcPair`` only when indexed, or iterated as a sequence: an error
+    names one pair only."""
+
+    names: tuple
+    z: Sequence
+    w: Sequence
+
+    def __getitem__(self, k: int) -> NcPair:
+        return NcPair(self.names[self.z[k]], self.names[self.w[k]])
 
 
 def _used_columns(xc: np.ndarray, layout):
@@ -342,26 +350,34 @@ def _weighted_delta(weights, beta, j: int = DELTA_INDEX - 1):
     return [_weighted_delta(weights, member, j) for member in beta]
 
 
-def _fit_stack(centred, layout, weights, j: int = DELTA_INDEX - 1,
-               pairs=None, errors=None):
-    """The stacked fit on the centred statistic ``centred = (xc, means,
-    gram)`` of a dataset (``Dataset._centred``) with ``layout = (qs, ms,
-    y)`` column positions, and its sandwich SEs: alpha0 (P,), the slopes
-    beta (P, d), each system's SE of beta[:, j] (by default delta, as
-    beta = (alpha1, delta, bx) has no alpha0), the ``weights`` average of
-    beta[:, j] and its SE, and the centred columns the systems read with
-    the layout renumbered to them (``_used_columns``).
+def _fit_stack(centred, index_of, names, z, w, weights, roles,
+               j: int = DELTA_INDEX - 1, errors=None):
+    """The stacked fit of the pairs (``names[z[k]]``, ``names[w[k]]``),
+    laid out by ``_layout`` among the columns ``index_of`` places with
+    ``roles = (treatment, outcome, covariates)``, on the centred statistic
+    ``centred = (xc, means, gram)`` of a dataset (``Dataset._centred``),
+    and its sandwich SEs: alpha0 (P,), the slopes beta (P, d), each
+    system's SE of beta[:, j] (by default delta, as beta = (alpha1, delta,
+    bx) has no alpha0), the ``weights`` average of beta[:, j] and its SE,
+    and the centred columns the systems read with the layout renumbered to
+    them (``_used_columns``).  A lone system's average takes the system's
+    own SE.  Empty ``names`` with (1, 0) ``z`` and ``w`` give the naive
+    regression, which has no pair to name in an error.
 
     ``centred`` may hold a stack of R datasets of one size (``data._centre``
     of an (R, n, p) array); every result then gains a leading axis of R,
     and ``errors`` is as for ``_solve_centred``."""
     xc, means, gram = centred
+    layout = _layout(index_of, names, z, w, *roles)
     qs, ms, y = layout
-    beta, inv = _solve_centred(gram / xc.shape[-2], qs, ms, y, pairs, errors)
+    beta, inv = _solve_centred(gram / xc.shape[-2], qs, ms, y,
+                               _Pairs(names, z, w) if names else None, errors)
     alpha0 = means[..., y, None] - (
         means[..., ms][..., None, :] @ beta[..., :, None])[..., 0, 0]
     used, local = _used_columns(xc, layout)
     ses, weighted_se = _sandwich_se(used, local, beta, inv, j, weights)
+    if len(weights) == 1:
+        weighted_se = ses[..., 0].tolist()
     return (alpha0, beta, ses, _weighted_delta(weights, beta, j),
             weighted_se, used, local)
 
@@ -375,8 +391,8 @@ def design_matrices(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Instrument matrix Q = [1, Z, T, X], regressor matrix M = [1, W, T, X],
     and outcome vector y, aligned with theta = (alpha0, alpha1, delta, bx)."""
-    (q,), (m,), _ = _stacked_columns(data, [pair], treatment, outcome,
-                                     covariates)
+    (q,), (m,), _ = _layout(data.index_of, (pair.z, pair.w), [0], [1],
+                            treatment, outcome, covariates)
     ones = np.ones((data.n, 1))
     # rounding depends on memory layout: Q and M stay row-major and y a
     # strided view of the data, so the fits are stable to the last bit
@@ -477,7 +493,7 @@ def gmm_linear_ate(
     With no covariates the point estimate equals ``closed_form_ate`` to
     floating-point precision.
     """
-    layout = _stacked_columns(data, [pair], treatment, outcome, covariates)
-    alpha0, beta, ses, *_ = _fit_stack(data._centred, layout, np.ones(1),
-                                       pairs=[pair])
+    alpha0, beta, ses, *_ = _fit_stack(
+        data._centred, data.index_of, (pair.z, pair.w), [0], [1], np.ones(1),
+        (treatment, outcome, tuple(covariates)))
     return _pair_estimate(pair, alpha0[0], beta[0], ses[0])

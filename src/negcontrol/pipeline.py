@@ -5,6 +5,9 @@ aggregate their pairwise effect estimates.
 ``dance`` subcommand: it never exits or prints, it just returns the search
 report together with the aggregated estimate (or ``None`` when the search
 comes back empty, so callers can branch on "no valid negative controls").
+It checks its run plan and options once, before any work, and then runs
+the one search kernel (``search._report``) and the one aggregation step
+(``aggregate._aggregate``) on the pair plan of the triples that passed.
 """
 from __future__ import annotations
 
@@ -14,13 +17,12 @@ from dataclasses import dataclass
 
 from .aggregate import (
     AggregateResult,
+    _aggregate,
     _check_interval_options,
-    _pair_table,
-    majority_vote_estimate,
-    weighted_estimate,
+    _triples_plan,
 )
-from .data import Dataset
-from .search import FindNcReport, _search_plan, find_nc
+from .data import Dataset, covariance
+from .search import FindNcReport, _report, _search_plan
 
 __all__ = ["DanceResult", "dance"]
 
@@ -85,25 +87,17 @@ def dance(
     candidate, UnknownVariableError when a role is no column.
     """
     covariates = tuple(covariates)
-    candidates, _, alpha = _search_plan(
-        data.variable_names, candidates, treatment, outcome, data.n, alpha,
-        covariates)
-    if aggregate not in ("weighted", "majority"):
-        raise ValueError(f"unknown aggregate: {aggregate!r}")
-    _check_interval_options(ci_method, bootstrap_draws, bootstrap_ci, seed)
-    report = find_nc(data, candidates, treatment, outcome, alpha=alpha)
+    plan = _search_plan(data.variable_names, candidates, treatment, outcome,
+                        data.n, alpha, covariates)
+    _check_interval_options(aggregate, ci_method, bootstrap_draws,
+                            bootstrap_ci, seed)
+    report = _report(covariance(data), data.n, plan, treatment, outcome)
     passed = report.passed
     if not passed.any():
         return DanceResult(report=report, estimate=None)
-    table = _pair_table(report.triples[passed], report.candidates)
-    if aggregate == "majority":
-        estimate = majority_vote_estimate(
-            data, table, treatment, outcome, covariates
-        )
-    else:
-        estimate = weighted_estimate(
-            data, table, treatment, outcome, covariates, ci_method=ci_method,
-            bootstrap_draws=bootstrap_draws, bootstrap_ci=bootstrap_ci,
-            seed=seed,
-        )
+    names, triples, _ = plan
+    estimate = _aggregate(
+        data, names, *_triples_plan(triples[passed], len(names), aggregate),
+        (treatment, outcome, covariates), aggregate, ci_method,
+        bootstrap_draws, bootstrap_ci, seed)
     return DanceResult(report=report, estimate=estimate)

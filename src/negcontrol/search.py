@@ -11,10 +11,13 @@ The six-test set is closed under permutations of the triple, so verdicts do
 not depend on the order candidates are written in; triples are canonicalized
 (sorted) before testing.
 
-Both ``find_nc`` and ``dnct_validate`` run every sub-test in one batched
-pass on the correlation matrix (``tetrad._wishart_batch``), so verdicts do
-not depend on the scale of any column.  ``tetrad.wishart_test`` is the
-scalar reference that pass is tested against.
+Every search runs through one kernel, ``_sub_tests``: ``find_nc``,
+``dnct_validate`` and ``dance`` through ``_report``, and each pass of a
+replication study on its stack of covariance matrices.  It lays out the
+six sub-tests of every triple and runs them in one batched pass on the
+correlation matrix (``tetrad._wishart_batch``), so verdicts do not depend
+on the scale of any column.  ``tetrad.wishart_test`` is the scalar
+reference that pass is tested against.
 
 One run plan, ``_search_plan``, checks the roles and the level before
 any work, for every search, for ``dance`` and for ``run_study``.
@@ -434,47 +437,33 @@ class FindNcReport:
         )
 
 
-def _quads(index_of, names, triples: np.ndarray, treatment: str,
-           outcome: str) -> np.ndarray:
-    """The (6 T, 4) column positions, by ``index_of``, of the six sub-tests
-    of every row of ``triples``, a (T, 3) array of increasing indices into
-    the sorted ``names``."""
+def _sub_tests(entries, n: int, index_of, names, triples: np.ndarray,
+               treatment: str, outcome: str, alpha: float):
+    """The six sub-tests of every row of ``triples``, a (T, 3) array of
+    increasing indices into the sorted ``names``, on the covariance
+    ``entries`` (..., p, p) of ``n`` rows whose columns ``index_of``
+    places: ``_wishart_batch``'s d_hat, sigma_hat, w and p, each
+    (..., T, 6) in ``triple_specs`` order.  Every search runs here."""
     members = np.array([index_of(name) for name in names],
                        dtype=np.intp)[triples]
     quads = np.empty((len(triples), 6, 4), dtype=np.intp)
     quads[:, :, :3] = members[:, np.array(_PAIR_ROWS * 2)]
     quads[:, :3, 3] = index_of(treatment)
     quads[:, 3:, 3] = index_of(outcome)
-    return quads.reshape(-1, 4)
+    return tuple(
+        column.reshape(*column.shape[:-1], len(triples), 6)
+        for column in _wishart_batch(entries, quads.reshape(-1, 4), n, alpha)
+    )
 
 
-def _scan(
-    cov: CovMatrix,
-    n: int,
-    names: tuple[str, ...],
-    triples: np.ndarray,
-    treatment: str,
-    outcome: str,
-    alpha: float,
-) -> FindNcReport:
-    """The six sub-tests of every row of ``triples``, a (T, 3) array of
-    increasing indices into the sorted ``names``, as one report."""
-    quads = _quads(cov.index_of, names, triples, treatment, outcome)
-    d_hat, sigma_hat, w, p = (
-        column.reshape(-1, 6)
-        for column in _wishart_batch(cov, quads, n, alpha)
-    )
-    return FindNcReport(
-        treatment=treatment,
-        outcome=outcome,
-        alpha_used=alpha,
-        candidates=names,
-        triples=triples,
-        d_hat=d_hat,
-        sigma_hat=sigma_hat,
-        w=w,
-        p=p,
-    )
+def _report(cov: CovMatrix, n: int, plan, treatment: str,
+            outcome: str) -> FindNcReport:
+    """The report of the run plan ``plan = (names, triples, alpha)`` of
+    ``_search_plan`` on the covariance ``cov`` of ``n`` rows."""
+    names, triples, alpha = plan
+    return FindNcReport(treatment, outcome, alpha, names, triples,
+                        *_sub_tests(cov.entries, n, cov.index_of, names,
+                                    triples, treatment, outcome, alpha))
 
 
 def dnct_validate(
@@ -486,11 +475,9 @@ def dnct_validate(
     alpha: float,
 ) -> DnctVerdict:
     """Run all six certifying tetrad tests for one candidate triple."""
-    names, triples, alpha = _search_plan(
-        cov.variable_index, canonical_triple(candidate), treatment, outcome,
-        n, alpha)
-    return _scan(cov, n, names, triples, treatment, outcome,
-                 alpha).all_verdicts[0]
+    plan = _search_plan(cov.variable_index, canonical_triple(candidate),
+                        treatment, outcome, n, alpha)
+    return _report(cov, n, plan, treatment, outcome).all_verdicts[0]
 
 
 def find_nc(
@@ -515,10 +502,9 @@ def find_nc(
     ValueError
         Candidates overlapping treatment/outcome, or alpha outside (0, 1).
     """
-    names, triples, alpha = _search_plan(
-        data.variable_names, candidates, treatment, outcome, data.n, alpha)
-    return _scan(covariance(data), data.n, names, triples, treatment,
-                 outcome, alpha)
+    plan = _search_plan(data.variable_names, candidates, treatment, outcome,
+                        data.n, alpha)
+    return _report(covariance(data), data.n, plan, treatment, outcome)
 
 
 def _search_plan(variables, candidates, treatment: str, outcome: str,

@@ -17,15 +17,16 @@ Replications of one sample size run in stacked passes of at most
 ``_STUDY_CHUNK`` simulated rows, at least one replication a pass.  A pass
 of R replications simulates them into one (R, n, k) array, each from its
 own seed, and forms their centred statistics and searches their R
-covariance matrices in one call of each kernel.  The naive fits and the
-fixed triplet's fits share one layout in every replication, so they are
-fitted for all R in one stacked solve and one batched sandwich.  What
-differs between replications, the pairs of the triplets each search
-passed and the pairs drawn per replication, is fitted one replication at
-a time from views of the pass's arrays.  Every kernel gives each matrix of
-a stack the bits it gets alone, so a pass of R writes what R passes of one
-write.  The pairs and weights are ``aggregate``'s one pair plan, and every
-system, the naive one too, is laid out by ``estimate._layout``.
+covariance matrices in one call of each kernel: the search is
+``search._sub_tests``, the kernel behind ``find_nc`` and ``dance``.  The
+naive fits and the fixed triplet's fits share one layout in every
+replication, so they are fitted for all R in one call of
+``estimate._fit_stack``, the fit behind ``dance`` too.  What differs
+between replications, the pairs of the triplets each search passed and
+the pairs drawn per replication, is fitted one replication at a time from
+views of the pass's arrays.  Every kernel gives each matrix of a stack
+the bits it gets alone, so a pass of R writes what R passes of one write.
+The pairs and weights are ``aggregate``'s one pair plan.
 """
 from __future__ import annotations
 
@@ -43,14 +44,8 @@ import numpy.random  # noqa: F401  loaded on import, not on the first draw
 from .aggregate import _triples_plan
 from ._fork import _receive_bytes, _workers, map_parts
 from .data import _centre, _covariance_entries
-from .estimate import (
-    DELTA_INDEX,
-    NcPair,
-    _fit_stack,
-    _interval,
-    _layout,
-)
-from .search import _quads, _search_plan
+from .estimate import DELTA_INDEX, _fit_stack, _interval
+from .search import _search_plan, _sub_tests
 from .simulate import (
     GraphSpec,
     _generate_stack,
@@ -58,7 +53,6 @@ from .simulate import (
     ground_truth_dncts,
     realize_coefficients,
 )
-from .tetrad import _wishart_batch
 
 __all__ = [
     "StudyConfig",
@@ -238,21 +232,17 @@ def _resolve_spec(config: StudyConfig) -> GraphSpec:
     )
 
 
-def _fits(centred, layout, weights, j: int = DELTA_INDEX - 1,
-          pairs=None) -> list:
+def _fits(centred, index_of, names, z, w, weights, roles,
+          j: int = DELTA_INDEX - 1) -> list:
     """Per dataset of the stacked centred statistic ``centred``: the
-    (delta, se, ci_low, ci_high) of the ``weights`` average of its
-    systems' beta[:, j], as ``weighted_estimate`` forms it, or the
-    SingularMomentMatrixError of its first failing system.  A lone system
-    takes its own SE instead, as ``gmm_linear_ate`` does."""
+    (delta, se, ci_low, ci_high) of ``estimate._fit_stack``'s ``weights``
+    average, as ``weighted_estimate`` forms it, or the
+    SingularMomentMatrixError of its first failing system."""
     errors: list = []
-    _, _, ses, deltas, weighted_ses, *_ = _fit_stack(
-        centred, layout, weights, j, pairs, errors
-    )
-    if len(weights) == 1:
-        weighted_ses = ses[:, 0].tolist()
+    _, _, _, deltas, ses, *_ = _fit_stack(centred, index_of, names, z, w,
+                                          weights, roles, j, errors)
     return [error or (delta, se, *_interval(delta, se))
-            for error, delta, se in zip(errors, deltas, weighted_ses)]
+            for error, delta, se in zip(errors, deltas, ses)]
 
 
 def _naive_fits(centred, index_of, treatment: str, outcome: str,
@@ -260,8 +250,8 @@ def _naive_fits(centred, index_of, treatment: str, outcome: str,
     """``_fits`` of the OLS of outcome on treatment (plus covariates) with
     a robust SE: the system without a pair, whose instruments and
     regressors are both (T, X)."""
-    return _fits(centred, _layout(index_of, (), [[]], [[]], treatment,
-                                  outcome, covariates), np.ones(1), j=0)
+    return _fits(centred, index_of, (), [[]], [[]], np.ones(1),
+                 (treatment, outcome, covariates), j=0)
 
 
 def _default_grid(n: int) -> tuple[float, ...]:
@@ -299,9 +289,8 @@ class _Pass:
     ``n`` simulated, centred and searched, and the fits every replication
     shares the layout of."""
 
-    spec: GraphSpec
-    config: StudyConfig
     columns: dict  # column name -> position
+    roles: tuple  # (treatment, outcome, covariates)
     drawn: np.ndarray  # ``candidates`` positions in graph order, as drawn
     candidates: tuple  # sorted, as the search reads them
     rows: np.ndarray  # (T, 3) indices of every triple into ``candidates``
@@ -318,24 +307,8 @@ class _Pass:
     def fits(self, centred, z, w, weights) -> list:
         """``_fits`` on ``centred`` of the pairs (``candidates[z[k]]``,
         ``candidates[w[k]]``) with ``weights``."""
-        spec = self.spec
-        layout = _layout(self.columns.__getitem__, self.candidates, z, w,
-                         spec.treatment, spec.outcome, self.config.covariates)
-        return _fits(centred, layout, weights,
-                     pairs=_Pairs(self.candidates, z, w))
-
-
-@dataclass(frozen=True)
-class _Pairs:
-    """The pairs (``names[z[k]]``, ``names[w[k]]``), each made into an
-    ``NcPair`` only when indexed: only an error names one."""
-
-    names: tuple
-    z: Sequence
-    w: Sequence
-
-    def __getitem__(self, k: int) -> NcPair:
-        return NcPair(self.names[self.z[k]], self.names[self.w[k]])
+        return _fits(centred, self.columns.__getitem__, self.candidates, z,
+                     w, weights, self.roles)
 
 
 def _run_pass(spec: GraphSpec, config: StudyConfig, jobs: list, *,
@@ -353,24 +326,20 @@ def _run_pass(spec: GraphSpec, config: StudyConfig, jobs: list, *,
     ])
     if not np.all(np.isfinite(values)):
         raise ValueError("values must be finite")  # as Dataset has it
-    treatment, outcome = spec.treatment, spec.outcome
+    roles = (spec.treatment, spec.outcome, config.covariates)
     candidates, rows, alpha = plans[n]
     columns = {name: j for j, name in enumerate(names)}
     centred = _centre(values)
-    p = _wishart_batch(
-        _covariance_entries(centred[2], n),
-        _quads(columns.__getitem__, candidates, rows, treatment, outcome),
-        n, alpha,
-    )[3].reshape(len(jobs), len(rows), 6)
+    p = _sub_tests(_covariance_entries(centred[2], n), n, columns.__getitem__,
+                   candidates, rows, *roles[:2], alpha)[3]
     stack = _Pass(
-        spec, config, columns,
-        np.argsort([columns[name] for name in candidates]), candidates,
-        rows, centred, p.min(axis=-1), (p > alpha).all(axis=-1), {},
+        columns, roles, np.argsort([columns[name] for name in candidates]),
+        candidates, rows, centred, p.min(axis=-1), (p > alpha).all(axis=-1),
+        {},
     )
     if "naive" in config.methods:
-        stack.shared["naive"] = _naive_fits(
-            centred, columns.__getitem__, treatment, outcome,
-            config.covariates)
+        stack.shared["naive"] = _naive_fits(centred, columns.__getitem__,
+                                            *roles)
     if fixed is not None and "random" in config.methods:
         stack.shared["random"] = stack.fits(
             centred, *_triples_plan(rows[fixed:fixed + 1], len(candidates)))

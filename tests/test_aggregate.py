@@ -25,7 +25,7 @@ from negcontrol.estimate import (
     DELTA_INDEX,
     NcPair,
     _fit_stack,
-    _stacked_columns,
+    _layout,
     design_matrices,
     gmm_linear_ate,
     per_observation_moments,
@@ -35,8 +35,9 @@ from negcontrol.estimate import (
 from negcontrol.aggregate import (
     PairFrequencyTable,
     _bootstrap_se,
-    _pair_table,
     _resampled_moments,
+    _table_plan,
+    _triples_plan,
     enumerate_pairs,
     majority_vote_estimate,
     weighted_estimate,
@@ -83,8 +84,9 @@ def test_enumerate_pairs_empty():
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_pair_table_of_index_triples_matches_enumerate_pairs(data):
-    # dance builds its table from the report's index triples; names that
-    # no triple holds must not move a pair, a count or a weight
+    # dance builds its pair plan from the report's index triples over every
+    # candidate; names that no triple holds must not move a pair or a
+    # weight
     k = data.draw(st.integers(3, 9))
     names = sorted(data.draw(st.lists(st.text(min_size=1, max_size=3),
                                       min_size=k, max_size=k, unique=True)))
@@ -92,17 +94,22 @@ def test_pair_table_of_index_triples_matches_enumerate_pairs(data):
     rows = np.array(sorted(data.draw(st.lists(st.sampled_from(every),
                                               min_size=1, unique=True))),
                     dtype=np.intp)
-    table = _pair_table(rows, names)
+    z, w, weights = _triples_plan(rows, k)
     reference = enumerate_pairs([[names[i] for i in row] for row in rows])
-    # the same pairs in the same order with the same counts, so the same
-    # weights: each pair's count over their sum
-    assert table.entries == reference.entries
-    assert all(type(freq) is int for _, freq in table.entries)
+    # the same pairs in the same order with the same weights: each pair's
+    # count over their sum
+    assert [NcPair(names[a], names[b]) for a, b in zip(z, w)] == [
+        pair for pair, _ in reference.entries]
+    freqs = np.array([freq for _, freq in reference.entries], dtype=float)
+    assert weights.tobytes() == (freqs / freqs.sum()).tobytes()
+    assert all(type(freq) is int for _, freq in reference.entries)
 
 
 def test_pair_table_of_no_triples_raises():
-    with pytest.raises(EmptyDnctListError):
-        _pair_table(np.empty((0, 3), dtype=np.intp), ["a", "b", "c"])
+    # the majority vote would otherwise pick the first pair of no counts
+    for aggregate in ("weighted", "majority"):
+        with pytest.raises(EmptyDnctListError):
+            _triples_plan(np.empty((0, 3), dtype=np.intp), 3, aggregate)
 
 
 def test_weighted_estimate_invariant_under_triple_reordering(
@@ -149,6 +156,23 @@ def test_weighted_per_pair_matches_single_fits(simple_data, simple_truth):
         assert est.delta_hat == pytest.approx(single.delta_hat, abs=1e-12)
         # both come from the one stacked fit and its blocked sandwich
         assert est.se == single.se
+
+
+def test_one_pair_table_se_is_the_pair_se(simple_data):
+    # the weighted SE of one pair was |psi . 1| / n, summed in another
+    # order than the pair's column norm, and differed in its last bits
+    names = ("Z1", "Z2", "Z3", "Z4")
+    for z, w in ((z, w) for z in names for w in names if z != w):
+        pair = NcPair(z, w)
+        table = PairFrequencyTable(entries=((pair, 3),))
+        result = weighted_estimate(simple_data, table, "T", "O")
+        single = gmm_linear_ate(simple_data, pair, "T", "O")
+        ((_, est, weight),) = result.per_pair
+        assert weight == 1.0
+        assert (result.delta_hat, result.se) == (est.delta_hat, est.se)
+        assert (est.delta_hat, est.se) == (single.delta_hat, single.se)
+        assert np.float64(result.se).tobytes() == (
+            np.float64(single.se).tobytes())
 
 
 def _stacked_sandwich_variance(data, per_pair, covariates):
@@ -371,12 +395,10 @@ def test_weighted_bootstrap_takes_numpy_integers(simple_data):
 def _boot_inputs(data, dncts):
     """The used centred columns, their layout and the weights that
     ``weighted_estimate`` hands to ``_bootstrap_se``."""
-    table = enumerate_pairs(dncts)
-    pairs = [pair for pair, _ in table.entries]
-    freqs = np.array([freq for _, freq in table.entries], dtype=float)
+    names, z, w, freqs = _table_plan(enumerate_pairs(dncts))
     weights = freqs / freqs.sum()
-    layout = _stacked_columns(data, pairs, "T", "O")
-    *_, xc, local = _fit_stack(data._centred, layout, weights, pairs=pairs)
+    *_, xc, local = _fit_stack(data._centred, data.index_of, names, z, w,
+                               weights, ("T", "O", ()))
     return xc, local, weights
 
 
@@ -480,7 +502,8 @@ def _first_singular_pair(data, pairs):
     sd = np.sqrt(np.diag(moments))
     sd[sd == 0.0] = 1.0
     for pair in pairs:
-        (q,), (m,), _ = _stacked_columns(data, [pair], "T", "O")
+        (q,), (m,), _ = _layout(data.index_of, (pair.z, pair.w), [0], [1],
+                                "T", "O")
         corr = moments[np.ix_(q, m)] / np.outer(sd[q], sd[m])
         cond = float(np.linalg.cond(corr))
         if not cond <= 1e12:

@@ -334,7 +334,7 @@ def test_dance_candidate_covariate_exit_2_before_searching(
     def no_search(*args, **kwargs):
         raise AssertionError("the search ran")
 
-    monkeypatch.setattr("negcontrol.pipeline.find_nc", no_search)
+    monkeypatch.setattr("negcontrol.search._sub_tests", no_search)
     code = main(["dance", "--data", str(path), "--treatment", "T",
                  "--outcome", "O", "--candidates", "Z1,Z2,Z3,Z6,Z7",
                  "--covariates", "Z7", "--aggregate", aggregate,
@@ -359,11 +359,31 @@ def test_dance_bootstrap_negative_seed_exit_2_before_searching(
     def no_search(*args, **kwargs):
         raise AssertionError("the search ran")
 
-    monkeypatch.setattr("negcontrol.pipeline.find_nc", no_search)
+    monkeypatch.setattr("negcontrol.search._sub_tests", no_search)
     assert main([*argv, "--ci", "bootstrap"]) == 2
     assert capsys.readouterr().err == (
         "error: seed must be a non-negative integer for a bootstrap, "
         "got -1\n")
+    assert not out.exists()
+
+
+def test_dance_majority_bootstrap_exit_2_before_searching(
+        tmp_path, sim_csv, monkeypatch, capsys):
+    # the majority vote used to drop --ci bootstrap and exit 0 with the
+    # sandwich interval
+    data_path, _ = sim_csv
+    out = tmp_path / "dance.json"
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr("negcontrol.search._sub_tests", no_search)
+    assert main(["dance", "--data", str(data_path), "--treatment", "T",
+                 "--outcome", "O", "--aggregate", "majority", "--ci",
+                 "bootstrap", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: ci_method 'bootstrap' needs aggregate 'weighted', got "
+        "aggregate 'majority'\n")
     assert not out.exists()
 
 

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from negcontrol import pipeline
+from negcontrol import search
 from negcontrol.aggregate import (
     enumerate_pairs,
     majority_vote_estimate,
@@ -113,7 +113,7 @@ def test_dance_rejects_covariate_roles_before_searching(pipeline_data,
                                                         covariates):
     _, data = pipeline_data
     searches = []
-    monkeypatch.setattr(pipeline, "find_nc",
+    monkeypatch.setattr(search, "_sub_tests",
                         lambda *args, **kwargs: searches.append(args))
     with pytest.raises(ValueError, match="covariates must be distinct"):
         dance(data, "T", "O", covariates=covariates)
@@ -132,9 +132,19 @@ def test_dance_checks_bootstrap_options_before_searching(pipeline_data,
                                                          monkeypatch, option,
                                                          value):
     _, data = pipeline_data
-    monkeypatch.setattr(pipeline, "find_nc", _no_search)
+    monkeypatch.setattr(search, "_sub_tests", _no_search)
     with pytest.raises(ValueError, match=option):
         dance(data, "T", "O", ci_method="bootstrap", **{option: value})
+
+
+def test_dance_rejects_a_majority_bootstrap_before_searching(pipeline_data,
+                                                             monkeypatch):
+    # the majority vote used to drop the bootstrap and return its sandwich
+    _, data = pipeline_data
+    monkeypatch.setattr(search, "_sub_tests", _no_search)
+    with pytest.raises(ValueError, match="bootstrap.*aggregate 'weighted'"
+                       ".*'majority'"):
+        dance(data, "T", "O", aggregate="majority", ci_method="bootstrap")
 
 
 @pytest.mark.parametrize("aggregate", ["weighted", "majority"])
@@ -144,7 +154,7 @@ def test_dance_rejects_a_candidate_covariate_before_searching(monkeypatch,
     # the majority vote to return an estimate from a search over Z7
     spec = builtin_graph("complex", strength="strong", seed=1)
     data = generate(spec, 3000, np.random.SeedSequence(5))
-    monkeypatch.setattr(pipeline, "find_nc", _no_search)
+    monkeypatch.setattr(search, "_sub_tests", _no_search)
     with pytest.raises(ValueError, match=r"\['Z7'\] are also covariates"):
         dance(data, "T", "O", candidates=["Z1", "Z2", "Z3", "Z6", "Z7"],
               covariates=("Z7",), aggregate=aggregate)
@@ -153,7 +163,7 @@ def test_dance_rejects_a_candidate_covariate_before_searching(monkeypatch,
 def test_dance_rejects_an_unknown_covariate_before_searching(pipeline_data,
                                                             monkeypatch):
     _, data = pipeline_data
-    monkeypatch.setattr(pipeline, "find_nc", _no_search)
+    monkeypatch.setattr(search, "_sub_tests", _no_search)
     with pytest.raises(UnknownVariableError, match="'nope'"):
         dance(data, "T", "O", covariates=["nope"])
 

@@ -16,15 +16,14 @@ from negcontrol.errors import SingularMomentMatrixError
 from negcontrol.estimate import (
     NcPair,
     _fit_stack,
+    _layout,
     _sandwich_se,
     _solve_centred,
-    _stacked_columns,
     _used_columns,
     gmm_linear_ate,
 )
-from negcontrol.search import _quads, _search_plan
+from negcontrol.search import _search_plan, _sub_tests
 from negcontrol.simulate import _generate_stack, builtin_graph, generate
-from negcontrol.tetrad import _wishart_batch
 
 NAMES = ("T", "O", "a", "b", "c", "d", "x")
 
@@ -47,6 +46,14 @@ def _bits(*arrays) -> list:
     return [np.asarray(array).tobytes() for array in arrays]
 
 
+def _plan(pairs) -> tuple:
+    """The ``NcPair`` list ``pairs`` as sorted names and index arrays
+    (z, w) into them."""
+    names = sorted({name for pair in pairs for name in (pair.z, pair.w)})
+    return (names, [names.index(pair.z) for pair in pairs],
+            [names.index(pair.w) for pair in pairs])
+
+
 @stacks
 @sizes
 def test_centring_matches_each_dataset(n, r):
@@ -65,13 +72,14 @@ def test_wishart_scan_matches_each_covariance(n, r):
     values = _values(r, n)
     cov = _covariance_entries(_centre(values)[2], n)
     names, rows, alpha = _search_plan(NAMES, NAMES[2:], "T", "O", n, None)
-    quads = _quads(NAMES.index, names, rows, "T", "O")
-    stacked = _wishart_batch(cov, quads, n, alpha)
+    plan = (NAMES.index, names, rows, "T", "O", alpha)
+    stacked = _sub_tests(cov, n, *plan)
+    assert stacked[0].shape == (r, len(rows), 6)
     for i in range(r):
         alone = covariance(Dataset(NAMES, values[i]))
         assert _bits(cov[i]) == _bits(alone.entries)
         assert (_bits(*(column[i] for column in stacked))
-                == _bits(*_wishart_batch(alone, quads, n, alpha)))
+                == _bits(*_sub_tests(alone.entries, n, *plan)))
 
 
 def _all_pairs():
@@ -90,8 +98,7 @@ def test_solve_matches_each_system_and_names_each_first_singular(n, r):
         values[2, :, 3] = 2.0 * values[2, :, 0]
     moments = _centre(values)[2] / n
     pairs = _all_pairs()
-    qs, ms, y = _stacked_columns(Dataset(NAMES, values[0]), pairs, "T", "O",
-                                 ("x",))
+    qs, ms, y = _layout(NAMES.index, *_plan(pairs), "T", "O", ("x",))
     errors = []
     beta, inv = _solve_centred(moments, qs, ms, y, pairs, errors)
     assert len(errors) == r
@@ -132,14 +139,15 @@ def test_sandwich_matches_each_dataset(n, r, case):
                  .entries]
         covariates = ("x",)
     weights = np.full(len(pairs), 1.0 / len(pairs))
-    layout = _stacked_columns(Dataset(NAMES, values[0]), pairs, "T", "O",
-                              covariates)
+    plan = _plan(pairs)
+    layout = _layout(NAMES.index, *plan, "T", "O", covariates)
     centred = _centre(values)
     beta, inv = _solve_centred(centred[2] / n, *layout)
     xc, local = _used_columns(centred[0], layout)
     assert xc.shape[-1] == (4 if case == "lone" else 6)  # c is not read
     ses, weighted = _sandwich_se(xc, local, beta, inv, 1, weights)
-    fits = _fit_stack(centred, layout, weights, pairs=pairs)
+    fits = _fit_stack(centred, NAMES.index, *plan, weights,
+                      ("T", "O", covariates))
     for i in range(r):
         data = Dataset(NAMES, values[i])
         alone_xc, alone_local = _used_columns(data._centred[0], layout)
@@ -153,6 +161,8 @@ def test_sandwich_matches_each_dataset(n, r, case):
             est = gmm_linear_ate(data, pairs[0], "T", "O")
             expected = est.delta_hat, est.se
             got = fits[3][i], fits[2][i][0]
+            # a lone system's average takes its own SE
+            assert _bits(fits[4][i]) == _bits(est.se)
         else:
             est = weighted_estimate(data, enumerate_pairs([("a", "b", "d")]),
                                     "T", "O", covariates)
