@@ -12,15 +12,18 @@ bootstrap read them directly.  So both stages see the same statistic, and
 a constant column has zero variance in both.
 
 A CSV body is cut at line ends into byte ranges, one per CPU for a large
-file, and the rows into contiguous ranges for a write; ``_fork.map_parts``
+body, and the rows into contiguous ranges for a write; ``_fork.map_parts``
 runs the ranges after the first in forked children.  Every range runs the
 same ``np.loadtxt`` call, or the same formatting code, so neither the
-values read nor the bytes written depend on how the work was cut.  A file
-whose lines all end in a bare carriage return is held in memory and split
-at those, as one range.  A file that some range does not parse clean, or
-whose header holds a quote or a bare carriage return, is parsed again by
-the per-cell scan, which names the first bad cell.  A pipe is read once,
-and the scan reads the same bytes.  Nearly all of a write goes to the
+values read nor the bytes written depend on how the work was cut.  A pipe
+is read once, into memory, and a file whose lines all end in a bare
+carriage return is held in memory with those made line feeds; such a body
+is cut as a file's is, and each child parses its range from the copy of
+the bytes the fork gave it, so a piped or CR-only body is parsed over the
+CPUs as a file is.  A body that some range does not parse clean, or whose
+header holds a quote or a bare carriage return, is parsed again by the
+per-cell scan, which names the first bad cell; for a pipe the scan reads
+the bytes the parse read.  Nearly all of a write goes to the
 shortest ``repr`` of each float, which holds the interpreter lock, so it
 splits at most one range per ``_FORMAT_CHUNK`` cells: below that a fork
 costs more than it saves.
@@ -203,15 +206,16 @@ def load_csv(path) -> Dataset:
     The body after the header is cut at line ends into ``k`` byte ranges of
     about equal size, ``k`` the smaller of the CPUs this process may use and
     the body's size in ``_PARSE_CHUNK`` (1 MiB) units, at least one, and
-    parsed by ``_fork.map_parts``; below two chunks (2 MiB) or from a pipe
-    the one range is parsed here.
-    A pipe is read once, whole, and both parsers below read those bytes.
-    A file whose line ends are all bare carriage returns (no line feed in
-    it) is read whole too, and its body, split at those, is one range.
-    Every range is parsed by ``np.loadtxt`` a chunk at a time, and kept
-    only when it parsed every line into one finite value per header name.
-    Each cell is rounded by the same parser whichever range holds it, so
-    the values do not depend on ``k``.
+    parsed by ``_fork.map_parts``; below two chunks (2 MiB) the one range
+    is parsed here.  A pipe is read once, whole, and both parsers below
+    read those bytes.  A file whose line ends are all bare carriage returns
+    (no line feed in it) is read whole too, with those made line feeds.
+    Bytes in memory are cut into ranges as a file's are, and a forked child
+    parses its range from its own copy of them.  Every range is parsed by
+    ``np.loadtxt`` a chunk at a time, and kept only when it parsed every
+    line into one finite value per header name.  Each cell is rounded by
+    the same parser whichever range holds it, so the values do not depend
+    on ``k``.
 
     Any other file (a quote in the header; a bare carriage return in a file
     that also holds a line feed; a blank line, a quoted cell or a missing
@@ -289,14 +293,11 @@ def _is_file(handle) -> bool:
             and stat.S_ISREG(os.fstat(handle.fileno()).st_mode))
 
 
-def _line_ranges(handle) -> list[tuple[int, float]]:
-    """(offset, length) byte ranges that cut the rest of ``handle`` at line
-    ends into about equal runs of whole lines, one per process; one range
-    of unbounded length for anything but a regular file.  The handle is
-    left where it was."""
-    if not _is_file(handle):
-        return [(handle.tell(), math.inf)]
-    start, size = handle.tell(), os.fstat(handle.fileno()).st_size
+def _line_ranges(handle) -> list[tuple[int, int]]:
+    """(offset, length) byte ranges that cut the rest of ``handle``, a
+    regular file or bytes in memory, at line ends into about equal runs of
+    whole lines, one per process.  The handle is left where it was."""
+    start, size = handle.tell(), handle.seek(0, io.SEEK_END)
     k = max(1, min(_workers(), (size - start) // _PARSE_CHUNK))
     cuts = [start]
     for i in range(1, k):
@@ -310,9 +311,10 @@ def _line_ranges(handle) -> list[tuple[int, float]]:
 
 
 def _parse_body(handle, path, width: int, encoding: str):
-    """The rows of the rest of ``handle`` (the open ``path``), or None
-    unless every range of it parsed clean; ranges after the first are
-    parsed by forked children."""
+    """The rows of the rest of ``handle`` (the open ``path``, or its bytes
+    in memory), or None unless every range of it parsed clean; ranges after
+    the first are parsed by forked children.  A child parses its range of
+    bytes in memory from its own copy of them, and opens a file anew."""
 
     def parse_here(bounds):
         handle.seek(bounds[0])
@@ -320,7 +322,8 @@ def _parse_body(handle, path, width: int, encoding: str):
 
     blocks = map_parts(
         _line_ranges(handle), parse_here,
-        lambda bounds: _parse_file(path, *bounds, width, encoding),
+        (lambda bounds: _parse_file(path, *bounds, width, encoding))
+        if _is_file(handle) else parse_here,
         partial(_receive_rows, width=width))
     if any(block is None for block in blocks):
         return None
@@ -336,7 +339,7 @@ def _parse_file(path, offset: int, length: int, width: int, encoding: str):
         return _parse_range(handle, length, width, encoding)
 
 
-def _parse_range(handle, length: float, width: int, encoding: str):
+def _parse_range(handle, length: int, width: int, encoding: str):
     """``np.loadtxt`` rows of the next ``length`` bytes of ``handle``, whole
     lines read and parsed ``_PARSE_CHUNK`` bytes (rounded up to a line end)
     at a time; None unless every line parsed into ``width`` finite values.

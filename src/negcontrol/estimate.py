@@ -85,6 +85,11 @@ DELTA_INDEX = 2
 # rows per block of the influence GEMMs and of a bootstrap draw's moment
 # sums, which keeps their temporaries a few MB however large n is
 _ROW_BLOCK = 8192
+# psi cells (datasets x rows x systems) per block of a stacked sandwich; a
+# larger stack runs in parts.  A study pass's dance fits of 16 datasets of
+# 1 000 rows and 32 pairs peaked 7 MB higher as one part than one dataset
+# at a time; at this cap, about 1 MB.
+_PSI_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -308,9 +313,11 @@ def _sandwich_se(xc, layout, beta, inv, j: int, weights):
     ``xc`` may be a stack (R, n, p) of centred columns, one per dataset,
     with beta (R, P, d) and the inverses (R, P, d, d) of its systems; the
     SEs are then (R, P) and (R,), and each dataset's have the bits they
-    have alone.  A lone system is padded with an empty second one: numpy
-    and BLAS then run the kernels of a wider stack, whose columns do not
-    depend on the others, so a system's SE has the same bits in every
+    have alone.  A stack whose block would hold more than ``_PSI_CELLS``
+    cells of psi runs in parts of fewer datasets, so its buffer stays near
+    that of one dataset.  A lone system is padded with an empty second one:
+    numpy and BLAS then run the kernels of a wider stack, whose columns do
+    not depend on the others, so a system's SE has the same bits in every
     stack."""
     qs, ms, y = layout
     *stack, n, width = xc.shape
@@ -324,19 +331,25 @@ def _sandwich_se(xc, layout, beta, inv, j: int, weights):
     instr[..., qs, cols] = inv[..., j, :]
     sumsq = np.zeros((*stack, resid.shape[-1]))
     total = np.zeros(stack)
-    # a row of every dataset's psi, and the rows of one block
-    row = math.prod(stack) * resid.shape[-1]
+    # the datasets of a part, and the rows of one block
+    size = max(1, _PSI_CELLS // (resid.shape[-1] * min(n, _ROW_BLOCK)))
+    parts = ([slice(a, a + size) for a in range(0, stack[0], size)]
+             if stack else [...])
+    row = (min(size, stack[0]) if stack else 1) * resid.shape[-1]
     buffer = np.empty(2 * row * min(n, _ROW_BLOCK))
-    for start in range(0, n, _ROW_BLOCK):
-        rows = xc[..., start:start + _ROW_BLOCK, :]
-        size = row * rows.shape[-2]
-        shape = (*stack, rows.shape[-2], resid.shape[-1])
-        psi = np.matmul(rows, resid, out=buffer[:size].reshape(shape))
-        psi *= np.matmul(rows, instr,
-                         out=buffer[size:2 * size].reshape(shape))
-        sumsq += np.einsum("...ij,...ij->...j", psi, psi)
-        influence = psi[..., :p] @ weights
-        total += (influence[..., None, :] @ influence[..., None])[..., 0, 0]
+    for part in parts:
+        for start in range(0, n, _ROW_BLOCK):
+            rows = xc[part][..., start:start + _ROW_BLOCK, :]
+            shape = (*rows.shape[:-1], resid.shape[-1])
+            cells = math.prod(shape)
+            psi = np.matmul(rows, resid[part],
+                            out=buffer[:cells].reshape(shape))
+            psi *= np.matmul(rows, instr[part],
+                             out=buffer[cells:2 * cells].reshape(shape))
+            sumsq[part] += np.einsum("...ij,...ij->...j", psi, psi)
+            influence = psi[..., :p] @ weights
+            total[part] += (influence[..., None, :]
+                            @ influence[..., None])[..., 0, 0]
     # a float, or a list of one per dataset
     return np.sqrt(sumsq[..., :p]) / n, (np.sqrt(total) / n).tolist()
 

@@ -16,8 +16,11 @@ Every search runs through one kernel, ``_sub_tests``: ``find_nc``,
 replication study on its stack of covariance matrices.  It lays out the
 six sub-tests of every triple and runs them in one batched pass on the
 correlation matrix (``tetrad._wishart_batch``), so verdicts do not depend
-on the scale of any column.  ``tetrad.wishart_test`` is the scalar
-reference that pass is tested against.
+on the scale of any column.  The three sub-tests against T order the same
+four variables, and so do the three against O, so ``_sub_tests`` passes
+them as (2T, 3, 4) groups and the pass factors one 4x4 determinant per
+(triple, role) rather than one per sub-test.  ``tetrad.wishart_test`` is
+the scalar reference that pass is tested against.
 
 One run plan, ``_search_plan``, checks the roles and the level before
 any work, for every search, for ``dance`` and for ``run_study``.
@@ -443,7 +446,9 @@ def _sub_tests(entries, n: int, index_of, names, triples: np.ndarray,
     increasing indices into the sorted ``names``, on the covariance
     ``entries`` (..., p, p) of ``n`` rows whose columns ``index_of``
     places: ``_wishart_batch``'s d_hat, sigma_hat, w and p, each
-    (..., T, 6) in ``triple_specs`` order.  Every search runs here."""
+    (..., T, 6) in ``triple_specs`` order.  The sub-tests go in groups of
+    three over one triple and one role, so each group's det4 is factored
+    once.  Every search runs here."""
     members = np.array([index_of(name) for name in names],
                        dtype=np.intp)[triples]
     quads = np.empty((len(triples), 6, 4), dtype=np.intp)
@@ -451,8 +456,9 @@ def _sub_tests(entries, n: int, index_of, names, triples: np.ndarray,
     quads[:, :3, 3] = index_of(treatment)
     quads[:, 3:, 3] = index_of(outcome)
     return tuple(
-        column.reshape(*column.shape[:-1], len(triples), 6)
-        for column in _wishart_batch(entries, quads.reshape(-1, 4), n, alpha)
+        column.reshape(*column.shape[:-2], len(triples), 6)
+        for column in _wishart_batch(entries, quads.reshape(-1, 3, 4), n,
+                                     alpha)
     )
 
 

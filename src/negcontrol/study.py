@@ -21,11 +21,14 @@ covariance matrices in one call of each kernel: the search is
 ``search._sub_tests``, the kernel behind ``find_nc`` and ``dance``.  The
 naive fits and the fixed triplet's fits share one layout in every
 replication, so they are fitted for all R in one call of
-``estimate._fit_stack``, the fit behind ``dance`` too.  What differs
-between replications, the pairs of the triplets each search passed and
-the pairs drawn per replication, is fitted one replication at a time from
-views of the pass's arrays.  Every kernel gives each matrix of a stack
-the bits it gets alone, so a pass of R writes what R passes of one write.
+``estimate._fit_stack``, the fit behind ``dance`` too.  The ``dance``
+fits are stacked the same way per group: replications whose searches
+passed the same triples share one pair plan, so each group is fitted in
+one call on its members' rows of the pass's statistic; in a strong design
+most replications of a pass pass the same triples.  Only the pairs drawn
+per replication are fitted one replication at a time, from views of the
+pass's arrays.  Every kernel gives each matrix of a stack the bits it
+gets alone, so a pass of R writes what R passes of one write.
 The pairs and weights are ``aggregate``'s one pair plan.
 """
 from __future__ import annotations
@@ -286,8 +289,7 @@ def _rank_auc(scores: np.ndarray, labels: np.ndarray) -> float:
 @dataclass
 class _Pass:
     """The stacked half of one pass: its R replications of one sample size
-    ``n`` simulated, centred and searched, and the fits every replication
-    shares the layout of."""
+    ``n`` simulated, centred and searched, and the fits run stacked."""
 
     columns: dict  # column name -> position
     roles: tuple  # (treatment, outcome, covariates)
@@ -297,7 +299,7 @@ class _Pass:
     centred: tuple  # (xc, means, gram) of the R replications, stacked
     min_p: np.ndarray  # (R, T)
     passed: np.ndarray  # (R, T)
-    shared: dict  # method -> one fit or error per replication
+    shared: dict  # method -> per replication a fit, an error or None
 
     def member(self, i: int) -> tuple:
         """Replication ``i``'s centred statistic, as a stack of one: views
@@ -317,8 +319,10 @@ def _run_pass(spec: GraphSpec, config: StudyConfig, jobs: list, *,
     one stacked pass of the plan ``plans[n]``: simulated into one (R, n, k)
     array, each from its own seed, centred and searched together; the
     naive fits and the fixed triplet's fits of every replication in one
-    stacked solve and sandwich.  What differs between replications is
-    fitted in ``_one_replication``, one replication at a time."""
+    stacked solve and sandwich, and the ``dance`` fits in one per group of
+    replications that passed the same triples (``_dance_fits``).  The
+    pairs drawn per replication are fitted in ``_one_replication``, one
+    replication at a time."""
     n = jobs[0][0]
     names, values = _generate_stack(spec, n, [
         np.random.SeedSequence((config.master_seed, _STREAM_DATA, n, r))
@@ -343,21 +347,44 @@ def _run_pass(spec: GraphSpec, config: StudyConfig, jobs: list, *,
     if fixed is not None and "random" in config.methods:
         stack.shared["random"] = stack.fits(
             centred, *_triples_plan(rows[fixed:fixed + 1], len(candidates)))
+    if "dance" in config.methods:
+        stack.shared["dance"] = _dance_fits(stack, config.aggregate)
     return [_one_replication(spec, config, n, r, stack=stack, i=i)
             for i, (_, r) in enumerate(jobs)]
+
+
+def _dance_fits(stack: _Pass, aggregate: str) -> list:
+    """The ``dance`` fit of every replication of ``stack``, None where its
+    search passed no triple.  Replications whose searches passed the same
+    triples share one pair plan, so each such group is fitted in one
+    stacked call on its members' rows of the pass's statistic."""
+    groups: dict[bytes, list[int]] = {}
+    for i, passed in enumerate(stack.passed):
+        if passed.any():
+            groups.setdefault(passed.tobytes(), []).append(i)
+    fits: list = [None] * len(stack.passed)
+    for members in groups.values():
+        plan = _triples_plan(stack.rows[stack.passed[members[0]]],
+                             len(stack.candidates), aggregate)
+        centred = (stack.centred if len(members) == len(stack.passed)
+                   else tuple(array[members] for array in stack.centred))
+        for i, fit in zip(members, stack.fits(centred, *plan)):
+            fits[i] = fit
+    return fits
 
 
 def _one_replication(spec: GraphSpec, config: StudyConfig, n: int,
                      replication: int, *, stack: _Pass, i: int) -> _RepOutcome:
     """Replication ``replication``, member ``i`` of the pass ``stack``: its
-    shared fits, and the fits of its own pairs read from the pass's
-    slices: the random pair or triplet drawn for it, and the pairs of the
-    triplets its search passed."""
+    stacked fits, and the fit of the random pair or triplet drawn for it,
+    read from views of the pass's arrays."""
     estimates: dict = {}
     errors: dict = {}
 
     def record(method: str, fit) -> None:
-        if isinstance(fit, Exception):
+        if fit is None:  # dance, whose search passed no triple
+            errors[method] = "no_dnct"
+        elif isinstance(fit, Exception):
             errors[method] = f"{type(fit).__name__}: {fit}"
         else:
             estimates[method] = fit
@@ -384,14 +411,6 @@ def _one_replication(spec: GraphSpec, config: StudyConfig, n: int,
         record("random", fit)
 
     passed = stack.passed[i]
-    if "dance" in config.methods:
-        if not passed.any():
-            errors["dance"] = "no_dnct"
-        else:
-            (fit,) = stack.fits(stack.member(i), *_triples_plan(
-                stack.rows[passed], len(stack.candidates), config.aggregate))
-            record("dance", fit)
-
     return _RepOutcome(
         n=n,
         replication=replication,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import errno
+import io
 import os
 import threading
 import tracemalloc
@@ -576,8 +577,10 @@ def test_split_load_csv_short_payload_sends_file_to_scan(tmp_path,
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
-def test_load_csv_reads_a_pipe_in_one_range(tmp_path, monkeypatch):
-    # a pipe cannot seek, so its body is parsed here as it streams in
+def test_load_csv_pipe_parses_unforked_ranges_itself(tmp_path,
+                                                    monkeypatch):
+    # a piped body is held in memory and cut into ranges as a file's is;
+    # with no process to spare, this process parses every range
     raw = "\n".join(_grid_lines()).encode() + b"\n"
     reference = _scan_csv(_write_lines(tmp_path / "data.csv", _grid_lines()))
     path = tmp_path / "fifo"
@@ -622,6 +625,82 @@ def test_load_csv_pipe_bad_cell_reports_position(tmp_path):
         writer.join(timeout=30)
     assert not writer.is_alive()
     assert (got.value.row, got.value.column) == (2, 2)
+
+
+def _load_piped(path, raw: bytes):
+    """``load_csv`` of ``raw`` written into the new FIFO ``path``."""
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, args=(raw,),
+                              daemon=True)
+    writer.start()
+    try:
+        return load_csv(path)
+    finally:
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+
+
+def _load_in_memory(tmp_path, lines, source):
+    """``load_csv`` of ``lines`` as a CR-only file or through a pipe: both
+    bodies are held in memory."""
+    if source == "cr":
+        return load_csv(_write_lines(tmp_path / "cr.csv", lines, "\r"))
+    return _load_piped(tmp_path / "fifo", ("\n".join(lines) + "\n").encode())
+
+
+def _in_memory_ranges(lines):
+    """The [start, stop) ranges load_csv cuts the in-memory body of
+    ``lines`` into, as offsets from the start of the body."""
+    body = io.BytesIO(("\n".join(lines[1:]) + "\n").encode())
+    return [(a, a + n) for a, n in _line_ranges(body)]
+
+
+needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"),
+                                reason="no os.mkfifo")
+
+
+@needs_fork
+@needs_fifo
+@pytest.mark.parametrize("source", ["cr", "pipe"])
+def test_in_memory_body_is_parsed_over_forked_ranges(tmp_path, monkeypatch,
+                                                      source):
+    # a CR-only or piped body is cut at line ends as a file is, and a
+    # child parses its range from its copy of the bytes: the same bits
+    # on one CPU and on two
+    lines = _grid_lines()
+    reference = _scan_csv(_write_lines(tmp_path / "data.csv", lines))
+    monkeypatch.setattr("negcontrol.data._scan_csv", _no_scan)
+    loaded = []
+    for k in (1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            _force_split(mp, k)
+            forked = _count_forks(mp)
+            assert len(_in_memory_ranges(lines)) == k
+            (tmp_path / str(k)).mkdir()
+            loaded.append(_load_in_memory(tmp_path / str(k), lines, source))
+            assert len(forked) == k - 1
+    for data in loaded:
+        assert data.variable_names == reference.variable_names
+        assert data.values.tobytes() == reference.values.tobytes()
+
+
+@needs_fork
+@needs_fifo
+@pytest.mark.parametrize("source", ["cr", "pipe"])
+def test_in_memory_bad_cell_in_second_range_reports_scan_position(
+        tmp_path, monkeypatch, source):
+    lines = _grid_lines()
+    _force_split(monkeypatch, 2)
+    (_, cut), _ = _in_memory_ranges(lines)
+    line = 3 * len(lines) // 4
+    assert _line_offset(lines[1:], line - 1) >= cut  # in the second range
+    cells = lines[line].split(",")
+    lines[line] = ",".join([cells[0], "x", *cells[2:]])
+    forked = _count_forks(monkeypatch)
+    with pytest.raises(MissingValueError) as got:
+        _load_in_memory(tmp_path, lines, source)
+    assert len(forked) == 1
+    assert (got.value.row, got.value.column) == (line + 1, 2)
 
 
 # ---------------------------------------------------------------------------

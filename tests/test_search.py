@@ -382,3 +382,39 @@ def test_collinear_subtests_are_inapplicable_in_both_entry_points():
     assert verdict == report.all_verdicts[0]
     for result in verdict.sub_results:
         _assert_inapplicable(result)
+
+
+def test_find_nc_verdicts_do_not_depend_on_candidate_or_column_order():
+    # the scan factors each (triple, role)'s det4 in the triple's sorted
+    # order, whatever order the candidates are given or the columns stored
+    data = _wide_dataset()
+    candidates = [name for name in data.variable_names if name[0] == "Z"]
+    base = find_nc(data, candidates, "T", "O")
+    rng = np.random.default_rng(53)
+    for _ in range(3):
+        order = rng.permutation(data.p)
+        shuffled = Dataset(tuple(data.variable_names[i] for i in order),
+                           data.values[:, order])
+        for given in (candidates, list(rng.permutation(candidates))):
+            report = find_nc(shuffled, given, "T", "O")
+            assert report.candidates == base.candidates
+            assert report.dncts == base.dncts
+            assert np.array_equal(report.passed, base.passed)
+            assert np.array_equal(report.vanishes, base.vanishes)
+            assert np.allclose(report.p, base.p, rtol=1e-12, atol=1e-300)
+    assert 0 < len(base.dncts) < len(base.triples)
+
+
+def test_find_nc_factors_one_4x4_per_triple_and_role(monkeypatch):
+    shapes = []
+    det = np.linalg.det
+
+    def counted(matrices):
+        shapes.append(matrices.shape)
+        return det(matrices)
+
+    monkeypatch.setattr(np.linalg, "det", counted)
+    data = _wide_dataset()
+    report = find_nc(data, None, "T", "O")
+    assert len(report.triples) == 1140
+    assert shapes == [(2 * 1140, 4, 4)]

@@ -171,6 +171,35 @@ def test_sandwich_matches_each_dataset(n, r, case):
         assert _bits(*got) == _bits(*expected)
 
 
+@pytest.mark.parametrize("cells", [1, 2 * 6 * 1000])
+def test_sandwich_in_parts_matches_the_whole_stack(monkeypatch, cells):
+    # a stack whose buffer would pass _PSI_CELLS runs in parts of one or
+    # two members, each with the bits it gets in the whole stack
+    values = _values(5, 1000)
+    pairs = [pair for pair, _ in enumerate_pairs([("a", "b", "d")]).entries]
+    weights = np.full(len(pairs), 1.0 / len(pairs))
+    layout = _layout(NAMES.index, *_plan(pairs), "T", "O")
+    centred = _centre(values)
+    beta, inv = _solve_centred(centred[2] / 1000, *layout)
+    xc, local = _used_columns(centred[0], layout)
+    whole = _sandwich_se(xc, local, beta, inv, 1, weights)
+    blocks = []
+    matmul = np.matmul
+
+    def counted(a, b, out=None):
+        blocks.append(len(out))
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr("negcontrol.estimate._PSI_CELLS", cells)
+    monkeypatch.setattr(np, "matmul", counted)
+    parts = _sandwich_se(xc, local, beta, inv, 1, weights)
+    monkeypatch.undo()
+    # two products per block of each part
+    assert blocks == ([1] * 10 if cells == 1 else [2, 2, 2, 2, 1, 1])
+    assert parts[0].shape == (5, len(pairs)) and len(parts[1]) == 5
+    assert _bits(*parts) == _bits(*whole)
+
+
 @stacks
 @pytest.mark.parametrize("family", ["gaussian", "binary"])
 def test_generated_stack_matches_each_seed(r, family):

@@ -741,6 +741,41 @@ def test_stacked_passes_match_per_replication_loop(
     assert outputs == per_replication_outputs[variant]
 
 
+@pytest.mark.parametrize("aggregate", ["weighted", "majority"])
+def test_grouped_dance_fits_match_one_replication_passes(tmp_path,
+                                                         monkeypatch,
+                                                         study_passes,
+                                                         aggregate):
+    # a weak, small-n design whose one pass of 10 replications holds three
+    # distinct sets of passed triples, one shared by several replications,
+    # and three replications that passed none: each set is fitted in one
+    # stacked call, and the study writes what one replication a pass writes
+    config = StudyConfig(graph="simple", strength="weak", sample_sizes=(100,),
+                         replications=10, master_seed=4, alpha=0.2,
+                         aggregate=aggregate)
+    seen = []
+    real = study._dance_fits
+
+    def dance_fits(stack, aggregate):
+        seen.append([row.tobytes() if row.any() else None
+                     for row in stack.passed])
+        return real(stack, aggregate)
+
+    monkeypatch.setattr("negcontrol.study._dance_fits", dance_fits)
+    study_passes(1, 1)
+    alone = _fingerprint(run_study(config), tmp_path / "alone")
+    assert len(seen) == 10
+    seen.clear()
+    study_passes(_STUDY_CHUNK, 1)
+    stacked = _fingerprint(run_study(config), tmp_path / "stacked")
+    (rows,) = seen
+    sets = [row for row in rows if row is not None]
+    assert len(set(sets)) >= 2
+    assert len(sets) > len(set(sets))  # a group of two or more
+    assert None in rows
+    assert stacked == alone
+
+
 def _copy_column_in(mp, n, replication, target, source):
     """Simulate replication (n, replication) of every study from here on
     with column ``target`` a copy of column ``source``."""

@@ -284,3 +284,85 @@ def test_batch_p_is_math_erfc_bit_for_bit():
     assert p.dtype == np.float64
     assert p.ravel().tobytes() == np.array(expected).tobytes()
     assert (p[np.isinf(w)] == 0.0).all()
+
+
+def _stack_with_faults(seed=11, members=3, p=7, n=300):
+    """Covariance entries of ``members`` samples of ``p`` columns: the
+    second has columns 5 and 6 collinear, the third a NaN column 6."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(members, n, p))
+    values[..., 1] += 0.8 * values[..., 0]
+    values[1, :, 6] = 2.0 * values[1, :, 5]
+    stack = np.stack([covariance(Dataset(tuple("abcdefg")[:p], v)).entries
+                      for v in values])
+    stack[2, 6, :] = stack[2, :, 6] = np.nan
+    return stack
+
+
+def _groups(p, k, seed=12, count=40):
+    """``count`` groups of ``k`` orders of one set of four of ``p``
+    variables, as a (count, k, 4) array; every set of four appears."""
+    rng = np.random.default_rng(seed)
+    sets = list(itertools.combinations(range(p), 4))
+    groups = []
+    for g in range(count):
+        four = sets[g % len(sets)]
+        orders = list(itertools.permutations(four))
+        picks = rng.choice(len(orders), size=k, replace=False)
+        groups.append([orders[i] for i in picks])
+    return np.array(groups, dtype=np.intp)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("k", [1, 3, 4])
+def test_grouped_batch_matches_ungrouped(k):
+    # det4 is factored once per group, from its first order; the other
+    # orders of the group get it within rounding, and every other piece,
+    # d_hat included, bit for bit
+    stack = _stack_with_faults()
+    groups = _groups(7, k)
+    grouped = _wishart_batch(stack, groups, 300, alpha=0.05)
+    alone = _wishart_batch(stack, groups.reshape(-1, 4), 300, alpha=0.05)
+    for a, b in zip(grouped, alone):
+        assert a.shape == (3, len(groups), k)
+        assert b.shape == (3, len(groups) * k)
+    d_hat, sigma, w, p = grouped
+    ref_d, ref_sigma, ref_w, ref_p = (column.reshape(3, -1, k)
+                                      for column in alone)
+    assert np.array_equal(d_hat, ref_d, equal_nan=True)
+    assert ((sigma == 0.0) == (ref_sigma == 0.0)).all()
+    inapplicable = ref_sigma == 0.0
+    # the collinear pair and the NaN column make some sub-tests inapplicable
+    assert inapplicable[1].any() and inapplicable[2].any()
+    assert not inapplicable[0].any()
+    assert (p[inapplicable] == 0.0).all()
+    assert np.array_equal(w[inapplicable], ref_w[inapplicable])
+    for got, want in ((sigma, ref_sigma), (w, ref_w), (p, ref_p)):
+        assert np.allclose(got[~inapplicable], want[~inapplicable],
+                           rtol=1e-12, atol=0.0)
+        # a group's first order is factored as it is alone
+        assert got[..., 0].tobytes() == want[..., 0].tobytes()
+
+
+def test_an_m_by_4_array_is_m_groups_of_one(table_cov):
+    quads = np.array(list(itertools.permutations(range(4))))
+    flat = _wishart_batch(table_cov, quads, 5, alpha=0.05)
+    grouped = _wishart_batch(table_cov, quads[:, None, :], 5, alpha=0.05)
+    for a, b in zip(flat, grouped):
+        assert a.shape == (24,) and b.shape == (24, 1)
+        assert a.tobytes() == b.tobytes()
+
+
+def test_batch_factors_one_4x4_per_group(table_cov, monkeypatch):
+    # the three orders of a group share one LU factorisation
+    shapes = []
+    det = np.linalg.det
+
+    def counted(matrices):
+        shapes.append(matrices.shape)
+        return det(matrices)
+
+    monkeypatch.setattr(np.linalg, "det", counted)
+    quads = np.array(list(itertools.permutations(range(4)))).reshape(8, 3, 4)
+    _wishart_batch(table_cov, quads, 5, alpha=0.05)
+    assert shapes == [(8, 4, 4)]
