@@ -19,7 +19,9 @@ waited on, so a child still writing gets EPIPE instead of waiting on this
 process, and every child is reaped however ``map_parts`` returns or raises.
 A ``receive`` that streams a child's bytes on, as the CSV writer and the
 search report do, copies them with ``_copy_payload``, which tells a child
-that sent nothing from one whose bytes ended early.
+that sent nothing from one whose bytes ended early; the CSV parse reads a
+child's rows with ``_payload_size`` and ``_read_into`` straight into the
+array that holds every range's rows.
 
 A stage asks for as many parts as ``_workers`` allows, which is 1 where
 ``os.fork`` is missing; each part it sizes by a constant of its own.  The

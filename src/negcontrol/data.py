@@ -14,35 +14,61 @@ a constant column has zero variance in both.
 A CSV body is cut at line ends into byte ranges, one per CPU for a large
 body, and the rows into contiguous ranges for a write; ``_fork.map_parts``
 runs the ranges after the first in forked children.  Every range runs the
-same ``np.loadtxt`` call, or the same formatting code, so neither the
-values read nor the bytes written depend on how the work was cut.  A pipe
-is read once, into memory, and a file whose lines all end in a bare
-carriage return is held in memory with those made line feeds; such a body
-is cut as a file's is, and each child parses its range from the copy of
-the bytes the fork gave it, so a piped or CR-only body is parsed over the
-CPUs as a file is.  A body that some range does not parse clean, or whose
+same parse code, or the same formatting code, so neither the values read
+nor the bytes written depend on how the work was cut.  A pipe is read
+once, into memory, and a file whose lines all end in a bare carriage
+return is held in memory with those made line feeds; such a body is cut
+as a file's is, and each child parses its range from the copy of the
+bytes the fork gave it, so a piped or CR-only body is parsed over the CPUs
+as a file is.  This process fills one array with every range's rows, a
+child's read from its pipe straight into place, and the dataset keeps
+that array without a copy.
+
+A range is parsed a piece of whole lines at a time, by the first of three
+tiers that takes the piece; each gives every cell the bits ``float``
+gives it.  (1) ``_numparse.parse_lines`` reads the digits of each plain
+cell (an optional ``-``, up to 19 digits, at most one dot) into an exact
+integer ``M`` with ``k`` digits after the dot, and divides
+``longdouble(M) / longdouble(10**k)``.  Where long double is x87 extended
+both operands are exact and the quotient is rounded once to 64 bits, so
+its cast to float64 is the correctly rounded value unless the quotient
+sits exactly at a double's halfway point; such cells, and cells that are
+not plain (an exponent, a ``+``, more digits), are read by ``float``
+itself.  (2) ``np.loadtxt`` reads a piece the first tier refuses (a
+structural fault, too many cells for ``float``) and every piece where
+long double is not x87 extended or the text encoding is not ASCII
+compatible.  (3) A body that some range does not parse clean, or whose
 header holds a quote or a bare carriage return, is parsed again by the
 per-cell scan, which names the first bad cell; for a pipe the scan reads
-the bytes the parse read.  Nearly all of a write goes to the
-shortest ``repr`` of each float, which holds the interpreter lock, so it
-splits at most one range per ``_FORMAT_CHUNK`` cells: below that a fork
-costs more than it saves.
+the bytes the parse read.
+
+Nearly all of a write goes to the shortest ``repr`` of each float, which
+holds the interpreter lock, so it splits at most one range per
+``_FORMAT_CHUNK`` cells: below that a fork costs more than it saves.
 """
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import locale
 import math
 import os
 import stat
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
-from ._fork import _copy_payload, _receive_bytes, _workers, map_parts
+from . import _numparse
+from ._fork import (
+    _copy_payload,
+    _payload_size,
+    _read_into,
+    _workers,
+    map_parts,
+)
 from .errors import (
     DuplicateHeaderError,
     MissingValueError,
@@ -65,9 +91,19 @@ _WRITE_BLOCK = 8192  # rows per tolist() in write_csv
 # ranges against 59 ms as one, 18k cells in 15 ms either way (2 vCPUs,
 # a 150 MB process: the fork copies its page tables)
 _FORMAT_CHUNK = 1 << 15
-# bytes per np.loadtxt call, and the body per forked process: a 3 MiB
-# body parses in 20 ms as two ranges against 25 ms as one (2 vCPUs)
+# the body per forked process: a 3 MiB body parses in 20 ms as two ranges
+# against 25 ms as one (2 vCPUs)
 _PARSE_CHUNK = 1 << 20
+# bytes per parse call: one process parses the 35 MB 200k-row CSV in
+# 95 ms at 128 KiB or 256 KiB a piece, 105 ms at 64 KiB and 108 ms at
+# 1 MiB, and a piece's temporaries peak at 1.0, 2.0, 0.5 and 9.4 MB
+_PARSE_PIECE = 1 << 17
+# bytes in a range below which np.loadtxt reads it faster than the exact
+# parse, whose hundred numpy calls a piece cost about 40 us: 9-column
+# pieces of 17-digit cells parse faster exactly from 11 KB, of 4-digit
+# cells from about 32 KB
+_EXACT_MIN = 1 << 15
+_BOM = "\ufeff"  # opens the header of a spreadsheet's "CSV UTF-8" export
 
 
 def _build_index(names: tuple[str, ...]) -> dict[str, int]:
@@ -90,12 +126,25 @@ class Dataset:
     values: np.ndarray
 
     def __post_init__(self):
+        self._store(np.array(self.values, dtype=float))
+
+    @classmethod
+    def _adopt(cls, variable_names, values: np.ndarray) -> "Dataset":
+        """A dataset that keeps ``values``, a new float array no caller
+        holds, rather than a copy of it: ``load_csv``'s rows."""
+        data = cls.__new__(cls)
+        object.__setattr__(data, "variable_names", variable_names)
+        data._store(values)
+        return data
+
+    def _store(self, values: np.ndarray) -> None:
+        """Check the names and the float array ``values``, then keep both,
+        the values read-only."""
         names = tuple(self.variable_names)
         if any(not n for n in names):
             raise ValueError("variable names must be non-empty")
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
-        values = np.array(self.values, dtype=float)
         if values.ndim != 2:
             raise ValueError("values must be a 2-d array")
         if values.shape[1] != len(names):
@@ -203,28 +252,43 @@ class CovMatrix:
 def load_csv(path) -> Dataset:
     """Load a strict numeric CSV (RFC-4180 subset, header required).
 
-    The body after the header is cut at line ends into ``k`` byte ranges of
-    about equal size, ``k`` the smaller of the CPUs this process may use and
-    the body's size in ``_PARSE_CHUNK`` (1 MiB) units, at least one, and
-    parsed by ``_fork.map_parts``; below two chunks (2 MiB) the one range
-    is parsed here.  A pipe is read once, whole, and both parsers below
-    read those bytes.  A file whose line ends are all bare carriage returns
-    (no line feed in it) is read whole too, with those made line feeds.
-    Bytes in memory are cut into ranges as a file's are, and a forked child
-    parses its range from its own copy of them.  Every range is parsed by
-    ``np.loadtxt`` a chunk at a time, and kept only when it parsed every
-    line into one finite value per header name.  Each cell is rounded by
-    the same parser whichever range holds it, so the values do not depend
-    on ``k``.
+    One byte-order mark that opens the header is dropped.  The body after
+    the header is cut at line ends into ``k`` byte ranges of about equal
+    size, ``k`` the smaller of the CPUs this process may use and the
+    body's size in ``_PARSE_CHUNK`` (1 MiB) units, at least one, and parsed
+    by ``_fork.map_parts``; below two chunks (2 MiB) the one range is
+    parsed here.  A pipe is read once, whole, and every parser below reads
+    those bytes.  A file whose line ends are all bare carriage returns (no
+    line feed in it) is read whole too, with those made line feeds.  Bytes
+    in memory are cut into ranges as a file's are, and a forked child
+    parses its range from its own copy of them.  The rows of every range
+    go, in order, into one array that the dataset keeps.
+
+    Each range is parsed ``_PARSE_PIECE`` bytes (128 KiB, rounded up to a
+    line end) at a time.  A piece is read by the exact decimal parse of
+    ``_numparse`` where long double is x87 extended, the text encoding is
+    ASCII compatible and the range holds at least ``_EXACT_MIN`` (32 KiB)
+    bytes, and by ``np.loadtxt`` elsewhere or when the exact
+    parse refuses the piece: a byte outside ASCII, a bare carriage return,
+    a blank or ragged line, a cell ``float`` rejects, a non-finite value,
+    or more than one cell in eight that is not a plain decimal.  After a
+    refusal the rest of the range goes to ``np.loadtxt`` as well.  The exact
+    parse forms ``longdouble(M) / longdouble(10**k)`` from a cell's digits
+    ``M`` and its ``k`` digits after the dot, exact operands and one
+    rounding to 64 bits, so its cast to float64 is correctly rounded except
+    at a double's halfway point, and a cell there goes to ``float``.  A
+    range is kept only when every line parsed into one finite value per
+    header name.  Each cell gets the same bits whichever tier or range
+    reads it, so the values do not depend on ``k``.
 
     Any other file (a quote in the header; a bare carriage return in a file
     that also holds a line feed; a blank line, a quoted cell or a missing
     or non-finite value in any range; a cell such as ``1_0`` that only
-    ``float`` reads; a child that fails) is parsed again by the per-cell
-    scan, which accepts what ``float`` accepts and reports the exact
-    position of the first bad cell.  Both parsers round every cell as
-    ``float`` does, so a file written by ``write_csv`` loads back bit for
-    bit.
+    ``float`` reads, in a piece ``np.loadtxt`` parses; a child that fails)
+    is parsed again by the per-cell scan, which accepts what ``float``
+    accepts and reports the exact position of the first bad cell.  All
+    three round every cell as ``float`` does, so a file written by
+    ``write_csv`` loads back bit for bit.
 
     Raises
     ------
@@ -253,12 +317,13 @@ def load_csv(path) -> Dataset:
     if values is None or len(values) < 2:
         return _scan_csv(path if raw is None else io.TextIOWrapper(
             io.BytesIO(raw), encoding=encoding, newline=""))
-    return Dataset(tuple(names), values)
+    return Dataset._adopt(tuple(names), values)
 
 
 def _plain_header(line: bytes, encoding: str) -> list[str] | None:
-    """The names in a header line without quotes or bare carriage returns;
-    None for any other line, which only the scan reads."""
+    """The names in a header line without quotes or bare carriage returns,
+    after one leading byte-order mark; None for any other line, which only
+    the scan reads."""
     line = line.removesuffix(b"\n").removesuffix(b"\r")
     if b'"' in line or b"\r" in line:
         return None
@@ -266,7 +331,7 @@ def _plain_header(line: bytes, encoding: str) -> list[str] | None:
         text = line.decode(encoding)
     except ValueError:
         return None
-    return _read_header(csv.reader([text]))
+    return _read_header(csv.reader([text.removeprefix(_BOM)]))
 
 
 def _read_header(reader) -> list[str]:
@@ -314,80 +379,149 @@ def _parse_body(handle, path, width: int, encoding: str):
     """The rows of the rest of ``handle`` (the open ``path``, or its bytes
     in memory), or None unless every range of it parsed clean; ranges after
     the first are parsed by forked children.  A child parses its range of
-    bytes in memory from its own copy of them, and opens a file anew."""
+    bytes in memory from its own copy of them, and opens a file anew.
+    This process fills one array with every range's rows, in order, each
+    child's read from its pipe straight into place."""
+    ranges = _line_ranges(handle)
+    rows = _Rows(width, sum(length for _, length in ranges))
+    child_lengths = iter([length for _, length in ranges[1:]])
+    in_file = _is_file(handle)
 
-    def parse_here(bounds):
+    def parse_here(bounds, into=rows):
         handle.seek(bounds[0])
-        return _parse_range(handle, bounds[1], width, encoding)
+        return _parse_range(handle, bounds[1], width, encoding, into)
 
-    blocks = map_parts(
-        _line_ranges(handle), parse_here,
-        (lambda bounds: _parse_file(path, *bounds, width, encoding))
-        if _is_file(handle) else parse_here,
-        partial(_receive_rows, width=width))
-    if any(block is None for block in blocks):
-        return None
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    def parse_child(bounds):
+        own = _Rows(width, bounds[1])
+        parsed = (_parse_file(path, *bounds, width, encoding, own)
+                  if in_file else parse_here(bounds, own))
+        return own.array() if parsed else None
+
+    done = map_parts(ranges, parse_here, parse_child,
+                     lambda fd: rows.receive(fd, next(child_lengths)))
+    return rows.array() if all(done) else None
 
 
-def _parse_file(path, offset: int, length: int, width: int, encoding: str):
+def _parse_file(path, offset: int, length: int, width: int, encoding: str,
+                rows: "_Rows"):
     """``_parse_range`` of ``length`` bytes of ``path`` from ``offset``,
     through a handle of its own: a forked child's copy of ``handle`` would
     share its offset with this process."""
     with open(path, "rb") as handle:
         handle.seek(offset)
-        return _parse_range(handle, length, width, encoding)
+        return _parse_range(handle, length, width, encoding, rows)
 
 
-def _parse_range(handle, length: int, width: int, encoding: str):
-    """``np.loadtxt`` rows of the next ``length`` bytes of ``handle``, whole
-    lines read and parsed ``_PARSE_CHUNK`` bytes (rounded up to a line end)
-    at a time; None unless every line parsed into ``width`` finite values.
+def _parse_range(handle, length: int, width: int, encoding: str,
+                 rows: "_Rows"):
+    """Add to ``rows`` the rows of the next ``length`` bytes of ``handle``,
+    whole lines read and parsed ``_PARSE_PIECE`` bytes (rounded up to a
+    line end) at a time; True, or None unless every line parsed into
+    ``width`` finite values.
 
-    Lines are split at LF only, so a bare carriage return inside a line is
-    an embedded newline that ``np.loadtxt`` rejects, and a blank line, which
-    it skips, leaves fewer rows than lines."""
-    blocks = [np.empty((0, width))]
+    A piece is read by ``_numparse.parse_lines`` where ``exact_division``
+    allows it and the range holds at least ``_EXACT_MIN`` bytes, and by
+    ``np.loadtxt`` where not or when the piece is refused; after a refusal
+    the rest of the range goes to ``np.loadtxt`` too, so a range of cells
+    in exponent form costs one piece's attempt."""
+    exact = length >= _EXACT_MIN and _numparse.exact_division(encoding)
+    while length > 0:
+        piece = handle.read(min(_PARSE_PIECE, length))
+        if not piece:
+            break
+        if not piece.endswith(b"\n"):
+            piece += handle.readline()
+        length -= len(piece)
+        block = _numparse.parse_lines(piece, width) if exact else None
+        if block is None:
+            exact = False  # the rest of a range is most likely alike
+            block = _loadtxt_lines(piece, width, encoding)
+            if block is None:
+                return None
+        rows.claim(len(block), len(piece))[...] = block
+    return True
+
+
+class _Rows:
+    """A body's rows, filled in order into one float array.
+
+    The array is sized at the first block, for the ``length`` bytes of the
+    body at that block's bytes per row and a sixteenth more; a block that
+    overruns it grows it the same way for the bytes still to come.
+    ``array`` cuts it to the rows filled, in place.  A forked child's rows
+    are read from its pipe straight into the array, so no child's payload
+    and no concatenation is held beside it."""
+
+    def __init__(self, width: int, length: int):
+        self.width = width
+        self.left = length  # bytes of the body whose rows are not yet in
+        self.values = np.empty((0, width))
+        self.filled = 0
+
+    def claim(self, count: int, size: int) -> np.ndarray:
+        """The next ``count`` rows of the array, for the rows of the next
+        ``size`` bytes of the body."""
+        self.left -= size
+        end = self.filled + count
+        if end > len(self.values):
+            more = -(-count * self.left * 17 // (16 * size))
+            grown = np.empty((end + more, self.width))
+            grown[:self.filled] = self.values[:self.filled]
+            self.values = grown
+        start, self.filled = self.filled, end
+        return self.values[start:end]
+
+    def receive(self, fd: int, size: int) -> bool | None:
+        """Read into the array the rows a child sent on ``fd`` for ``size``
+        bytes of the body; None if it sent a part of a row or too few
+        bytes."""
+        count = _payload_size(fd)
+        if count is None or count % (8 * self.width):
+            return None
+        room = self.claim(count // (8 * self.width), size)
+        return _read_into(fd, room) or None
+
+    def array(self) -> np.ndarray:
+        """The rows filled so far: the array, cut to them in place."""
+        if self.filled < len(self.values):
+            self.values.resize((self.filled, self.width), refcheck=False)
+        return self.values
+
+
+def _loadtxt_lines(piece: bytes, width: int, encoding: str):
+    """``np.loadtxt`` rows of ``piece``, whole lines split at LF; None
+    unless every line parsed into ``width`` finite values.
+
+    A bare carriage return inside a line is an embedded newline that
+    ``np.loadtxt`` rejects, and a blank line, which it skips, leaves fewer
+    rows than lines."""
     with warnings.catch_warnings():
         # a piece of blank lines; the scan rejects it
         warnings.filterwarnings(
             "ignore", "loadtxt: input contained no data", UserWarning)
-        while length > 0:
-            piece = handle.read(min(_PARSE_CHUNK, length))
-            if not piece:
-                break
-            if not piece.endswith(b"\n"):
-                piece += handle.readline()
-            length -= len(piece)
-            try:
-                lines = piece.decode(encoding).split("\n")
-                if not lines[-1]:
-                    lines.pop()
-                block = np.loadtxt(lines, delimiter=",", dtype=float,
-                                   comments=None, ndmin=2)
-            except ValueError:
-                return None
-            if (block.shape != (len(lines), width)
-                    or not np.isfinite(block).all()):
-                return None
-            blocks.append(block)
-    return np.concatenate(blocks)
-
-
-def _receive_rows(fd: int, width: int):
-    """The rows a child sent on ``fd``, or None if it sent too few bytes."""
-    payload = _receive_bytes(fd)
-    return None if payload is None else np.frombuffer(payload).reshape(
-        -1, width)
+        try:
+            lines = piece.decode(encoding).split("\n")
+            if not lines[-1]:
+                lines.pop()
+            block = np.loadtxt(lines, delimiter=",", dtype=float,
+                               comments=None, ndmin=2)
+        except ValueError:
+            return None
+    if block.shape != (len(lines), width) or not np.isfinite(block).all():
+        return None
+    return block
 
 
 def _scan_csv(source) -> Dataset:
     """``load_csv`` parsed cell by cell with ``float``; the reference.
     ``source`` is a path, or a text stream over the bytes of a pipe
-    already read, decoded as ``open`` decodes."""
+    already read, decoded as ``open`` decodes.  One byte-order mark that
+    opens the text is dropped, as ``load_csv`` drops it."""
     with (source if isinstance(source, io.TextIOBase)
           else open(source, newline="")) as handle:
-        reader = csv.reader(handle)
+        lines = iter(handle)
+        first = next(lines, "").removeprefix(_BOM)
+        reader = csv.reader(itertools.chain([first] if first else [], lines))
         names = _read_header(reader)
         rows: list[list[float]] = []
         for row_no, row in enumerate(reader, start=2):

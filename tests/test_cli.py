@@ -309,6 +309,22 @@ def test_dance_majority_and_bootstrap(tmp_path, sim_csv):
     assert doc["estimate"]["method"] == "weighted_bootstrap_normal"
 
 
+def test_dance_reads_a_csv_that_opens_with_a_byte_order_mark(tmp_path,
+                                                             sim_csv):
+    # a spreadsheet's "CSV UTF-8" export; the mark once hid column T
+    data_path, _ = sim_csv
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + data_path.read_bytes())
+    outputs = []
+    for path in (data_path, marked):
+        out = tmp_path / f"{path.stem}.json"
+        code = main(["dance", "--data", str(path), "--treatment", "T",
+                     "--outcome", "O", "--out", str(out)])
+        assert code == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_dance_byte_identical_across_runs(tmp_path, sim_csv):
     data_path, _ = sim_csv
     outputs = []

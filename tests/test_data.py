@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from negcontrol import data as data_module
 from negcontrol._fork import _send
 from negcontrol.data import (
     CovMatrix,
@@ -59,6 +60,15 @@ COV_ROWS = [
     [2.0999999999999996, -2.75, 3.7, 0.05],
     [-1.85, 5.25, 0.05, 7.7],
 ]
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _exact_parse_at_any_size():
+    """Let the exact decimal parse read ranges of any size, so the small
+    files here take the tier that larger files take."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("negcontrol.data._EXACT_MIN", 0)
+        yield
 
 
 @pytest.fixture()
@@ -227,6 +237,43 @@ def test_load_csv_header_only_raises_without_warning(tmp_path):
             load_csv(path)
 
 
+_BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("source", [
+    "file", "scan", "quoted-header", "cr-only",
+    pytest.param("pipe", marks=pytest.mark.skipif(
+        not hasattr(os, "mkfifo"), reason="no os.mkfifo"))])
+def test_load_csv_drops_a_byte_order_mark(tmp_path, source):
+    # as a spreadsheet's "CSV UTF-8" export opens
+    header = b'"a",b' if source == "quoted-header" else b"a,b"
+    end = b"\r" if source == "cr-only" else b"\r\n"
+    raw = _BOM + end.join([header, b"1.5,2", b"3,-4"]) + end
+    path = tmp_path / "data.csv"
+    path.write_bytes(raw)
+    if source == "pipe":
+        data = _load_piped(tmp_path / "fifo", raw)
+    else:
+        data = (_scan_csv if source == "scan" else load_csv)(path)
+    assert data.variable_names == ("a", "b")
+    assert data.values.tolist() == [[1.5, 2.0], [3.0, -4.0]]
+
+
+@pytest.mark.parametrize("load", [load_csv, _scan_csv])
+def test_load_csv_drops_only_the_first_byte_order_mark(tmp_path, load):
+    path = tmp_path / "data.csv"
+    path.write_bytes(_BOM * 2 + b"a," + _BOM + b"b\n1,2\n3,4\n")
+    assert load(path).variable_names == ("\ufeffa", "\ufeffb")
+
+
+@pytest.mark.parametrize("load", [load_csv, _scan_csv])
+def test_load_csv_of_a_lone_byte_order_mark_is_empty(tmp_path, load):
+    path = tmp_path / "data.csv"
+    path.write_bytes(_BOM)
+    with pytest.raises(TooFewRowsError):
+        load(path)
+
+
 def _reference_write_csv(data, path):
     # the byte reference: one csv.writer row of repr(float(v)) per row
     with open(path, "w", newline="") as handle:
@@ -334,6 +381,7 @@ def _force_split(mp, k, chunk=16):
     """Cut bodies of a few hundred bytes into ``k`` ranges, parsed ``chunk``
     bytes (rounded up to a line end) at a time."""
     mp.setattr("negcontrol.data._PARSE_CHUNK", chunk)
+    mp.setattr("negcontrol.data._PARSE_PIECE", chunk)
     mp.setattr("negcontrol.data._workers", lambda: k)
 
 
@@ -572,6 +620,30 @@ def test_split_load_csv_short_payload_sends_file_to_scan(tmp_path,
     data = load_csv(path)
     assert len(forked) == 3
     _assert_no_leak(before)
+    assert scans == [path]
+    assert data.values.tobytes() == reference.values.tobytes()
+
+
+@needs_fork
+def test_split_load_csv_part_of_a_row_sends_file_to_scan(tmp_path,
+                                                         monkeypatch):
+    # the child announces and sends one cell more than its whole rows
+    path = _write_lines(tmp_path / "data.csv", _grid_lines())
+    _force_split(monkeypatch, 2)
+    reference, scans = _scan_csv(path), []
+
+    def send(fd, payload):
+        view = bytes(memoryview(payload).cast("B"))
+        if len(view) == 8:  # the count
+            view = (int.from_bytes(view, "little") + 8).to_bytes(8, "little")
+        else:
+            view += bytes(8)
+        _send(fd, view)
+
+    monkeypatch.setattr("negcontrol._fork._send", send)
+    monkeypatch.setattr("negcontrol.data._scan_csv",
+                        lambda p: scans.append(p) or _scan_csv(p))
+    data = load_csv(path)
     assert scans == [path]
     assert data.values.tobytes() == reference.values.tobytes()
 
@@ -957,6 +1029,34 @@ def test_dataset_single_row_allowed():
 def test_dataset_values_read_only(table_dataset):
     with pytest.raises(ValueError):
         table_dataset.values[0, 0] = 99.0
+
+
+def test_dataset_copies_a_callers_array():
+    values = TABLE.copy()
+    data = Dataset(NAMES, values)
+    assert not np.shares_memory(data.values, values)
+    assert values.flags.writeable
+    values[0, 0] = 99.0
+    assert data.values[0, 0] == TABLE[0, 0]
+
+
+@pytest.mark.parametrize("k", [1, pytest.param(2, marks=needs_fork)])
+def test_load_csv_keeps_the_array_it_parsed(tmp_path, monkeypatch, k):
+    # the rows are filled into one array, which the dataset keeps uncopied
+    path = _write_lines(tmp_path / "data.csv", _grid_lines())
+    _force_split(monkeypatch, k)
+    parsed = []
+
+    def parse_body(*args):
+        parsed.append(real_parse_body(*args))
+        return parsed[-1]
+
+    real_parse_body = data_module._parse_body
+    monkeypatch.setattr("negcontrol.data._parse_body", parse_body)
+    data = load_csv(path)
+    assert data.values is parsed[0]
+    assert data.values.flags.owndata and not data.values.flags.writeable
+    assert data.values.tobytes() == _scan_csv(path).values.tobytes()
 
 
 def test_dataset_column_lookup(table_dataset):
