@@ -98,11 +98,6 @@ _PARSE_CHUNK = 1 << 20
 # 95 ms at 128 KiB or 256 KiB a piece, 105 ms at 64 KiB and 108 ms at
 # 1 MiB, and a piece's temporaries peak at 1.0, 2.0, 0.5 and 9.4 MB
 _PARSE_PIECE = 1 << 17
-# bytes in a range below which np.loadtxt reads it faster than the exact
-# parse, whose hundred numpy calls a piece cost about 40 us: 9-column
-# pieces of 17-digit cells parse faster exactly from 11 KB, of 4-digit
-# cells from about 32 KB
-_EXACT_MIN = 1 << 15
 _BOM = "\ufeff"  # opens the header of a spreadsheet's "CSV UTF-8" export
 
 
@@ -266,12 +261,11 @@ def load_csv(path) -> Dataset:
 
     Each range is parsed ``_PARSE_PIECE`` bytes (128 KiB, rounded up to a
     line end) at a time.  A piece is read by the exact decimal parse of
-    ``_numparse`` where long double is x87 extended, the text encoding is
-    ASCII compatible and the range holds at least ``_EXACT_MIN`` (32 KiB)
-    bytes, and by ``np.loadtxt`` elsewhere or when the exact
+    ``_numparse`` where long double is x87 extended and the text encoding
+    is ASCII compatible, and by ``np.loadtxt`` elsewhere or when the exact
     parse refuses the piece: a byte outside ASCII, a bare carriage return,
     a blank or ragged line, a cell ``float`` rejects, a non-finite value,
-    or more than one cell in eight that is not a plain decimal.  After a
+    or more than one cell in four that is not a plain decimal.  After a
     refusal the rest of the range goes to ``np.loadtxt`` as well.  The exact
     parse forms ``longdouble(M) / longdouble(10**k)`` from a cell's digits
     ``M`` and its ``k`` digits after the dot, exact operands and one
@@ -420,11 +414,10 @@ def _parse_range(handle, length: int, width: int, encoding: str,
     ``width`` finite values.
 
     A piece is read by ``_numparse.parse_lines`` where ``exact_division``
-    allows it and the range holds at least ``_EXACT_MIN`` bytes, and by
-    ``np.loadtxt`` where not or when the piece is refused; after a refusal
-    the rest of the range goes to ``np.loadtxt`` too, so a range of cells
-    in exponent form costs one piece's attempt."""
-    exact = length >= _EXACT_MIN and _numparse.exact_division(encoding)
+    allows it, and by ``np.loadtxt`` where not or when the piece is
+    refused; after a refusal the rest of the range goes to ``np.loadtxt``
+    too, so a range of cells in exponent form costs one piece's attempt."""
+    exact = _numparse.exact_division(encoding)
     while length > 0:
         piece = handle.read(min(_PARSE_PIECE, length))
         if not piece:
@@ -434,7 +427,10 @@ def _parse_range(handle, length: int, width: int, encoding: str,
         length -= len(piece)
         block = _numparse.parse_lines(piece, width) if exact else None
         if block is None:
-            exact = False  # the rest of a range is most likely alike
+            # the rest of the range too: a refused attempt costs 40 % of
+            # np.loadtxt's time on the same piece, so trying on would make a
+            # range of exponent cells half as slow again as np.loadtxt alone
+            exact = False
             block = _loadtxt_lines(piece, width, encoding)
             if block is None:
                 return None

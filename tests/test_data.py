@@ -62,15 +62,6 @@ COV_ROWS = [
 ]
 
 
-@pytest.fixture(autouse=True, scope="module")
-def _exact_parse_at_any_size():
-    """Let the exact decimal parse read ranges of any size, so the small
-    files here take the tier that larger files take."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("negcontrol.data._EXACT_MIN", 0)
-        yield
-
-
 @pytest.fixture()
 def table_dataset():
     return Dataset(NAMES, TABLE)

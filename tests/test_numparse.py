@@ -164,10 +164,10 @@ def test_a_blank_line_of_one_column_refuses_the_piece():
 
 @needs_x87
 def test_many_cells_for_float_send_the_piece_to_loadtxt():
-    # 1 cell in 8 of 64 may go to float; a ninth sends the piece on
+    # 1 cell in 4 of 64 may go to float; a 17th sends the piece on
     plain = [repr(0.1 * i) for i in range(64)]
-    assert parse_lines(_piece(plain[:56] + ["1e-5"] * 8), 1) is not None
-    assert parse_lines(_piece(plain[:55] + ["1e-5"] * 9), 1) is None
+    assert parse_lines(_piece(plain[:48] + ["1e-5"] * 16), 1) is not None
+    assert parse_lines(_piece(plain[:47] + ["1e-5"] * 17), 1) is None
 
 
 @needs_x87
@@ -185,7 +185,6 @@ def test_a_refused_piece_sends_the_rest_of_its_range_to_loadtxt(
         return parse_lines(piece, width)
 
     monkeypatch.setattr("negcontrol.data._PARSE_PIECE", 64)
-    monkeypatch.setattr("negcontrol.data._EXACT_MIN", 0)
     monkeypatch.setattr("negcontrol._numparse.parse_lines", parse)
     assert load_csv(path).values.tobytes() == _scan_csv(
         path).values.tobytes()
@@ -195,26 +194,6 @@ def test_a_refused_piece_sends_the_rest_of_its_range_to_loadtxt(
 # ---------------------------------------------------------------------------
 # where the parse may run
 # ---------------------------------------------------------------------------
-
-
-@needs_x87
-@pytest.mark.parametrize("rows, exact", [(1000, False), (2000, True)])
-def test_a_range_under_exact_min_goes_to_loadtxt(tmp_path, monkeypatch,
-                                                 rows, exact):
-    # 28 KB and 56 KB of rows, against 32 KiB
-    line = "0.123456789012345,-1.5,2.25\n"
-    path = tmp_path / "data.csv"
-    path.write_text("a,b,c\n" + line * rows)
-    calls = []
-
-    def parse(piece, width):
-        calls.append(piece)
-        return parse_lines(piece, width)
-
-    monkeypatch.setattr("negcontrol.data._workers", lambda: 1)
-    monkeypatch.setattr("negcontrol._numparse.parse_lines", parse)
-    assert load_csv(path).values.shape == (rows, 3)
-    assert bool(calls) is exact
 
 
 def test_exact_division_needs_x87_long_double():
@@ -261,7 +240,6 @@ def test_load_csv_without_exact_division_never_calls_the_parse(
     def refuse(piece, width):
         raise AssertionError("parse_lines ran")
 
-    monkeypatch.setattr("negcontrol.data._EXACT_MIN", 0)
     monkeypatch.setattr("negcontrol._numparse.exact_division",
                         lambda encoding: False)
     monkeypatch.setattr("negcontrol._numparse.parse_lines", refuse)
@@ -274,14 +252,11 @@ def test_load_csv_without_exact_division_never_calls_the_parse(
 
 _TIERS = {
     # the default: the exact parse, np.loadtxt for a refused piece
-    "exact-first": {"negcontrol.data._EXACT_MIN": 0},
+    "exact-first": {},
     # the exact parse reads every piece it can, float for any cell
-    "exact-only": {"negcontrol.data._EXACT_MIN": 0,
-                   "negcontrol._numparse._FLOAT_SHARE": 1},
+    "exact-only": {"negcontrol._numparse._FLOAT_SHARE": 1},
     # np.loadtxt alone, as where long double is not x87 extended
     "loadtxt": {"negcontrol._numparse.exact_division": lambda e: False},
-    # the sizes as they are: these small files go to np.loadtxt
-    "as-is": {},
 }
 
 
