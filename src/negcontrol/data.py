@@ -105,7 +105,7 @@ def _build_index(names: tuple[str, ...]) -> dict[str, int]:
     return {name: i for i, name in enumerate(names)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Named numeric columns; rows are observations.
 
@@ -203,7 +203,7 @@ def _centre(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return xc, means, np.matmul(xc.swapaxes(-1, -2), xc)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovMatrix:
     """Sample covariance matrix with a variable-name index.
 

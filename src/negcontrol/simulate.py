@@ -317,7 +317,7 @@ def generate(
     treatment, outcome, then candidates in node order.
     """
     names, values = _generate_stack(spec, n, [seed], include_latent)
-    return Dataset(names, values[0])
+    return Dataset._adopt(names, values[0])  # a new array: no copy
 
 
 def _generate_stack(spec: GraphSpec, n: int, seeds,

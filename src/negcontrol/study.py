@@ -19,17 +19,19 @@ of R replications simulates them into one (R, n, k) array, each from its
 own seed, and forms their centred statistics and searches their R
 covariance matrices in one call of each kernel: the search is
 ``search._sub_tests``, the kernel behind ``find_nc`` and ``dance``.  The
-naive fits and the fixed triplet's fits share one layout in every
-replication, so they are fitted for all R in one call of
-``estimate._fit_stack``, the fit behind ``dance`` too.  The ``dance``
-fits are stacked the same way per group: replications whose searches
-passed the same triples share one pair plan, so each group is fitted in
-one call on its members' rows of the pass's statistic; in a strong design
-most replications of a pass pass the same triples.  Only the pairs drawn
-per replication are fitted one replication at a time, from views of the
-pass's arrays.  Every kernel gives each matrix of a stack the bits it
-gets alone, so a pass of R writes what R passes of one write.
-The pairs and weights are ``aggregate``'s one pair plan.
+naive fits share one layout in every replication, so they are fitted for
+all R in one call of ``estimate._fit_stack``, the fit behind ``dance``
+too.  Every pair plan is fitted by ``_plan_fits``, one call per group of
+replications that share the plan, on its members' rows of the pass's
+statistic: the fixed triplet is one group; a pair or triplet drawn per
+replication groups the replications that drew the same pair, and every
+first draw is fitted before the redraws of those whose first fit failed;
+the ``dance`` plans group the replications whose searches passed the
+same triples, most of a pass in a strong design.  Every kernel gives each
+matrix of a stack the bits it gets alone, so a pass of R writes what R
+passes of one write.  The pairs and weights are ``aggregate``'s one pair
+plan.  A pass returns columns, one row per replication, which
+``run_study`` joins per sample size in replication order.
 """
 from __future__ import annotations
 
@@ -208,16 +210,6 @@ class StudyResult:
     details: dict = field(default_factory=dict)
 
 
-@dataclass
-class _RepOutcome:
-    n: int
-    replication: int
-    min_p: np.ndarray
-    found: tuple
-    estimates: dict  # method -> (delta, se, lo, hi) or None
-    errors: dict  # method -> message for failed/non-result methods
-
-
 def _resolve_spec(config: StudyConfig) -> GraphSpec:
     if isinstance(config.graph, GraphSpec):
         spec = config.graph
@@ -286,43 +278,61 @@ def _rank_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return float(u_stat / (pos * neg))
 
 
-@dataclass
-class _Pass:
-    """The stacked half of one pass: its R replications of one sample size
-    ``n`` simulated, centred and searched, and the fits run stacked."""
+def _plan_fits(centred, index_of, names, roles, keys, plan_of) -> list:
+    """Per replication ``i`` of the stacked centred statistic ``centred``:
+    the ``_fits`` of the pair plan ``plan_of(keys[i])``, a (z, w, weights)
+    over ``names``, or None where ``keys[i]`` is None.  Replications with
+    one key share its plan, so each such group is fitted in one stacked
+    call on its members' rows of the statistic."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        if key is not None:
+            groups.setdefault(key, []).append(i)
+    fits: list = [None] * len(keys)
+    for key, members in groups.items():
+        # consecutive members, such as the whole pass or one replication,
+        # are read as a view, not copied
+        first, last = members[0], members[-1]
+        rows = (slice(first, last + 1) if last - first + 1 == len(members)
+                else members)
+        stack = tuple(array[rows] for array in centred)
+        for i, fit in zip(members, _fits(stack, index_of, names,
+                                         *plan_of(key), roles)):
+            fits[i] = fit
+    return fits
 
-    columns: dict  # column name -> position
-    roles: tuple  # (treatment, outcome, covariates)
-    drawn: np.ndarray  # ``candidates`` positions in graph order, as drawn
-    candidates: tuple  # sorted, as the search reads them
-    rows: np.ndarray  # (T, 3) indices of every triple into ``candidates``
-    centred: tuple  # (xc, means, gram) of the R replications, stacked
-    min_p: np.ndarray  # (R, T)
-    passed: np.ndarray  # (R, T)
-    shared: dict  # method -> per replication a fit, an error or None
 
-    def member(self, i: int) -> tuple:
-        """Replication ``i``'s centred statistic, as a stack of one: views
-        of the pass's arrays."""
-        return tuple(array[i:i + 1] for array in self.centred)
+def _message(fit) -> str | None:
+    """What a failure table records of ``fit``: ``no_dnct`` for None, as
+    ``dance`` gets where its search passed no triple, the type and text
+    of an error, or None for a fit."""
+    if fit is None:
+        return "no_dnct"
+    if isinstance(fit, Exception):
+        return f"{type(fit).__name__}: {fit}"
+    return None
 
-    def fits(self, centred, z, w, weights) -> list:
-        """``_fits`` on ``centred`` of the pairs (``candidates[z[k]]``,
-        ``candidates[w[k]]``) with ``weights``."""
-        return _fits(centred, self.columns.__getitem__, self.candidates, z,
-                     w, weights, self.roles)
+
+def _pair(ends: tuple) -> tuple:
+    """The pair plan of the one pair ``ends``, two ``candidates`` indices."""
+    return ends[:1], ends[1:], np.ones(1)
 
 
 def _run_pass(spec: GraphSpec, config: StudyConfig, jobs: list, *,
-              plans: dict, fixed: int | None) -> list:
-    """The outcomes of ``jobs``, replications of one sample size n, run as
-    one stacked pass of the plan ``plans[n]``: simulated into one (R, n, k)
-    array, each from its own seed, centred and searched together; the
-    naive fits and the fixed triplet's fits of every replication in one
-    stacked solve and sandwich, and the ``dance`` fits in one per group of
-    replications that passed the same triples (``_dance_fits``).  The
-    pairs drawn per replication are fitted in ``_one_replication``, one
-    replication at a time."""
+              plans: dict, fixed: int | None) -> tuple:
+    """The sample size n of ``jobs``, replications of that n, and their
+    columns, run as one stacked pass of the plan ``plans[n]``: simulated
+    into one (R, n, k) array, each from its own seed, centred and searched
+    together; the naive fits in one stacked solve and sandwich, and every
+    pair plan's fits by ``_plan_fits``, one stacked call per group of
+    replications that share a plan.  A pair or triplet drawn per
+    replication is redrawn once where its first fit failed: every first
+    draw is fitted first, then every redraw.
+
+    The columns are ``replication`` (R,), ``min_p`` and ``passed`` (R, T),
+    and per method its (R, 4) fits (delta, se, ci_low, ci_high), NaN where
+    it failed, and under ``method + " error"`` R messages, None where it
+    fitted."""
     n = jobs[0][0]
     names, values = _generate_stack(spec, n, [
         np.random.SeedSequence((config.master_seed, _STREAM_DATA, n, r))
@@ -336,95 +346,53 @@ def _run_pass(spec: GraphSpec, config: StudyConfig, jobs: list, *,
     centred = _centre(values)
     p = _sub_tests(_covariance_entries(centred[2], n), n, columns.__getitem__,
                    candidates, rows, *roles[:2], alpha)[3]
-    stack = _Pass(
-        columns, roles, np.argsort([columns[name] for name in candidates]),
-        candidates, rows, centred, p.min(axis=-1), (p > alpha).all(axis=-1),
-        {},
-    )
+    passed = (p > alpha).all(axis=-1)
+    plan_fits = partial(_plan_fits, centred, columns.__getitem__, candidates,
+                        roles)
+    fitted: dict = {}  # method -> per replication a fit, an error or None
     if "naive" in config.methods:
-        stack.shared["naive"] = _naive_fits(centred, columns.__getitem__,
-                                            *roles)
+        fitted["naive"] = _naive_fits(centred, columns.__getitem__, *roles)
     if fixed is not None and "random" in config.methods:
-        stack.shared["random"] = stack.fits(
-            centred, *_triples_plan(rows[fixed:fixed + 1], len(candidates)))
-    if "dance" in config.methods:
-        stack.shared["dance"] = _dance_fits(stack, config.aggregate)
-    return [_one_replication(spec, config, n, r, stack=stack, i=i)
-            for i, (_, r) in enumerate(jobs)]
+        triplet = _triples_plan(rows[fixed:fixed + 1], len(candidates))
+        fitted["random"] = plan_fits([fixed] * len(jobs), lambda _: triplet)
+    elif "random" in config.methods:
+        rngs = [np.random.default_rng(np.random.SeedSequence(
+            (config.master_seed, _STREAM_RANDOM, n, r))) for _, r in jobs]
+        drawn = np.argsort([columns[name] for name in candidates])
 
-
-def _dance_fits(stack: _Pass, aggregate: str) -> list:
-    """The ``dance`` fit of every replication of ``stack``, None where its
-    search passed no triple.  Replications whose searches passed the same
-    triples share one pair plan, so each such group is fitted in one
-    stacked call on its members' rows of the pass's statistic."""
-    groups: dict[bytes, list[int]] = {}
-    for i, passed in enumerate(stack.passed):
-        if passed.any():
-            groups.setdefault(passed.tobytes(), []).append(i)
-    fits: list = [None] * len(stack.passed)
-    for members in groups.values():
-        plan = _triples_plan(stack.rows[stack.passed[members[0]]],
-                             len(stack.candidates), aggregate)
-        centred = (stack.centred if len(members) == len(stack.passed)
-                   else tuple(array[members] for array in stack.centred))
-        for i, fit in zip(members, stack.fits(centred, *plan)):
-            fits[i] = fit
-    return fits
-
-
-def _one_replication(spec: GraphSpec, config: StudyConfig, n: int,
-                     replication: int, *, stack: _Pass, i: int) -> _RepOutcome:
-    """Replication ``replication``, member ``i`` of the pass ``stack``: its
-    stacked fits, and the fit of the random pair or triplet drawn for it,
-    read from views of the pass's arrays."""
-    estimates: dict = {}
-    errors: dict = {}
-
-    def record(method: str, fit) -> None:
-        if fit is None:  # dance, whose search passed no triple
-            errors[method] = "no_dnct"
-        elif isinstance(fit, Exception):
-            errors[method] = f"{type(fit).__name__}: {fit}"
-        else:
-            estimates[method] = fit
-
-    for method, fits in stack.shared.items():
-        record(method, fits[i])
-
-    if "random" in config.methods and "random" not in stack.shared:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(
-                (config.master_seed, _STREAM_RANDOM, n, replication)
-            )
-        )
-        for _ in range(2):  # one redraw on failure
+        def draw(rng) -> tuple:
+            """Two ``candidates`` indices: a pair drawn in graph order, or
+            two ends of a drawn triple."""
             if config.random_scheme == "pair_per_rep":
-                ends = rng.choice(stack.drawn, size=2, replace=False)
+                ends = rng.choice(drawn, size=2, replace=False)
             else:  # triplet_per_rep
-                ends = rng.choice(stack.rows[rng.integers(len(stack.rows))],
-                                  size=2, replace=False)
-            (fit,) = stack.fits(stack.member(i), ends[:1], ends[1:],
-                                np.ones(1))
-            if not isinstance(fit, Exception):
-                break
-        record("random", fit)
+                ends = rng.choice(rows[rng.integers(len(rows))], size=2,
+                                  replace=False)
+            return tuple(ends.tolist())
 
-    passed = stack.passed[i]
-    return _RepOutcome(
-        n=n,
-        replication=replication,
-        min_p=stack.min_p[i],
-        found=tuple(tuple(stack.candidates[j] for j in row)
-                    for row in stack.rows[passed].tolist()),
-        estimates=estimates,
-        errors=errors,
-    )
+        first = plan_fits([draw(rng) for rng in rngs], _pair)
+        again = plan_fits([draw(rng) if isinstance(fit, Exception) else None
+                           for rng, fit in zip(rngs, first)], _pair)
+        fitted["random"] = [fit if redrawn is None else redrawn
+                            for fit, redrawn in zip(first, again)]
+    if "dance" in config.methods:
+        fitted["dance"] = plan_fits(
+            [row.tobytes() if row.any() else None for row in passed],
+            lambda key: _triples_plan(rows[np.frombuffer(key, dtype=bool)],
+                                      len(candidates), config.aggregate))
+    block = {"replication": np.array([r for _, r in jobs]),
+             "min_p": p.min(axis=-1), "passed": passed}
+    for method, fits in fitted.items():
+        errors = [_message(fit) for fit in fits]
+        block[method] = np.array([(math.nan,) * 4 if error else fit
+                                  for fit, error in zip(fits, errors)])
+        block[method + " error"] = np.array(errors, dtype=object)
+    return n, block
 
 
 def _run_jobs(run_pass, jobs: list) -> list:
-    """The outcomes of every ``(n, replication)`` job, in no set order, in
-    the ``k`` processes ``run_study`` describes, each part run by
+    """The ``run_pass`` results of every ``(n, replication)`` job, in no
+    set order, in the ``k`` processes ``run_study`` describes, each part run by
     ``_run_part``.  The jobs are dealt out in turn, ``jobs[i::k]``, so every
     part holds the same mix of sample sizes."""
     k = max(1, min(_workers(), len(jobs),
@@ -434,42 +402,43 @@ def _run_jobs(run_pass, jobs: list) -> list:
     except Exception:
         # every child is reaped: raise what the serial loop raises first,
         # each replication a pass of its own
-        return [outcome for job in jobs for outcome in run_pass([job])]
+        return [run_pass([job]) for job in jobs]
 
 
 def _run_part(run_pass, part: list) -> list:
-    """The outcomes of ``part``: its jobs grouped by n, in order, and each
-    group run by ``run_pass`` in passes of at most ``_STUDY_CHUNK``
+    """The pass results of ``part``: its jobs grouped by n, in order, and
+    each group run by ``run_pass`` in passes of at most ``_STUDY_CHUNK``
     simulated rows, at least one replication each."""
     groups: dict[int, list] = {}
     for job in part:
         groups.setdefault(job[0], []).append(job)
-    outcomes = []
+    blocks = []
     for n, group in groups.items():
         size = max(1, _STUDY_CHUNK // n)
         for start in range(0, len(group), size):
-            outcomes += run_pass(group[start:start + size])
-    return outcomes
+            blocks.append(run_pass(group[start:start + size]))
+    return blocks
 
 
 def _run_parts(run_pass, parts: list) -> list:
-    """The outcomes of every part of the jobs, part after part: parts after
-    the first run by forked children, which send their outcomes back
+    """The pass results of every part of the jobs, part after part: parts
+    after the first run by forked children, which send their results back
     pickled, and a part whose child failed run again here."""
     results = map_parts(parts, partial(_run_part, run_pass),
                         partial(_pickled_part, run_pass), _unpickled)
-    return [outcome for part, result in zip(parts, results)
-            for outcome in (_run_part(run_pass, part) if result is None
-                            else result)]
+    return [block for part, result in zip(parts, results)
+            for block in (_run_part(run_pass, part) if result is None
+                          else result)]
 
 
 def _pickled_part(run_pass, part: list) -> bytes:
-    """The pickled outcomes of ``part``, as a child sends them."""
+    """The pickled pass results of ``part``, as a child sends them."""
     return pickle.dumps(_run_part(run_pass, part), pickle.HIGHEST_PROTOCOL)
 
 
 def _unpickled(fd: int) -> list | None:
-    """The outcomes a child sent on ``fd``, or None if they ended early."""
+    """The pass results a child sent on ``fd``, or None if they ended
+    early."""
     payload = _receive_bytes(fd)
     return None if payload is None else pickle.loads(payload)
 
@@ -498,7 +467,9 @@ def run_study(config: StudyConfig) -> StudyResult:
     again in order, one a pass, so the exception is the one a serial loop
     raises first.  Each replication is seeded alone, and gets the same
     bits in a stack as alone, so the result depends neither on ``k`` nor
-    on the passes.
+    on the passes.  Each pass returns its results as columns
+    (``_run_pass``); the columns of each sample size are joined and put in
+    replication order by one ``argsort``.
     """
     spec = _resolve_spec(config)
     plans = {n: _search_plan(spec.measured, None, spec.treatment,
@@ -521,15 +492,11 @@ def run_study(config: StudyConfig) -> StudyResult:
         )
         fixed = int(rng.integers(len(triples)))
 
-    outcomes = _run_jobs(
+    passes = _run_jobs(
         partial(_run_pass, spec, config, plans=plans, fixed=fixed),
         [(n, r) for n in config.sample_sizes
          for r in range(config.replications)],
     )
-
-    by_n: dict[int, list[_RepOutcome]] = {n: [] for n in config.sample_sizes}
-    for outcome in outcomes:
-        by_n[outcome.n].append(outcome)
 
     metrics: list[MethodMetrics] = []
     failures: list[FailureRecord] = []
@@ -538,10 +505,14 @@ def run_study(config: StudyConfig) -> StudyResult:
     details: dict[int, dict] = {}
 
     for n in config.sample_sizes:
-        reps = sorted(by_n[n], key=lambda o: o.replication)
-        min_p = np.array([o.min_p for o in reps])
+        blocks = [block for size, block in passes if size == n]
+        order = np.argsort(np.concatenate([b["replication"] for b in blocks]))
+        column = {key: np.concatenate([b[key] for b in blocks])[order]
+                  for key in blocks[0]}
+        replications = column["replication"].tolist()
+        min_p = column["min_p"]
         flat_scores = min_p.ravel()
-        flat_labels = np.tile(labels, len(reps))
+        flat_labels = np.tile(labels, len(replications))
         auc[n] = _rank_auc(flat_scores, flat_labels)
         grid = (
             config.alpha_grid
@@ -567,30 +538,19 @@ def run_study(config: StudyConfig) -> StudyResult:
             "triples": triples,
             "labels": labels,
             "min_p": min_p,
-            "found": [o.found for o in reps],
+            "found": [tuple(triples[j] for j in np.flatnonzero(row))
+                      for row in column["passed"]],
             "estimates": {},
         }
         for method in config.methods:
-            rows = []
-            n_fail = 0
-            for o in reps:
-                if method in o.errors:
-                    n_fail += 1
-                    failures.append(
-                        FailureRecord(
-                            n=n,
-                            replication=o.replication,
-                            method=method,
-                            error=o.errors[method],
-                        )
-                    )
-                elif method in o.estimates:
-                    rows.append(o.estimates[method])
-            deltas = np.array([row[0] for row in rows])
-            ses = np.array([row[1] for row in rows])
-            covered = np.array(
-                [row[2] <= true_delta <= row[3] for row in rows]
-            )
+            errors = column[method + " error"]
+            failures += [FailureRecord(n, r, method, error)
+                         for r, error in zip(replications, errors)
+                         if error is not None]
+            fitted = np.array([error is None for error in errors], dtype=bool)
+            # four contiguous columns, as the summaries below read them
+            deltas, ses, lows, highs = column[method][fitted].T.copy()
+            covered = (lows <= true_delta) & (true_delta <= highs)
             detail["estimates"][method] = {
                 "delta": deltas,
                 "se": ses,
@@ -607,9 +567,8 @@ def run_study(config: StudyConfig) -> StudyResult:
                 )
             else:
                 summary = (float("nan"),) * 5
-            metrics.append(
-                MethodMetrics(method, n, len(reps), n_fail, *summary)
-            )
+            metrics.append(MethodMetrics(method, n, len(replications),
+                                         len(errors) - len(deltas), *summary))
         details[n] = detail
 
     return StudyResult(

@@ -1031,6 +1031,18 @@ def test_dataset_copies_a_callers_array():
     assert data.values[0, 0] == TABLE[0, 0]
 
 
+@pytest.mark.parametrize("make", [lambda: Dataset(NAMES, TABLE),
+                                  lambda: covariance(Dataset(NAMES, TABLE)),
+                                  lambda: CovMatrix(NAMES, COV_ROWS)],
+                         ids=["Dataset", "covariance", "CovMatrix"])
+def test_equality_is_identity_and_hash_works(make):
+    # comparing the array fields would raise on their ambiguous truth value
+    one, other = make(), make()
+    assert one == one and one != other
+    assert len({one, other, one}) == 2
+    assert hash(one) == hash(one)
+
+
 @pytest.mark.parametrize("k", [1, pytest.param(2, marks=needs_fork)])
 def test_load_csv_keeps_the_array_it_parsed(tmp_path, monkeypatch, k):
     # the rows are filled into one array, which the dataset keeps uncopied

@@ -8,7 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from negcontrol.data import covariance
+from negcontrol import simulate
+from negcontrol.data import Dataset, covariance
 from negcontrol.errors import GraphSpecError
 from negcontrol.simulate import (
     CoeffDraw,
@@ -278,6 +279,39 @@ def test_generate_columns_and_determinism():
     np.testing.assert_array_equal(data.values, again.values)
     other = generate(spec, 50, np.random.SeedSequence(5))
     assert not np.array_equal(data.values, other.values)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "binary"])
+def test_generate_keeps_the_simulated_array(monkeypatch, family):
+    # the dataset keeps the one simulated array, uncopied and read-only,
+    # with the bits the copying constructor gives it
+    spec = builtin_graph("complex", family=family, seed=3)
+    stacks = []
+    real = simulate._generate_stack
+
+    def generate_stack(*args):
+        stacks.append(real(*args))
+        return stacks[-1]
+
+    monkeypatch.setattr("negcontrol.simulate._generate_stack", generate_stack)
+    data = generate(spec, 40, 5)
+    ((names, values),) = stacks
+    assert np.shares_memory(data.values, values)
+    assert not data.values.flags.writeable
+    assert data.values.tobytes() == Dataset(names, values[0]).values.tobytes()
+
+
+def test_generate_checks_the_kept_array_is_finite(monkeypatch):
+    real = simulate._generate_stack
+
+    def generate_stack(*args):
+        names, values = real(*args)
+        values[0, 3, 1] = np.nan
+        return names, values
+
+    monkeypatch.setattr("negcontrol.simulate._generate_stack", generate_stack)
+    with pytest.raises(ValueError, match="finite"):
+        generate(builtin_graph("simple", seed=3), 10, 1)
 
 
 def test_generate_include_latent():

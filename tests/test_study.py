@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -31,7 +32,6 @@ from negcontrol.study import (
     _STUDY_CHUNK,
     StudyConfig,
     _naive_fits,
-    _one_replication,
     _resolve_spec,
     roc_curve,
     run_study,
@@ -502,18 +502,43 @@ def _parts(config, k):
     return [jobs[i::k] for i in range(k)]
 
 
+def _job(seed) -> tuple:
+    """The (n, replication) job a study simulates from ``seed``."""
+    assert tuple(seed.entropy)[1] == _STREAM_DATA
+    return tuple(seed.entropy)[-2:]
+
+
 def _record_own_jobs(mp):
-    """The (n, replication) jobs run in this process from here on, in
+    """The (n, replication) jobs simulated in this process from here on, in
     order; a child's jobs are not recorded."""
     parent, own = os.getpid(), []
+    real = study._generate_stack
 
-    def replication(spec, config, n, replication, **kwargs):
+    def generate_stack(spec, n, seeds, include_latent=False):
         if os.getpid() == parent:
-            own.append((n, replication))
-        return _one_replication(spec, config, n, replication, **kwargs)
+            own.extend(_job(seed) for seed in seeds)
+        return real(spec, n, seeds, include_latent)
 
-    mp.setattr("negcontrol.study._one_replication", replication)
+    mp.setattr("negcontrol.study._generate_stack", generate_stack)
     return own
+
+
+class _ReplicationError(Exception):
+    pass
+
+
+def _raise_in(mp, raising):
+    """From here on, every pass that simulates one of the (n, replication)
+    jobs ``raising`` raises, naming its first such job."""
+    real = study._generate_stack
+
+    def generate_stack(spec, n, seeds, include_latent=False):
+        for job in map(_job, seeds):
+            if job in raising:
+                raise _ReplicationError("n={} replication={}".format(*job))
+        return real(spec, n, seeds, include_latent)
+
+    mp.setattr("negcontrol.study._generate_stack", generate_stack)
 
 
 def _fingerprint(result, tmp_path):
@@ -624,10 +649,6 @@ def test_split_study_reruns_a_failed_child(tmp_path, monkeypatch,
         "triplet_fixed"]
 
 
-class _ReplicationError(Exception):
-    pass
-
-
 @needs_fork
 @needs_proc
 @pytest.mark.parametrize("raising", [(1,), (4,), (2, 4), (4, 9)],
@@ -638,13 +659,7 @@ def test_split_study_raises_the_serial_exception(monkeypatch, raising):
     # the children's.  The serial loop raises at the first raising job.
     config = _split_config()
     jobs = sum(_parts(config, 1), [])
-
-    def replication(spec, config, n, replication, **kwargs):
-        if jobs.index((n, replication)) in raising:
-            raise _ReplicationError(f"n={n} replication={replication}")
-        return _one_replication(spec, config, n, replication, **kwargs)
-
-    monkeypatch.setattr("negcontrol.study._one_replication", replication)
+    _raise_in(monkeypatch, [jobs[i] for i in raising])
     with pytest.raises(_ReplicationError) as serial:
         run_study(config)
     _force_split(monkeypatch, 4)
@@ -754,14 +769,16 @@ def test_grouped_dance_fits_match_one_replication_passes(tmp_path,
                          replications=10, master_seed=4, alpha=0.2,
                          aggregate=aggregate)
     seen = []
-    real = study._dance_fits
+    real = study._plan_fits
 
-    def dance_fits(stack, aggregate):
-        seen.append([row.tobytes() if row.any() else None
-                     for row in stack.passed])
-        return real(stack, aggregate)
+    def plan_fits(centred, index_of, names, roles, keys, plan_of):
+        # the dance fits: each replication's passed triples as bytes, None
+        # where it passed none; the fixed triplet's keys are its index
+        if all(key is None or isinstance(key, bytes) for key in keys):
+            seen.append(list(keys))
+        return real(centred, index_of, names, roles, keys, plan_of)
 
-    monkeypatch.setattr("negcontrol.study._dance_fits", dance_fits)
+    monkeypatch.setattr("negcontrol.study._plan_fits", plan_fits)
     study_passes(1, 1)
     alone = _fingerprint(run_study(config), tmp_path / "alone")
     assert len(seen) == 10
@@ -829,13 +846,7 @@ def test_pass_raises_the_serial_exception(monkeypatch, study_passes,
     # the replication raises inside a pass of several; the study raises
     # what the per-replication loop raises
     config = _pass_config()
-
-    def replication(spec, config, n, replication, **kwargs):
-        if (n, replication) == raising:
-            raise _ReplicationError(f"n={n} replication={replication}")
-        return _one_replication(spec, config, n, replication, **kwargs)
-
-    monkeypatch.setattr("negcontrol.study._one_replication", replication)
+    _raise_in(monkeypatch, [raising])
     study_passes(1, 1)
     with pytest.raises(_ReplicationError) as serial:
         run_study(config)
@@ -887,22 +898,33 @@ def _random_fit(config, spec, data, candidates, triples, n, r):
         table = enumerate_pairs([triples[rng.integers(len(triples))]])
         return weighted_estimate(data, table, spec.treatment, spec.outcome,
                                  covariates)
-    rng = np.random.default_rng(np.random.SeedSequence(
-        (config.master_seed, study._STREAM_RANDOM, n, r)))
-    for attempt in range(2):  # one redraw on failure, as the study has it
-        if config.random_scheme == "pair_per_rep":
-            z, w = rng.choice(len(candidates), size=2, replace=False)
-            pair = candidates[z], candidates[w]
-        else:
-            triple = triples[rng.integers(len(triples))]
-            z, w = rng.choice(3, size=2, replace=False)
-            pair = triple[z], triple[w]
+    # one redraw on failure, as the study has it
+    for attempt, pair in enumerate(_drawn_pairs(config, candidates, triples,
+                                                n, r)):
         try:
             return gmm_linear_ate(data, NcPair(*pair), spec.treatment,
                                   spec.outcome, covariates)
         except SingularMomentMatrixError:
             if attempt:
                 raise
+
+
+def _drawn_pairs(config, candidates, triples, n, r) -> list:
+    """The pair drawn for replication (n, r) and its redraw, from the
+    study's seed stream: a pair of ``candidates`` in graph order, or two
+    ends of one of the sorted ``triples``."""
+    rng = np.random.default_rng(np.random.SeedSequence(
+        (config.master_seed, study._STREAM_RANDOM, n, r)))
+    pairs = []
+    for _ in range(2):
+        if config.random_scheme == "pair_per_rep":
+            z, w = rng.choice(len(candidates), size=2, replace=False)
+            pairs.append((candidates[z], candidates[w]))
+        else:
+            triple = triples[rng.integers(len(triples))]
+            z, w = rng.choice(3, size=2, replace=False)
+            pairs.append((triple[z], triple[w]))
+    return pairs
 
 
 def _reversed_candidates(config):
@@ -942,6 +964,87 @@ def test_stacked_random_fits_match_the_library(study_passes, variant):
             expected.append((fit.delta_hat, fit.se))
         assert (np.array(expected).tobytes()
                 == np.column_stack([fitted["delta"], fitted["se"]]).tobytes())
+
+
+def _fail_random_draws(mp, failing) -> list:
+    """From here on, the draw ``d`` (1 or 2) of replication (n, r) of every
+    random-only study fails where ``d <= failing.get((n, r), 0)``, with a
+    SingularMomentMatrixError of condition number ``d`` naming the pair.
+    Returns the (n, r, d) of every random fit, in the order fitted."""
+    jobs, fitted = {}, []
+    real_generate, real_fits = study._generate_stack, study._fits
+
+    def generate_stack(spec, n, seeds, include_latent=False):
+        names, values = real_generate(spec, n, seeds, include_latent)
+        # a replication's column means, with the bits the pass gives them
+        for seed, means in zip(seeds, study._centre(values)[1]):
+            jobs[means.tobytes()] = _job(seed)
+        return names, values
+
+    def fits(centred, index_of, names, z, w, weights, roles):
+        out = real_fits(centred, index_of, names, z, w, weights, roles)
+        assert len(z) == 1  # a drawn pair, not a triplet's three
+        for i, means in enumerate(centred[1]):
+            job = jobs[means.tobytes()]
+            draw = 1 + sum(seen[:2] == job for seen in fitted)
+            fitted.append((*job, draw))
+            if draw <= failing.get(job, 0):
+                out[i] = SingularMomentMatrixError(
+                    "injected", cond=float(draw),
+                    pair=NcPair(names[z[0]], names[w[0]]))
+        return out
+
+    mp.setattr("negcontrol.study._generate_stack", generate_stack)
+    mp.setattr("negcontrol.study._fits", fits)
+    return fitted
+
+
+@pytest.mark.parametrize("budget", [1, _STUDY_CHUNK], ids=["alone",
+                                                          "stacked"])
+@pytest.mark.parametrize("scheme", ["pair_per_rep", "triplet_per_rep"])
+def test_failed_random_draws_are_redrawn_once(tmp_path, monkeypatch,
+                                              study_passes, scheme, budget):
+    # a replication whose first drawn pair fails records the library's fit
+    # of its redrawn pair; one whose redraw fails too records the redraw's
+    # error.  Stacked, a pass fits every first draw before any redraw.
+    config = _pass_config(random_scheme=scheme, methods=("random",))
+    failing = {(200, 1): 1, (200, 2): 2, (200, 5): 1, (1000, 0): 2,
+               (1000, 3): 1, (1000, 4): 1}
+    fitted = _fail_random_draws(monkeypatch, failing)
+    study_passes(budget, 1)
+    result = run_study(config)
+    redrawn = [(n, r, 2) for n, r in failing]
+    assert sorted(job for job in fitted if job[2] == 2) == sorted(redrawn)
+    assert len(fitted) == 2 * config.replications + len(failing)
+    if budget == _STUDY_CHUNK:  # one pass per n
+        for n in config.sample_sizes:
+            draws = [d for size, _, d in fitted if size == n]
+            assert draws == sorted(draws)
+    spec = _resolve_spec(config)
+    candidates = [c for c in spec.candidates if c not in config.covariates]
+    triples = list(combinations(sorted(candidates), 3))
+    expected_failures = []
+    for n in config.sample_sizes:
+        expected = []
+        for r in range(config.replications):
+            pairs = _drawn_pairs(config, candidates, triples, n, r)
+            if failing.get((n, r)) == 2:
+                expected_failures.append([
+                    str(n), str(r), "random",
+                    "SingularMomentMatrixError: injected (condition number "
+                    f"~2.000e+00) [pair {NcPair(*pairs[1])}]"])
+                continue
+            data = generate(spec, n, np.random.SeedSequence(
+                (config.master_seed, _STREAM_DATA, n, r)))
+            fit = gmm_linear_ate(data, NcPair(*pairs[(n, r) in failing]),
+                                 spec.treatment, spec.outcome)
+            expected.append((fit.delta_hat, fit.se))
+        got = result.details[n]["estimates"]["random"]
+        assert (np.array(expected).tobytes()
+                == np.column_stack([got["delta"], got["se"]]).tobytes())
+    paths = write_study_outputs(result, tmp_path)
+    with open(paths["failures"], newline="") as handle:
+        assert list(csv.reader(handle))[1:] == expected_failures
 
 
 def test_rank_auc_hand_worked():
