@@ -1,4 +1,10 @@
-"""The one fork primitive behind every stage that splits its work over CPUs.
+"""The one fork primitive behind every stage that splits its work over
+CPUs, with the one rule that cuts the work and the one streamed copy.
+
+``cuts(count, floor)`` cuts ``count`` units into ``k`` contiguous runs of
+about equal length, the first no shorter than the others, ``k`` the
+smaller of the CPUs this process may use (1 where ``os.fork`` is missing)
+and ``count // floor``, at least one.  A stage names only its floor.
 
 ``map_parts(parts, here, child, receive)`` runs ``here(parts[0])`` in this
 process while forked children run ``child(part)`` for the later parts, one
@@ -8,25 +14,21 @@ parts, in order.  A child sends the buffer ``child`` returns down a pipe,
 its byte count first, and exits 0; it exits 1, sending nothing, when
 ``child`` returns None or raises.  A child leaves only by ``os._exit``, so
 it never returns into the caller or flushes a buffer it shares with this
-process.
+process.  This process calls ``receive(fd)`` on each child's pipe, in part
+order, and gets every part's result in part order; a child's part gives
+None when ``receive`` does or the child exits non-zero.  Every pipe is
+closed before any child is waited on, so a child still writing gets EPIPE
+instead of waiting on this process, and every child is reaped however
+``map_parts`` returns or raises.
 
-This process calls ``receive(fd)`` on each child's pipe, in part order, and
-``map_parts`` returns every part's result in part order.  A child's part
-gives None when ``receive`` gives None (the child sent less than it
-announced) or the child exits non-zero; what a stage does with such a part
-is the stage's own policy.  Every pipe is closed before any child is
-waited on, so a child still writing gets EPIPE instead of waiting on this
-process, and every child is reaped however ``map_parts`` returns or raises.
-A ``receive`` that streams a child's bytes on, as the CSV writer and the
-search report do, copies them with ``_copy_payload``, which tells a child
-that sent nothing from one whose bytes ended early; the CSV parse reads a
-child's rows with ``_payload_size`` and ``_read_into`` straight into the
-array that holds every range's rows.
-
-A stage asks for as many parts as ``_workers`` allows, which is 1 where
-``os.fork`` is missing; each part it sizes by a constant of its own.  The
-CSV parse and write (``data``), the study (``study``), the search report's
-JSON (``search``) and the bootstrap draws (``aggregate``) are the stages.
+``stream_parts(parts, here, child, write)``, behind the CSV write and the
+search report, writes the first part here and then copies each child's
+bytes through ``write``, in order, ``_COPY_CHUNK`` at a time.  A part
+whose child sent nothing is written here, in its place;
+``ChildProcessError`` is raised when a child's bytes ended early, or when
+it exited non-zero after sending.  The CSV parse reads a child's rows
+straight into place with ``_payload_size`` and ``_read_into``; the study
+and the bootstrap take a child's bytes whole with ``_receive_bytes``.
 """
 from __future__ import annotations
 
@@ -41,6 +43,14 @@ def _workers() -> int:
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
+
+
+def cuts(count: int, floor: int) -> list[tuple[int, int]]:
+    """The [start, stop) runs of ``range(count)`` that the module
+    docstring describes, so no run of a split is shorter than ``floor``."""
+    k = max(1, min(_workers(), count // floor))
+    bounds = [-(-i * count // k) for i in range(k + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 def map_parts(parts, here, child, receive) -> list:
@@ -64,6 +74,32 @@ def map_parts(parts, here, child, receive) -> list:
         if not ok:
             results[i] = None
     return results
+
+
+def stream_parts(parts, here, child, write) -> None:
+    """Write every part of ``parts`` in order, as the module docstring
+    describes: ``here(part)`` writes a part in this process, and a forked
+    child's ``child(part)`` returns the bytes of its part for ``write``."""
+    later = iter(range(1, len(parts)))
+    redone = set()
+
+    def write_here(part):
+        here(part)
+        return True
+
+    def copy(fd):
+        i = next(later)
+        sent = _copy_payload(fd, write)
+        if sent is None:  # the child sent nothing: its part is written here
+            redone.add(i)
+            return write_here(parts[i])
+        if not sent:
+            raise ChildProcessError("a forked part of the output ended early")
+        return True
+
+    done = map_parts(parts, write_here, child, copy)
+    if any(ok is None and i not in redone for i, ok in enumerate(done)):
+        raise ChildProcessError("a forked part of the output failed")
 
 
 def _spawn(task):
@@ -127,9 +163,8 @@ def _receive_bytes(fd: int) -> bytearray | None:
 
 def _copy_payload(fd: int, write) -> bool | None:
     """Copy the bytes a child sent on ``fd`` through ``write``,
-    ``_COPY_CHUNK`` at a time, so this process never holds them all: True
-    when all of them came, False when they ended early, and None, with
-    nothing written, when the child sent no byte count."""
+    ``_COPY_CHUNK`` at a time: True when all came, False when they ended
+    early, None, writing nothing, when the child sent no byte count."""
     left = _payload_size(fd)
     if left is None:
         return None

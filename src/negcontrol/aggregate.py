@@ -10,11 +10,10 @@ Two aggregators:
 
 One pair plan, ``_pair_plan``, picks from pair counts the pairs to fit
 as index arrays into their names, and their weights, for
-``enumerate_pairs``, ``dance`` and the study (through ``_triples_plan``)
-and the majority vote.  One step, ``_aggregate``, builds every
-``AggregateResult`` from such a plan: ``dance`` passes the plan of the
-triples its search passed, and the two public aggregators the plan of
-their table (``_table_plan``).
+``enumerate_pairs``, the study (through ``_triples_plan``) and the
+majority vote.  One step, ``_aggregate``, builds every
+``AggregateResult`` from such a plan: the two public aggregators, which
+``dance`` calls, pass the plan of their table (``_table_plan``).
 
 Both read the dataset's one centred moment statistic (see ``data``): the
 fits solve on its cross products, and the sandwich and every bootstrap
@@ -27,10 +26,10 @@ it has no bootstrap.
 The bootstrap copies those columns once, transposed to (k, n), and a
 draw sums its count-weighted centred moments over blocks of
 ``estimate._ROW_BLOCK`` rows of that copy, so it forms no n x k array.
-Its slots are cut into contiguous runs, at most one per CPU and each of
-at least ``_BOOT_CHUNK`` draws, and ``_fork.map_parts`` draws the runs
-after the first in forked children.  Each slot seeds itself, so the
-draws do not depend on the split.
+Its slots are cut into the runs of ``_fork.cuts``, each of at least
+``_BOOT_CHUNK`` draws, and ``_fork.map_parts`` draws the runs after the
+first in forked children.  Each slot seeds itself, so the draws do not
+depend on the split.
 """
 from __future__ import annotations
 
@@ -41,7 +40,7 @@ from numbers import Integral
 import numpy as np
 import numpy.random  # noqa: F401  loaded on import, not on the first draw
 
-from ._fork import _receive_bytes, _workers, map_parts
+from ._fork import _receive_bytes, cuts, map_parts
 from .data import Dataset
 from .errors import (
     BootstrapDegenerateError,
@@ -257,19 +256,15 @@ def _bootstrap_se(
     per-slot budget that caps total retries below ten times the requested
     draws.
 
-    The slots are cut into ``k`` contiguous ranges of about equal length,
-    the first no shorter than the others, ``k`` the smaller of the CPUs
-    this process may use and the draws in ``_BOOT_CHUNK`` units (at least
-    one), and ``_fork.map_parts`` runs the ranges after the first in
-    forked children.  A range whose child failed runs again here, so a
-    ``BootstrapDegenerateError`` names the first slot that failed, as the
-    serial loop does.  Every draw runs the same code in any process, so
-    its bits do not depend on the split.
+    The slots are cut into the ranges of ``_fork.cuts``, each of at least
+    ``_BOOT_CHUNK`` draws, and ``_fork.map_parts`` runs the ranges after
+    the first in forked children.  A range whose child failed runs again
+    here, so a ``BootstrapDegenerateError`` names the first slot that
+    failed, as the serial loop does.  Every draw runs the same code in any
+    process, so its bits do not depend on the split.
     """
     columns = np.ascontiguousarray(xc.T)
-    k = max(1, min(_workers(), draws // _BOOT_CHUNK))
-    cuts = [-(-i * draws // k) for i in range(k + 1)]
-    parts = [range(a, b) for a, b in zip(cuts, cuts[1:])]
+    parts = [range(a, b) for a, b in cuts(draws, _BOOT_CHUNK)]
     run = partial(_slot_draws, columns, layout, weights, seed)
     done = map_parts(parts, run, run, _received_draws)
     return np.concatenate([run(part) if block is None else block

@@ -60,26 +60,33 @@ def _name_list(text: str) -> list[str]:
     return names
 
 
+@contextlib.contextmanager
+def _no_partial(out: str):
+    """Remove a regular file ``out`` that the block left partly written
+    when it raised, before the error goes on.  A link or a device, such as
+    ``/dev/stdout``, stays, and so does a file the block could not open
+    (its error names ``out``)."""
+    try:
+        yield
+    except BaseException as error:
+        with contextlib.suppress(OSError):
+            if (getattr(error, "filename", None) != out
+                    and stat.S_ISREG(os.lstat(out).st_mode)):
+                os.remove(out)
+        raise
+
+
 def _emit(write_json, out: str | None) -> None:
     """Stream a subcommand's JSON and a newline to ``out`` or stdout:
     ``write_json`` is called with the handle's ``write`` and hands it the
-    text in pieces.  When it raises, a regular file it left partly written
-    at ``out`` is removed before the error goes on; a link or a device,
-    such as ``/dev/stdout``, is left alone."""
+    text in pieces; ``_no_partial`` guards a file."""
     if out is None:
         write_json(sys.stdout.write)
         sys.stdout.write("\n")
         return
-    handle = open(out, "w")
-    try:
-        with handle:
-            write_json(handle.write)
-            handle.write("\n")
-    except BaseException:
-        with contextlib.suppress(OSError):
-            if stat.S_ISREG(os.lstat(out).st_mode):
-                os.remove(out)
-        raise
+    with _no_partial(out), open(out, "w") as handle:
+        write_json(handle.write)
+        handle.write("\n")
 
 
 def _text(doc):
@@ -158,7 +165,8 @@ def _cmd_simulate(args) -> int:
     data = generate(
         spec, args.n, np.random.SeedSequence((args.seed, _SIM_STREAM_DATA))
     )
-    write_csv(data, args.out)
+    with _no_partial(args.out):
+        write_csv(data, args.out)
     if args.manifest is not None:
         dncts, true_delta = ground_truth_dncts(spec)
         manifest = {

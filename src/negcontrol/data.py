@@ -11,18 +11,20 @@ reads them through ``covariance``; every pair fit, the naive fit and the
 bootstrap read them directly.  So both stages see the same statistic, and
 a constant column has zero variance in both.
 
-A CSV body is cut at line ends into byte ranges, one per CPU for a large
-body, and the rows into contiguous ranges for a write; ``_fork.map_parts``
-runs the ranges after the first in forked children.  Every range runs the
-same parse code, or the same formatting code, so neither the values read
-nor the bytes written depend on how the work was cut.  A pipe is read
-once, into memory, and a file whose lines all end in a bare carriage
-return is held in memory with those made line feeds; such a body is cut
-as a file's is, and each child parses its range from the copy of the
-bytes the fork gave it, so a piped or CR-only body is parsed over the CPUs
-as a file is.  This process fills one array with every range's rows, a
-child's read from its pipe straight into place, and the dataset keeps
-that array without a copy.
+A CSV body is cut at line ends into the byte ranges of ``_fork.cuts``, at
+least ``_PARSE_CHUNK`` bytes each, and the rows of a write into its row
+ranges, at least ``_FORMAT_CHUNK`` cells each; forked children run the
+ranges after the first, through ``_fork.map_parts`` for a parse and
+``_fork.stream_parts`` for a write.  Every range runs the same parse code,
+or the same formatting code, so neither the values read nor the bytes
+written depend on how the work was cut.  A pipe is read once, into
+memory, and a file whose lines all end in a bare carriage return is held
+in memory with those made line feeds; such a body is cut as a file's is,
+and each child parses its range from the copy of the bytes the fork gave
+it, so a piped or CR-only body is parsed over the CPUs as a file is.
+This process fills one array with every range's rows, a child's read
+from its pipe straight into place, and the dataset keeps that array
+without a copy.
 
 A range is parsed a piece of whole lines at a time, by the first of three
 tiers that takes the piece; each gives every cell the bits ``float``
@@ -62,13 +64,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _numparse
-from ._fork import (
-    _copy_payload,
-    _payload_size,
-    _read_into,
-    _workers,
-    map_parts,
-)
+from ._fork import _payload_size, _read_into, cuts, map_parts, stream_parts
 from .errors import (
     DuplicateHeaderError,
     MissingValueError,
@@ -248,11 +244,10 @@ def load_csv(path) -> Dataset:
     """Load a strict numeric CSV (RFC-4180 subset, header required).
 
     One byte-order mark that opens the header is dropped.  The body after
-    the header is cut at line ends into ``k`` byte ranges of about equal
-    size, ``k`` the smaller of the CPUs this process may use and the
-    body's size in ``_PARSE_CHUNK`` (1 MiB) units, at least one, and parsed
-    by ``_fork.map_parts``; below two chunks (2 MiB) the one range is
-    parsed here.  A pipe is read once, whole, and every parser below reads
+    the header is cut at line ends into the byte ranges of ``_fork.cuts``
+    with a floor of ``_PARSE_CHUNK`` (1 MiB), and parsed by
+    ``_fork.map_parts``; below two chunks (2 MiB) the one range is parsed
+    here.  A pipe is read once, whole, and every parser below reads
     those bytes.  A file whose line ends are all bare carriage returns (no
     line feed in it) is read whole too, with those made line feeds.  Bytes
     in memory are cut into ranges as a file's are, and a forked child
@@ -357,16 +352,15 @@ def _line_ranges(handle) -> list[tuple[int, int]]:
     regular file or bytes in memory, at line ends into about equal runs of
     whole lines, one per process.  The handle is left where it was."""
     start, size = handle.tell(), handle.seek(0, io.SEEK_END)
-    k = max(1, min(_workers(), (size - start) // _PARSE_CHUNK))
-    cuts = [start]
-    for i in range(1, k):
-        handle.seek(start + i * (size - start) // k)
+    bounds = [start]
+    for offset, _ in cuts(size - start, _PARSE_CHUNK)[1:]:
+        handle.seek(start + offset)
         handle.readline()  # to the end of the line the seek landed in
-        if cuts[-1] < handle.tell() < size:
-            cuts.append(handle.tell())
-    cuts.append(size)
+        if bounds[-1] < handle.tell() < size:
+            bounds.append(handle.tell())
+    bounds.append(size)
     handle.seek(start)
-    return [(a, b - a) for a, b in zip(cuts, cuts[1:])]
+    return [(a, b - a) for a, b in zip(bounds, bounds[1:])]
 
 
 def _parse_body(handle, path, width: int, encoding: str):
@@ -543,17 +537,15 @@ def write_csv(data: Dataset, path) -> None:
     """Write a dataset as a strict numeric CSV that ``load_csv`` round-trips.
 
     Floats are written with ``repr`` so the round trip is exact.  The rows
-    are cut into ``k`` contiguous ranges of about equal length, ``k`` the
-    smallest of the CPUs this process may use, the number of rows, and the
-    cell count in ``_FORMAT_CHUNK`` units (at least one), and formatted by
-    ``_fork.map_parts``: this process formats the first range into the
-    file, then copies each child's bytes after it, in order.  Every range
-    is formatted by the same code, so the bytes do not depend on ``k``.
+    are cut into the ranges of ``_fork.cuts``, each of at least
+    ``_FORMAT_CHUNK`` cells, and written by ``_fork.stream_parts``: this
+    process formats the first range into the file, then copies each
+    child's bytes after it, in order.  Every range is formatted by the
+    same code, so the bytes do not depend on the split.
 
     An output that is not a regular file (a pipe, a terminal) is one range.
-    When a child fails, the file is cut back to where that child's range
-    began and the rest is formatted here, so the bytes are the same
-    whatever failed.
+    When a child fails, the file is cut back to the first row and every
+    row is formatted here, so the bytes are the same whatever failed.
     """
     encoding = locale.getpreferredencoding(False)  # as open() encodes
     header = io.StringIO()
@@ -564,39 +556,32 @@ def write_csv(data: Dataset, path) -> None:
 
 
 def _row_ranges(handle, values: np.ndarray) -> list[tuple[int, int]]:
-    """[start, stop) row ranges that cut ``values`` into about equal runs,
-    one per process; one range for anything but a regular file."""
+    """The ``_fork.cuts`` [start, stop) row ranges of ``values``, each of
+    at least ``_FORMAT_CHUNK`` cells; one range for anything but a regular
+    file."""
     n, p = values.shape
-    k = (max(1, min(_workers(), n, n * p // _FORMAT_CHUNK))
-         if _is_file(handle) else 1)
-    cuts = [i * n // k for i in range(k + 1)]
-    return list(zip(cuts, cuts[1:]))
+    return cuts(n, -(-_FORMAT_CHUNK // p)) if _is_file(handle) else [(0, n)]
 
 
 def _write_rows(handle, values: np.ndarray, encoding: str) -> None:
-    """Write the CSV lines of ``values`` to ``handle``: ranges after the
-    first formatted by forked children and copied in order, and from the
-    first range that failed on, the file cut back and formatted here."""
+    """Write the CSV lines of ``values`` to ``handle`` by
+    ``_fork.stream_parts``; when a child fails, cut the file back to the
+    first row and format every row here."""
     ranges = _row_ranges(handle, values)
-    marks: list[int] = []  # where each child's bytes begin
+    first = handle.tell() if len(ranges) > 1 else None  # a pipe cannot tell
 
     def format_here(bounds):
         handle.writelines(_row_blocks(values[slice(*bounds)], encoding))
-        return True
 
-    def copy(fd):
-        marks.append(handle.tell())
-        return _copy_payload(fd, handle.write) or None
-
-    done = map_parts(
-        ranges, format_here,
-        lambda bounds: _format_rows(values[slice(*bounds)], encoding), copy)
-    if None in done:
-        kept = done.index(None)  # a child's range, never the first
-        handle.seek(marks[kept - 1])
+    try:
+        stream_parts(
+            ranges, format_here,
+            lambda bounds: _format_rows(values[slice(*bounds)], encoding),
+            handle.write)
+    except ChildProcessError:  # only a regular file, which can be cut back
+        handle.seek(first)
         handle.truncate()
-        for bounds in ranges[kept:]:
-            format_here(bounds)
+        format_here((0, len(values)))
 
 
 def _row_blocks(values: np.ndarray, encoding: str):

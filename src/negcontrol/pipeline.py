@@ -5,9 +5,10 @@ aggregate their pairwise effect estimates.
 ``dance`` subcommand: it never exits or prints, it just returns the search
 report together with the aggregated estimate (or ``None`` when the search
 comes back empty, so callers can branch on "no valid negative controls").
-It checks its run plan and options once, before any work, and then runs
-the one search kernel (``search._report``) and the one aggregation step
-(``aggregate._aggregate``) on the pair plan of the triples that passed.
+It checks its run plan and options once, before any work, and then
+composes the public stages: ``find_nc`` on the plan's candidates,
+``enumerate_pairs`` of the triples that passed, and ``weighted_estimate``
+or ``majority_vote_estimate`` of those pairs.
 """
 from __future__ import annotations
 
@@ -17,12 +18,13 @@ from dataclasses import dataclass
 
 from .aggregate import (
     AggregateResult,
-    _aggregate,
     _check_interval_options,
-    _triples_plan,
+    enumerate_pairs,
+    majority_vote_estimate,
+    weighted_estimate,
 )
-from .data import Dataset, covariance
-from .search import FindNcReport, _report, _search_plan
+from .data import Dataset
+from .search import FindNcReport, _search_plan, find_nc
 
 __all__ = ["DanceResult", "dance"]
 
@@ -87,17 +89,17 @@ def dance(
     candidate, UnknownVariableError when a role is no column.
     """
     covariates = tuple(covariates)
-    plan = _search_plan(data.variable_names, candidates, treatment, outcome,
-                        data.n, alpha, covariates)
+    names, _, alpha = _search_plan(data.variable_names, candidates, treatment,
+                                   outcome, data.n, alpha, covariates)
     _check_interval_options(aggregate, ci_method, bootstrap_draws,
                             bootstrap_ci, seed)
-    report = _report(covariance(data), data.n, plan, treatment, outcome)
-    passed = report.passed
-    if not passed.any():
+    report = find_nc(data, names, treatment, outcome, alpha)
+    if not report.passed.any():
         return DanceResult(report=report, estimate=None)
-    names, triples, _ = plan
-    estimate = _aggregate(
-        data, names, *_triples_plan(triples[passed], len(names), aggregate),
-        (treatment, outcome, covariates), aggregate, ci_method,
-        bootstrap_draws, bootstrap_ci, seed)
-    return DanceResult(report=report, estimate=estimate)
+    table = enumerate_pairs(report.dncts)
+    if aggregate == "majority":
+        return DanceResult(report, majority_vote_estimate(
+            data, table, treatment, outcome, covariates))
+    return DanceResult(report, weighted_estimate(
+        data, table, treatment, outcome, covariates, ci_method,
+        bootstrap_draws, bootstrap_ci, seed))

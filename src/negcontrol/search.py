@@ -11,8 +11,8 @@ The six-test set is closed under permutations of the triple, so verdicts do
 not depend on the order candidates are written in; triples are canonicalized
 (sorted) before testing.
 
-Every search runs through one kernel, ``_sub_tests``: ``find_nc``,
-``dnct_validate`` and ``dance`` through ``_report``, and each pass of a
+Every search runs through one kernel, ``_sub_tests``: ``find_nc`` (and
+so ``dance``) and ``dnct_validate`` through ``_report``, and each pass of a
 replication study on its stack of covariance matrices.  It lays out the
 six sub-tests of every triple and runs them in one batched pass on the
 correlation matrix (``tetrad._wishart_batch``), so verdicts do not depend
@@ -34,14 +34,12 @@ first access.  The report's JSON is streamed straight from them in blocks
 of ``_JSON_BLOCK`` triples, each block one ``%`` of a fixed template, so
 the text is byte-identical to ``json.dumps`` of ``to_json_dict`` and the
 writer's memory does not grow with the report.  Formatting the numbers
-holds the interpreter lock, so the verdict list is cut into runs of whole
-blocks, one per CPU and at least ``_FORK_BLOCKS`` blocks each, and
-``_fork.map_parts`` formats the runs after the first in forked children.
-This process streams the first run and then copies each child's text, in
-order.  Every run is formatted by the same templates, so the bytes do not
-depend on the split; a run whose child sent nothing is formatted here, and
-a child that failed once its text began to go out raises
-``ChildProcessError``.
+holds the interpreter lock, so the verdict list is cut by ``_fork.cuts``
+into runs of whole blocks, at least ``_FORK_BLOCKS`` blocks each, and
+written by ``_fork.stream_parts``: forked children format the runs after
+the first while this process streams it, and then it copies each child's
+text, in order.  Every run is formatted by the same templates, so the
+bytes do not depend on the split.
 """
 from __future__ import annotations
 
@@ -55,7 +53,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from ._fork import _copy_payload, _workers, map_parts
+from ._fork import cuts, stream_parts
 from .data import CovMatrix, Dataset, covariance
 from .errors import TooFewCandidatesError, UnknownVariableError
 from .estimate import _check_distinct
@@ -185,14 +183,10 @@ def _write_list(write, one: str, blocks, close: str) -> None:
 
 
 def _runs(t: int) -> list[tuple[int, int]]:
-    """[start, stop) ranges of whole ``_JSON_BLOCK``s that cut ``t``
-    triples into runs of about equal length, the first no shorter than the
-    others, one per process and each at least ``_FORK_BLOCKS`` blocks: one
-    range below twice that."""
-    blocks = -(-t // _JSON_BLOCK)
-    k = max(1, min(_workers(), blocks // _FORK_BLOCKS))
-    cuts = [min(-(-i * blocks // k) * _JSON_BLOCK, t) for i in range(k + 1)]
-    return list(zip(cuts, cuts[1:]))
+    """[start, stop) ranges of ``t`` triples: the ``_fork.cuts`` of their
+    whole ``_JSON_BLOCK``s, each run at least ``_FORK_BLOCKS`` blocks."""
+    return [(a * _JSON_BLOCK, min(b * _JSON_BLOCK, t))
+            for a, b in cuts(-(-t // _JSON_BLOCK), _FORK_BLOCKS)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,11 +369,9 @@ class FindNcReport:
     def _write_verdicts(self, write, one: str, names, roles,
                         passed) -> None:
         """Write the verdict list up to its closing bracket, in
-        ``_runs`` of whole blocks: this process streams the first run as
-        ``_write_list`` does while forked children format the others, and
-        then copies each child's text through ``write``, in order.  A child
-        that sent nothing has its run formatted here; one that failed once
-        its text began to be written raises ``ChildProcessError``."""
+        ``_runs`` of whole blocks, by ``_fork.stream_parts``: this process
+        streams the first run as ``_write_list`` does while forked children
+        format the others."""
 
         def texts(run):
             start, stop = run
@@ -393,27 +385,10 @@ class FindNcReport:
         def here(run):
             for text in texts(run):
                 write(text)
-            return True
 
-        runs = _runs(len(self.triples))
-        later, redone = iter(runs[1:]), []
-
-        def copy(fd):
-            run = next(later)
-            copied = _copy_payload(fd,
-                                   lambda piece: write(str(piece, "ascii")))
-            if copied is None:  # the child failed before sending
-                redone.append(run)
-                return here(run)
-            if not copied:
-                raise ChildProcessError("a forked part of the report ended "
-                                        "early")
-            return True
-
-        done = map_parts(runs, here,
-                         lambda run: "".join(texts(run)).encode("ascii"), copy)
-        if any(not ok and run not in redone for ok, run in zip(done, runs)):
-            raise ChildProcessError("a forked part of the report failed")
+        stream_parts(_runs(len(self.triples)), here,
+                     lambda run: "".join(texts(run)).encode("ascii"),
+                     lambda piece: write(str(piece, "ascii")))
 
     def _verdict_fields(self, names, roles, passed, start: int,
                         stop: int) -> np.ndarray:

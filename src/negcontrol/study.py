@@ -47,7 +47,7 @@ import numpy as np
 import numpy.random  # noqa: F401  loaded on import, not on the first draw
 
 from .aggregate import _triples_plan
-from ._fork import _receive_bytes, _workers, map_parts
+from ._fork import _receive_bytes, cuts, map_parts
 from .data import _centre, _covariance_entries
 from .estimate import DELTA_INDEX, _fit_stack, _interval
 from .search import _search_plan, _sub_tests
@@ -395,8 +395,7 @@ def _run_jobs(run_pass, jobs: list) -> list:
     set order, in the ``k`` processes ``run_study`` describes, each part run by
     ``_run_part``.  The jobs are dealt out in turn, ``jobs[i::k]``, so every
     part holds the same mix of sample sizes."""
-    k = max(1, min(_workers(), len(jobs),
-                   sum(n for n, _ in jobs) // _STUDY_CHUNK))
+    k = min(len(cuts(sum(n for n, _ in jobs), _STUDY_CHUNK)), len(jobs))
     try:
         return _run_parts(run_pass, [jobs[i::k] for i in range(k)])
     except Exception:
@@ -458,16 +457,15 @@ def run_study(config: StudyConfig) -> StudyResult:
     The replications of each sample size run in stacked passes of at most
     ``_STUDY_CHUNK`` (16 384) simulated rows, at least one replication a
     pass; see the module docstring.  The replications are dealt out in
-    turn into ``k`` parts, ``k`` the smallest of the CPUs this process may
-    use (``os.sched_getaffinity``, which ``taskset`` limits), the number of
-    replications, and their total rows in ``_STUDY_CHUNK`` units (at least
-    one), so a study of fewer than ``2 * _STUDY_CHUNK`` rows forks nothing;
-    ``_fork.map_parts`` runs the parts.  A part whose child failed runs
-    again in this process.  Should a pass raise, the replications run
-    again in order, one a pass, so the exception is the one a serial loop
-    raises first.  Each replication is seeded alone, and gets the same
-    bits in a stack as alone, so the result depends neither on ``k`` nor
-    on the passes.  Each pass returns its results as columns
+    turn into ``k`` parts, ``k`` the number of runs ``_fork.cuts`` makes of
+    their total rows with a floor of ``_STUDY_CHUNK``, at most one a
+    replication, so a study of fewer than ``2 * _STUDY_CHUNK`` rows forks
+    nothing; ``_fork.map_parts`` runs the parts.  A part whose child
+    failed runs again in this process.  Should a pass raise, the
+    replications run again in order, one a pass, so the exception is the
+    one a serial loop raises first.  Each replication is seeded alone, and
+    gets the same bits in a stack as alone, so the result depends neither
+    on ``k`` nor on the passes.  Each pass returns its results as columns
     (``_run_pass``); the columns of each sample size are joined and put in
     replication order by one ``argsort``.
     """

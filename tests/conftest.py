@@ -50,7 +50,7 @@ def study_passes(monkeypatch):
 
     def split(budget, workers):
         monkeypatch.setattr("negcontrol.study._STUDY_CHUNK", budget)
-        monkeypatch.setattr("negcontrol.study._workers", lambda: workers)
+        monkeypatch.setattr("negcontrol._fork._workers", lambda: workers)
 
     return split
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from negcontrol import aggregate
+from negcontrol import _fork, aggregate
 from negcontrol._fork import map_parts
 from negcontrol.data import Dataset, covariance
 from negcontrol.errors import (
@@ -423,7 +423,7 @@ def test_bootstrap_draws_do_not_depend_on_the_split(simple_data, simple_truth,
     calls = _counting_parts(monkeypatch)
     runs = []
     for k in (1, 2, 3):
-        monkeypatch.setattr(aggregate, "_workers", lambda k=k: k)
+        monkeypatch.setattr(_fork, "_workers", lambda k=k: k)
         runs.append(_bootstrap_se(xc, layout, weights, draws, 7).tobytes())
     assert runs[1] == runs[0] and runs[2] == runs[0]
     # 5 draws stay in this process on any CPU count; 17 and 40 split
@@ -440,9 +440,9 @@ def test_bootstrap_reruns_the_part_of_a_failed_child(simple_data,
                                                      simple_truth,
                                                      monkeypatch):
     xc, layout, weights = _boot_inputs(simple_data, simple_truth[0])
-    monkeypatch.setattr(aggregate, "_workers", lambda: 1)
+    monkeypatch.setattr(_fork, "_workers", lambda: 1)
     serial = _bootstrap_se(xc, layout, weights, 17, 3)
-    monkeypatch.setattr(aggregate, "_workers", lambda: 3)
+    monkeypatch.setattr(_fork, "_workers", lambda: 3)
     monkeypatch.setattr(
         aggregate, "map_parts",
         lambda parts, here, child, receive: map_parts(parts, here, _exit_3,
@@ -466,13 +466,13 @@ def _degenerate_inputs():
 @needs_fork
 def test_bootstrap_names_the_degenerate_slot_of_a_child(monkeypatch):
     xc, layout, weights = _degenerate_inputs()
-    monkeypatch.setattr(aggregate, "_workers", lambda: 1)
+    monkeypatch.setattr(_fork, "_workers", lambda: 1)
     with pytest.raises(BootstrapDegenerateError, match="slot 12 "):
         _bootstrap_se(xc, layout, weights, 20, 1)
     # slots 0-9 run here and 10-19 in a child, which fails at slot 12;
     # the part runs again here and raises what the serial loop raises
     calls = _counting_parts(monkeypatch)
-    monkeypatch.setattr(aggregate, "_workers", lambda: 2)
+    monkeypatch.setattr(_fork, "_workers", lambda: 2)
     with pytest.raises(BootstrapDegenerateError, match="slot 12 "):
         _bootstrap_se(xc, layout, weights, 20, 1)
     assert [part is None for part in calls[0]] == [False, True]

@@ -7,6 +7,7 @@ are checked against the schemas shipped in ``schema/``.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 from pathlib import Path
@@ -21,7 +22,8 @@ from negcontrol.aggregate import (
     majority_vote_estimate,
     weighted_estimate,
 )
-from negcontrol import search, simulate, study
+from negcontrol import _fork, search, simulate, study
+from negcontrol import data as data_module
 from negcontrol.cli import main
 from negcontrol.data import Dataset, load_csv, write_csv
 from negcontrol.pipeline import dance
@@ -120,6 +122,40 @@ def test_simulate_custom_graph_file(tmp_path, sim_csv):
 
 def test_simulate_bad_graph_name():
     assert main(["simulate", "--graph", "mega", "--n", "50", "--out", "x.csv"]) in (1, 2)
+
+
+def test_simulate_failed_write_leaves_no_partial_csv(tmp_path, monkeypatch,
+                                                     capsys):
+    # the disk fills after the first block of rows: a partial CSV would
+    # still load, as a shorter dataset
+    def blocks(values, encoding):
+        yield next(real_blocks(values, encoding))
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    real_blocks = data_module._row_blocks
+    monkeypatch.setattr(data_module, "_row_blocks", blocks)
+    monkeypatch.setattr(_fork, "_workers", lambda: 1)
+    out, manifest = tmp_path / "sim.csv", tmp_path / "manifest.json"
+    assert main(["simulate", "--graph", "simple", "--n", "20000", "--seed",
+                 "1", "--out", str(out), "--manifest", str(manifest)]) == 1
+    assert not out.exists()
+    assert not manifest.exists()
+    assert capsys.readouterr().err == (
+        "error: [Errno 28] No space left on device\n")
+
+
+def test_simulate_leaves_a_file_it_could_not_open(tmp_path, monkeypatch):
+    # an output the write never opened was never written, so it stays
+    out = tmp_path / "sim.csv"
+    out.write_text("an earlier dataset")
+
+    def refused(path, *args, **kwargs):
+        raise PermissionError(errno.EACCES, "Permission denied", path)
+
+    monkeypatch.setattr(data_module, "open", refused, raising=False)
+    assert main(["simulate", "--graph", "simple", "--n", "50", "--out",
+                 str(out)]) == 1
+    assert out.read_text() == "an earlier dataset"
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +571,7 @@ def test_split_report_goes_out_as_json_dumps(tmp_path, golden_csvs, capsys,
     # the 10 triples of the constant CSV, one a block, in k forked runs;
     # the CSV is parsed in one process
     split_report(monkeypatch, k, 1)
-    monkeypatch.setattr("negcontrol.data._workers", lambda: 1)
+    monkeypatch.setattr("negcontrol.data._PARSE_CHUNK", 1 << 40)
     path = golden_csvs["constant"]
     data = load_csv(path)
     result = (find_nc(data, None, "T", "O") if command == "find"
@@ -558,7 +594,7 @@ def test_split_report_short_payload_exit_1_and_no_file(
         tmp_path, golden_csvs, capsys, monkeypatch, command):
     # the first child announces its text and sends half of it
     split_report(monkeypatch, 2, 1)
-    monkeypatch.setattr("negcontrol.data._workers", lambda: 1)
+    monkeypatch.setattr("negcontrol.data._PARSE_CHUNK", 1 << 40)
     forked = _count_forks(monkeypatch)
 
     def send(fd, payload):
@@ -575,7 +611,7 @@ def test_split_report_short_payload_exit_1_and_no_file(
     assert len(forked) == 1
     assert not out.exists()
     assert capsys.readouterr().err == (
-        "error: a forked part of the report ended early\n")
+        "error: a forked part of the output ended early\n")
 
 
 def _fail_after_first_block(monkeypatch, error):
@@ -683,7 +719,7 @@ def test_evaluate_split_study_matches_one_process(tmp_path, monkeypatch):
     for tag in ("forked", "one-process"):
         with monkeypatch.context() as mp:
             if tag == "forked":
-                mp.setattr(study, "_workers", lambda: 2)
+                mp.setattr(_fork, "_workers", lambda: 2)
                 mp.setattr(os, "fork",
                            lambda: forks.append(1) or real_fork())
             else:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from negcontrol import search
+from negcontrol import _fork, search
 from negcontrol._fork import _send
 from negcontrol.pipeline import DanceResult
 from negcontrol.search import FindNcReport, find_nc
@@ -210,7 +210,7 @@ def split_report(mp, k, block):
     triples, or one run a block if fewer."""
     mp.setattr(search, "_JSON_BLOCK", block)
     mp.setattr(search, "_FORK_BLOCKS", 1)
-    mp.setattr(search, "_workers", lambda: k)
+    mp.setattr(_fork, "_workers", lambda: k)
 
 
 def _all_failing(report):
@@ -252,9 +252,9 @@ def test_split_report_matches_json_dumps(monkeypatch, which, k, block):
 def test_runs_split_find_wide_and_not_a_dance_report(monkeypatch):
     # 4 060 triples (30 candidates) make two runs on 2 CPUs; 35 triples
     # (7 candidates) make one on any number
-    monkeypatch.setattr(search, "_workers", lambda: 2)
+    monkeypatch.setattr(_fork, "_workers", lambda: 2)
     assert search._runs(4060) == [(0, 2048), (2048, 4060)]
-    monkeypatch.setattr(search, "_workers", lambda: 64)
+    monkeypatch.setattr(_fork, "_workers", lambda: 64)
     assert search._runs(35) == [(0, 35)]
 
 
@@ -270,7 +270,7 @@ def test_report_below_two_runs_of_the_floor_forks_nothing(monkeypatch,
         report, **{name: getattr(report, name)[:triples]
                    for name in ("triples", "d_hat", "sigma_hat", "w", "p")})
     monkeypatch.setattr(search, "_JSON_BLOCK", 1)
-    monkeypatch.setattr(search, "_workers", lambda: 4)
+    monkeypatch.setattr(_fork, "_workers", lambda: 4)
     forked = _count_forks(monkeypatch)
     assert report.to_json() == _reference(report.to_json_dict())
     assert len(forked) == (triples >= 2 * search._FORK_BLOCKS)

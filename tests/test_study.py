@@ -486,7 +486,7 @@ def test_naive_fit_matches_raw_ols(simple_data, covariates):
 def _force_split(mp, k):
     """Run every study in ``min(k, jobs)`` parts, whatever its size."""
     mp.setattr("negcontrol.study._STUDY_CHUNK", 1)
-    mp.setattr("negcontrol.study._workers", lambda: k)
+    mp.setattr("negcontrol._fork._workers", lambda: k)
 
 
 def _split_config(**overrides):
@@ -692,7 +692,7 @@ def test_split_study_raises_the_serial_exception(monkeypatch, raising):
 )
 def test_study_under_the_floor_forks_nothing(monkeypatch, config):
     # a fork costs more than a part of fewer than _STUDY_CHUNK rows saves
-    monkeypatch.setattr("negcontrol.study._workers", lambda: 4)
+    monkeypatch.setattr("negcontrol._fork._workers", lambda: 4)
     forks = []
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or _no_fork())
     run_study(config)
@@ -736,7 +736,7 @@ def per_replication_outputs(tmp_path_factory):
     per-replication loop."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("negcontrol.study._STUDY_CHUNK", 1)
-        mp.setattr("negcontrol.study._workers", lambda: 1)
+        mp.setattr("negcontrol._fork._workers", lambda: 1)
         return {
             name: _outputs(_pass_config(**overrides),
                            tmp_path_factory.mktemp(name))
