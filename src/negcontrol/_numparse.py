@@ -1,32 +1,58 @@
-"""Plain decimal CSV cells read exactly with numpy alone, without strtod.
+"""CSV cells read and written exactly with numpy alone, without strtod
+or repr.
 
-``parse_lines(piece, width)`` reads a piece of whole CSV lines into a
-(rows, width) float array whose every value is bit for bit what ``float``
-gives for its cell, or returns None for a piece that only a slower parser
-may read.  A plain cell is an optional leading ``-``, then digits with at
-most one ``.`` among them, 1 to 19 digits in all.  Its digits, read as
-little-endian 8-byte words from a copy of the piece, are folded by the
-SWAR multiply-shift steps x10, x100 and x10^4 into one exact integer
-``M < 10**19`` with ``k`` digits after the dot, and the cell's value is
-``longdouble(M) / longdouble(10**k)`` cast to float64.
+Both directions run only where ``exact_division`` holds: long double is
+the x87 extended format (a 64-bit significand) and the text encoding reads
+ASCII bytes as ASCII.  Elsewhere the callers keep ``np.loadtxt`` and
+``repr``.
 
-That value is exact where long double is the x87 extended format (a
-64-bit significand): ``M`` and ``10**k`` (``5**19 < 2**64``) are exact in
-it, and the division is rounded once, correctly, to 64 bits.  The cast to
-53 bits rounds a second time, and can only differ from one correct
-rounding when the 64-bit quotient lies exactly halfway between two
-doubles, its low 11 bits ``0x400``.  Such a cell, and any cell that is not
-plain (an exponent, a ``+``, a space or ``_``, a second dot or an inner
-sign, more than 19 digits, no digit), is read by ``float`` itself.  So
-every value is the correctly rounded one that ``float`` gives.
+Reading.  ``parse_lines(piece, width)`` reads a piece of whole CSV lines
+into a (rows, width) float array whose every value is bit for bit what
+``float`` gives for its cell, or returns None for a piece that only a
+slower parser may read.  A plain cell is an optional leading ``-``, then
+digits with at most one ``.`` among them, 1 to 19 digits in all.  Its
+digits, read as little-endian 8-byte words from a copy of the piece, are
+folded by the SWAR multiply-shift steps x10, x100 and x10^4 into one exact
+integer ``M < 10**19`` with ``k`` digits after the dot, and the cell's
+value is ``longdouble(M) / longdouble(10**k)`` cast to float64.
+
+That value is exact: ``M`` and ``10**k`` (``5**19 < 2**64``) are exact in
+long double, and the division is rounded once, correctly, to 64 bits.
+The cast to 53 bits rounds a second time, and can only differ from one
+correct rounding when the 64-bit quotient lies exactly halfway between
+two doubles, its low 11 bits ``0x400``.  Such a cell, and any cell that is
+not plain (an exponent, a ``+``, a space or ``_``, a second dot or an
+inner sign, more than 19 digits, no digit), is read by ``float`` itself.
+So every value is the correctly rounded one that ``float`` gives.
 
 A piece is refused (None) when it holds a byte outside ASCII, a carriage
 return not followed by a line feed, a blank or ragged line, a cell
 ``float`` rejects, or a non-finite value; when more than one cell in
 ``_FLOAT_SHARE`` is not plain, which ``np.loadtxt`` reads faster than a
-loop of ``float``.  It must not be called where ``exact_division`` is
-False: long double is not x87 extended, or the text encoding does not
-read ASCII bytes as ASCII.
+loop of ``float``.
+
+Writing.  ``format_lines(block)`` writes a (rows, width) block of finite
+float64 cells as the bytes ``repr`` gives each, comma-joined, each row
+ended by CRLF.  repr writes the shortest digits that read back as x, the
+nearest such to x, in fixed form for decimal exponents -4 to 15 and in
+exponent form (``1e-05``, ``1.5e-30``, ``1e+16``) otherwise.  One long
+double product scales |x| to ``y = |x| * 10**s`` in [1e16, 1e17).  Where
+``10**s`` is exact (``s`` up to 27, which covers the fixed form) the
+product is rounded once, so ``y`` is within 2**-8 of its 17th digit's unit
+of the exact value; elsewhere the rounded ``10**s`` adds less than 2**-7.
+The 15-, 16- and 17-digit candidates are ``y``'s integer part rounded
+down or up to a multiple of 100, 10 or 1, by integer division; each reads
+back as x when its distance to ``y`` is under x's half-gap on that side,
+in the same units, with the lower half-gap halved at a power of two.  A
+normal double's gap is under a fifth of the spacing of 15-digit
+decimals, so at most one 15-digit candidate reads back and any shorter
+digits pad to it; of two 16- or 17-digit ones repr takes the nearer.
+Every decision closer to its bound than ``y``'s error, and every
+subnormal, whose gap may let fewer digits read back in more than one way,
+goes to ``repr``, so every byte is the byte repr writes.  The digits come
+from SWAR words, each cell's text is laid out from byte windows of them
+and masks from a table of layouts, and the texts are joined by windows
+written over the output in order.
 """
 from __future__ import annotations
 
@@ -66,9 +92,10 @@ _KEEP = {words: _keep_masks(words) for words in (1, 2, 3)}
 
 @functools.cache
 def exact_division(encoding: str) -> bool:
-    """Whether ``parse_lines`` may run here on text in ``encoding``: long
-    double is the 16-byte x87 extended format and rounds to its 64 bits,
-    and ``encoding`` reads every ASCII byte as that character."""
+    """Whether ``parse_lines`` and ``format_lines`` may run here on text
+    in ``encoding``: long double is the 16-byte x87 extended format and
+    rounds to its 64 bits, and ``encoding`` reads every ASCII byte as that
+    character."""
     longdouble = np.finfo(np.longdouble)
     ascii_ = bytes(range(128))
     try:
@@ -185,3 +212,289 @@ def _digits(buf: np.ndarray, end: np.ndarray, n: np.ndarray) -> np.ndarray:
     for j in range(2, words + 1):
         value += word[:, -j] * _POW10[8 * (j - 1)]
     return value
+
+
+
+# -- the write: float64 cells to the bytes repr gives ----------------------
+
+_TEXT = 24  # bytes of a cell's unsigned text and at least one NUL
+_CELL = 32  # digit-source bytes per cell: 8 NUL, 17 digit values, 7 NUL
+_FIXED = range(-4, 16)  # repr writes these decimal exponents without one
+_FRACTION = np.uint64((1 << 52) - 1)
+_UNIT = np.uint64(1 << 52)  # the implicit bit of a normal double
+_ONE = np.uint64(0x3FF0000000000000)  # the bits of 1.0
+_E17 = np.uint64(10 ** 17)
+_E16 = np.uint64(10 ** 16)
+_E8 = np.uint64(10 ** 8)
+# a scaled value's error in units of its 17th digit, inside which a
+# decision goes to repr: one rounding of |x| * 10**s to 64 bits below
+# 2**57 where 10**s is exact (5**27 < 2**64), 2**-8, and where not the
+# rounding of 10**s too, under 10**17 * 2**-64; the float64 half-gaps
+# add at most 2**-49
+_TOL_EXACT = 2.0 ** -8 + 2.0 ** -40
+_TOL_ROUNDED = 2.0 ** -6
+_EXACT_SCALES = range(0, 28)
+
+
+def _nearest(num: int, den: int) -> np.longdouble:
+    """The long double nearest ``num / den`` (ties to even), from a 64-bit
+    integer significand formed exactly."""
+    k = 64 - num.bit_length() + den.bit_length()
+    while True:
+        top, bottom = (num << k, den) if k >= 0 else (num, den << -k)
+        m, rem = divmod(top, bottom)
+        if m >> 64:
+            k -= 1
+        elif not m >> 63:
+            k += 1
+        else:
+            break
+    if 2 * rem > bottom or 2 * rem == bottom and m & 1:
+        m += 1
+        if m >> 64:
+            m, k = m >> 1, k - 1
+    return np.ldexp(np.longdouble(np.uint64(m)), -k)
+
+
+# scales 10**s for s = 16 - e over every decimal exponent e of a double,
+# -324 to 308, and one beyond each end
+_SCALES = range(16 - 309, 16 + 326)
+
+
+@functools.cache
+def _scales() -> np.ndarray:
+    """Long double ``10**s`` for each ``s`` in ``_SCALES``, each the
+    nearest to the exact power; built on first use, where long double is
+    x87 extended, since 10**341 overflows a float64."""
+    return np.array([_nearest(10 ** s, 1) if s >= 0 else _nearest(1, 10 ** -s)
+                     for s in _SCALES], dtype=np.longdouble)
+
+
+def _layouts():
+    """The text of a cell of ``d`` digits (1 to 17) at decimal exponent
+    ``e``, as windows of its digit values and constants, one layout each:
+    the ``_FIXED`` exponents' first (layout ``(e + 4) * 17 + d - 1``),
+    then the exponent form's (``340 + d - 1``).
+
+    Each table holds a 24-byte word a layout: ``low`` keeps the bytes
+    taken from the digits shifted right by ``shift`` bytes, ``high`` those
+    taken from them shifted one byte more (the digits after the dot), and
+    ``const`` is OR'ed in: the dot, zeros, and 0x30 at each digit's place,
+    which makes a digit value its ASCII digit.  ``length`` is the text's
+    length in bytes, without the exponent form's suffix."""
+    layouts = [(e, d) for e in _FIXED for d in range(1, 18)]
+    layouts += [(None, d) for d in range(1, 18)]
+    low, high, const, shift = [], [], [], []
+    for e, d in layouts:
+        if e is None:  # d.ddd, the exponent's text after the digits
+            split, text = (1, b"0." + b"0" * (d - 1)) if d > 1 else (_TEXT,
+                                                                    b"0")
+            move = 0
+        elif e < 0:  # 0.000ddd
+            split, text, move = _TEXT, b"0." + b"0" * (d - 1 - e), 1 - e
+        else:  # ddd.ddd or ddd00.0
+            split, move = e + 1, 0
+            text = b"0" * (e + 1) + b"." + b"0" * max(d - e - 1, 1)
+        low.append(b"\xff" * split + bytes(_TEXT - split))
+        high.append((bytes(split + 1) + b"\xff" * _TEXT)[:_TEXT])
+        const.append(text.ljust(_TEXT, b"\0"))
+        shift.append(move)
+    words = [np.frombuffer(b"".join(t), dtype=f"V{_TEXT}")
+             for t in (low, high, const)]
+    return (*words, np.array(shift, dtype=np.intp),
+            np.array([len(t.rstrip(b"\0")) for t in const], dtype=np.intp))
+
+
+_LOW, _HIGH, _CONST, _SHIFT, _LENGTH = _layouts()
+_SUFFIXES = range(-330, 320)
+_SUFFIX_TEXT = [f"e{e:+03d}".encode() for e in _SUFFIXES]
+_SUFFIX = np.frombuffer(b"".join(t.ljust(8, b"\0") for t in _SUFFIX_TEXT),
+                        dtype="V8")
+_SUFFIX_LENGTH = np.array([len(t) for t in _SUFFIX_TEXT], dtype=np.intp)
+
+
+def format_lines(block: np.ndarray) -> bytes:
+    """The CSV lines of ``block``, a (rows, width) array of finite floats:
+    each cell the bytes ``repr`` gives it, joined by commas, each row
+    ended by CRLF.  It must not be called where ``exact_division`` is
+    False: the scaled values would not be exact enough."""
+    rows, width = block.shape
+    x = np.ascontiguousarray(block, dtype=np.float64).ravel()
+    if not len(x):
+        return b""
+    digits, e, redo = _shortest(x)
+    text, length = _texts(digits, e)
+    redo = np.flatnonzero(redo)
+    if len(redo):
+        again = [repr(abs(v)).encode() for v in x[redo].tolist()]
+        text[redo] = np.frombuffer(
+            b"".join(t.ljust(_TEXT, b"\0") for t in again), dtype=text.dtype)
+        length[redo] = [len(t) for t in again]
+    # a sign byte, the text, then a comma, or CRLF after a row's last cell
+    minus = x.view(np.uint64) >> np.uint64(63)
+    sep = np.ones((rows, width), dtype=np.intp)
+    sep[:, -1] = 2
+    sep = sep.ravel()
+    stop = np.cumsum(minus.astype(np.intp) + length + sep)
+    end = stop - sep
+    start = end - length
+    out = np.empty(stop[-1] + _TEXT, dtype=np.uint8)
+    # each window writes its text and NULs over the start of the cells
+    # after it, which write after it, in order
+    _windows(out, _TEXT)[start] = text
+    out[start[minus.astype(bool)] - 1] = ord("-")
+    end = end.reshape(rows, width)
+    out[end[:, :-1]] = ord(",")
+    out[end[:, -1]] = ord("\r")
+    out[end[:, -1] + 1] = ord("\n")
+    return out[:stop[-1]].tobytes()
+
+
+def _windows(buf: np.ndarray, size: int) -> np.ndarray:
+    """Every ``size``-byte window of the uint8 array ``buf``, one a byte."""
+    return np.ndarray((len(buf) - size + 1,), dtype=f"V{size}",
+                      buffer=buf.data, strides=(1,))
+
+
+def _shortest(x: np.ndarray):
+    """The shortest digits that read back as each entry of ``x``, as repr
+    finds them: a 17-digit integer ``digits`` (with the trailing zeros
+    that pad shorter ones; 0 for a zero), the decimal exponent ``e`` of
+    its first digit, and ``redo``, the cells repr must write.
+
+    |x| is scaled by one long double product to ``y = |x| * 10**s`` in
+    [1e16, 1e17), so its integer part ``N`` and fraction ``r`` place x
+    between 17-digit integers.  The candidate of 15, 16 or 17 digits is
+    ``N`` rounded to the nearer multiple of 100, 10 or 1, and it reads
+    back as x when its distance to ``y`` is below x's half-gap on that
+    side, scaled alike: ``y / 2m`` for x's 53-bit significand ``m``,
+    halved below a power of two.  The nearest 15-digit candidate is the
+    only one that can read back, as a normal double's gap is under a
+    fifth of their spacing, and a shorter one pads to it; of two 16- or
+    17-digit ones that both read back repr takes the nearer.
+
+    A cell is redone when a decision lies within the scaled value's error
+    of its bound (``_TOL_EXACT``, or ``_TOL_ROUNDED`` where ``10**s`` is
+    not exact), or when it is subnormal, whose gap may let fewer than 15 digits read back in more
+    than one way."""
+    magnitude = x.view(np.uint64) & ~np.uint64(1 << 63)
+    zero = magnitude == 0
+    magnitude[zero] = _ONE  # scaled as 1.0, then written as 0.0
+    a = magnitude.view(np.float64)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    whole, r = _scaled(a, e)
+    off = (whole < _E16) | (whole >= _E17)  # log10 rounded past a power
+    if off.any():
+        e[off] += np.where(whole[off] >= _E17, 1, -1)
+        whole[off], r[off] = _scaled(a[off], e[off])
+        off = (whole < _E16) | (whole >= _E17)
+    fraction = magnitude & _FRACTION
+    exponent = magnitude >> np.uint64(52)
+    power = (fraction == 0) & (exponent > 1)  # x's lower gap is halved
+    above = whole.astype(np.float64)
+    above /= 2.0 * (fraction + (exponent > 0) * _UNIT).astype(np.float64)
+    below = above - power * (above / 2)
+    tol = _TOL_EXACT + (_TOL_ROUNDED - _TOL_EXACT) * (
+        (e > 16 - _EXACT_SCALES.start) | (e <= 16 - _EXACT_SCALES.stop))
+    redo = off | (exponent == 0) & ~zero
+    digits = np.zeros_like(whole)
+    open_ = ~zero  # cells whose length is not yet found
+    for unit in (100, 10, 1):  # 15, 16 and 17 digits
+        step = np.uint64(unit)
+        floor = whole // step * step if unit > 1 else whole
+        gone = (whole - floor).astype(np.float64) + r if unit > 1 else r
+        # each candidate's half-gap less its distance to y
+        down = below - gone
+        up = above - unit + gone
+        near = (np.abs(down) <= tol) | (np.abs(up) <= tol)
+        if unit < 100:  # both read back, and y is about as near to each
+            near |= ((down > -tol) & (up > -tol)
+                     & (np.abs(gone - unit / 2) <= tol))
+        redo |= open_ & near
+        down = down > 0
+        up = up > 0
+        if unit < 100:  # the nearer, of two that read back
+            up &= ~down | (gone > unit / 2)
+        fits = open_ & (down | up)
+        digits += fits * (floor + up * step)
+        open_ &= ~fits
+    redo |= open_
+    carry = digits == _E17
+    digits -= carry * (_E17 - _E16)
+    e += carry
+    e *= ~zero
+    return digits, e, redo
+
+
+def _scaled(a: np.ndarray, e: np.ndarray):
+    """``y = a * 10**(16 - e)``, one long double product, as its integer
+    part (uint64) and its fraction (float64, exact): read from the 64-bit
+    significand of ``y``, whose low ``63 - exponent`` bits are the
+    fraction."""
+    y = a.astype(np.longdouble)
+    y *= np.take(_scales(), 16 - e - _SCALES.start)
+    significand = y.view(np.uint64)[::2]
+    shift = (63 + 16383 - y.view(np.uint16)[4::8]).astype(np.uint64)
+    whole = significand >> shift
+    r = np.ldexp((significand - (whole << shift)).astype(np.float64),
+                 -shift.astype(np.int32))
+    return whole, r
+
+
+def _texts(digits: np.ndarray, e: np.ndarray):
+    """The unsigned text of each cell of 17-digit ``digits`` at decimal
+    exponent ``e``, as repr lays it out, NUL-padded to a ``_TEXT``-byte
+    void, and its length in bytes."""
+    n = len(digits)
+    first = digits // _E16
+    rest = digits - first * _E16
+    high = rest // _E8
+    words = _digit_words(np.stack([high, rest - high * _E8]))
+    # a word more, for the exponent's window after the last cell's digits
+    padded = np.zeros(n * _CELL // 8 + 1, dtype=np.uint64)
+    source = padded[:-1].reshape(n, _CELL // 8)
+    source[:, 1] = first | words[0] << np.uint64(8)
+    source[:, 2] = words[0] >> np.uint64(56) | words[1] << np.uint64(8)
+    source[:, 3] = words[1] >> np.uint64(56)
+    # the count of digits, to the last that is not 0: from the bit length
+    # of the two words as one 128-bit number, which a float's exponent
+    # gives, as each byte is below 16
+    span = words[1].astype(np.float64) * 2.0 ** 64 + words[0]
+    count = 1 + (np.frexp(span)[1] + 7) // 8
+    fixed = (e >= _FIXED.start) & (e < _FIXED.stop)
+    layout = np.where(fixed, (e - _FIXED.start) * 17, len(_FIXED) * 17)
+    layout += count - 1
+    length = np.take(_LENGTH, layout)
+    flat = padded.view(np.uint8)
+    where = np.arange(8, n * _CELL, _CELL)
+    power = np.flatnonzero(~fixed)
+    if len(power):  # the exponent's text, after the last digit
+        suffix = e[power] - _SUFFIXES.start
+        _windows(flat, 8)[where[power] + count[power]] = _SUFFIX[suffix]
+        length[power] += _SUFFIX_LENGTH[suffix]
+    where -= np.take(_SHIFT, layout)
+    windows = _windows(flat, _TEXT)
+    text = windows[where].view(np.uint64).reshape(n, 3)
+    text &= _words(_LOW, layout)
+    shifted = windows[where - 1].view(np.uint64).reshape(n, 3)
+    shifted &= _words(_HIGH, layout)
+    text |= shifted
+    text |= _words(_CONST, layout)
+    return text.view(f"V{_TEXT}").ravel(), length
+
+
+def _words(table: np.ndarray, layout: np.ndarray) -> np.ndarray:
+    """Each layout's 24-byte word of ``table`` as three uint64s."""
+    return np.take(table, layout).view(np.uint64).reshape(len(layout), 3)
+
+
+def _digit_words(v: np.ndarray) -> np.ndarray:
+    """The 8 decimal digits of each ``v < 10**8`` as byte values 0 to 9 of
+    a uint64, the first digit in the low byte: SWAR divisions by 10**4,
+    100 and 10 on every lane at once, each a multiply-shift."""
+    top = v // np.uint64(10 ** 4)
+    w = top | (v - top * np.uint64(10 ** 4)) << np.uint64(32)
+    q = w * np.uint64(10486) >> np.uint64(20) & np.uint64(0x0000007F0000007F)
+    w = q | (w - q * np.uint64(100)) << np.uint64(16)
+    q = w * np.uint64(103) >> np.uint64(10) & np.uint64(0x000F000F000F000F)
+    return q | (w - q * np.uint64(10)) << np.uint64(8)

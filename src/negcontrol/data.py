@@ -44,9 +44,16 @@ header holds a quote or a bare carriage return, is parsed again by the
 per-cell scan, which names the first bad cell; for a pipe the scan reads
 the bytes the parse read.
 
-Nearly all of a write goes to the shortest ``repr`` of each float, which
-holds the interpreter lock, so it splits at most one range per
-``_FORMAT_CHUNK`` cells: below that a fork costs more than it saves.
+A write gives every cell the bytes of its shortest ``repr``.  Where
+``exact_division`` holds, ``_numparse.format_lines`` writes them for a
+block of ``_WRITE_BLOCK`` rows at a time, with numpy alone: one long
+double product per cell scales it to 17 digits, integer division gives
+its 15-, 16- and 17-digit candidates, and a candidate reads back when it
+lies inside the cell's half-gaps by more than the product's error; any
+closer decision, and any subnormal, goes to ``repr``.  Elsewhere ``repr``
+writes every cell.  The formatting holds the interpreter lock, so a write
+splits at most one range per ``_FORMAT_CHUNK`` cells: below that a fork
+costs more than it saves.
 """
 from __future__ import annotations
 
@@ -82,11 +89,15 @@ __all__ = [
     "sub_determinant",
 ]
 
-_WRITE_BLOCK = 8192  # rows per tolist() in write_csv
-# cells per forked process in write_csv: 72k cells write in 38 ms as two
-# ranges against 59 ms as one, 18k cells in 15 ms either way (2 vCPUs,
+# rows per format_lines call in write_csv: one process writes the 200k-row
+# 9-column CSV in 333 ms at 2 048 rows a block, 348 ms at 1 024, 398 ms at
+# 512 and 428 ms at 4 096, and a block's temporaries peak at 3.7, 1.8, 0.9
+# and 7.3 MB, against 6.2 MB for a tolist() of 8 192 rows for repr
+_WRITE_BLOCK = 2048
+# cells per forked process in write_csv: 147k cells write in 33 ms as two
+# ranges against 40 ms as one, 74k cells in 25 ms against 21 ms (2 vCPUs,
 # a 150 MB process: the fork copies its page tables)
-_FORMAT_CHUNK = 1 << 15
+_FORMAT_CHUNK = 1 << 16
 # the body per forked process: a 3 MiB body parses in 20 ms as two ranges
 # against 25 ms as one (2 vCPUs)
 _PARSE_CHUNK = 1 << 20
@@ -536,8 +547,11 @@ def _scan_csv(source) -> Dataset:
 def write_csv(data: Dataset, path) -> None:
     """Write a dataset as a strict numeric CSV that ``load_csv`` round-trips.
 
-    Floats are written with ``repr`` so the round trip is exact.  The rows
-    are cut into the ranges of ``_fork.cuts``, each of at least
+    Each float is written as its ``repr`` so the round trip is exact: by
+    ``_numparse.format_lines``, ``_WRITE_BLOCK`` rows at a time, where long
+    double is x87 extended and the text encoding is ASCII compatible, and
+    by ``repr`` itself elsewhere; both write the same bytes.  The rows are
+    cut into the ranges of ``_fork.cuts``, each of at least
     ``_FORMAT_CHUNK`` cells, and written by ``_fork.stream_parts``: this
     process formats the first range into the file, then copies each
     child's bytes after it, in order.  Every range is formatted by the
@@ -586,12 +600,16 @@ def _write_rows(handle, values: np.ndarray, encoding: str) -> None:
 
 def _row_blocks(values: np.ndarray, encoding: str):
     """The encoded CSV lines of ``values``, ``_WRITE_BLOCK`` rows at a
-    time: one tolist() of a 200k-row set costs about 65 MB of Python
-    floats."""
+    time, each cell as ``repr`` writes it: by ``_numparse.format_lines``
+    where ``exact_division`` holds, else by ``repr`` itself."""
+    exact = _numparse.exact_division(encoding)
     for start in range(0, len(values), _WRITE_BLOCK):
-        block = values[start:start + _WRITE_BLOCK].tolist()
-        yield "".join([",".join(map(repr, row)) + "\r\n"
-                       for row in block]).encode(encoding)
+        block = values[start:start + _WRITE_BLOCK]
+        if exact:
+            yield _numparse.format_lines(block)
+        else:
+            yield "".join([",".join(map(repr, row)) + "\r\n"
+                           for row in block.tolist()]).encode(encoding)
 
 
 def _format_rows(values: np.ndarray, encoding: str) -> bytes:

@@ -53,6 +53,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from . import _numparse
 from ._fork import cuts, stream_parts
 from .data import CovMatrix, Dataset, covariance
 from .errors import TooFewCandidatesError, UnknownVariableError
@@ -133,11 +134,20 @@ def _bits(array: np.ndarray) -> tuple:
 def _numbers(array: np.ndarray, nonfinite) -> list[str]:
     """The JSON text of every entry of ``array``, row-major: its
     ``float.__repr__``, as ``json`` writes a finite float, or for an
-    infinite or NaN entry what ``nonfinite`` makes of it."""
-    values = array.ravel().tolist()
-    texts = list(map(float.__repr__, values))
-    for i in np.flatnonzero(~np.isfinite(array.ravel())).tolist():
-        texts[i] = nonfinite(values[i])
+    infinite or NaN entry what ``nonfinite`` makes of it.  The finite
+    entries are formatted by ``_numparse.format_lines`` where
+    ``exact_division`` holds, as one line of cells."""
+    values = array.ravel()
+    finite = np.isfinite(values)
+    if not len(values):
+        return []
+    if _numparse.exact_division("ascii"):
+        line = _numparse.format_lines(np.where(finite, values, 0.0)[None])
+        texts = line[:-2].decode("ascii").split(",")
+    else:
+        texts = list(map(float.__repr__, values.tolist()))
+    for i in np.flatnonzero(~finite).tolist():
+        texts[i] = nonfinite(float(values[i]))
     return texts
 
 

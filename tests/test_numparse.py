@@ -1,19 +1,27 @@
 """Tests for the exact decimal parse of CSV pieces (``negcontrol._numparse``)
-against ``float``, and for ``load_csv`` over each of its parse tiers against
-the per-cell scan."""
+against ``float``, for ``load_csv`` over each of its parse tiers against
+the per-cell scan, and for the vectorised write of CSV cells against
+``repr``."""
 
 from __future__ import annotations
 
+import ast
 import functools
+import json
+import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from negcontrol._numparse import exact_division, parse_lines
-from negcontrol.data import _scan_csv, load_csv
+from negcontrol import _numparse
+from negcontrol._numparse import exact_division, format_lines, parse_lines
+from negcontrol.data import Dataset, _scan_csv, load_csv, write_csv
+from negcontrol.search import _numbers
 from test_data import _outcome
 
 needs_x87 = pytest.mark.skipif(
@@ -322,3 +330,146 @@ def test_load_csv_matches_scan_on_every_tier(tmp_path_factory, raw, piece):
             for target, value in patches.items():
                 mp.setattr(target, value)
             assert _outcome(load_csv, path) == reference, tier
+
+
+# ---------------------------------------------------------------------------
+# format_lines against repr
+# ---------------------------------------------------------------------------
+
+# normal cells whose choice of digits lies within the scaled value's error
+# of its bound: with no margin the kernel writes other digits for each
+_CLOSE = [-1.762462046391296, 1.528330717803562, -2.258046968995157,
+          -0.4611668396584995, -1.093229365166, -3.394095430428507e-05,
+          -0.25568236188397647, 0.4062684534656891, 7509699.0206368975]
+
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+          2.225073858507201e-308, 1.7976931348623157e308,
+          -1.7976931348623157e308, 9.999999999999999e-05, 0.0001, 0.001,
+          9999999999999998.0, 1e16, 1e15, 123456789012345.67, 1e-05, 1.5e-30,
+          0.1, 0.5, 1.0, 2.0, 100.0, 1e22, 1e23, 5e-310]
+
+
+def _repr_lines(values) -> bytes:
+    """The reference: each row's cells by ``repr``, comma-joined, CRLF."""
+    return "".join(",".join(map(repr, row)) + "\r\n"
+                   for row in np.asarray(values).tolist()).encode()
+
+
+def _hard_doubles() -> np.ndarray:
+    """Random bit patterns, powers of two and of ten with the doubles
+    three steps either side of each, integers and short decimals."""
+    rng = np.random.default_rng(3)
+    bits = rng.integers(0, 2 ** 64, size=20_000, dtype=np.uint64)
+    families = [bits.view(np.float64),
+                rng.integers(-2 ** 53, 2 ** 53, size=5_000).astype(float),
+                np.array([round(v, k) for v, k in zip(
+                    rng.normal(scale=1e3, size=5_000).tolist(),
+                    rng.integers(0, 12, size=5_000).tolist())])]
+    for base in (2.0 ** np.arange(-1074, 1024), 10.0 ** np.arange(-323, 309)):
+        up = down = base
+        families.append(base)
+        for _ in range(3):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, 0)
+            families += [up, down]
+    values = np.concatenate(families)
+    return values[np.isfinite(values)]
+
+
+@needs_x87
+@settings(deadline=None, max_examples=300)
+@given(hnp.arrays(np.float64,
+                  hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+@example(np.array([[0.0, -0.0, 5e-324, -5e-324]]))
+@example(np.array([[1.7976931348623157e308], [-1.7976931348623157e308]]))
+@example(np.array([[2.0 ** k for k in (-1074, -1022, -1, 0, 1, 52, 53, 1023)]]))
+@example(np.array([[9.999999999999999e-05, 0.0001]]))
+@example(np.array([[9999999999999998.0, 1e16]]))
+def test_format_lines_writes_the_bytes_repr_gives(values):
+    assert format_lines(values) == _repr_lines(values)
+
+
+@needs_x87
+def test_format_lines_matches_repr_on_hard_doubles():
+    values = _hard_doubles()
+    values = values[:len(values) // 7 * 7].reshape(-1, 7)
+    assert format_lines(values) == _repr_lines(values)
+    assert format_lines(-values) == _repr_lines(-values)
+
+
+@needs_x87
+def test_format_lines_edges_and_empty_blocks():
+    assert format_lines(np.array([_EDGES])) == _repr_lines([_EDGES])
+    column = np.array(_EDGES)[:, None]
+    assert format_lines(column) == _repr_lines(column)
+    assert format_lines(np.empty((0, 3))) == b""
+    strided = np.arange(24.0).reshape(4, 6)[:, ::2] / 7
+    assert format_lines(strided) == _repr_lines(strided)
+
+
+@needs_x87
+def test_close_decisions_go_to_repr(monkeypatch):
+    values = np.array([_CLOSE])
+    assert _numparse._shortest(values.ravel().copy())[2].all()
+    assert format_lines(values) == _repr_lines(values)
+    monkeypatch.setattr(_numparse, "_TOL_EXACT", 0.0)
+    digits = format_lines(values)[:-2].split(b",")
+    assert all(got != repr(v).encode() for got, v in zip(digits, _CLOSE))
+
+
+@needs_x87
+def test_most_normal_cells_need_no_repr():
+    x = np.random.default_rng(4).normal(size=20_000)
+    assert np.count_nonzero(_numparse._shortest(x.copy())[2]) < 200
+
+
+@needs_x87
+def test_format_lines_raises_no_floating_point_warning():
+    values = np.concatenate([_hard_doubles(), _EDGES])
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        format_lines(values.reshape(1, -1))
+        _numbers(np.array([np.inf, -np.inf, np.nan, 1e300, 5e-324]),
+                 json.dumps)
+
+
+def test_numbers_are_the_json_of_each_float():
+    values = np.concatenate([_hard_doubles()[::50], _EDGES,
+                             [np.inf, -np.inf, np.nan]])
+    values = values[len(values) % 3:]
+    assert _numbers(values.reshape(-1, 3), json.dumps) == [
+        json.dumps(v) for v in values.tolist()]
+    assert _numbers(np.array([np.nan, 0.5]), lambda v: "null") == [
+        "null", "0.5"]
+    assert _numbers(np.empty((0, 6)), json.dumps) == []
+
+
+def test_without_exact_division_the_writers_use_repr(tmp_path, monkeypatch):
+    def refuse(block):
+        raise AssertionError("format_lines ran")
+
+    monkeypatch.setattr("negcontrol._numparse.exact_division",
+                        lambda encoding: False)
+    monkeypatch.setattr("negcontrol._numparse.format_lines", refuse)
+    values = np.array([_EDGES, _EDGES[::-1]])
+    write_csv(Dataset(tuple(f"c{i}" for i in range(len(_EDGES))), values),
+              tmp_path / "data.csv")
+    body = (tmp_path / "data.csv").read_bytes().split(b"\r\n", 1)[1]
+    assert body == _repr_lines(values)
+    assert _numbers(values, json.dumps) == [
+        json.dumps(v) for v in values.ravel().tolist()]
+
+
+# numpy attributes newer than the oldest numpy the package declares (1.23)
+_NEWER_NUMPY = {"bitwise_count", "bitwise_left_shift", "bitwise_right_shift",
+                "bitwise_invert", "concat", "pow", "astype", "unstack",
+                "cumulative_sum", "cumulative_prod", "isdtype", "vecdot",
+                "permute_dims", "matrix_transpose", "unique_values"}
+
+
+def test_numparse_uses_no_numpy_newer_than_declared():
+    source = Path(_numparse.__file__).read_text()
+    used = {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "np"}
+    assert not used & _NEWER_NUMPY
