@@ -217,8 +217,9 @@ def _digits(buf: np.ndarray, end: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 # -- the write: float64 cells to the bytes repr gives ----------------------
 
-_TEXT = 24  # bytes of a cell's unsigned text and at least one NUL
+_TEXT = 32  # bytes of a cell's text: sign, digits, exponent, separator
 _CELL = 32  # digit-source bytes per cell: 8 NUL, 17 digit values, 7 NUL
+_SEPARATORS = (b",", b"\r\n")  # after a cell, after a row's last cell
 _FIXED = range(-4, 16)  # repr writes these decimal exponents without one
 _FRACTION = np.uint64((1 << 52) - 1)
 _UNIT = np.uint64(1 << 52)  # the implicit bit of a normal double
@@ -226,11 +227,11 @@ _ONE = np.uint64(0x3FF0000000000000)  # the bits of 1.0
 _E17 = np.uint64(10 ** 17)
 _E16 = np.uint64(10 ** 16)
 _E8 = np.uint64(10 ** 8)
-# a scaled value's error in units of its 17th digit, inside which a
-# decision goes to repr: one rounding of |x| * 10**s to 64 bits below
-# 2**57 where 10**s is exact (5**27 < 2**64), 2**-8, and where not the
-# rounding of 10**s too, under 10**17 * 2**-64; the float64 half-gaps
-# add at most 2**-49
+# the most a scaled value can be off, in units of its 17th digit; a
+# decision nearer its bound than this goes to repr.  Where 10**s is exact
+# (s up to 27: 5**27 < 2**64) the product is rounded once to 64 bits below
+# 2**57, so by at most 2**-8; elsewhere the rounding of 10**s adds under
+# 10**17 * 2**-64 < 2**-7.  The half-gaps, in float64, add under 2**-49.
 _TOL_EXACT = 2.0 ** -8 + 2.0 ** -40
 _TOL_ROUNDED = 2.0 ** -6
 _EXACT_SCALES = range(0, 28)
@@ -266,48 +267,62 @@ def _scales() -> np.ndarray:
     """Long double ``10**s`` for each ``s`` in ``_SCALES``, each the
     nearest to the exact power; built on first use, where long double is
     x87 extended, since 10**341 overflows a float64."""
-    return np.array([_nearest(10 ** s, 1) if s >= 0 else _nearest(1, 10 ** -s)
-                     for s in _SCALES], dtype=np.longdouble)
+    scales = np.array([_nearest(10 ** s, 1) if s >= 0
+                       else _nearest(1, 10 ** -s) for s in _SCALES],
+                      dtype=np.longdouble)
+    scales.flags.writeable = False  # one array, shared by every call
+    return scales
 
 
 def _layouts():
     """The text of a cell of ``d`` digits (1 to 17) at decimal exponent
-    ``e``, as windows of its digit values and constants, one layout each:
-    the ``_FIXED`` exponents' first (layout ``(e + 4) * 17 + d - 1``),
-    then the exponent form's (``340 + d - 1``).
+    ``e``, with its sign and the separator after it, as windows of its
+    digit values and constants, one layout each: layout
+    ``(base * 2 + minus) * 2 + last`` for the base layout
+    ``(e + 4) * 17 + d - 1`` of a ``_FIXED`` exponent or ``340 + d - 1``
+    of the exponent form, ``minus`` 1 for a negative cell and ``last`` 1
+    for a row's last.
 
-    Each table holds a 24-byte word a layout: ``low`` keeps the bytes
-    taken from the digits shifted right by ``shift`` bytes, ``high`` those
-    taken from them shifted one byte more (the digits after the dot), and
-    ``const`` is OR'ed in: the dot, zeros, and 0x30 at each digit's place,
-    which makes a digit value its ASCII digit.  ``length`` is the text's
-    length in bytes, without the exponent form's suffix."""
-    layouts = [(e, d) for e in _FIXED for d in range(1, 18)]
-    layouts += [(None, d) for d in range(1, 18)]
+    Each table holds a ``_TEXT``-byte word a layout: ``low`` keeps the
+    bytes taken from the digits shifted right by ``shift`` bytes, ``high``
+    those taken from them shifted one byte more (the digits after the
+    dot), and ``const`` is OR'ed in: the sign, the dot, zeros, 0x30 at
+    each digit's place, which makes a digit value its ASCII digit, and
+    the separator.  The exponent form's suffix and separator are in the
+    digits, after the last.  ``length`` is the text's length in bytes,
+    without that suffix."""
     low, high, const, shift = [], [], [], []
-    for e, d in layouts:
-        if e is None:  # d.ddd, the exponent's text after the digits
-            split, text = (1, b"0." + b"0" * (d - 1)) if d > 1 else (_TEXT,
-                                                                    b"0")
-            move = 0
+    bases = [(e, d) for e in _FIXED for d in range(1, 18)]
+    for e, d in bases + [(None, d) for d in range(1, 18)]:
+        # the unsigned text, the dot's place (_TEXT: no dot after digits)
+        # and the digits' shift right
+        if e is None:  # d.ddd, or d alone
+            text, split, move = b"0." + b"0" * (d - 1), 1, 0
+            if d == 1:
+                text, split = b"0", _TEXT
         elif e < 0:  # 0.000ddd
-            split, text, move = _TEXT, b"0." + b"0" * (d - 1 - e), 1 - e
+            text, split, move = b"0." + b"0" * (d - 1 - e), _TEXT, 1 - e
         else:  # ddd.ddd or ddd00.0
-            split, move = e + 1, 0
             text = b"0" * (e + 1) + b"." + b"0" * max(d - e - 1, 1)
-        low.append(b"\xff" * split + bytes(_TEXT - split))
-        high.append((bytes(split + 1) + b"\xff" * _TEXT)[:_TEXT])
-        const.append(text.ljust(_TEXT, b"\0"))
-        shift.append(move)
-    words = [np.frombuffer(b"".join(t), dtype=f"V{_TEXT}")
-             for t in (low, high, const)]
+            split, move = e + 1, 0
+        for sign in (b"", b"-"):
+            cut = min(len(sign) + split, _TEXT)
+            for sep in _SEPARATORS:
+                low.append(b"\xff" * cut + bytes(_TEXT - cut))
+                high.append((bytes(cut + 1) + b"\xff" * _TEXT)[:_TEXT])
+                const.append(sign + text + (b"" if e is None else sep))
+                shift.append(move + len(sign))
+    words = [np.frombuffer(b"".join(t.ljust(_TEXT, b"\0") for t in table),
+                           dtype=f"V{_TEXT}") for table in (low, high, const)]
     return (*words, np.array(shift, dtype=np.intp),
-            np.array([len(t.rstrip(b"\0")) for t in const], dtype=np.intp))
+            np.array([len(t) for t in const], dtype=np.intp))
 
 
 _LOW, _HIGH, _CONST, _SHIFT, _LENGTH = _layouts()
 _SUFFIXES = range(-330, 320)
-_SUFFIX_TEXT = [f"e{e:+03d}".encode() for e in _SUFFIXES]
+# the exponent form's suffix, then a separator: row (e + 330) * 2 + last
+_SUFFIX_TEXT = [f"e{e:+03d}".encode() + sep for e in _SUFFIXES
+                for sep in _SEPARATORS]
 _SUFFIX = np.frombuffer(b"".join(t.ljust(8, b"\0") for t in _SUFFIX_TEXT),
                         dtype="V8")
 _SUFFIX_LENGTH = np.array([len(t) for t in _SUFFIX_TEXT], dtype=np.intp)
@@ -321,32 +336,22 @@ def format_lines(block: np.ndarray) -> bytes:
     rows, width = block.shape
     x = np.ascontiguousarray(block, dtype=np.float64).ravel()
     if not len(x):
-        return b""
+        return b"\r\n" * rows
     digits, e, redo = _shortest(x)
-    text, length = _texts(digits, e)
+    minus = (x.view(np.uint64) >> np.uint64(63)).astype(np.intp)
+    text, length = _texts(digits, e, minus, width)
     redo = np.flatnonzero(redo)
     if len(redo):
-        again = [repr(abs(v)).encode() for v in x[redo].tolist()]
+        again = [repr(v).encode() + _SEPARATORS[i % width == width - 1]
+                 for i, v in zip(redo.tolist(), x[redo].tolist())]
         text[redo] = np.frombuffer(
             b"".join(t.ljust(_TEXT, b"\0") for t in again), dtype=text.dtype)
         length[redo] = [len(t) for t in again]
-    # a sign byte, the text, then a comma, or CRLF after a row's last cell
-    minus = x.view(np.uint64) >> np.uint64(63)
-    sep = np.ones((rows, width), dtype=np.intp)
-    sep[:, -1] = 2
-    sep = sep.ravel()
-    stop = np.cumsum(minus.astype(np.intp) + length + sep)
-    end = stop - sep
-    start = end - length
+    stop = np.cumsum(length)
     out = np.empty(stop[-1] + _TEXT, dtype=np.uint8)
     # each window writes its text and NULs over the start of the cells
     # after it, which write after it, in order
-    _windows(out, _TEXT)[start] = text
-    out[start[minus.astype(bool)] - 1] = ord("-")
-    end = end.reshape(rows, width)
-    out[end[:, :-1]] = ord(",")
-    out[end[:, -1]] = ord("\r")
-    out[end[:, -1] + 1] = ord("\n")
+    _windows(out, _TEXT)[stop - length] = text
     return out[:stop[-1]].tobytes()
 
 
@@ -364,19 +369,19 @@ def _shortest(x: np.ndarray):
 
     |x| is scaled by one long double product to ``y = |x| * 10**s`` in
     [1e16, 1e17), so its integer part ``N`` and fraction ``r`` place x
-    between 17-digit integers.  The candidate of 15, 16 or 17 digits is
-    ``N`` rounded to the nearer multiple of 100, 10 or 1, and it reads
-    back as x when its distance to ``y`` is below x's half-gap on that
-    side, scaled alike: ``y / 2m`` for x's 53-bit significand ``m``,
-    halved below a power of two.  The nearest 15-digit candidate is the
-    only one that can read back, as a normal double's gap is under a
-    fifth of their spacing, and a shorter one pads to it; of two 16- or
-    17-digit ones that both read back repr takes the nearer.
+    between 17-digit integers.  The candidates of 15, 16 and 17 digits
+    are ``N`` rounded down and up to a multiple of 100, 10 and 1; one
+    reads back as x when its distance to ``y`` is under x's half-gap on
+    that side, scaled alike: ``y / 2m`` for x's 53-bit significand ``m``,
+    halved below a power of two.  A normal double's gap is under a fifth
+    of the spacing of 15-digit candidates, so at most one of them reads
+    back, and shorter digits pad to it; of two 16- or 17-digit ones that
+    both read back repr takes the nearer.
 
     A cell is redone when a decision lies within the scaled value's error
     of its bound (``_TOL_EXACT``, or ``_TOL_ROUNDED`` where ``10**s`` is
-    not exact), or when it is subnormal, whose gap may let fewer than 15 digits read back in more
-    than one way."""
+    not exact), and when it is subnormal: its gap is a larger share of
+    it, so shorter digits than the 15-digit candidate may read back."""
     magnitude = x.view(np.uint64) & ~np.uint64(1 << 63)
     zero = magnitude == 0
     magnitude[zero] = _ONE  # scaled as 1.0, then written as 0.0
@@ -394,8 +399,9 @@ def _shortest(x: np.ndarray):
     above = whole.astype(np.float64)
     above /= 2.0 * (fraction + (exponent > 0) * _UNIT).astype(np.float64)
     below = above - power * (above / 2)
-    tol = _TOL_EXACT + (_TOL_ROUNDED - _TOL_EXACT) * (
-        (e > 16 - _EXACT_SCALES.start) | (e <= 16 - _EXACT_SCALES.stop))
+    scale = 16 - e
+    tol = np.where((scale >= _EXACT_SCALES.start)
+                   & (scale < _EXACT_SCALES.stop), _TOL_EXACT, _TOL_ROUNDED)
     redo = off | (exponent == 0) & ~zero
     digits = np.zeros_like(whole)
     open_ = ~zero  # cells whose length is not yet found
@@ -441,51 +447,65 @@ def _scaled(a: np.ndarray, e: np.ndarray):
     return whole, r
 
 
-def _texts(digits: np.ndarray, e: np.ndarray):
-    """The unsigned text of each cell of 17-digit ``digits`` at decimal
-    exponent ``e``, as repr lays it out, NUL-padded to a ``_TEXT``-byte
-    void, and its length in bytes."""
+def _texts(digits: np.ndarray, e: np.ndarray, minus: np.ndarray,
+           width: int):
+    """The text of each cell of 17-digit ``digits`` at decimal exponent
+    ``e``, negative where ``minus``, in rows of ``width`` cells, as repr
+    lays it out and followed by its separator, NUL-padded to a
+    ``_TEXT``-byte void; and its length in bytes."""
     n = len(digits)
-    first = digits // _E16
-    rest = digits - first * _E16
-    high = rest // _E8
-    words = _digit_words(np.stack([high, rest - high * _E8]))
-    # a word more, for the exponent's window after the last cell's digits
-    padded = np.zeros(n * _CELL // 8 + 1, dtype=np.uint64)
-    source = padded[:-1].reshape(n, _CELL // 8)
-    source[:, 1] = first | words[0] << np.uint64(8)
-    source[:, 2] = words[0] >> np.uint64(56) | words[1] << np.uint64(8)
-    source[:, 3] = words[1] >> np.uint64(56)
-    # the count of digits, to the last that is not 0: from the bit length
-    # of the two words as one 128-bit number, which a float's exponent
-    # gives, as each byte is below 16
-    span = words[1].astype(np.float64) * 2.0 ** 64 + words[0]
-    count = 1 + (np.frexp(span)[1] + 7) // 8
+    padded, count = _digit_source(digits)
     fixed = (e >= _FIXED.start) & (e < _FIXED.stop)
     layout = np.where(fixed, (e - _FIXED.start) * 17, len(_FIXED) * 17)
     layout += count - 1
+    layout *= 2
+    layout += minus
+    layout *= 2
+    layout.reshape(-1, width)[:, -1] += 1  # a row's last cell
     length = np.take(_LENGTH, layout)
     flat = padded.view(np.uint8)
     where = np.arange(8, n * _CELL, _CELL)
     power = np.flatnonzero(~fixed)
-    if len(power):  # the exponent's text, after the last digit
-        suffix = e[power] - _SUFFIXES.start
+    if len(power):  # the exponent's text and the separator, after the digits
+        suffix = (e[power] - _SUFFIXES.start) * 2 + (layout[power] & 1)
         _windows(flat, 8)[where[power] + count[power]] = _SUFFIX[suffix]
         length[power] += _SUFFIX_LENGTH[suffix]
     where -= np.take(_SHIFT, layout)
     windows = _windows(flat, _TEXT)
-    text = windows[where].view(np.uint64).reshape(n, 3)
-    text &= _words(_LOW, layout)
-    shifted = windows[where - 1].view(np.uint64).reshape(n, 3)
-    shifted &= _words(_HIGH, layout)
+    text = windows[where].view(np.uint64).reshape(n, _TEXT // 8)
+    taken = np.empty(n, dtype=_LOW.dtype)  # each table's words in turn
+    mask = taken.view(np.uint64).reshape(n, _TEXT // 8)
+    np.take(_LOW, layout, out=taken)
+    text &= mask
+    shifted = windows[where - 1].view(np.uint64).reshape(n, _TEXT // 8)
+    np.take(_HIGH, layout, out=taken)
+    shifted &= mask
     text |= shifted
-    text |= _words(_CONST, layout)
+    np.take(_CONST, layout, out=taken)
+    text |= mask
     return text.view(f"V{_TEXT}").ravel(), length
 
 
-def _words(table: np.ndarray, layout: np.ndarray) -> np.ndarray:
-    """Each layout's 24-byte word of ``table`` as three uint64s."""
-    return np.take(table, layout).view(np.uint64).reshape(len(layout), 3)
+def _digit_source(digits: np.ndarray):
+    """The 17 digit values of each entry of ``digits``, the first at byte 8
+    of a ``_CELL``-byte row, as a flat uint64 array with a word more for
+    the last cell's windows past its digits; and the count of digits to
+    the last that is not 0."""
+    first = digits // _E16
+    rest = digits - first * _E16
+    groups = np.empty((2, len(digits)), dtype=np.uint64)
+    np.floor_divide(rest, _E8, out=groups[0])
+    np.subtract(rest, groups[0] * _E8, out=groups[1])
+    words = _digit_words(groups)
+    padded = np.zeros(len(digits) * _CELL // 8 + 1, dtype=np.uint64)
+    source = padded[:-1].reshape(len(digits), _CELL // 8)
+    source[:, 1] = first | words[0] << np.uint64(8)
+    source[:, 2] = words[0] >> np.uint64(56) | words[1] << np.uint64(8)
+    source[:, 3] = words[1] >> np.uint64(56)
+    # from the bit length of the two words as one 128-bit number, which a
+    # float's exponent gives, as each byte is below 16
+    span = words[1].astype(np.float64) * 2.0 ** 64 + words[0]
+    return padded, 1 + (np.frexp(span)[1] + 7) // 8
 
 
 def _digit_words(v: np.ndarray) -> np.ndarray:

@@ -90,14 +90,16 @@ __all__ = [
 ]
 
 # rows per format_lines call in write_csv: one process writes the 200k-row
-# 9-column CSV in 333 ms at 2 048 rows a block, 348 ms at 1 024, 398 ms at
-# 512 and 428 ms at 4 096, and a block's temporaries peak at 3.7, 1.8, 0.9
-# and 7.3 MB, against 6.2 MB for a tolist() of 8 192 rows for repr
-_WRITE_BLOCK = 2048
-# cells per forked process in write_csv: 147k cells write in 33 ms as two
-# ranges against 40 ms as one, 74k cells in 25 ms against 21 ms (2 vCPUs,
+# 9-column CSV in 376 ms at 1 024 rows a block, 394 ms at 512, 478 ms at
+# 2 048 and 515 ms at 4 096 (2 vCPUs): from 2 048 rows glibc hands a
+# block's freed temporaries back to the system, and faulting 95k pages in
+# again cost 100 ms.  A block's temporaries peak at 1.7 MB at 1 024 rows,
+# against 6.2 MB for the tolist() of 8 192 rows that repr formatted
+_WRITE_BLOCK = 1024
+# cells per forked process in write_csv: 184k cells write in 27 ms as two
+# ranges against 33 ms as one, 147k cells in 38 ms against 27 ms (2 vCPUs,
 # a 150 MB process: the fork copies its page tables)
-_FORMAT_CHUNK = 1 << 16
+_FORMAT_CHUNK = 90_000
 # the body per forked process: a 3 MiB body parses in 20 ms as two ranges
 # against 25 ms as one (2 vCPUs)
 _PARSE_CHUNK = 1 << 20

@@ -403,6 +403,7 @@ def test_format_lines_edges_and_empty_blocks():
     column = np.array(_EDGES)[:, None]
     assert format_lines(column) == _repr_lines(column)
     assert format_lines(np.empty((0, 3))) == b""
+    assert format_lines(np.empty((3, 0))) == _repr_lines(np.empty((3, 0)))
     strided = np.arange(24.0).reshape(4, 6)[:, ::2] / 7
     assert format_lines(strided) == _repr_lines(strided)
 
