@@ -190,14 +190,19 @@ def parse_lines(piece: bytes, width: int) -> np.ndarray | None:
     return values.reshape(rows, width)
 
 
+def _windows(buf: np.ndarray, size: int) -> np.ndarray:
+    """Every ``size``-byte window of the uint8 array ``buf``, one a byte."""
+    return np.ndarray((len(buf) - size + 1,), dtype=f"V{size}",
+                      buffer=buf.data, strides=(1,))
+
+
 def _digits(buf: np.ndarray, end: np.ndarray, n: np.ndarray) -> np.ndarray:
     """The value of the ``n`` (at most 19) digits that end before byte
     ``end`` of ``buf`` in each cell: one gather of the 8, 16 or 24 bytes
     before each end, as the fewest whole words that hold the longest run,
     then the SWAR steps on every word at once."""
     words = -(-int(n.max(initial=1)) // 8)
-    window = np.ndarray((len(buf) - 8 * words + 1,), dtype=f"V{8 * words}",
-                        buffer=buf.data, strides=(1,))
+    window = _windows(buf, 8 * words)
     word = window[end - 8 * words].view("<u8").reshape(len(end), words)
     word &= np.take(_KEEP[words], n, axis=0)
     word *= np.uint64(10 << 8 | 1)
@@ -274,6 +279,11 @@ def _scales() -> np.ndarray:
     return scales
 
 
+# the decimal exponents of the exponent form, and a few beyond
+_SUFFIXES = range(-330, 320)
+
+
+@functools.cache
 def _layouts():
     """The text of a cell of ``d`` digits (1 to 17) at decimal exponent
     ``e``, with its sign and the separator after it, as windows of its
@@ -289,12 +299,15 @@ def _layouts():
     dot), and ``const`` is OR'ed in: the sign, the dot, zeros, 0x30 at
     each digit's place, which makes a digit value its ASCII digit, and
     the separator.  The exponent form's suffix and separator are in the
-    digits, after the last.  ``length`` is the text's length in bytes,
-    without that suffix."""
+    digits, after the last: ``suffix`` holds it, 8 bytes, in row
+    ``(e - _SUFFIXES.start) * 2 + last``, and ``suffix_length`` its length.
+    ``length`` is the text's length in bytes, without that suffix.
+    Returns ``low, high, const, suffix, length, suffix_length, shift``,
+    built on first use."""
     low, high, const, shift = [], [], [], []
     bases = [(e, d) for e in _FIXED for d in range(1, 18)]
     for e, d in bases + [(None, d) for d in range(1, 18)]:
-        # the unsigned text, the dot's place (_TEXT: no dot after digits)
+        # the unsigned text, the dot's place (_TEXT: no digit after a dot)
         # and the digits' shift right
         if e is None:  # d.ddd, or d alone
             text, split, move = b"0." + b"0" * (d - 1), 1, 0
@@ -312,20 +325,15 @@ def _layouts():
                 high.append((bytes(cut + 1) + b"\xff" * _TEXT)[:_TEXT])
                 const.append(sign + text + (b"" if e is None else sep))
                 shift.append(move + len(sign))
-    words = [np.frombuffer(b"".join(t.ljust(_TEXT, b"\0") for t in table),
-                           dtype=f"V{_TEXT}") for table in (low, high, const)]
-    return (*words, np.array(shift, dtype=np.intp),
-            np.array([len(t) for t in const], dtype=np.intp))
-
-
-_LOW, _HIGH, _CONST, _SHIFT, _LENGTH = _layouts()
-_SUFFIXES = range(-330, 320)
-# the exponent form's suffix, then a separator: row (e + 330) * 2 + last
-_SUFFIX_TEXT = [f"e{e:+03d}".encode() + sep for e in _SUFFIXES
-                for sep in _SEPARATORS]
-_SUFFIX = np.frombuffer(b"".join(t.ljust(8, b"\0") for t in _SUFFIX_TEXT),
-                        dtype="V8")
-_SUFFIX_LENGTH = np.array([len(t) for t in _SUFFIX_TEXT], dtype=np.intp)
+    suffix = [f"e{e:+03d}".encode() + sep for e in _SUFFIXES
+              for sep in _SEPARATORS]
+    tables = [np.frombuffer(b"".join(t.ljust(size, b"\0") for t in table),
+                            dtype=f"V{size}")
+              for table, size in ((low, _TEXT), (high, _TEXT),
+                                  (const, _TEXT), (suffix, 8))]
+    tables += [np.array([len(t) for t in table], dtype=np.intp)
+               for table in (const, suffix)]
+    return (*tables, np.array(shift, dtype=np.intp))
 
 
 def format_lines(block: np.ndarray) -> bytes:
@@ -353,12 +361,6 @@ def format_lines(block: np.ndarray) -> bytes:
     # after it, which write after it, in order
     _windows(out, _TEXT)[stop - length] = text
     return out[:stop[-1]].tobytes()
-
-
-def _windows(buf: np.ndarray, size: int) -> np.ndarray:
-    """Every ``size``-byte window of the uint8 array ``buf``, one a byte."""
-    return np.ndarray((len(buf) - size + 1,), dtype=f"V{size}",
-                      buffer=buf.data, strides=(1,))
 
 
 def _shortest(x: np.ndarray):
@@ -462,26 +464,27 @@ def _texts(digits: np.ndarray, e: np.ndarray, minus: np.ndarray,
     layout += minus
     layout *= 2
     layout.reshape(-1, width)[:, -1] += 1  # a row's last cell
-    length = np.take(_LENGTH, layout)
+    low, high, const, suffixes, length, suffix_length, shift = _layouts()
+    length = np.take(length, layout)
     flat = padded.view(np.uint8)
     where = np.arange(8, n * _CELL, _CELL)
     power = np.flatnonzero(~fixed)
     if len(power):  # the exponent's text and the separator, after the digits
         suffix = (e[power] - _SUFFIXES.start) * 2 + (layout[power] & 1)
-        _windows(flat, 8)[where[power] + count[power]] = _SUFFIX[suffix]
-        length[power] += _SUFFIX_LENGTH[suffix]
-    where -= np.take(_SHIFT, layout)
+        _windows(flat, 8)[where[power] + count[power]] = suffixes[suffix]
+        length[power] += suffix_length[suffix]
+    where -= np.take(shift, layout)
     windows = _windows(flat, _TEXT)
     text = windows[where].view(np.uint64).reshape(n, _TEXT // 8)
-    taken = np.empty(n, dtype=_LOW.dtype)  # each table's words in turn
+    taken = np.empty(n, dtype=low.dtype)  # each table's words in turn
     mask = taken.view(np.uint64).reshape(n, _TEXT // 8)
-    np.take(_LOW, layout, out=taken)
+    np.take(low, layout, out=taken)
     text &= mask
     shifted = windows[where - 1].view(np.uint64).reshape(n, _TEXT // 8)
-    np.take(_HIGH, layout, out=taken)
+    np.take(high, layout, out=taken)
     shifted &= mask
     text |= shifted
-    np.take(_CONST, layout, out=taken)
+    np.take(const, layout, out=taken)
     text |= mask
     return text.view(f"V{_TEXT}").ravel(), length
 

@@ -46,7 +46,7 @@ the bytes the parse read.
 
 A write gives every cell the bytes of its shortest ``repr``.  Where
 ``exact_division`` holds, ``_numparse.format_lines`` writes them for a
-block of ``_WRITE_BLOCK`` rows at a time, with numpy alone: one long
+block of ``_WRITE_BLOCK`` cells at a time, with numpy alone: one long
 double product per cell scales it to 17 digits, integer division gives
 its 15-, 16- and 17-digit candidates, and a candidate reads back when it
 lies inside the cell's half-gaps by more than the product's error; any
@@ -89,13 +89,14 @@ __all__ = [
     "sub_determinant",
 ]
 
-# rows per format_lines call in write_csv: one process writes the 200k-row
-# 9-column CSV in 376 ms at 1 024 rows a block, 394 ms at 512, 478 ms at
-# 2 048 and 515 ms at 4 096 (2 vCPUs): from 2 048 rows glibc hands a
-# block's freed temporaries back to the system, and faulting 95k pages in
-# again cost 100 ms.  A block's temporaries peak at 1.7 MB at 1 024 rows,
-# against 6.2 MB for the tolist() of 8 192 rows that repr formatted
-_WRITE_BLOCK = 1024
+# cells per format_lines call in write_csv, in whole rows: one process
+# writes the 200k-row 9-column CSV in 350 ms at 9 216 cells a block
+# (1 024 rows), 386 ms at 4 608, 490 ms at 18 432 and 518 ms at 36 864
+# (2 vCPUs).  From 18 432 glibc hands a block's freed temporaries (4 MB)
+# back to the system and 100k page faults bring them in again; at 9 216
+# they peak at 2.0 MB, against 6.2 MB for the tolist() of 8 192 rows
+# that repr formatted
+_WRITE_BLOCK = 9216
 # cells per forked process in write_csv: 184k cells write in 27 ms as two
 # ranges against 33 ms as one, 147k cells in 38 ms against 27 ms (2 vCPUs,
 # a 150 MB process: the fork copies its page tables)
@@ -550,7 +551,7 @@ def write_csv(data: Dataset, path) -> None:
     """Write a dataset as a strict numeric CSV that ``load_csv`` round-trips.
 
     Each float is written as its ``repr`` so the round trip is exact: by
-    ``_numparse.format_lines``, ``_WRITE_BLOCK`` rows at a time, where long
+    ``_numparse.format_lines``, ``_WRITE_BLOCK`` cells at a time, where long
     double is x87 extended and the text encoding is ASCII compatible, and
     by ``repr`` itself elsewhere; both write the same bytes.  The rows are
     cut into the ranges of ``_fork.cuts``, each of at least
@@ -601,12 +602,14 @@ def _write_rows(handle, values: np.ndarray, encoding: str) -> None:
 
 
 def _row_blocks(values: np.ndarray, encoding: str):
-    """The encoded CSV lines of ``values``, ``_WRITE_BLOCK`` rows at a
-    time, each cell as ``repr`` writes it: by ``_numparse.format_lines``
-    where ``exact_division`` holds, else by ``repr`` itself."""
+    """The encoded CSV lines of ``values``, whole rows of at most
+    ``_WRITE_BLOCK`` cells (one row at least) at a time, each cell as
+    ``repr`` writes it: by ``_numparse.format_lines`` where
+    ``exact_division`` holds, else by ``repr`` itself."""
     exact = _numparse.exact_division(encoding)
-    for start in range(0, len(values), _WRITE_BLOCK):
-        block = values[start:start + _WRITE_BLOCK]
+    rows = max(_WRITE_BLOCK // values.shape[1], 1)
+    for start in range(0, len(values), rows):
+        block = values[start:start + rows]
         if exact:
             yield _numparse.format_lines(block)
         else:
