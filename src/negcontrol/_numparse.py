@@ -44,7 +44,7 @@ The 15-, 16- and 17-digit candidates are ``y``'s integer part rounded
 down or up to a multiple of 100, 10 or 1, by integer division; each reads
 back as x when its distance to ``y`` is under x's half-gap on that side,
 in the same units, with the lower half-gap halved at a power of two.  A
-normal double's gap is under a fifth of the spacing of 15-digit
+normal double's gap is under a quarter of the spacing of 15-digit
 decimals, so at most one 15-digit candidate reads back and any shorter
 digits pad to it; of two 16- or 17-digit ones repr takes the nearer.
 Every decision closer to its bound than ``y``'s error, and every
@@ -219,7 +219,6 @@ def _digits(buf: np.ndarray, end: np.ndarray, n: np.ndarray) -> np.ndarray:
     return value
 
 
-
 # -- the write: float64 cells to the bytes repr gives ----------------------
 
 _TEXT = 32  # bytes of a cell's text: sign, digits, exponent, separator
@@ -375,7 +374,7 @@ def _shortest(x: np.ndarray):
     are ``N`` rounded down and up to a multiple of 100, 10 and 1; one
     reads back as x when its distance to ``y`` is under x's half-gap on
     that side, scaled alike: ``y / 2m`` for x's 53-bit significand ``m``,
-    halved below a power of two.  A normal double's gap is under a fifth
+    halved below a power of two.  A normal double's gap is under a quarter
     of the spacing of 15-digit candidates, so at most one of them reads
     back, and shorter digits pad to it; of two 16- or 17-digit ones that
     both read back repr takes the nearer.

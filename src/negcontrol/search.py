@@ -138,9 +138,9 @@ def _numbers(array: np.ndarray, nonfinite) -> list[str]:
     entries are formatted by ``_numparse.format_lines`` where
     ``exact_division`` holds, as one line of cells."""
     values = array.ravel()
-    finite = np.isfinite(values)
     if not len(values):
         return []
+    finite = np.isfinite(values)
     if _numparse.exact_division("ascii"):
         line = _numparse.format_lines(np.where(finite, values, 0.0)[None])
         texts = line[:-2].decode("ascii").split(",")

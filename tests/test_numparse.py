@@ -9,6 +9,7 @@ import ast
 import functools
 import json
 import warnings
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -416,6 +417,17 @@ def test_close_decisions_go_to_repr(monkeypatch):
     monkeypatch.setattr(_numparse, "_TOL_EXACT", 0.0)
     digits = format_lines(values)[:-2].split(b",")
     assert all(got != repr(v).encode() for got, v in zip(digits, _CLOSE))
+
+
+@needs_x87
+def test_scales_are_the_nearest_long_doubles():
+    # exact where 5**s < 2**64, and within half a unit of 64 bits elsewhere
+    for s, scale in zip(_numparse._SCALES, _numparse._scales()):
+        fraction, exponent = np.frexp(scale)
+        value = Fraction(int(np.ldexp(fraction, 64))) * Fraction(2) ** (
+            int(exponent) - 64)
+        error = abs(value - Fraction(10) ** s) / Fraction(10) ** s
+        assert error == 0 if 0 <= s <= 27 else error <= Fraction(1, 2 ** 64)
 
 
 @needs_x87
