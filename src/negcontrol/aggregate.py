@@ -17,15 +17,17 @@ majority vote.  One step, ``_aggregate``, builds every
 
 Both read the dataset's one centred moment statistic (see ``data``): the
 fits solve on its cross products, and the sandwich and every bootstrap
-draw read its centred copy of just the columns the pairs use.  Every
+draw read its centred columns, or a copy of just the columns the pairs
+use when they use fewer.  Every
 sandwich SE, each pair's, the weighted average's and the majority pair's,
 comes from the one row-blocked sandwich of ``estimate._fit_stack``.  The
 majority vote is the fit of its lone pair, so its SE is that pair's, and
 it has no bootstrap.
 
-The bootstrap copies those columns once, transposed to (k, n), and a
-draw sums its count-weighted centred moments over blocks of
-``estimate._ROW_BLOCK`` rows of that copy, so it forms no n x k array.
+The dataset stores its centred columns column-major, so the bootstrap
+reads them as (k, n) rows in place, and a draw sums its count-weighted
+centred moments over blocks of ``data._ROW_BLOCK`` rows of them, so it
+forms no n x k array.
 Its slots are cut into the runs of ``_fork.cuts``, each of at least
 ``_BOOT_CHUNK`` draws, and ``_fork.map_parts`` draws the runs after the
 first in forked children.  Each slot seeds itself, so the draws do not
@@ -41,14 +43,13 @@ import numpy as np
 import numpy.random  # noqa: F401  loaded on import, not on the first draw
 
 from ._fork import _receive_bytes, cuts, map_parts
-from .data import Dataset
+from .data import _ROW_BLOCK, Dataset
 from .errors import (
     BootstrapDegenerateError,
     EmptyDnctListError,
     SingularMomentMatrixError,
 )
 from .estimate import (
-    _ROW_BLOCK,
     AteEstimate,
     NcPair,
     _fit_stack,
@@ -245,10 +246,10 @@ def _bootstrap_se(
     A row resample is fully described by how often it draws each row, so
     a draw weights the rows of the centred columns ``xc`` by their counts
     and forms one count-weighted centred moment matrix; one stacked solve
-    on that matrix fits every pair, whose systems ``layout`` stacks.  The
-    columns are copied once per call, transposed to (k, n), so each draw
-    reads them in blocks of ``estimate._ROW_BLOCK`` rows (see
-    ``_resampled_moments``).
+    on that matrix fits every pair, whose systems ``layout`` stacks.
+    ``xc`` is the (n, k) view of column-major storage (``data._centre``,
+    ``estimate._used_columns``), so each draw reads ``xc.T`` in place, in
+    blocks of ``data._ROW_BLOCK`` rows (see ``_resampled_moments``).
 
     Each slot derives its own random stream from (seed, slot, attempt), so
     a slot's draw does not depend on how the other slots went.  A slot
@@ -263,9 +264,8 @@ def _bootstrap_se(
     failed, as the serial loop does.  Every draw runs the same code in any
     process, so its bits do not depend on the split.
     """
-    columns = np.ascontiguousarray(xc.T)
     parts = [range(a, b) for a, b in cuts(draws, _BOOT_CHUNK)]
-    run = partial(_slot_draws, columns, layout, weights, seed)
+    run = partial(_slot_draws, xc.T, layout, weights, seed)
     done = map_parts(parts, run, run, _received_draws)
     return np.concatenate([run(part) if block is None else block
                            for part, block in zip(parts, done)])
@@ -305,7 +305,8 @@ def _resampled_moments(columns: np.ndarray, counts: np.ndarray,
     """The centred second moments over n of the resample that draws row i
     of the (k, n) columns ``columns`` ``counts[i]`` times, summed over
     blocks of ``_ROW_BLOCK`` rows in the (2, k, ``_ROW_BLOCK`` or n)
-    ``buffer``.
+    ``buffer``.  ``columns`` is read in place: the dataset's C-contiguous
+    storage of its centred columns, or of the subset the pairs read.
 
     The means are blocked GEMVs of the counts, and the moments the sum of
     ``(d * c) @ d.T`` over blocks, ``d`` the block less the means.  Each

@@ -8,7 +8,8 @@ covariance matrix that is symmetric by construction and safe to share.
 A dataset's second moments are computed once, in one place: its columns
 centred in two passes, their means and their cross products.  The search
 reads them through ``covariance``; every pair fit, the naive fit and the
-bootstrap read them directly.  So both stages see the same statistic, and
+bootstrap read them directly, the bootstrap from the column-major storage
+of the centred columns, in place.  So both stages see the same statistic, and
 a constant column has zero variance in both.
 
 A CSV body is cut at line ends into the byte ranges of ``_fork.cuts``, at
@@ -108,6 +109,10 @@ _PARSE_CHUNK = 1 << 20
 # 95 ms at 128 KiB or 256 KiB a piece, 105 ms at 64 KiB and 108 ms at
 # 1 MiB, and a piece's temporaries peak at 1.0, 2.0, 0.5 and 9.4 MB
 _PARSE_PIECE = 1 << 17
+# rows per block of the centring's residue sum, of the influence GEMMs and
+# of a bootstrap draw's moment sums, which keeps their temporaries a few MB
+# however large n is
+_ROW_BLOCK = 8192
 _BOM = "\ufeff"  # opens the header of a spreadsheet's "CSV UTF-8" export
 
 
@@ -158,6 +163,8 @@ class Dataset:
             )
         if values.shape[0] < 1:
             raise ValueError("at least one row required")
+        if values.shape[1] < 1:
+            raise ValueError("at least one column required")
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
         values.flags.writeable = False
@@ -189,7 +196,8 @@ class Dataset:
     def _centred(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``_centre`` of the values: the one second-moment statistic of
         the dataset, formed on first use and read-only, so every caller
-        shares one copy."""
+        shares one copy.  The centred columns ``xc`` are stored
+        column-major, so ``xc.T`` is C-contiguous."""
         centred = _centre(self.values)
         for array in centred:
             array.flags.writeable = False
@@ -202,15 +210,39 @@ def _centre(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     matrix of a stack alike; each matrix's results have the bits it has
     alone.
 
-    The second pass removes what rounding left of the means, so a constant
-    column centres to zero and stays singular next to columns with large
-    offsets."""
+    The centred columns are written once, into one C-contiguous (..., p, n)
+    array, and ``xc`` is its (..., n, p) ``swapaxes`` view: the ``xc.T`` of
+    a dataset is the column-major layout a bootstrap draw reads, with no
+    copy.  The second pass removes what rounding left of the means, so a
+    constant column centres to zero and stays singular next to columns with
+    large offsets.  Its sum runs over C-order blocks of ``_ROW_BLOCK`` rows
+    of ``values - means`` in one buffer whose first row carries the running
+    total, so it adds row by row, as the mean of a C-order ``values -
+    means`` does; a sum along the contiguous rows of the storage would be
+    pairwise and round otherwise."""
+    *stack, n, p = values.shape
     means = values.mean(axis=-2)
-    xc = values - means[..., None, :]
-    residue = xc.mean(axis=-2)
+    columns = np.empty((*stack, p, n))
+    xc = columns.swapaxes(-1, -2)
+    if values.flags.c_contiguous and not xc.flags.c_contiguous:
+        buffer = np.empty((*stack, min(n, _ROW_BLOCK) + 1, p))
+        total = buffer[..., 0, :]
+        total[...] = 0.0
+        for start in range(0, n, _ROW_BLOCK):
+            rows = values[..., start:start + _ROW_BLOCK, :]
+            end = rows.shape[-2] + 1
+            np.subtract(rows, means[..., None, :], out=buffer[..., 1:end, :])
+            xc[..., start:start + _ROW_BLOCK, :] = buffer[..., 1:end, :]
+            np.add.reduce(buffer[..., :end, :], axis=-2, out=total)
+        residue = total / n
+    else:
+        # p or n is 1, so both layouts are one, or ``values`` is not
+        # C-ordered: the sum of ``values - means`` in its own layout
+        np.subtract(values, means[..., None, :], out=xc)
+        residue = (values - means[..., None, :]).mean(axis=-2)
     xc -= residue[..., None, :]
     means += residue
-    return xc, means, np.matmul(xc.swapaxes(-1, -2), xc)
+    return xc, means, columns @ xc
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,7 +18,7 @@ solve on centred moments (Frisch-Waugh-Lovell).  S is the dataset's one
 centred statistic, formed once per dataset (``data.Dataset._centred``): the
 fits read its cross products over n, ``closed_form_ate`` the same over
 n - 1 through ``covariance``, and the sandwich and the bootstrap draws its
-centred copy of the columns the pairs read.  With S a centred
+column-major centred columns, or a copy of those the pairs read.  With S a centred
 second-moment matrix, whose denominator cancels, the slopes (a1, delta, bx)
 solve S[q, m] beta = S[q, y] with q = (Z, T, X), m = (W, T, X), and
 a0 = mean(y) - mean(m)' beta.  The system is rejected when the condition
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CovMatrix, Dataset
+from .data import _ROW_BLOCK, CovMatrix, Dataset
 from .errors import SingularDenominatorError, SingularMomentMatrixError
 
 __all__ = [
@@ -82,9 +82,6 @@ _COND_LIMIT = 1e12
 # index of delta within theta = (a0, a1, delta, bx...)
 DELTA_INDEX = 2
 
-# rows per block of the influence GEMMs and of a bootstrap draw's moment
-# sums, which keeps their temporaries a few MB however large n is
-_ROW_BLOCK = 8192
 # psi cells (datasets x rows x systems) per block of a stacked sandwich; a
 # larger stack runs in parts.  A study pass's dance fits of 16 datasets of
 # 1 000 rows and 32 pairs peaked 7 MB higher as one part than one dataset
@@ -237,9 +234,10 @@ class _Pairs:
 def _used_columns(xc: np.ndarray, layout):
     """The centred columns of ``xc`` (..., n, p) that a stacked ``layout``
     reads and the layout renumbered to their positions.  If the systems
-    read every column ``xc`` is used as is; otherwise theirs are copied
-    once, so the GEMMs and the draws do not grow with the columns no system
-    reads."""
+    read every column ``xc`` is used as is; otherwise theirs are gathered
+    once, as rows of the column-major storage of ``xc`` (see
+    ``data._centre``), so the subset stays column-major and the GEMMs and
+    the draws do not grow with the columns no system reads."""
     qs, ms, y = layout
     # not np.unique: on numpy 2 it loads numpy.ma on first use
     used = np.flatnonzero(
@@ -247,7 +245,8 @@ def _used_columns(xc: np.ndarray, layout):
     if len(used) == xc.shape[-1]:
         return xc, layout
     qs, ms, y = (np.searchsorted(used, pos) for pos in (qs, ms, y))
-    return xc[..., used], (qs, ms, int(y))
+    columns = xc.swapaxes(-1, -2)[..., used, :]
+    return columns.swapaxes(-1, -2), (qs, ms, int(y))
 
 
 def _solve_centred(

@@ -131,12 +131,13 @@ def _bits(array: np.ndarray) -> tuple:
     return array.dtype.str, array.shape, array.tobytes()
 
 
-def _numbers(array: np.ndarray, nonfinite) -> list[str]:
+def _numbers(array: np.ndarray, *nonfinite) -> list[str]:
     """The JSON text of every entry of ``array``, row-major: its
     ``float.__repr__``, as ``json`` writes a finite float, or for an
-    infinite or NaN entry what ``nonfinite`` makes of it.  The finite
-    entries are formatted by ``_numparse.format_lines`` where
-    ``exact_division`` holds, as one line of cells."""
+    infinite or NaN entry what a rule of ``nonfinite`` makes of it.  Given
+    k rules, the entries fall into k equal runs, the first rule's first.
+    The finite entries are formatted by one ``_numparse.format_lines``
+    call where ``exact_division`` holds, as one line of cells."""
     values = array.ravel()
     if not len(values):
         return []
@@ -147,7 +148,8 @@ def _numbers(array: np.ndarray, nonfinite) -> list[str]:
     else:
         texts = list(map(float.__repr__, values.tolist()))
     for i in np.flatnonzero(~finite).tolist():
-        texts[i] = nonfinite(float(values[i]))
+        rule = nonfinite[i * len(nonfinite) // len(values)]
+        texts[i] = rule(float(values[i]))
     return texts
 
 
@@ -177,8 +179,9 @@ def _block_texts(one: str, blocks, opened: bool = False):
         if t == 0:
             continue
         yield ",\n" if opened else "[\n"
-        template = full[:t * (len(one) + 2) - 2]
-        yield template % tuple(fields.ravel().tolist())
+        text = full[:t * (len(one) + 2) - 2] % tuple(fields.ravel().tolist())
+        del fields  # so the next block's are formed without these
+        yield text
         opened = True
 
 
@@ -411,13 +414,13 @@ class FindNcReport:
         members = triple[:, np.array(_PAIR_ROWS * 2)]
         tests = np.empty((t, 6, 6), dtype=object)
         tests[..., :2] = members[..., :2]
-        tests[..., 2] = np.array(_numbers(self.p[start:stop], json.dumps),
-                                 dtype=object).reshape(t, 6)
+        # p and w in one format_lines call: its fixed cost is paid per call
+        tests[..., 2], tests[..., 5] = np.array(
+            _numbers(np.stack([self.p[start:stop], self.w[start:stop]]),
+                     json.dumps, lambda value: "null"),
+            dtype=object).reshape(2, t, 6)
         tests[..., 3] = members[..., 2]
         tests[..., 4] = roles
-        tests[..., 5] = np.array(
-            _numbers(self.w[start:stop], lambda value: "null"),
-            dtype=object).reshape(t, 6)
         return np.concatenate(
             [_BOOLS[passed[start:stop].astype(np.intp)][:, None],
              tests.reshape(t, 36), triple],

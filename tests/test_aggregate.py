@@ -478,6 +478,28 @@ def test_bootstrap_names_the_degenerate_slot_of_a_child(monkeypatch):
     assert [part is None for part in calls[0]] == [False, True]
 
 
+def test_bootstrap_draws_read_the_centred_columns_in_place(monkeypatch):
+    # the pairs read every column, so the draws read the dataset's own
+    # column-major centred columns, not a transposed copy of them
+    rng = np.random.default_rng(29)
+    values = rng.normal(size=(500, 5))
+    values[:, 0] += values[:, 2:].sum(axis=1)  # T
+    values[:, 1] += 0.5 * values[:, 0] + values[:, 2:].sum(axis=1)  # O
+    data = Dataset(("T", "O", "a", "b", "c"), values)
+    slot_draws, seen = aggregate._slot_draws, []
+
+    def recording(columns, *args):
+        seen.append(columns)
+        return slot_draws(columns, *args)
+
+    monkeypatch.setattr(aggregate, "_slot_draws", recording)
+    weighted_estimate(data, enumerate_pairs([("a", "b", "c")]), "T", "O",
+                      ci_method="bootstrap", bootstrap_draws=5)
+    assert len(seen) == 1
+    assert seen[0].flags.c_contiguous
+    assert np.shares_memory(seen[0], data._centred[0])
+
+
 @pytest.mark.parametrize("n", [_ROW_BLOCK // 8, _ROW_BLOCK,
                                2 * _ROW_BLOCK + 77])
 def test_resampled_moments_match_the_weighted_deviations(n):

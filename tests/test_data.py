@@ -20,7 +20,9 @@ from negcontrol import data as data_module
 from negcontrol._fork import _send
 from negcontrol.data import (
     CovMatrix,
+    _ROW_BLOCK,
     Dataset,
+    _centre,
     _format_rows,
     _line_ranges,
     _parse_range,
@@ -32,6 +34,7 @@ from negcontrol.data import (
     sub_determinant,
     write_csv,
 )
+from negcontrol.estimate import _used_columns
 from negcontrol.errors import (
     DuplicateHeaderError,
     MissingValueError,
@@ -1012,6 +1015,15 @@ def test_dataset_rejects_empty():
         Dataset(("a", "b"), np.zeros((0, 2)))
 
 
+def test_dataset_rejects_no_columns(tmp_path):
+    # write_csv divides by the column count
+    with pytest.raises(ValueError, match="column"):
+        Dataset((), np.empty((3, 0)))
+    (tmp_path / "blank.csv").write_text("\n\n\n")
+    with pytest.raises(ValueError, match="column"):
+        load_csv(tmp_path / "blank.csv")
+
+
 def test_dataset_single_row_allowed():
     data = Dataset(("a", "b"), np.array([[1.0, 2.0]]))
     assert data.n == 1
@@ -1078,6 +1090,58 @@ def test_centred_statistic_is_cached_and_read_only(table_dataset):
     np.testing.assert_allclose(means, TABLE.mean(axis=0), rtol=1e-15)
     np.testing.assert_allclose(xc, TABLE - TABLE.mean(axis=0), atol=1e-15)
     np.testing.assert_allclose(gram / 4, COV_ROWS, atol=1e-14)
+
+
+def _two_pass(values):
+    """The centred statistic as first written: a C-order ``values -
+    means``, its mean removed in a second pass."""
+    means = values.mean(axis=-2)
+    xc = values - means[..., None, :]
+    residue = xc.mean(axis=-2)
+    xc -= residue[..., None, :]
+    means += residue
+    return xc, means, np.matmul(xc.swapaxes(-1, -2), xc)
+
+
+@pytest.mark.parametrize("stack", [(), (3,)])
+@pytest.mark.parametrize("n", [5, _ROW_BLOCK // 4, _ROW_BLOCK,
+                               _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 77])
+@pytest.mark.parametrize("p", [1, 2, 6])
+def test_centre_has_the_two_pass_bits(stack, n, p):
+    rng = np.random.default_rng(n * 10 + p)
+    scale = 10.0 ** rng.uniform(-3, 3, size=p)
+    values = rng.normal(size=(*stack, n, p)) * scale + 1e3 * scale
+    values[..., 0] = 0.1  # its mean does not round back to 0.1
+    if p > 1:
+        values[..., 1] += 1e6
+    got, want = _centre(values), _two_pass(values)
+    for array, reference in zip(got, want):
+        assert array.shape == reference.shape
+        assert array.tobytes() == reference.tobytes()
+    assert not got[0][..., 0].any()
+    assert np.swapaxes(got[0], -1, -2).flags.c_contiguous
+
+
+def test_centre_of_other_layouts_has_the_two_pass_bits():
+    # a dataset keeps the layout of the array it is given, and one that is
+    # not C-ordered centres as the reference centres it
+    values = np.random.default_rng(5).normal(size=(_ROW_BLOCK + 9, 4))
+    layouts = (np.asfortranarray(values), values[:, ::-1])
+    assert Dataset(tuple("abcd"), layouts[0]).values.flags.f_contiguous
+    for layout in layouts:
+        for array, reference in zip(_centre(layout), _two_pass(layout)):
+            assert array.tobytes() == reference.tobytes()
+
+
+def test_centred_columns_are_stored_column_major(table_dataset):
+    # a bootstrap draw reads xc.T row by row, with no copy
+    xc = table_dataset._centred[0]
+    assert xc.T.flags.c_contiguous
+    layout = (np.array([[0, 2]]), np.array([[1, 2]]), 3)
+    subset, local = _used_columns(xc, layout)
+    assert subset.T.flags.c_contiguous
+    assert subset.tobytes() == xc[:, :4].tobytes()
+    assert [pos.tolist() for pos in local[:2]] == [[[0, 2]], [[1, 2]]]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from negcontrol import _fork, search
+from negcontrol import _fork, _numparse, search
 from negcontrol._fork import _send
 from negcontrol.pipeline import DanceResult
 from negcontrol.search import FindNcReport, find_nc
@@ -152,6 +152,27 @@ def _random_report(k: int, seed: int = 0) -> FindNcReport:
     p[inapplicable], w[inapplicable] = 0.0, np.inf
     return FindNcReport("T", "O", 0.01, names, triples,
                         rng.normal(size=shape), rng.random(shape), w, p)
+
+
+def test_to_json_formats_p_and_w_of_a_block_in_one_call():
+    # format_lines costs about as much a call as for a thousand cells
+    report = _random_report(10)  # 120 triples, one block
+    p, w = report.p.copy(), report.w.copy()
+    p[0, 0] = np.inf
+    w[1, :2] = [np.nan, -np.inf]
+    report = dataclasses.replace(report, p=p, w=w)
+    format_lines, calls = _numparse.format_lines, []
+
+    def counting(block):
+        calls.append(block.shape)
+        return format_lines(block)
+
+    with mock.patch.object(_numparse, "format_lines", counting):
+        _assert_matches_json_dumps(report)
+    per_call = [(1, 2 * 120 * 6)] if _numparse.exact_division("ascii") else []
+    assert calls == per_call * 2  # the report, then the report nested
+    assert '"p": Infinity' in report.to_json()
+    assert '"w": null' in report.to_json()
 
 
 @pytest.mark.parametrize("block", [*_BLOCKS, search._JSON_BLOCK])
