@@ -18,11 +18,10 @@ majority vote.  One step, ``_aggregate``, builds every
 Both read the dataset's one centred moment statistic (see ``data``): the
 fits solve on its cross products, and the sandwich and every bootstrap
 draw read its centred columns, or a copy of just the columns the pairs
-use when they use fewer.  Every
-sandwich SE, each pair's, the weighted average's and the majority pair's,
-comes from the one row-blocked sandwich of ``estimate._fit_stack``.  The
-majority vote is the fit of its lone pair, so its SE is that pair's, and
-it has no bootstrap.
+use when they use fewer.  Every sandwich SE, each pair's, the weighted
+average's and the majority pair's, comes from the one row-blocked sandwich
+of ``estimate._fit_stack``.  The majority vote is the fit of its lone
+pair, so its SE is that pair's, and it has no bootstrap.
 
 The dataset stores its centred columns column-major, so the bootstrap
 reads them as (k, n) rows in place, and a draw sums its count-weighted

@@ -9,8 +9,8 @@ A dataset's second moments are computed once, in one place: its columns
 centred in two passes, their means and their cross products.  The search
 reads them through ``covariance``; every pair fit, the naive fit and the
 bootstrap read them directly, the bootstrap from the column-major storage
-of the centred columns, in place.  So both stages see the same statistic, and
-a constant column has zero variance in both.
+of the centred columns, in place.  So both stages see the same statistic,
+and a constant column has zero variance in both.
 
 A CSV body is cut at line ends into the byte ranges of ``_fork.cuts``, at
 least ``_PARSE_CHUNK`` bytes each, and the rows of a write into its row
@@ -226,11 +226,11 @@ def _centre(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     xc = columns.swapaxes(-1, -2)
     if values.flags.c_contiguous and not xc.flags.c_contiguous:
         buffer = np.empty((*stack, min(n, _ROW_BLOCK) + 1, p))
-        total = buffer[..., 0, :]
-        total[...] = 0.0
+        total = np.zeros((*stack, p))
         for start in range(0, n, _ROW_BLOCK):
             rows = values[..., start:start + _ROW_BLOCK, :]
             end = rows.shape[-2] + 1
+            buffer[..., 0, :] = total
             np.subtract(rows, means[..., None, :], out=buffer[..., 1:end, :])
             xc[..., start:start + _ROW_BLOCK, :] = buffer[..., 1:end, :]
             np.add.reduce(buffer[..., :end, :], axis=-2, out=total)

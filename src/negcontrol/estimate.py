@@ -18,12 +18,12 @@ solve on centred moments (Frisch-Waugh-Lovell).  S is the dataset's one
 centred statistic, formed once per dataset (``data.Dataset._centred``): the
 fits read its cross products over n, ``closed_form_ate`` the same over
 n - 1 through ``covariance``, and the sandwich and the bootstrap draws its
-column-major centred columns, or a copy of those the pairs read.  With S a centred
-second-moment matrix, whose denominator cancels, the slopes (a1, delta, bx)
-solve S[q, m] beta = S[q, y] with q = (Z, T, X), m = (W, T, X), and
-a0 = mean(y) - mean(m)' beta.  The system is rejected when the condition
-number of its correlation-scale form S[q, m] / outer(sd_q, sd_m) is not
-finite or above 1e12.  Neither that number nor delta moves when a column
+column-major centred columns, or a copy of those the pairs read.  With S
+a centred second-moment matrix, whose denominator cancels, the slopes (a1,
+delta, bx) solve S[q, m] beta = S[q, y] with q = (Z, T, X), m = (W, T, X),
+and a0 = mean(y) - mean(m)' beta.  The system is rejected when the
+condition number of its correlation-scale form S[q, m] / outer(sd_q, sd_m)
+is not finite or above 1e12.  Neither that number nor delta moves when a column
 is shifted; rescaling T or O multiplies delta by s_O / s_T.  The raw-design
 functions (``design_matrices`` ... ``sandwich_cov``) are the references.
 
