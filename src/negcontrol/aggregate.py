@@ -274,7 +274,8 @@ def _slot_draws(columns: np.ndarray, layout, weights: np.ndarray, seed,
                 slots: range) -> np.ndarray:
     """The draws of ``slots`` from the (k, n) centred columns ``columns``,
     each draw's moment matrix formed by ``_resampled_moments`` in one
-    buffer reused across the draws."""
+    buffer reused across the draws.  A draw holds two n-length integer
+    arrays at most: its row indices and its counts."""
     n = columns.shape[1]
     buffer = np.empty((2, len(columns), min(n, _ROW_BLOCK)))
     out = np.empty(len(slots))
@@ -284,9 +285,11 @@ def _slot_draws(columns: np.ndarray, layout, weights: np.ndarray, seed,
                 np.random.SeedSequence((seed, slot, attempt))
             )
             counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
+            moments = _resampled_moments(columns, counts, buffer)
+            # released before the next draw's two n-length arrays are made
+            del counts
             try:
-                beta, _ = _solve_centred(
-                    _resampled_moments(columns, counts, buffer), *layout)
+                beta, _ = _solve_centred(moments, *layout)
             except SingularMomentMatrixError:
                 continue
             out[i] = _weighted_delta(weights, beta)

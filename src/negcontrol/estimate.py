@@ -43,8 +43,9 @@ psi = (Xc @ B) * (Xc @ C) on the centred columns Xc, where column k of B
 holds system k's residual weights y - a1*W - delta*T - bx'X and column k
 of C holds the slope's row of its inverse.  Per-system SEs are the column norms of
 psi over n and the weighted sandwich SE is |psi @ w| / n; both are summed
-over fixed row blocks in ``_sandwich_se``, so no n x P matrix is ever
-formed.
+over fixed row blocks in ``_sandwich_se``, each formed in row tiles where
+it would be too wide, so no block passes ``_PSI_CELLS`` (or, past
+``_PSI_CELLS // _TILE_FLOOR`` systems, ``_TILE_FLOOR`` rows).
 
 ``_solve_centred``, ``_sandwich_se`` and ``_fit_stack`` also take a stack
 of R datasets' statistics on a leading axis, all solved for the same
@@ -82,11 +83,22 @@ _COND_LIMIT = 1e12
 # index of delta within theta = (a0, a1, delta, bx...)
 DELTA_INDEX = 2
 
-# psi cells (datasets x rows x systems) per block of a stacked sandwich; a
-# larger stack runs in parts.  A study pass's dance fits of 16 datasets of
-# 1 000 rows and 32 pairs peaked 7 MB higher as one part than one dataset
-# at a time; at this cap, about 1 MB.
+# psi cells (datasets x rows x systems) per block of the sandwich, the one
+# bound on its working set: a larger stack runs in parts, and a dataset
+# whose block alone is larger runs in row tiles.  A study pass's dance fits
+# of 16 datasets of 1 000 rows and 32 pairs peaked 7 MB higher as one part
+# than one dataset at a time; at this cap, about 1 MB.  At 870 pairs a
+# whole 8 192-row block held 114 MB.
 _PSI_CELLS = 1 << 17
+# rows of a tile are a multiple of this, and at least this.  Measured on
+# a Xeon (OpenBLAS SkylakeX kernels), 32 columns times 870 or 3 540
+# systems: on one thread, tiles of a multiple of 192 rows gave every cell
+# of psi the bits of the whole block's GEMM, and tiles of 64, 128, 256 or
+# 1 024 rows shifted 70 to 1 300 of a block's 7 or 29 million cells.  On
+# two threads, where the block's own GEMM shifts about 60 cells, multiples
+# of 192 shifted about 120, and 64 or 128 rows about 5 000.  Haswell
+# kernels kept every cell at any multiple of 8, on one thread or two.
+_TILE_FLOOR = 192
 
 
 @dataclass(frozen=True)
@@ -305,19 +317,21 @@ def _sandwich_se(xc, layout, beta, inv, j: int, weights):
     ``weights`` average, from ``psi = (xc @ B) * (xc @ C)``: column k of B
     holds system k's residual weights and column k of C its row j of the
     inverse.  The column norms over n of psi, and the norm over n of
-    ``psi @ weights``, are summed over blocks of ``_ROW_BLOCK`` rows, so
-    no n x P matrix is formed.  Both products of a block are written into
-    one buffer allocated once per call.
+    ``psi @ weights``, are summed over blocks of ``_ROW_BLOCK`` rows.  Both
+    products of a block are written into one buffer allocated once per
+    call, which holds at most ``_PSI_CELLS`` cells of psi, or
+    ``_TILE_FLOOR`` rows where that is more: a block that would pass it is
+    formed in row tiles (``_tiled_sums``).
 
     ``xc`` may be a stack (R, n, p) of centred columns, one per dataset,
     with beta (R, P, d) and the inverses (R, P, d, d) of its systems; the
     SEs are then (R, P) and (R,), and each dataset's have the bits they
     have alone.  A stack whose block would hold more than ``_PSI_CELLS``
-    cells of psi runs in parts of fewer datasets, so its buffer stays near
-    that of one dataset.  A lone system is padded with an empty second one:
-    numpy and BLAS then run the kernels of a wider stack, whose columns do
-    not depend on the others, so a system's SE has the same bits in every
-    stack."""
+    cells of psi runs in parts of fewer datasets, down to one dataset at a
+    time, tiled as a dataset alone.  A lone system is padded with an empty
+    second one: numpy and BLAS then run the kernels of a wider stack, whose
+    columns do not depend on the others, so a system's SE has the same bits
+    in every stack."""
     qs, ms, y = layout
     *stack, n, width = xc.shape
     p = beta.shape[-2]
@@ -330,8 +344,13 @@ def _sandwich_se(xc, layout, beta, inv, j: int, weights):
     instr[..., qs, cols] = inv[..., j, :]
     sumsq = np.zeros((*stack, resid.shape[-1]))
     total = np.zeros(stack)
+    if resid.shape[-1] * min(n, _ROW_BLOCK) > _PSI_CELLS:
+        for member in np.ndindex(*stack):
+            total[member] = _tiled_sums(xc[member], resid[member],
+                                        instr[member], weights, sumsq[member])
+        return np.sqrt(sumsq[..., :p]) / n, (np.sqrt(total) / n).tolist()
     # the datasets of a part, and the rows of one block
-    size = max(1, _PSI_CELLS // (resid.shape[-1] * min(n, _ROW_BLOCK)))
+    size = _PSI_CELLS // (resid.shape[-1] * min(n, _ROW_BLOCK))
     parts = ([slice(a, a + size) for a in range(0, stack[0], size)]
              if stack else [...])
     row = (min(size, stack[0]) if stack else 1) * resid.shape[-1]
@@ -351,6 +370,49 @@ def _sandwich_se(xc, layout, beta, inv, j: int, weights):
                             @ influence[..., None])[..., 0, 0]
     # a float, or a list of one per dataset
     return np.sqrt(sumsq[..., :p]) / n, (np.sqrt(total) / n).tolist()
+
+
+def _tiled_sums(xc, resid, instr, weights, sumsq) -> float:
+    """``_sandwich_se``'s sums for one dataset whose blocks of psi would
+    pass ``_PSI_CELLS`` cells: adds each system's sum of psi**2 to
+    ``sumsq`` and returns the sum of ``(psi @ weights)**2``, each summed
+    block by block of ``_ROW_BLOCK`` rows with the bits of a whole block.
+
+    A block is formed in tiles of ``_PSI_CELLS // P`` rows, rounded down to
+    a multiple of ``_TILE_FLOOR`` and at least that; a system's column is
+    never split.  The tiles' products go to rows 1: of two buffers.  After
+    a block's first tile, psi is copied to the second, and row 0 of the two
+    holds the block's running sums of squares and a row of ones, so one
+    einsum over both continues the block's own sum in its own order.
+    Each block's ``psi @ weights`` is kept whole (``_ROW_BLOCK`` floats),
+    and its square summed as one vector, as for an untiled block."""
+    n, pairs = len(xc), resid.shape[-1]
+    p = len(weights)
+    tile = max(_TILE_FLOOR, _PSI_CELLS // pairs // _TILE_FLOOR * _TILE_FLOOR)
+    buffer = np.empty((2, min(n, tile) + 1, pairs))
+    buffer[1, 0] = 1.0
+    influence = np.empty(min(n, _ROW_BLOCK))
+    total = 0.0
+    for start in range(0, n, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, n)
+        for at in range(start, stop, tile):
+            rows = xc[at:min(at + tile, stop)]
+            carried, ones = buffer[:, :len(rows) + 1]
+            psi, copy = carried[1:], ones[1:]
+            np.matmul(rows, resid, out=psi)
+            psi *= np.matmul(rows, instr, out=copy)
+            if at == start:  # nothing carried: the sums start at zero
+                sums = np.einsum("ij,ij->j", psi, psi)
+            else:
+                carried[0] = sums
+                copy[...] = psi
+                sums = np.einsum("ij,ij->j", carried, ones)
+            np.matmul(psi[:, :p], weights,
+                      out=influence[at - start:at - start + len(rows)])
+        sumsq += sums
+        block = influence[:stop - start]
+        total += (block[None, :] @ block[:, None])[0, 0]
+    return total
 
 
 def _weighted_delta(weights, beta, j: int = DELTA_INDEX - 1):

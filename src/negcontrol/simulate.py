@@ -304,7 +304,11 @@ def realize_coefficients(spec: GraphSpec, seed: int) -> GraphSpec:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
+    """1 / (1 + exp(-x)), formed in place in ``x``."""
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x += 1.0
+    return np.divide(1.0, x, out=x)
 
 
 def generate(
@@ -324,38 +328,49 @@ def _generate_stack(spec: GraphSpec, n: int, seeds,
                     include_latent: bool = False):
     """``generate``'s column names and the (R, n, k) values of one sample
     per seed of ``seeds``, each drawn from its own stream as ``generate``
-    draws it alone.  The values are not checked for finiteness."""
+    draws it alone.  The values are not checked for finiteness.
+
+    Each node is drawn straight into its column of the one (R, n, k)
+    output, and its children read it there.  The latent, unless it is a
+    column, has an (R, n) array of its own, which every measured node
+    reads.  Besides these, a node's draw holds a few (R, n) temporaries,
+    so no second copy of the output is ever made."""
     if not spec.is_realized():
         raise GraphSpecError("realize coefficients before generating data")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    values: dict[str, np.ndarray] = {}
+    columns = [spec.treatment, spec.outcome, *spec.candidates]
+    if include_latent:
+        columns.append(spec.latent)
+    out = np.empty((len(rngs), n, len(columns)))
+    values = {node: out[..., k] for k, node in enumerate(columns)}
     intercept = spec.noise.get("intercept", _BINARY_INTERCEPT)
+    linear, term, draws = np.empty((3, len(rngs), n))
     for node in _topological_order(spec):
-        linear = np.zeros((len(rngs), n))
+        value = values.get(node)
+        if value is None:  # the latent, when it is not a column
+            value = values[node] = np.empty((len(rngs), n))
+        linear.fill(0.0)
         for e in spec.parents_of(node):
-            linear = linear + e.coeff * values[e.parent]
-        draws = np.empty((len(rngs), n))
+            linear += np.multiply(values[e.parent], e.coeff, out=term)
         if spec.family == "gaussian":
             # rng.normal(0.0, sd) draws the same 0.0 + sd * z; adding the
             # +0.0 only turns a -0.0 into +0.0, as adding linear then does
             for row, rng in zip(draws, rngs):
                 rng.standard_normal(out=row)
             draws *= spec.noise[node]
-            values[node] = linear + draws
+            np.add(linear, draws, out=value)
         else:
             if node == spec.latent:
                 prob = np.full(n, 0.5)
             else:
-                prob = _sigmoid(intercept + linear)
+                prob = _sigmoid(np.add(intercept, linear, out=linear))
             for row, rng in zip(draws, rngs):
                 rng.random(out=row)
-            values[node] = (draws < prob).astype(float)
-    columns = [spec.treatment, spec.outcome, *spec.candidates]
-    if include_latent:
-        columns.append(spec.latent)
-    return tuple(columns), np.stack([values[c] for c in columns], axis=-1)
+            # 1.0 or 0.0, formed in place and written to the column once
+            value[...] = np.less(draws, prob, out=draws)
+    return tuple(columns), out
 
 
 def _reachable(spec: GraphSpec) -> dict[str, set[str]]:

@@ -606,6 +606,31 @@ def test_weighted_sandwich_memory_stays_below_one_n_by_p_matrix():
     assert peak < n * table.total_pairs * 8 / 2
 
 
+def test_bootstrap_draws_hold_two_count_arrays_at_most():
+    # a draw's row indices and counts are n-length int64 arrays; the last
+    # draw's counts are released before the next draw makes its own
+    n = 200_000
+    rng = np.random.default_rng(31)
+    values = rng.normal(size=(n, 5))
+    values[:, 0] += values[:, 2:].sum(axis=1)
+    values[:, 1] += 0.5 * values[:, 0] + values[:, 2:].sum(axis=1)
+    data = Dataset(("T", "O", "a", "b", "c"), values)
+    table = enumerate_pairs([("a", "b", "c")])
+    names, z, w, freqs = _table_plan(table)
+    layout = _layout(data.index_of, names, z, w, "T", "O")
+    weights = freqs / freqs.sum()
+    columns = data._centred[0].T
+    aggregate._slot_draws(columns, layout, weights, 7, range(1))  # warm
+    tracemalloc.start()
+    try:
+        aggregate._slot_draws(columns, layout, weights, 7, range(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the draws' (2, 5, _ROW_BLOCK) buffer, two n-length arrays, 64 KiB
+    assert peak < 8 * (2 * 5 * _ROW_BLOCK + 2 * n) + (1 << 16)
+
+
 def test_majority_vote_tie_breaks_lexicographically(simple_data, simple_truth):
     dncts, _ = simple_truth
     # A single triple gives all three unordered pairs frequency 2, so the

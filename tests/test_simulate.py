@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -299,6 +300,25 @@ def test_generate_keeps_the_simulated_array(monkeypatch, family):
     assert np.shares_memory(data.values, values)
     assert not data.values.flags.writeable
     assert data.values.tobytes() == Dataset(names, values[0]).values.tobytes()
+
+
+@pytest.mark.parametrize("family", ["gaussian", "binary"])
+@pytest.mark.parametrize("r", [1, 3])
+def test_generated_stack_is_written_once(family, r):
+    # each node is drawn into its column of the one output array: beside
+    # it, the latent's array and a few temporaries, not a second copy
+    spec = builtin_graph("complex", family=family, seed=3)
+    n = 100_000
+    simulate._generate_stack(spec, 100, range(r))  # warm
+    tracemalloc.start()
+    try:
+        names, values = simulate._generate_stack(spec, n, range(r))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    column = 8 * r * n
+    assert values.shape == (r, n, len(names))
+    assert peak < values.nbytes + 6 * column
 
 
 def test_generate_checks_the_kept_array_is_finite(monkeypatch):

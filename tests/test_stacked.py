@@ -194,8 +194,10 @@ def test_sandwich_in_parts_matches_the_whole_stack(monkeypatch, cells):
     monkeypatch.setattr(np, "matmul", counted)
     parts = _sandwich_se(xc, local, beta, inv, 1, weights)
     monkeypatch.undo()
-    # two products per block of each part
-    assert blocks == ([1] * 10 if cells == 1 else [2, 2, 2, 2, 1, 1])
+    # two products per block of each part; a dataset whose block passes
+    # the budget runs alone, in tiles of 192 rows, each with its GEMV
+    assert blocks == (([192] * 15 + [40] * 3) * 5 if cells == 1
+                      else [2, 2, 2, 2, 1, 1])
     assert parts[0].shape == (5, len(pairs)) and len(parts[1]) == 5
     assert _bits(*parts) == _bits(*whole)
 
