@@ -129,14 +129,15 @@ class Dataset:
     variable_names : tuple of str
         Unique, non-empty column names.
     values : ndarray of shape (n, p)
-        Finite float values; stored read-only.
+        Finite float values; stored C-ordered and read-only, so results
+        do not depend on the layout of the array given.
     """
 
     variable_names: tuple[str, ...]
     values: np.ndarray
 
     def __post_init__(self):
-        self._store(np.array(self.values, dtype=float))
+        self._store(np.array(self.values, dtype=float, order="C"))
 
     @classmethod
     def _adopt(cls, variable_names, values: np.ndarray) -> "Dataset":

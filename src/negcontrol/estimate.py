@@ -43,9 +43,9 @@ psi = (Xc @ B) * (Xc @ C) on the centred columns Xc, where column k of B
 holds system k's residual weights y - a1*W - delta*T - bx'X and column k
 of C holds the slope's row of its inverse.  Per-system SEs are the column norms of
 psi over n and the weighted sandwich SE is |psi @ w| / n; both are summed
-over fixed row blocks in ``_sandwich_se``, each formed in row tiles where
-it would be too wide, so no block passes ``_PSI_CELLS`` (or, past
-``_PSI_CELLS // _TILE_FLOOR`` systems, ``_TILE_FLOOR`` rows).
+in ``_sandwich_se``'s one loop over fixed row blocks and their row tiles:
+a block is one tile unless that would pass ``_PSI_CELLS`` cells of psi (or,
+past ``_PSI_CELLS // _TILE_FLOOR`` systems, ``_TILE_FLOOR`` rows).
 
 ``_solve_centred``, ``_sandwich_se`` and ``_fit_stack`` also take a stack
 of R datasets' statistics on a leading axis, all solved for the same
@@ -317,11 +317,17 @@ def _sandwich_se(xc, layout, beta, inv, j: int, weights):
     ``weights`` average, from ``psi = (xc @ B) * (xc @ C)``: column k of B
     holds system k's residual weights and column k of C its row j of the
     inverse.  The column norms over n of psi, and the norm over n of
-    ``psi @ weights``, are summed over blocks of ``_ROW_BLOCK`` rows.  Both
-    products of a block are written into one buffer allocated once per
-    call, which holds at most ``_PSI_CELLS`` cells of psi, or
-    ``_TILE_FLOOR`` rows where that is more: a block that would pass it is
-    formed in row tiles (``_tiled_sums``).
+    ``psi @ weights``, are summed over blocks of ``_ROW_BLOCK`` rows, each
+    formed in row tiles in one buffer allocated once per call.  A block is
+    one tile unless it would hold more than ``_PSI_CELLS`` cells of psi;
+    then a tile has ``_PSI_CELLS // P`` rows, rounded down to a multiple of
+    ``_TILE_FLOOR`` and at least that, and a system's column is never
+    split.  A block of several tiles keeps a whole block's bits: the tiles'
+    products go to rows 1: of the buffer's two halves, and after the first
+    tile psi is copied to the second, with row 0 of the two holding the
+    block's running sums of squares and a row of ones, so one einsum over
+    both continues the block's own sum in its own order.  Each block's
+    ``psi @ weights`` is kept whole and its square summed as one vector.
 
     ``xc`` may be a stack (R, n, p) of centred columns, one per dataset,
     with beta (R, P, d) and the inverses (R, P, d, d) of its systems; the
@@ -342,77 +348,47 @@ def _sandwich_se(xc, layout, beta, inv, j: int, weights):
     resid[..., ms, cols] = -beta
     instr = np.zeros_like(resid)
     instr[..., qs, cols] = inv[..., j, :]
-    sumsq = np.zeros((*stack, resid.shape[-1]))
+    pairs = resid.shape[-1]
+    sumsq = np.zeros((*stack, pairs))
     total = np.zeros(stack)
-    if resid.shape[-1] * min(n, _ROW_BLOCK) > _PSI_CELLS:
-        for member in np.ndindex(*stack):
-            total[member] = _tiled_sums(xc[member], resid[member],
-                                        instr[member], weights, sumsq[member])
-        return np.sqrt(sumsq[..., :p]) / n, (np.sqrt(total) / n).tolist()
-    # the datasets of a part, and the rows of one block
-    size = _PSI_CELLS // (resid.shape[-1] * min(n, _ROW_BLOCK))
+    # the datasets of a part, the rows of a tile, and a row for the sums
+    block = min(n, _ROW_BLOCK)
+    size = max(1, _PSI_CELLS // (pairs * block))
+    tile = _ROW_BLOCK if pairs * block <= _PSI_CELLS else max(
+        _TILE_FLOOR, _PSI_CELLS // pairs // _TILE_FLOOR * _TILE_FLOOR)
+    extra = int(tile < _ROW_BLOCK)
     parts = ([slice(a, a + size) for a in range(0, stack[0], size)]
              if stack else [...])
-    row = (min(size, stack[0]) if stack else 1) * resid.shape[-1]
-    buffer = np.empty(2 * row * min(n, _ROW_BLOCK))
+    members = min(size, stack[0]) if stack else 1
+    buffer = np.empty(2 * members * (min(n, tile) + extra) * pairs)
+    kept = np.empty(members * block)
     for part in parts:
+        lead = xc[part].shape[:-2]
         for start in range(0, n, _ROW_BLOCK):
             rows = xc[part][..., start:start + _ROW_BLOCK, :]
-            shape = (*rows.shape[:-1], resid.shape[-1])
-            cells = math.prod(shape)
-            psi = np.matmul(rows, resid[part],
-                            out=buffer[:cells].reshape(shape))
-            psi *= np.matmul(rows, instr[part],
-                             out=buffer[cells:2 * cells].reshape(shape))
-            sumsq[part] += np.einsum("...ij,...ij->...j", psi, psi)
-            influence = psi[..., :p] @ weights
+            length = rows.shape[-2]
+            influence = kept[:math.prod(lead) * length].reshape(*lead, length)
+            for at in range(0, length, tile):
+                tiled = rows[..., at:at + tile, :]
+                shape = (2, *lead, tiled.shape[-2] + extra, pairs)
+                carried, ones = buffer[:math.prod(shape)].reshape(shape)
+                psi, copy = carried[..., extra:, :], ones[..., extra:, :]
+                np.matmul(tiled, resid[part], out=psi)
+                psi *= np.matmul(tiled, instr[part], out=copy)
+                if at == 0:  # nothing carried: the sums start at zero
+                    sums = np.einsum("...ij,...ij->...j", psi, psi)
+                else:
+                    carried[..., 0, :] = sums
+                    ones[..., 0, :] = 1.0  # the halves move with the rows
+                    copy[...] = psi
+                    sums = np.einsum("...ij,...ij->...j", carried, ones)
+                np.matmul(psi[..., :p], weights,
+                          out=influence[..., at:at + tile])
+            sumsq[part] += sums
             total[part] += (influence[..., None, :]
                             @ influence[..., None])[..., 0, 0]
     # a float, or a list of one per dataset
     return np.sqrt(sumsq[..., :p]) / n, (np.sqrt(total) / n).tolist()
-
-
-def _tiled_sums(xc, resid, instr, weights, sumsq) -> float:
-    """``_sandwich_se``'s sums for one dataset whose blocks of psi would
-    pass ``_PSI_CELLS`` cells: adds each system's sum of psi**2 to
-    ``sumsq`` and returns the sum of ``(psi @ weights)**2``, each summed
-    block by block of ``_ROW_BLOCK`` rows with the bits of a whole block.
-
-    A block is formed in tiles of ``_PSI_CELLS // P`` rows, rounded down to
-    a multiple of ``_TILE_FLOOR`` and at least that; a system's column is
-    never split.  The tiles' products go to rows 1: of two buffers.  After
-    a block's first tile, psi is copied to the second, and row 0 of the two
-    holds the block's running sums of squares and a row of ones, so one
-    einsum over both continues the block's own sum in its own order.
-    Each block's ``psi @ weights`` is kept whole (``_ROW_BLOCK`` floats),
-    and its square summed as one vector, as for an untiled block."""
-    n, pairs = len(xc), resid.shape[-1]
-    p = len(weights)
-    tile = max(_TILE_FLOOR, _PSI_CELLS // pairs // _TILE_FLOOR * _TILE_FLOOR)
-    buffer = np.empty((2, min(n, tile) + 1, pairs))
-    buffer[1, 0] = 1.0
-    influence = np.empty(min(n, _ROW_BLOCK))
-    total = 0.0
-    for start in range(0, n, _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, n)
-        for at in range(start, stop, tile):
-            rows = xc[at:min(at + tile, stop)]
-            carried, ones = buffer[:, :len(rows) + 1]
-            psi, copy = carried[1:], ones[1:]
-            np.matmul(rows, resid, out=psi)
-            psi *= np.matmul(rows, instr, out=copy)
-            if at == start:  # nothing carried: the sums start at zero
-                sums = np.einsum("ij,ij->j", psi, psi)
-            else:
-                carried[0] = sums
-                copy[...] = psi
-                sums = np.einsum("ij,ij->j", carried, ones)
-            np.matmul(psi[:, :p], weights,
-                      out=influence[at - start:at - start + len(rows)])
-        sumsq += sums
-        block = influence[:stop - start]
-        total += (block[None, :] @ block[:, None])[0, 0]
-    return total
 
 
 def _weighted_delta(weights, beta, j: int = DELTA_INDEX - 1):

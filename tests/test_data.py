@@ -35,6 +35,8 @@ from negcontrol.data import (
     write_csv,
 )
 from negcontrol.estimate import _used_columns
+from negcontrol.pipeline import dance
+from negcontrol.simulate import builtin_graph, generate
 from negcontrol.errors import (
     DuplicateHeaderError,
     MissingValueError,
@@ -1127,10 +1129,29 @@ def test_centre_of_other_layouts_has_the_two_pass_bits():
     # not C-ordered centres as the reference centres it
     values = np.random.default_rng(5).normal(size=(_ROW_BLOCK + 9, 4))
     layouts = (np.asfortranarray(values), values[:, ::-1])
-    assert Dataset(tuple("abcd"), layouts[0]).values.flags.f_contiguous
+    assert Dataset(tuple("abcd"), layouts[0]).values.flags.c_contiguous
     for layout in layouts:
         for array, reference in zip(_centre(layout), _two_pass(layout)):
             assert array.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("ci", ["sandwich", "bootstrap"])
+def test_results_do_not_depend_on_the_layout_of_the_values(ci):
+    # a dataset stores its values C-ordered, so the same values given
+    # F-ordered or through reversed strides centre and fit to the same bits
+    given = generate(builtin_graph("complex", strength="weak", seed=5), 5000, 5)
+    values = given.values
+    layouts = (values, np.asfortranarray(values),
+               np.ascontiguousarray(values[::-1])[::-1],
+               np.ascontiguousarray(values[:, ::-1])[:, ::-1])
+    got = []
+    for layout in layouts:
+        assert layout.tobytes() == values.tobytes()
+        data = Dataset(given.variable_names, layout)
+        got.append((*(array.tobytes() for array in data._centred),
+                     dance(data, "T", "O", ci_method=ci, bootstrap_draws=40,
+                           seed=2).to_json()))
+    assert got[1:] == got[:1] * 3
 
 
 def test_centred_columns_are_stored_column_major(table_dataset):

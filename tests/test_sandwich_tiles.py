@@ -1,16 +1,21 @@
 """The sandwich in row tiles against the row-block sandwich it replaces.
 
-``estimate._sandwich_se`` forms psi, one column per system, over blocks of
-``_ROW_BLOCK`` rows.  A block that would hold more than ``_PSI_CELLS``
-cells of psi is formed in row tiles instead, so a single dataset's working
-set no longer grows with the number of pairs.  Every SE must keep the bits
-of the row-block code.
+``estimate._sandwich_se`` forms psi, one column per system, in one loop
+over blocks of ``_ROW_BLOCK`` rows and their row tiles.  A block is one
+tile unless it would hold more than ``_PSI_CELLS`` cells of psi, so a
+single dataset's working set does not grow with the number of pairs.
+Every SE must keep the bits of the row-block code, and of itself on one
+BLAS thread or two.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,3 +138,36 @@ def test_wide_sandwich_working_set_does_not_grow_with_n(n):
     finally:
         tracemalloc.stop()
     assert peak < bound
+
+
+_CHILD = """
+import hashlib
+import sys
+sys.path.insert(0, sys.argv[1])
+from test_sandwich_tiles import _bits, _case
+from negcontrol.estimate import _sandwich_se
+digest = hashlib.sha256()
+for stack, n, systems in (((), 20_000, 870), ((3,), 8193, 32)):
+    xc, layout, beta, inv, weights = _case(stack, n, systems)
+    for bits in _bits(*_sandwich_se(xc, layout, beta, inv, 1, weights)):
+        digest.update(bits)
+print(digest.hexdigest())
+"""
+
+
+def test_tiles_keep_their_bits_on_one_or_two_blas_threads():
+    # a tile's GEMM may round a few cells otherwise on two threads than on
+    # one; the SEs of 870 pairs, and of a stack in parts, must not move
+    here = Path(__file__).resolve().parent
+    src = str(here.parent / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        child = subprocess.run([sys.executable, "-c", _CHILD, str(here)],
+                               env=env, capture_output=True, text=True,
+                               timeout=300)
+        assert child.returncode == 0, child.stderr
+        digests.append(child.stdout.strip())
+    assert digests[0] == digests[1]

@@ -187,17 +187,20 @@ def test_sandwich_in_parts_matches_the_whole_stack(monkeypatch, cells):
     matmul = np.matmul
 
     def counted(a, b, out=None):
-        blocks.append(len(out))
+        blocks.append(out.shape[:-1])
         return matmul(a, b, out=out)
 
     monkeypatch.setattr("negcontrol.estimate._PSI_CELLS", cells)
     monkeypatch.setattr(np, "matmul", counted)
     parts = _sandwich_se(xc, local, beta, inv, 1, weights)
     monkeypatch.undo()
-    # two products per block of each part; a dataset whose block passes
-    # the budget runs alone, in tiles of 192 rows, each with its GEMV
-    assert blocks == (([192] * 15 + [40] * 3) * 5 if cells == 1
-                      else [2, 2, 2, 2, 1, 1])
+    # two products and a GEMV per tile, for the datasets of a part; a
+    # dataset whose block passes the budget runs alone, in tiles of 192
+    # rows, and otherwise a block of 1 000 rows is one tile
+    def tile(members, rows):
+        return [(members, rows), (members, rows), (members,)]
+    assert blocks == ((tile(1, 192) * 5 + tile(1, 40)) * 5 if cells == 1
+                      else tile(2, 1000) * 2 + tile(1, 1000))
     assert parts[0].shape == (5, len(pairs)) and len(parts[1]) == 5
     assert _bits(*parts) == _bits(*whole)
 
