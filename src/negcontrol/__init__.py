@@ -13,8 +13,9 @@ The pipeline has three stages, each usable on its own:
 All three stages read one statistic of the data: its columns centred
 once, and their cross products.
 
-CSV reads and writes and replication studies fork worker processes; no
-output depends on the split, and same-seed reruns are byte-identical.
+CSV reads and writes, bootstrap draws and replication studies fork
+worker processes; no output depends on the split, and same-seed reruns
+are byte-identical.
 
 ``dance`` chains the stages; ``simulate``/``study`` provide synthetic
 benchmarks with exact graphical ground truth; the ``negcontrol`` console

@@ -21,14 +21,14 @@ closed before any child is waited on, so a child still writing gets EPIPE
 instead of waiting on this process, and every child is reaped however
 ``map_parts`` returns or raises.
 
-``stream_parts(parts, here, child, write)``, behind the CSV write and the
-search report, writes the first part here and then copies each child's
-bytes through ``write``, in order, ``_COPY_CHUNK`` at a time.  A part
-whose child sent nothing is written here, in its place;
-``ChildProcessError`` is raised when a child's bytes ended early, or when
-it exited non-zero after sending.  The CSV parse reads a child's rows
-straight into place with ``_payload_size`` and ``_read_into``; the study
-and the bootstrap take a child's bytes whole with ``_receive_bytes``.
+``stream_parts(parts, here, child, write)``, behind the CSV write, writes
+the first part here and then copies each child's bytes through ``write``,
+in order, ``_COPY_CHUNK`` at a time.  A part whose child sent nothing is
+written here, in its place; ``ChildProcessError`` is raised when a child's
+bytes ended early, or when it exited non-zero after sending.  The CSV
+parse reads a child's rows straight into place with ``_payload_size`` and
+``_read_into``; the study and the bootstrap take a child's bytes whole
+with ``_receive_bytes``.
 """
 from __future__ import annotations
 

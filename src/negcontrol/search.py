@@ -33,13 +33,10 @@ p-value exceeds the report's alpha.  The ``DnctVerdict`` and
 first access.  The report's JSON is streamed straight from them in blocks
 of ``_JSON_BLOCK`` triples, each block one ``%`` of a fixed template, so
 the text is byte-identical to ``json.dumps`` of ``to_json_dict`` and the
-writer's memory does not grow with the report.  Formatting the numbers
-holds the interpreter lock, so the verdict list is cut by ``_fork.cuts``
-into runs of whole blocks, at least ``_FORK_BLOCKS`` blocks each, and
-written by ``_fork.stream_parts``: forked children format the runs after
-the first while this process streams it, and then it copies each child's
-text, in order.  Every run is formatted by the same templates, so the
-bytes do not depend on the split.
+writer's memory does not grow with the report.  The whole report is
+written in this process: on 2 vCPUs, forked children formatting the
+verdict list wrote a 4 060-triple report no faster, and paid only for
+reports about 8 times larger.
 """
 from __future__ import annotations
 
@@ -54,7 +51,6 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import _numparse
-from ._fork import cuts, stream_parts
 from .data import CovMatrix, Dataset, covariance
 from .errors import TooFewCandidatesError, UnknownVariableError
 from .estimate import _check_distinct
@@ -157,49 +153,27 @@ def _numbers(array: np.ndarray, *nonfinite) -> list[str]:
 # 4 060-triple report equally fast (2 vCPUs), 1 024 and above more slowly;
 # the writer's memory is about three blocks' text, 0.4 MB at 256.
 _JSON_BLOCK = 256
-# blocks per forked process in _write_json: into a new file, 4 060 triples
-# wrote in 21.9 ms as one run and 17.3 ms as two, 2 024 (8 blocks) in 11.9
-# against 9.1 ms, 969 (4 blocks) in 5.7 against 4.7 ms and 680 (3 blocks)
-# in 4.6 against 4.8 ms (2 vCPUs, a 140 MB process: the fork copies its
-# page tables)
-_FORK_BLOCKS = 4
 
 _BOOLS = np.array(["false", "true"], dtype=object)
 
 
-def _block_texts(one: str, blocks, opened: bool = False):
-    """The text of the items of a JSON list that are the template ``one``
-    filled with each row of the (t, k) object arrays ``blocks``, t at most
-    ``_JSON_BLOCK``: one ``%`` per block, made only when the text before
-    it has been taken.  Each block's text comes after the list's opening
-    bracket, or after a comma once an item is ``opened``."""
+def _write_list(write, one: str, blocks, close: str) -> None:
+    """Write the JSON list whose items are the template ``one`` filled
+    with each row of the (t, k) object arrays ``blocks``, t at most
+    ``_JSON_BLOCK``, closing at indentation ``close``: one ``%`` per
+    block, each block written before the next is formed."""
     full = ",\n".join([one] * _JSON_BLOCK)
+    opened = False
     for fields in blocks:
         t = len(fields)
         if t == 0:
             continue
-        yield ",\n" if opened else "[\n"
+        write(",\n" if opened else "[\n")
         text = full[:t * (len(one) + 2) - 2] % tuple(fields.ravel().tolist())
         del fields  # so the next block's are formed without these
-        yield text
-        opened = True
-
-
-def _write_list(write, one: str, blocks, close: str) -> None:
-    """Write the JSON list of ``_block_texts(one, blocks)`` closing at
-    indentation ``close``."""
-    opened = False
-    for text in _block_texts(one, blocks):
         write(text)
         opened = True
     write(f"\n{close}]" if opened else "[]")
-
-
-def _runs(t: int) -> list[tuple[int, int]]:
-    """[start, stop) ranges of ``t`` triples: the ``_fork.cuts`` of their
-    whole ``_JSON_BLOCK``s, each run at least ``_FORK_BLOCKS`` blocks."""
-    return [(a * _JSON_BLOCK, min(b * _JSON_BLOCK, t))
-            for a, b in cuts(-(-t // _JSON_BLOCK), _FORK_BLOCKS)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,8 +313,7 @@ class FindNcReport:
         indentation ``pad``: every line after the first is prefixed with
         it.  The lists go out in blocks of ``_JSON_BLOCK`` triples, each
         formatted by one ``%`` and written before the next is made, so
-        memory does not grow with the report; the verdict list's runs
-        after the first are formatted by forked children."""
+        memory does not grow with the report."""
         key, item = pad + "  ", pad + "    "
         test = item + "    "
         names = np.array(
@@ -375,33 +348,14 @@ class FindNcReport:
             + f'\n{item}  ],\n{item}  "triple": [\n{item}    %s,\n'
             f'{item}    %s,\n{item}    %s\n{item}  ]\n{item}}}'
         )
-        self._write_verdicts(write, one_verdict, names, roles, passed)
-        write(f"\n{key}]" if len(self.triples) else "[]")
+        _write_list(
+            write,
+            one_verdict,
+            (self._verdict_fields(names, roles, passed, s, s + _JSON_BLOCK)
+             for s in starts),
+            key,
+        )
         write(f"\n{pad}}}")
-
-    def _write_verdicts(self, write, one: str, names, roles,
-                        passed) -> None:
-        """Write the verdict list up to its closing bracket, in
-        ``_runs`` of whole blocks, by ``_fork.stream_parts``: this process
-        streams the first run as ``_write_list`` does while forked children
-        format the others."""
-
-        def texts(run):
-            start, stop = run
-            return _block_texts(
-                one,
-                (self._verdict_fields(names, roles, passed, s, s + _JSON_BLOCK)
-                 for s in range(start, stop, _JSON_BLOCK)),
-                opened=start > 0,
-            )
-
-        def here(run):
-            for text in texts(run):
-                write(text)
-
-        stream_parts(_runs(len(self.triples)), here,
-                     lambda run: "".join(texts(run)).encode("ascii"),
-                     lambda piece: write(str(piece, "ascii")))
 
     def _verdict_fields(self, names, roles, passed, start: int,
                         stop: int) -> np.ndarray:

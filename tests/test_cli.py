@@ -27,7 +27,6 @@ from negcontrol import data as data_module
 from negcontrol.cli import main
 from negcontrol.data import Dataset, load_csv, write_csv
 from negcontrol.pipeline import dance
-from negcontrol._fork import _send
 from negcontrol.search import find_nc
 from test_data import _count_forks
 from test_report import split_report
@@ -568,8 +567,8 @@ def test_find_and_dance_stream_what_to_json_gives(tmp_path, golden_csvs,
 @pytest.mark.parametrize("command", ["find", "dance"])
 def test_split_report_goes_out_as_json_dumps(tmp_path, golden_csvs, capsys,
                                              monkeypatch, command, k):
-    # the 10 triples of the constant CSV, one a block, in k forked runs;
-    # the CSV is parsed in one process
+    # the 10 triples of the constant CSV, one a block, on k CPUs; the CSV
+    # is parsed in one process, so nothing forks
     split_report(monkeypatch, k, 1)
     monkeypatch.setattr("negcontrol.data._PARSE_CHUNK", 1 << 40)
     path = golden_csvs["constant"]
@@ -586,32 +585,7 @@ def test_split_report_goes_out_as_json_dumps(tmp_path, golden_csvs, capsys,
     capsys.readouterr()
     assert main(argv) == 0
     assert capsys.readouterr().out.encode() == expected
-    assert len(forked) == 2 * (k - 1)
-
-
-@pytest.mark.parametrize("command", ["find", "dance"])
-def test_split_report_short_payload_exit_1_and_no_file(
-        tmp_path, golden_csvs, capsys, monkeypatch, command):
-    # the first child announces its text and sends half of it
-    split_report(monkeypatch, 2, 1)
-    monkeypatch.setattr("negcontrol.data._PARSE_CHUNK", 1 << 40)
-    forked = _count_forks(monkeypatch)
-
-    def send(fd, payload):
-        view = memoryview(payload).cast("B")
-        if len(view) > 8:  # not the count
-            view = view[:len(view) // 2]
-        _send(fd, view)
-
-    monkeypatch.setattr("negcontrol._fork._send", send)
-    out = tmp_path / "report.json"
-    assert main([command, "--data", str(golden_csvs["constant"]),
-                 "--treatment", "T", "--outcome", "O",
-                 "--out", str(out)]) == 1
-    assert len(forked) == 1
-    assert not out.exists()
-    assert capsys.readouterr().err == (
-        "error: a forked part of the output ended early\n")
+    assert forked == []
 
 
 def _fail_after_first_block(monkeypatch, error):

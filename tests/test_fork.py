@@ -79,7 +79,6 @@ def test_each_streamed_output_is_one_stream_parts_call():
     assert [(path, scope) for path, scope, _ in found
             if path != "_fork.py"] == [
         ("data.py", "_write_rows"),
-        ("search.py", "FindNcReport._write_verdicts"),
     ]
 
 
