@@ -23,9 +23,10 @@ instead of waiting on this process, and every child is reaped however
 
 ``stream_parts(parts, here, child, write)``, behind the CSV write, writes
 the first part here and then copies each child's bytes through ``write``,
-in order, ``_COPY_CHUNK`` at a time.  A part whose child sent nothing is
-written here, in its place; ``ChildProcessError`` is raised when a child's
-bytes ended early, or when it exited non-zero after sending.  The CSV
+in order, ``_COPY_CHUNK`` at a time; a part that got no child is written
+here after them.  ``ChildProcessError`` is raised unless every part was
+written whole: when a child sent nothing, when its bytes ended early, or
+when it exited non-zero; the caller then writes its output again.  The CSV
 parse reads a child's rows straight into place with ``_payload_size`` and
 ``_read_into``; the study and the bootstrap take a child's bytes whole
 with ``_receive_bytes``.
@@ -80,25 +81,9 @@ def stream_parts(parts, here, child, write) -> None:
     """Write every part of ``parts`` in order, as the module docstring
     describes: ``here(part)`` writes a part in this process, and a forked
     child's ``child(part)`` returns the bytes of its part for ``write``."""
-    later = iter(range(1, len(parts)))
-    redone = set()
-
-    def write_here(part):
-        here(part)
-        return True
-
-    def copy(fd):
-        i = next(later)
-        sent = _copy_payload(fd, write)
-        if sent is None:  # the child sent nothing: its part is written here
-            redone.add(i)
-            return write_here(parts[i])
-        if not sent:
-            raise ChildProcessError("a forked part of the output ended early")
-        return True
-
-    done = map_parts(parts, write_here, child, copy)
-    if any(ok is None and i not in redone for i, ok in enumerate(done)):
+    done = map_parts(parts, lambda part: here(part) or True, child,
+                     partial(_copy_payload, write=write))
+    if not all(done):
         raise ChildProcessError("a forked part of the output failed")
 
 

@@ -15,22 +15,19 @@ majority vote.  One step, ``_aggregate``, builds every
 ``AggregateResult`` from such a plan: the two public aggregators, which
 ``dance`` calls, pass the plan of their table (``_table_plan``).
 
-Both read the dataset's one centred moment statistic (see ``data``): the
-fits solve on its cross products, and the sandwich and every bootstrap
-draw read its centred columns, or a copy of just the columns the pairs
-use when they use fewer.  Every sandwich SE, each pair's, the weighted
-average's and the majority pair's, comes from the one row-blocked sandwich
-of ``estimate._fit_stack``.  The majority vote is the fit of its lone
-pair, so its SE is that pair's, and it has no bootstrap.
+Both read the dataset's one centred statistic, ``data._Moments``, or its
+subset of the columns the pairs read: the fits solve on its cross
+products, the sandwich reads its centred columns, and every bootstrap
+draw is its ``resampled`` moment matrix, so it forms no n x k array.
+Every sandwich SE, each pair's, the weighted average's and the majority
+pair's, comes from the one row-blocked sandwich of
+``estimate._fit_stack``.  The majority vote is the fit of its lone pair,
+so its SE is that pair's, and it has no bootstrap.
 
-The dataset stores its centred columns column-major, so the bootstrap
-reads them as (k, n) rows in place, and a draw sums its count-weighted
-centred moments over blocks of ``data._ROW_BLOCK`` rows of them, so it
-forms no n x k array.
-Its slots are cut into the runs of ``_fork.cuts``, each of at least
-``_BOOT_CHUNK`` draws, and ``_fork.map_parts`` draws the runs after the
-first in forked children.  Each slot seeds itself, so the draws do not
-depend on the split.
+The bootstrap's slots are cut into the runs of ``_fork.cuts``, each of
+at least ``_BOOT_CHUNK`` draws, and ``_fork.map_parts`` draws the runs
+after the first in forked children.  Each slot seeds itself, so the
+draws do not depend on the split.
 """
 from __future__ import annotations
 
@@ -234,7 +231,7 @@ def _check_interval_options(
 
 
 def _bootstrap_se(
-    xc: np.ndarray,
+    centred,
     layout,
     weights: np.ndarray,
     draws: int,
@@ -243,12 +240,9 @@ def _bootstrap_se(
     """Bootstrap draws of the weighted estimate, one per slot.
 
     A row resample is fully described by how often it draws each row, so
-    a draw weights the rows of the centred columns ``xc`` by their counts
-    and forms one count-weighted centred moment matrix; one stacked solve
+    a draw forms the count-weighted centred moment matrix of the centred
+    statistic ``centred`` (``data._Moments.resampled``); one stacked solve
     on that matrix fits every pair, whose systems ``layout`` stacks.
-    ``xc`` is the (n, k) view of column-major storage (``data._centre``,
-    ``estimate._used_columns``), so each draw reads ``xc.T`` in place, in
-    blocks of ``data._ROW_BLOCK`` rows (see ``_resampled_moments``).
 
     Each slot derives its own random stream from (seed, slot, attempt), so
     a slot's draw does not depend on how the other slots went.  A slot
@@ -264,20 +258,20 @@ def _bootstrap_se(
     process, so its bits do not depend on the split.
     """
     parts = [range(a, b) for a, b in cuts(draws, _BOOT_CHUNK)]
-    run = partial(_slot_draws, xc.T, layout, weights, seed)
+    run = partial(_slot_draws, centred, layout, weights, seed)
     done = map_parts(parts, run, run, _received_draws)
     return np.concatenate([run(part) if block is None else block
                            for part, block in zip(parts, done)])
 
 
-def _slot_draws(columns: np.ndarray, layout, weights: np.ndarray, seed,
+def _slot_draws(centred, layout, weights: np.ndarray, seed,
                 slots: range) -> np.ndarray:
-    """The draws of ``slots`` from the (k, n) centred columns ``columns``,
-    each draw's moment matrix formed by ``_resampled_moments`` in one
-    buffer reused across the draws.  A draw holds two n-length integer
-    arrays at most: its row indices and its counts."""
-    n = columns.shape[1]
-    buffer = np.empty((2, len(columns), min(n, _ROW_BLOCK)))
+    """The draws of ``slots`` from the centred statistic ``centred``, each
+    draw's moment matrix ``resampled`` in one buffer reused across the
+    draws.  A draw holds two n-length integer arrays at most: its row
+    indices and its counts."""
+    n = centred.n
+    buffer = np.empty((2, len(centred.means), min(n, _ROW_BLOCK)))
     out = np.empty(len(slots))
     for i, slot in enumerate(slots):
         for attempt in range(_BOOT_RETRIES_PER_SLOT):
@@ -285,7 +279,7 @@ def _slot_draws(columns: np.ndarray, layout, weights: np.ndarray, seed,
                 np.random.SeedSequence((seed, slot, attempt))
             )
             counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
-            moments = _resampled_moments(columns, counts, buffer)
+            moments = centred.resampled(counts, buffer)
             # released before the next draw's two n-length arrays are made
             del counts
             try:
@@ -300,38 +294,6 @@ def _slot_draws(columns: np.ndarray, layout, weights: np.ndarray, seed,
                 "times"
             )
     return out
-
-
-def _resampled_moments(columns: np.ndarray, counts: np.ndarray,
-                       buffer: np.ndarray) -> np.ndarray:
-    """The centred second moments over n of the resample that draws row i
-    of the (k, n) columns ``columns`` ``counts[i]`` times, summed over
-    blocks of ``_ROW_BLOCK`` rows in the (2, k, ``_ROW_BLOCK`` or n)
-    ``buffer``.  ``columns`` is read in place: the dataset's C-contiguous
-    storage of its centred columns, or of the subset the pairs read.
-
-    The means are blocked GEMVs of the counts, and the moments the sum of
-    ``(d * c) @ d.T`` over blocks, ``d`` the block less the means.  Each
-    block's products are small enough that BLAS keeps them on one thread,
-    so their bits do not depend on how many it has: one GEMV over all n
-    rows sums in another order on two threads."""
-    k, n = columns.shape
-    blocks = [slice(start, start + _ROW_BLOCK)
-              for start in range(0, n, _ROW_BLOCK)]
-    means = np.zeros(k)
-    for rows in blocks:
-        means += columns[:, rows] @ counts[rows]
-    means /= n
-    # centred at the resample's means, not by subtracting their outer
-    # product: a column it holds constant keeps rounding-level
-    # correlations, not a variance of rounding noise, and is rejected
-    moments = np.zeros((k, k))
-    for rows in blocks:
-        block = columns[:, rows]
-        dev, scaled = buffer[:, :, :block.shape[1]]
-        np.subtract(block, means[:, None], out=dev)
-        moments += np.multiply(dev, counts[rows], out=scaled) @ dev.T
-    return moments / n
 
 
 def _received_draws(fd: int):
@@ -359,7 +321,7 @@ def _aggregate(
     their deltas gets the stacked sandwich's SE (with the cross-pair
     covariance) or a bootstrap's.  The majority vote is its lone pair's
     fit.  The options are ``_check_interval_options``'s."""
-    alpha0, beta, ses, delta_hat, se, xc, local = _fit_stack(
+    alpha0, beta, ses, delta_hat, se, moments, local = _fit_stack(
         data._centred, data.index_of, names, z, w, weights, roles)
     per_pair = tuple(
         (pair, _pair_estimate(pair, a0, slopes, pair_se), float(weight))
@@ -372,7 +334,7 @@ def _aggregate(
     elif ci_method == "sandwich":
         method = "weighted_sandwich"
     else:
-        boot = _bootstrap_se(xc, local, weights, bootstrap_draws, seed)
+        boot = _bootstrap_se(moments, local, weights, bootstrap_draws, seed)
         se = float(np.std(boot, ddof=1))
         if bootstrap_ci == "normal":
             ci_low, ci_high = _interval(delta_hat, se)

@@ -5,12 +5,12 @@ estimators) consumes the two immutable containers defined here, so the
 loading rules are strict: named numeric columns, no missing values, and a
 covariance matrix that is symmetric by construction and safe to share.
 
-A dataset's second moments are computed once, in one place: its columns
-centred in two passes, their means and their cross products.  The search
-reads them through ``covariance``; every pair fit, the naive fit and the
-bootstrap read them directly, the bootstrap from the column-major storage
-of the centred columns, in place.  So both stages see the same statistic,
-and a constant column has zero variance in both.
+A dataset's second moments are computed once, in one place: ``_centre``
+forms its ``_Moments``, the columns centred in two passes, their means and
+their cross products.  The search reads them through ``covariance``; every
+pair fit, the naive fit and the bootstrap ask the statistic for what they
+read, and only ``_Moments`` knows how it stores them.  So both stages see
+the same statistic, and a constant column has zero variance in both.
 
 A CSV body is cut at line ends into the byte ranges of ``_fork.cuts``, at
 least ``_PARSE_CHUNK`` bytes each, and the rows of a write into its row
@@ -68,6 +68,7 @@ import stat
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -194,29 +195,97 @@ class Dataset:
         return self.values[:, self.index_of(name)]
 
     @cached_property
-    def _centred(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _centred(self) -> _Moments:
         """``_centre`` of the values: the one second-moment statistic of
-        the dataset, formed on first use and read-only, so every caller
-        shares one copy.  The centred columns ``xc`` are stored
-        column-major, so ``xc.T`` is C-contiguous."""
-        centred = _centre(self.values)
-        for array in centred:
-            array.flags.writeable = False
-        return centred
+        the dataset, formed on first use, so every caller shares one
+        read-only copy."""
+        return _centre(self.values)
 
 
-def _centre(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every column of the (..., n, p) ``values`` centred, the column means
-    (..., p) and the cross products ``xc.T @ xc`` (..., p, p), of each
-    matrix of a stack alike; each matrix's results have the bits it has
-    alone.
+class _Moments(NamedTuple):
+    """The centred statistic of a dataset, or of each of a stack of R
+    datasets of n rows: the centred columns ``xc`` (..., n, p), the column
+    means (..., p) and the cross products ``gram`` (..., p, p).  Readers
+    ask it for what they need, so only this module knows its layout: the
+    centred columns of each dataset are the (n, p) ``swapaxes`` view of
+    one C-contiguous (p, n) array, stored column-major, which a bootstrap
+    draw reads row by row in place and ``subset`` gathers as whole rows.
+    Every method gives each dataset of a stack the bits it has alone."""
+
+    xc: np.ndarray
+    means: np.ndarray
+    gram: np.ndarray
+
+    @property
+    def n(self) -> int:
+        """The rows of each dataset."""
+        return self.xc.shape[-2]
+
+    def members(self, rows) -> _Moments:
+        """The statistic of the datasets ``rows`` of a stack: a view for a
+        slice or one position, a copy for a list."""
+        return _Moments(*(array[rows] for array in self))
+
+    def covariance(self) -> np.ndarray:
+        """The sample covariance, denominator n - 1: the cross products
+        times 1 / (n - 1), symmetrised."""
+        raw = self.gram * (1.0 / (self.n - 1))
+        return (raw + raw.swapaxes(-1, -2)) / 2.0
+
+    def subset(self, used: np.ndarray) -> _Moments:
+        """The statistic of the sorted columns ``used``: itself if they are
+        all of its columns, else their centred columns gathered once, as
+        rows of the column-major storage, so the subset stays column-major
+        and the GEMMs and draws that read it do not grow with the columns
+        left out.  Every entry kept is the same float."""
+        if len(used) == self.means.shape[-1]:
+            return self
+        columns = self.xc.swapaxes(-1, -2)[..., used, :]
+        return _Moments(columns.swapaxes(-1, -2), self.means[..., used],
+                        self.gram[..., used[:, None], used])
+
+    def resampled(self, counts: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+        """The centred second moments over n of the resample of one
+        dataset, not a stack, that draws its row i ``counts[i]`` times,
+        summed over blocks of ``_ROW_BLOCK`` rows in the (2, p,
+        ``_ROW_BLOCK`` or n) ``buffer``; the centred columns are read in
+        place.
+
+        The means are blocked GEMVs of the counts, and the moments the sum
+        of ``(d * c) @ d.T`` over blocks, ``d`` the block less the means.
+        Each block's products are small enough that BLAS keeps them on one
+        thread, so their bits do not depend on how many it has: one GEMV
+        over all n rows sums in another order on two threads."""
+        columns = self.xc.T
+        blocks = [slice(start, start + _ROW_BLOCK)
+                  for start in range(0, self.n, _ROW_BLOCK)]
+        means = np.zeros(len(columns))
+        for rows in blocks:
+            means += columns[:, rows] @ counts[rows]
+        means /= self.n
+        # centred at the resample's means, not by subtracting their outer
+        # product: a column it holds constant keeps rounding-level
+        # correlations, not a variance of rounding noise, and is rejected
+        moments = np.zeros((len(columns), len(columns)))
+        for rows in blocks:
+            block = columns[:, rows]
+            dev, scaled = buffer[:, :, :block.shape[1]]
+            np.subtract(block, means[:, None], out=dev)
+            moments += np.multiply(dev, counts[rows], out=scaled) @ dev.T
+        return moments / self.n
+
+
+def _centre(values: np.ndarray) -> _Moments:
+    """The read-only ``_Moments`` of the (..., n, p) ``values``: every
+    column centred, the column means and the cross products ``xc.T @ xc``,
+    of each matrix of a stack alike; each matrix's results have the bits it
+    has alone.
 
     The centred columns are written once, into one C-contiguous (..., p, n)
-    array, and ``xc`` is its (..., n, p) ``swapaxes`` view: the ``xc.T`` of
-    a dataset is the column-major layout a bootstrap draw reads, with no
-    copy.  The second pass removes what rounding left of the means, so a
-    constant column centres to zero and stays singular next to columns with
-    large offsets.  Its sum runs over C-order blocks of ``_ROW_BLOCK`` rows
+    array, and ``xc`` is its (..., n, p) ``swapaxes`` view.  The second
+    pass removes what rounding left of the means, so a constant column
+    centres to zero and stays singular next to columns with large
+    offsets.  Its sum runs over C-order blocks of ``_ROW_BLOCK`` rows
     of ``values - means`` in one buffer whose first row carries the running
     total, so it adds row by row, as the mean of a C-order ``values -
     means`` does; a sum along the contiguous rows of the storage would be
@@ -243,7 +312,10 @@ def _centre(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         residue = (values - means[..., None, :]).mean(axis=-2)
     xc -= residue[..., None, :]
     means += residue
-    return xc, means, columns @ xc
+    centred = _Moments(xc, means, columns @ xc)
+    for array in centred:
+        array.flags.writeable = False
+    return centred
 
 
 @dataclass(frozen=True, eq=False)
@@ -660,15 +732,7 @@ def covariance(data: Dataset) -> CovMatrix:
     centred cross products times 1 / (n - 1), symmetrised."""
     if data.n < 2:
         raise TooFewSamplesError("covariance requires at least 2 rows")
-    return CovMatrix(data.variable_names,
-                     _covariance_entries(data._centred[2], data.n))
-
-
-def _covariance_entries(gram: np.ndarray, n: int) -> np.ndarray:
-    """The cross products ``gram`` (..., p, p) of samples of ``n`` rows
-    times 1 / (n - 1), symmetrised: each matrix of a stack alike."""
-    raw = gram * (1.0 / (n - 1))
-    return (raw + raw.swapaxes(-1, -2)) / 2.0
+    return CovMatrix(data.variable_names, data._centred.covariance())
 
 
 def sub_determinant(cov: CovMatrix, rows, cols) -> float:

@@ -15,13 +15,14 @@ Two routes to the same target:
 
 Both routes, every bootstrap draw and the study's naive regression run one
 solve on centred moments (Frisch-Waugh-Lovell).  S is the dataset's one
-centred statistic, formed once per dataset (``data.Dataset._centred``): the
-fits read its cross products over n, ``closed_form_ate`` the same over
-n - 1 through ``covariance``, and the sandwich and the bootstrap draws its
-column-major centred columns, or a copy of those the pairs read.  With S
-a centred second-moment matrix, whose denominator cancels, the slopes (a1,
-delta, bx) solve S[q, m] beta = S[q, y] with q = (Z, T, X), m = (W, T, X),
-and a0 = mean(y) - mean(m)' beta.  The system is rejected when the
+centred statistic, ``data._Moments``, formed once per dataset
+(``data.Dataset._centred``): the fits read the ``subset`` of the columns
+their systems read, its cross products over n and its centred columns for
+the sandwich, and ``closed_form_ate`` the cross products over n - 1
+through ``covariance``.  With S a centred second-moment matrix, whose
+denominator cancels, the slopes (a1, delta, bx) solve S[q, m] beta =
+S[q, y] with q = (Z, T, X), m = (W, T, X), and a0 = mean(y) - mean(m)'
+beta.  The system is rejected when the
 condition number of its correlation-scale form S[q, m] / outer(sd_q, sd_m)
 is not finite or above 1e12.  Neither that number nor delta moves when a column
 is shifted; rescaling T or O multiplies delta by s_O / s_T.  The raw-design
@@ -243,22 +244,15 @@ class _Pairs:
         return NcPair(self.names[self.z[k]], self.names[self.w[k]])
 
 
-def _used_columns(xc: np.ndarray, layout):
-    """The centred columns of ``xc`` (..., n, p) that a stacked ``layout``
-    reads and the layout renumbered to their positions.  If the systems
-    read every column ``xc`` is used as is; otherwise theirs are gathered
-    once, as rows of the column-major storage of ``xc`` (see
-    ``data._centre``), so the subset stays column-major and the GEMMs and
-    the draws do not grow with the columns no system reads."""
+def _used_columns(layout):
+    """The sorted columns a stacked ``layout`` reads and the layout
+    renumbered to their positions."""
     qs, ms, y = layout
     # not np.unique: on numpy 2 it loads numpy.ma on first use
     used = np.flatnonzero(
         np.bincount(np.concatenate([qs.ravel(), ms.ravel(), [y]])))
-    if len(used) == xc.shape[-1]:
-        return xc, layout
     qs, ms, y = (np.searchsorted(used, pos) for pos in (qs, ms, y))
-    columns = xc.swapaxes(-1, -2)[..., used, :]
-    return columns.swapaxes(-1, -2), (qs, ms, int(y))
+    return used, (qs, ms, int(y))
 
 
 def _solve_centred(
@@ -404,32 +398,31 @@ def _fit_stack(centred, index_of, names, z, w, weights, roles,
                j: int = DELTA_INDEX - 1, errors=None):
     """The stacked fit of the pairs (``names[z[k]]``, ``names[w[k]]``),
     laid out by ``_layout`` among the columns ``index_of`` places with
-    ``roles = (treatment, outcome, covariates)``, on the centred statistic
-    ``centred = (xc, means, gram)`` of a dataset (``Dataset._centred``),
-    and its sandwich SEs: alpha0 (P,), the slopes beta (P, d), each
+    ``roles = (treatment, outcome, covariates)``, on the ``subset`` of the
+    centred statistic ``centred`` (``Dataset._centred``) that the systems
+    read, and its sandwich SEs: alpha0 (P,), the slopes beta (P, d), each
     system's SE of beta[:, j] (by default delta, as beta = (alpha1, delta,
     bx) has no alpha0), the ``weights`` average of beta[:, j] and its SE,
-    and the centred columns the systems read with the layout renumbered to
-    them (``_used_columns``).  A lone system's average takes the system's
-    own SE.  Empty ``names`` with (1, 0) ``z`` and ``w`` give the naive
-    regression, which has no pair to name in an error.
+    and that subset with the layout renumbered to it (``_used_columns``).
+    A lone system's average takes the system's own SE.  Empty ``names``
+    with (1, 0) ``z`` and ``w`` give the naive regression, which has no
+    pair to name in an error.
 
     ``centred`` may hold a stack of R datasets of one size (``data._centre``
     of an (R, n, p) array); every result then gains a leading axis of R,
     and ``errors`` is as for ``_solve_centred``."""
-    xc, means, gram = centred
-    layout = _layout(index_of, names, z, w, *roles)
+    used, layout = _used_columns(_layout(index_of, names, z, w, *roles))
+    moments = centred.subset(used)
     qs, ms, y = layout
-    beta, inv = _solve_centred(gram / xc.shape[-2], qs, ms, y,
+    beta, inv = _solve_centred(moments.gram / moments.n, qs, ms, y,
                                _Pairs(names, z, w) if names else None, errors)
-    alpha0 = means[..., y, None] - (
-        means[..., ms][..., None, :] @ beta[..., :, None])[..., 0, 0]
-    used, local = _used_columns(xc, layout)
-    ses, weighted_se = _sandwich_se(used, local, beta, inv, j, weights)
+    alpha0 = moments.means[..., y, None] - (
+        moments.means[..., ms][..., None, :] @ beta[..., :, None])[..., 0, 0]
+    ses, weighted_se = _sandwich_se(moments.xc, layout, beta, inv, j, weights)
     if len(weights) == 1:
         weighted_se = ses[..., 0].tolist()
     return (alpha0, beta, ses, _weighted_delta(weights, beta, j),
-            weighted_se, used, local)
+            weighted_se, moments, layout)
 
 
 def design_matrices(

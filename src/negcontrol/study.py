@@ -48,7 +48,7 @@ import numpy.random  # noqa: F401  loaded on import, not on the first draw
 
 from .aggregate import _triples_plan
 from ._fork import _receive_bytes, cuts, map_parts
-from .data import _centre, _covariance_entries
+from .data import _centre
 from .estimate import DELTA_INDEX, _fit_stack, _interval
 from .search import _search_plan, _sub_tests
 from .simulate import (
@@ -295,9 +295,8 @@ def _plan_fits(centred, index_of, names, roles, keys, plan_of) -> list:
         first, last = members[0], members[-1]
         rows = (slice(first, last + 1) if last - first + 1 == len(members)
                 else members)
-        stack = tuple(array[rows] for array in centred)
-        for i, fit in zip(members, _fits(stack, index_of, names,
-                                         *plan_of(key), roles)):
+        for i, fit in zip(members, _fits(centred.members(rows), index_of,
+                                         names, *plan_of(key), roles)):
             fits[i] = fit
     return fits
 
@@ -344,7 +343,7 @@ def _run_pass(spec: GraphSpec, config: StudyConfig, jobs: list, *,
     candidates, rows, alpha = plans[n]
     columns = {name: j for j, name in enumerate(names)}
     centred = _centre(values)
-    p = _sub_tests(_covariance_entries(centred[2], n), n, columns.__getitem__,
+    p = _sub_tests(centred.covariance(), n, columns.__getitem__,
                    candidates, rows, *roles[:2], alpha)[3]
     passed = (p > alpha).all(axis=-1)
     plan_fits = partial(_plan_fits, centred, columns.__getitem__, candidates,

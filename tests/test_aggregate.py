@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from negcontrol import _fork, aggregate
 from negcontrol._fork import map_parts
-from negcontrol.data import Dataset, covariance
+from negcontrol.data import Dataset, _centre, covariance
 from negcontrol.errors import (
     BootstrapDegenerateError,
     EmptyDnctListError,
@@ -35,7 +35,6 @@ from negcontrol.estimate import (
 from negcontrol.aggregate import (
     PairFrequencyTable,
     _bootstrap_se,
-    _resampled_moments,
     _table_plan,
     _triples_plan,
     enumerate_pairs,
@@ -393,13 +392,13 @@ def test_weighted_bootstrap_takes_numpy_integers(simple_data):
 
 
 def _boot_inputs(data, dncts):
-    """The used centred columns, their layout and the weights that
-    ``weighted_estimate`` hands to ``_bootstrap_se``."""
+    """The centred statistic of the used columns, their layout and the
+    weights that ``weighted_estimate`` hands to ``_bootstrap_se``."""
     names, z, w, freqs = _table_plan(enumerate_pairs(dncts))
     weights = freqs / freqs.sum()
-    *_, xc, local = _fit_stack(data._centred, data.index_of, names, z, w,
-                               weights, ("T", "O", ()))
-    return xc, local, weights
+    *_, centred, local = _fit_stack(data._centred, data.index_of, names, z,
+                                    w, weights, ("T", "O", ()))
+    return centred, local, weights
 
 
 def _counting_parts(mp):
@@ -419,12 +418,13 @@ def _counting_parts(mp):
 @pytest.mark.parametrize("draws", [5, 17, 40])
 def test_bootstrap_draws_do_not_depend_on_the_split(simple_data, simple_truth,
                                                     monkeypatch, draws):
-    xc, layout, weights = _boot_inputs(simple_data, simple_truth[0])
+    centred, layout, weights = _boot_inputs(simple_data, simple_truth[0])
     calls = _counting_parts(monkeypatch)
     runs = []
     for k in (1, 2, 3):
         monkeypatch.setattr(_fork, "_workers", lambda k=k: k)
-        runs.append(_bootstrap_se(xc, layout, weights, draws, 7).tobytes())
+        runs.append(
+            _bootstrap_se(centred, layout, weights, draws, 7).tobytes())
     assert runs[1] == runs[0] and runs[2] == runs[0]
     # 5 draws stay in this process on any CPU count; 17 and 40 split
     assert [len(parts) for parts in calls] == (
@@ -439,15 +439,15 @@ def _exit_3(part):
 def test_bootstrap_reruns_the_part_of_a_failed_child(simple_data,
                                                      simple_truth,
                                                      monkeypatch):
-    xc, layout, weights = _boot_inputs(simple_data, simple_truth[0])
+    centred, layout, weights = _boot_inputs(simple_data, simple_truth[0])
     monkeypatch.setattr(_fork, "_workers", lambda: 1)
-    serial = _bootstrap_se(xc, layout, weights, 17, 3)
+    serial = _bootstrap_se(centred, layout, weights, 17, 3)
     monkeypatch.setattr(_fork, "_workers", lambda: 3)
     monkeypatch.setattr(
         aggregate, "map_parts",
         lambda parts, here, child, receive: map_parts(parts, here, _exit_3,
                                                       receive))
-    assert _bootstrap_se(xc, layout, weights, 17, 3).tobytes() == (
+    assert _bootstrap_se(centred, layout, weights, 17, 3).tobytes() == (
         serial.tobytes())
 
 
@@ -465,22 +465,22 @@ def _degenerate_inputs():
 
 @needs_fork
 def test_bootstrap_names_the_degenerate_slot_of_a_child(monkeypatch):
-    xc, layout, weights = _degenerate_inputs()
+    centred, layout, weights = _degenerate_inputs()
     monkeypatch.setattr(_fork, "_workers", lambda: 1)
     with pytest.raises(BootstrapDegenerateError, match="slot 12 "):
-        _bootstrap_se(xc, layout, weights, 20, 1)
+        _bootstrap_se(centred, layout, weights, 20, 1)
     # slots 0-9 run here and 10-19 in a child, which fails at slot 12;
     # the part runs again here and raises what the serial loop raises
     calls = _counting_parts(monkeypatch)
     monkeypatch.setattr(_fork, "_workers", lambda: 2)
     with pytest.raises(BootstrapDegenerateError, match="slot 12 "):
-        _bootstrap_se(xc, layout, weights, 20, 1)
+        _bootstrap_se(centred, layout, weights, 20, 1)
     assert [part is None for part in calls[0]] == [False, True]
 
 
 def test_bootstrap_draws_read_the_centred_columns_in_place(monkeypatch):
     # the pairs read every column, so the draws read the dataset's own
-    # column-major centred columns, not a transposed copy of them
+    # statistic, whose centred columns they read in place
     rng = np.random.default_rng(29)
     values = rng.normal(size=(500, 5))
     values[:, 0] += values[:, 2:].sum(axis=1)  # T
@@ -488,16 +488,15 @@ def test_bootstrap_draws_read_the_centred_columns_in_place(monkeypatch):
     data = Dataset(("T", "O", "a", "b", "c"), values)
     slot_draws, seen = aggregate._slot_draws, []
 
-    def recording(columns, *args):
-        seen.append(columns)
-        return slot_draws(columns, *args)
+    def recording(centred, *args):
+        seen.append(centred)
+        return slot_draws(centred, *args)
 
     monkeypatch.setattr(aggregate, "_slot_draws", recording)
     weighted_estimate(data, enumerate_pairs([("a", "b", "c")]), "T", "O",
                       ci_method="bootstrap", bootstrap_draws=5)
     assert len(seen) == 1
-    assert seen[0].flags.c_contiguous
-    assert np.shares_memory(seen[0], data._centred[0])
+    assert seen[0] is data._centred
 
 
 @pytest.mark.parametrize("n", [_ROW_BLOCK // 8, _ROW_BLOCK,
@@ -505,15 +504,14 @@ def test_bootstrap_draws_read_the_centred_columns_in_place(monkeypatch):
 def test_resampled_moments_match_the_weighted_deviations(n):
     # below one row block, exactly one, and a partial last block
     rng = np.random.default_rng(n)
-    xc = rng.normal(size=(n, 4)) @ rng.normal(size=(4, 4)) * [1, 1e3, 1e-3, 5]
-    xc -= xc.mean(axis=0)
+    centred = _centre(rng.normal(size=(n, 4)) @ rng.normal(size=(4, 4))
+                      * [1, 1e3, 1e-3, 5])
     counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
-    dev = xc - counts @ xc / n
+    dev = centred.xc - counts @ centred.xc / n
     dev *= np.sqrt(counts)[:, None]
     buffer = np.empty((2, 4, min(n, _ROW_BLOCK)))
-    np.testing.assert_allclose(
-        _resampled_moments(np.ascontiguousarray(xc.T), counts, buffer),
-        dev.T @ dev / n, rtol=1e-12)
+    np.testing.assert_allclose(centred.resampled(counts, buffer),
+                               dev.T @ dev / n, rtol=1e-12)
 
 
 def _first_singular_pair(data, pairs):
@@ -619,11 +617,11 @@ def test_bootstrap_draws_hold_two_count_arrays_at_most():
     names, z, w, freqs = _table_plan(table)
     layout = _layout(data.index_of, names, z, w, "T", "O")
     weights = freqs / freqs.sum()
-    columns = data._centred[0].T
-    aggregate._slot_draws(columns, layout, weights, 7, range(1))  # warm
+    aggregate._slot_draws(data._centred, layout, weights, 7,
+                          range(1))  # warm
     tracemalloc.start()
     try:
-        aggregate._slot_draws(columns, layout, weights, 7, range(3))
+        aggregate._slot_draws(data._centred, layout, weights, 7, range(3))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

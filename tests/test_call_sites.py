@@ -2,7 +2,8 @@
 ``search._sub_tests`` is the only caller of ``tetrad._wishart_batch``,
 ``estimate._fit_stack`` the only caller of ``estimate._sandwich_se``, and a
 study pass reaches ``study._fits`` from its grouped pair-plan fit and its
-naive fit only."""
+naive fit only.  The centred statistic is formed in ``data`` alone, and
+centred once per dataset or study pass."""
 
 from __future__ import annotations
 
@@ -54,3 +55,21 @@ def test_every_pair_plan_of_a_study_is_fitted_at_one_site():
         for _, scope in _uses(ast.parse(path.read_text()), {"_fits"})
     )
     assert found == [("study.py", "_naive_fits"), ("study.py", "_plan_fits")]
+
+
+def test_the_centred_statistic_is_formed_in_data_alone():
+    # only data.py names _Moments, so only it builds one or knows its
+    # layout; a dataset's statistic and a study pass's stack are centred
+    # at one site each
+    package = Path(negcontrol.__file__).parent
+    found = [
+        (path.name, scope, name)
+        for path in package.glob("*.py")
+        for name, scope in _uses(ast.parse(path.read_text()),
+                                 {"_Moments", "_centre"})
+    ]
+    assert {file for file, _, name in found if name == "_Moments"} == {
+        "data.py"}
+    assert sorted((file, scope) for file, scope, name in found
+                  if name == "_centre") == [("data.py", "Dataset._centred"),
+                                            ("study.py", "_run_pass")]

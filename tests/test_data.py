@@ -1155,14 +1155,21 @@ def test_results_do_not_depend_on_the_layout_of_the_values(ci):
 
 
 def test_centred_columns_are_stored_column_major(table_dataset):
-    # a bootstrap draw reads xc.T row by row, with no copy
-    xc = table_dataset._centred[0]
-    assert xc.T.flags.c_contiguous
-    layout = (np.array([[0, 2]]), np.array([[1, 2]]), 3)
-    subset, local = _used_columns(xc, layout)
-    assert subset.T.flags.c_contiguous
-    assert subset.tobytes() == xc[:, :4].tobytes()
-    assert [pos.tolist() for pos in local[:2]] == [[[0, 2]], [[1, 2]]]
+    # a bootstrap draw reads xc.T row by row, with no copy, and a subset of
+    # the columns is gathered as rows of that storage, so it stays so
+    centred = table_dataset._centred
+    assert centred.xc.T.flags.c_contiguous
+    assert centred.subset(np.arange(4)) is centred
+    used, local = _used_columns((np.array([[0]]), np.array([[2]]), 3))
+    assert used.tolist() == [0, 2, 3]
+    assert [pos.tolist() for pos in local[:2]] == [[[0]], [[1]]]
+    assert local[2] == 2
+    subset = centred.subset(used)
+    assert subset.xc.T.flags.c_contiguous
+    assert subset.n == centred.n == 5
+    for got, want in zip(subset, (centred.xc[:, used], centred.means[used],
+                                  centred.gram[np.ix_(used, used)])):
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from negcontrol.aggregate import enumerate_pairs, weighted_estimate
-from negcontrol.data import Dataset, _centre, _covariance_entries, covariance
+from negcontrol.data import Dataset, _centre, covariance
 from negcontrol.errors import SingularMomentMatrixError
 from negcontrol.estimate import (
     NcPair,
@@ -54,23 +54,37 @@ def _plan(pairs) -> tuple:
             [names.index(pair.w) for pair in pairs])
 
 
-@stacks
+# a stack of r as a whole; or its members 4, 0 and 2, listed out of
+# order, which gathers them; or a subset of its columns, gathered for every
+# member at once
+@pytest.mark.parametrize(
+    "r, view", [(1, None), (2, None), (5, None), (5, "members"),
+                (5, "subset")],
+    ids=["1", "2", "5", "5-members", "5-subset"])
 @sizes
-def test_centring_matches_each_dataset(n, r):
+def test_centring_matches_each_dataset(n, r, view):
     values = _values(r, n)
     values[-1, :, 4] = 5.0  # a constant column in the last dataset
-    xc, means, gram = _centre(values)
-    for i in range(r):
-        alone = Dataset(NAMES, values[i])._centred
-        assert _bits(xc[i], means[i], gram[i]) == _bits(*alone)
-    assert not xc[-1, :, 4].any()
+    centred = _centre(values)
+    assert not centred.xc[-1, :, 4].any()
+    rows, used = list(range(r)), np.arange(len(NAMES))
+    if view == "members":
+        rows = [4, 0, 2]
+        centred = centred.members(rows)
+    elif view == "subset":  # a and x are left out
+        used = np.array([0, 1, 3, 4, 5])
+        centred = centred.subset(used)
+    assert centred.n == n and len(centred.xc) == len(rows)
+    for i, row in enumerate(rows):
+        alone = Dataset(NAMES, values[row])._centred.subset(used)
+        assert _bits(*centred.members(i)) == _bits(*alone)
 
 
 @stacks
 @sizes
 def test_wishart_scan_matches_each_covariance(n, r):
     values = _values(r, n)
-    cov = _covariance_entries(_centre(values)[2], n)
+    cov = _centre(values).covariance()
     names, rows, alpha = _search_plan(NAMES, NAMES[2:], "T", "O", n, None)
     plan = (NAMES.index, names, rows, "T", "O", alpha)
     stacked = _sub_tests(cov, n, *plan)
@@ -141,21 +155,23 @@ def test_sandwich_matches_each_dataset(n, r, case):
     weights = np.full(len(pairs), 1.0 / len(pairs))
     plan = _plan(pairs)
     layout = _layout(NAMES.index, *plan, "T", "O", covariates)
-    centred = _centre(values)
-    beta, inv = _solve_centred(centred[2] / n, *layout)
-    xc, local = _used_columns(centred[0], layout)
-    assert xc.shape[-1] == (4 if case == "lone" else 6)  # c is not read
-    ses, weighted = _sandwich_se(xc, local, beta, inv, 1, weights)
-    fits = _fit_stack(centred, NAMES.index, *plan, weights,
+    used, local = _used_columns(layout)
+    centred = _centre(values).subset(used)
+    assert centred.xc.shape[-1] == (4 if case == "lone" else 6)  # not c
+    beta, inv = _solve_centred(centred.gram / n, *local)
+    ses, weighted = _sandwich_se(centred.xc, local, beta, inv, 1, weights)
+    fits = _fit_stack(_centre(values), NAMES.index, *plan, weights,
                       ("T", "O", covariates))
+    # the fit reads the subset, with the layout renumbered to it
+    assert _bits(*fits[5], *fits[6][:2]) == _bits(*centred, *local[:2])
     for i in range(r):
         data = Dataset(NAMES, values[i])
-        alone_xc, alone_local = _used_columns(data._centred[0], layout)
-        alone = _solve_centred(data._centred[2] / n, *layout)
-        assert _bits(xc[i], *local) == _bits(alone_xc, *alone_local)
+        alone = data._centred.subset(used)
+        assert _bits(*centred.members(i)) == _bits(*alone)
         assert (_bits(ses[i], weighted[i])
-                == _bits(*_sandwich_se(alone_xc, alone_local, *alone, 1,
-                                       weights)))
+                == _bits(*_sandwich_se(
+                    alone.xc, local,
+                    *_solve_centred(alone.gram / n, *local), 1, weights)))
         # the public fits read the same bits
         if case == "lone":
             est = gmm_linear_ate(data, pairs[0], "T", "O")
@@ -179,9 +195,10 @@ def test_sandwich_in_parts_matches_the_whole_stack(monkeypatch, cells):
     pairs = [pair for pair, _ in enumerate_pairs([("a", "b", "d")]).entries]
     weights = np.full(len(pairs), 1.0 / len(pairs))
     layout = _layout(NAMES.index, *_plan(pairs), "T", "O")
-    centred = _centre(values)
-    beta, inv = _solve_centred(centred[2] / 1000, *layout)
-    xc, local = _used_columns(centred[0], layout)
+    used, local = _used_columns(layout)
+    centred = _centre(values).subset(used)
+    beta, inv = _solve_centred(centred.gram / 1000, *local)
+    xc = centred.xc
     whole = _sandwich_se(xc, local, beta, inv, 1, weights)
     blocks = []
     matmul = np.matmul
@@ -233,10 +250,12 @@ def test_used_columns_match_unique(seed):
     rng = np.random.default_rng(seed)
     p = int(rng.integers(3, 13))
     pairs, d = int(rng.integers(1, 6)), int(rng.integers(1, 5))
-    xc = rng.normal(size=(2, 7, p))
+    centred = _centre(rng.normal(size=(2, 7, p)))
+    xc = centred.xc
     layout = (rng.integers(0, p, size=(pairs, d)),
               rng.integers(0, p, size=(pairs, d)), int(rng.integers(p)))
-    got_xc, got = _used_columns(xc, layout)
+    used, got = _used_columns(layout)
+    got_xc = centred.subset(used).xc
     ref_xc, ref = _used_columns_by_unique(xc, layout)
     assert (got_xc is xc) == (ref_xc is xc)
     assert _bits(got_xc, *got[:2]) == _bits(ref_xc, *ref[:2])

@@ -49,8 +49,8 @@ from test_data import (
 
 def _naive_fit(data, treatment, outcome, covariates):
     """The study's naive fit of one dataset, a stack of one."""
-    (fit,) = _naive_fits(tuple(array[None] for array in data._centred),
-                         data.index_of, treatment, outcome, covariates)
+    (fit,) = _naive_fits(study._centre(data.values[None]), data.index_of,
+                         treatment, outcome, covariates)
     if isinstance(fit, Exception):
         raise fit
     return fit
