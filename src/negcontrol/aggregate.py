@@ -17,17 +17,18 @@ majority vote.  One step, ``_aggregate``, builds every
 
 Both read the dataset's one centred statistic, ``data._Moments``, or its
 subset of the columns the pairs read: the fits solve on its cross
-products, the sandwich reads its centred columns, and every bootstrap
-draw is its ``resampled`` moment matrix, so it forms no n x k array.
+products, the sandwich reads its centred columns, and the bootstrap
+solves stacks of its ``resampled`` moment matrices, forming no n x k array.
 Every sandwich SE, each pair's, the weighted average's and the majority
 pair's, comes from the one row-blocked sandwich of
 ``estimate._fit_stack``.  The majority vote is the fit of its lone pair,
 so its SE is that pair's, and it has no bootstrap.
 
-The bootstrap's slots are cut into the runs of ``_fork.cuts``, each of
-at least ``_BOOT_CHUNK`` draws, and ``_fork.map_parts`` draws the runs
-after the first in forked children.  Each slot seeds itself, so the
-draws do not depend on the split.
+The bootstrap's slots are cut into the parts of ``_fork.cuts``, each of
+at least ``_BOOT_CHUNK`` draws, and ``_fork.map_parts`` draws the parts
+after the first in forked children.  A part solves runs of ``_BOOT_CHUNK``
+draws in one stacked pass each.  Each slot seeds itself, so the draws do
+not depend on the split.
 """
 from __future__ import annotations
 
@@ -36,15 +37,10 @@ from functools import partial
 from numbers import Integral
 
 import numpy as np
-import numpy.random  # noqa: F401  loaded on import, not on the first draw
 
 from ._fork import _receive_bytes, cuts, map_parts
-from .data import _ROW_BLOCK, Dataset
-from .errors import (
-    BootstrapDegenerateError,
-    EmptyDnctListError,
-    SingularMomentMatrixError,
-)
+from .data import Dataset
+from .errors import BootstrapDegenerateError, EmptyDnctListError
 from .estimate import (
     AteEstimate,
     NcPair,
@@ -240,9 +236,10 @@ def _bootstrap_se(
     """Bootstrap draws of the weighted estimate, one per slot.
 
     A row resample is fully described by how often it draws each row, so
-    a draw forms the count-weighted centred moment matrix of the centred
+    a draw is the count-weighted centred moment matrix of the centred
     statistic ``centred`` (``data._Moments.resampled``); one stacked solve
-    on that matrix fits every pair, whose systems ``layout`` stacks.
+    on a run of such matrices fits every pair, whose systems ``layout``
+    stacks, and gives each draw the bits it has alone.
 
     Each slot derives its own random stream from (seed, slot, attempt), so
     a slot's draw does not depend on how the other slots went.  A slot
@@ -254,7 +251,7 @@ def _bootstrap_se(
     ``_BOOT_CHUNK`` draws, and ``_fork.map_parts`` runs the ranges after
     the first in forked children.  A range whose child failed runs again
     here, so a ``BootstrapDegenerateError`` names the first slot that
-    failed, as the serial loop does.  Every draw runs the same code in any
+    failed, whatever the split.  Every draw runs the same code in any
     process, so its bits do not depend on the split.
     """
     parts = [range(a, b) for a, b in cuts(draws, _BOOT_CHUNK)]
@@ -266,32 +263,33 @@ def _bootstrap_se(
 
 def _slot_draws(centred, layout, weights: np.ndarray, seed,
                 slots: range) -> np.ndarray:
-    """The draws of ``slots`` from the centred statistic ``centred``, each
-    draw's moment matrix ``resampled`` in one buffer reused across the
-    draws.  A draw holds two n-length integer arrays at most: its row
-    indices and its counts."""
-    n = centred.n
-    buffer = np.empty((2, len(centred.means), min(n, _ROW_BLOCK)))
+    """The draws of ``slots`` from the centred statistic ``centred``, in
+    runs of at most ``_BOOT_CHUNK`` slots.  An attempt forms the moment
+    matrices of the run's slots still to draw as one stack
+    (``data._Moments.resampled``) and solves them in one pass that lists
+    each member's error; a slot whose matrix is singular is drawn again at
+    its next attempt.  BootstrapDegenerateError names the first slot of a
+    run still failing after ``_BOOT_RETRIES_PER_SLOT`` attempts."""
     out = np.empty(len(slots))
-    for i, slot in enumerate(slots):
+    for start in range(0, len(slots), _BOOT_CHUNK):
+        pending = range(start, min(start + _BOOT_CHUNK, len(slots)))
         for attempt in range(_BOOT_RETRIES_PER_SLOT):
-            rng = np.random.default_rng(
-                np.random.SeedSequence((seed, slot, attempt))
-            )
-            counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
-            moments = centred.resampled(counts, buffer)
-            # released before the next draw's two n-length arrays are made
-            del counts
-            try:
-                beta, _ = _solve_centred(moments, *layout)
-            except SingularMomentMatrixError:
-                continue
-            out[i] = _weighted_delta(weights, beta)
-            break
+            errors: list = []
+            beta, _ = _solve_centred(
+                centred.resampled([(seed, slots[i], attempt)
+                                   for i in pending]),
+                *layout, errors=errors)
+            for i, member, error in zip(pending, beta, errors):
+                if error is None:
+                    out[i] = _weighted_delta(weights, member)
+            pending = [i for i, error in zip(pending, errors)
+                       if error is not None]
+            if not pending:
+                break
         else:
             raise BootstrapDegenerateError(
-                f"bootstrap slot {slot} failed {_BOOT_RETRIES_PER_SLOT} "
-                "times"
+                f"bootstrap slot {slots[pending[0]]} failed "
+                f"{_BOOT_RETRIES_PER_SLOT} times"
             )
     return out
 

@@ -71,6 +71,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+import numpy.random  # noqa: F401  loaded on import, not on the first draw
 
 from . import _numparse
 from ._fork import _payload_size, _read_into, cuts, map_parts, stream_parts
@@ -208,8 +209,8 @@ class _Moments(NamedTuple):
     means (..., p) and the cross products ``gram`` (..., p, p).  Readers
     ask it for what they need, so only this module knows its layout: the
     centred columns of each dataset are the (n, p) ``swapaxes`` view of
-    one C-contiguous (p, n) array, stored column-major, which a bootstrap
-    draw reads row by row in place and ``subset`` gathers as whole rows.
+    one C-contiguous (p, n) array, stored column-major, which ``resampled``
+    reads row by row in place and ``subset`` gathers as whole rows.
     Every method gives each dataset of a stack the bits it has alone."""
 
     xc: np.ndarray
@@ -244,35 +245,42 @@ class _Moments(NamedTuple):
         return _Moments(columns.swapaxes(-1, -2), self.means[..., used],
                         self.gram[..., used[:, None], used])
 
-    def resampled(self, counts: np.ndarray, buffer: np.ndarray) -> np.ndarray:
-        """The centred second moments over n of the resample of one
-        dataset, not a stack, that draws its row i ``counts[i]`` times,
-        summed over blocks of ``_ROW_BLOCK`` rows in the (2, p,
-        ``_ROW_BLOCK`` or n) ``buffer``; the centred columns are read in
-        place.
+    def resampled(self, seeds) -> np.ndarray:
+        """The (B, p, p) centred second moments over n of B row resamples
+        of one dataset, not a stack: resample b takes row i as often as
+        ``default_rng(SeedSequence(seeds[b]))`` draws i in n draws.  Sums
+        run over blocks of ``_ROW_BLOCK`` rows in one (2, p, ``_ROW_BLOCK``
+        or n) buffer, reading the centred columns in place, and a resample
+        holds two n-length integer arrays at most: its draws and counts.
 
         The means are blocked GEMVs of the counts, and the moments the sum
         of ``(d * c) @ d.T`` over blocks, ``d`` the block less the means.
         Each block's products are small enough that BLAS keeps them on one
         thread, so their bits do not depend on how many it has: one GEMV
         over all n rows sums in another order on two threads."""
-        columns = self.xc.T
+        n, columns = self.n, self.xc.T
         blocks = [slice(start, start + _ROW_BLOCK)
-                  for start in range(0, self.n, _ROW_BLOCK)]
-        means = np.zeros(len(columns))
-        for rows in blocks:
-            means += columns[:, rows] @ counts[rows]
-        means /= self.n
-        # centred at the resample's means, not by subtracting their outer
-        # product: a column it holds constant keeps rounding-level
-        # correlations, not a variance of rounding noise, and is rejected
-        moments = np.zeros((len(columns), len(columns)))
-        for rows in blocks:
-            block = columns[:, rows]
-            dev, scaled = buffer[:, :, :block.shape[1]]
-            np.subtract(block, means[:, None], out=dev)
-            moments += np.multiply(dev, counts[rows], out=scaled) @ dev.T
-        return moments / self.n
+                  for start in range(0, n, _ROW_BLOCK)]
+        buffer = np.empty((2, len(columns), min(n, _ROW_BLOCK)))
+        stack = np.zeros((len(seeds), len(columns), len(columns)))
+        for moments, seed in zip(stack, seeds):
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
+            means = np.zeros(len(columns))
+            for rows in blocks:
+                means += columns[:, rows] @ counts[rows]
+            means /= n
+            # centred at the resample's means, not by subtracting their
+            # outer product: a column it holds constant keeps rounding-level
+            # correlations, not a variance of rounding noise, and is rejected
+            for rows in blocks:
+                block = columns[:, rows]
+                dev, scaled = buffer[:, :, :block.shape[1]]
+                np.subtract(block, means[:, None], out=dev)
+                moments += np.multiply(dev, counts[rows], out=scaled) @ dev.T
+            moments /= n
+            del counts
+        return stack
 
 
 def _centre(values: np.ndarray) -> _Moments:

@@ -177,6 +177,8 @@ class MethodMetrics:
     bias: float
     proportion_bias_pct: float
     mc_se: float
+    """The SD (ddof 1) of the estimates over the replications that fitted,
+    NaN below two: their spread, not the Monte Carlo SE of any measure."""
     mean_estimated_se: float
     coverage_95: float
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from negcontrol import _fork, aggregate
 from negcontrol._fork import map_parts
-from negcontrol.data import Dataset, _centre, covariance
+from negcontrol.data import Dataset, _centre, _Moments, covariance
 from negcontrol.errors import (
     BootstrapDegenerateError,
     EmptyDnctListError,
@@ -26,6 +26,8 @@ from negcontrol.estimate import (
     NcPair,
     _fit_stack,
     _layout,
+    _solve_centred,
+    _weighted_delta,
     design_matrices,
     gmm_linear_ate,
     per_observation_moments,
@@ -502,16 +504,20 @@ def test_bootstrap_draws_read_the_centred_columns_in_place(monkeypatch):
 @pytest.mark.parametrize("n", [_ROW_BLOCK // 8, _ROW_BLOCK,
                                2 * _ROW_BLOCK + 77])
 def test_resampled_moments_match_the_weighted_deviations(n):
-    # below one row block, exactly one, and a partial last block
+    # below one row block, exactly one, and a partial last block; a stack
+    # of two resamples, each drawn from its own seed material
     rng = np.random.default_rng(n)
     centred = _centre(rng.normal(size=(n, 4)) @ rng.normal(size=(4, 4))
                       * [1, 1e3, 1e-3, 5])
-    counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
-    dev = centred.xc - counts @ centred.xc / n
-    dev *= np.sqrt(counts)[:, None]
-    buffer = np.empty((2, 4, min(n, _ROW_BLOCK)))
-    np.testing.assert_allclose(centred.resampled(counts, buffer),
-                               dev.T @ dev / n, rtol=1e-12)
+    seeds = [(n, 0, 0), (n, 1, 2)]
+    stack = centred.resampled(seeds)
+    assert stack.shape == (2, 4, 4)
+    for moments, seed in zip(stack, seeds):
+        draw = np.random.default_rng(np.random.SeedSequence(seed))
+        counts = np.bincount(draw.integers(0, n, size=n), minlength=n)
+        dev = centred.xc - counts @ centred.xc / n
+        dev *= np.sqrt(counts)[:, None]
+        np.testing.assert_allclose(moments, dev.T @ dev / n, rtol=1e-12)
 
 
 def _first_singular_pair(data, pairs):
@@ -627,6 +633,59 @@ def test_bootstrap_draws_hold_two_count_arrays_at_most():
         tracemalloc.stop()
     # the draws' (2, 5, _ROW_BLOCK) buffer, two n-length arrays, 64 KiB
     assert peak < 8 * (2 * 5 * _ROW_BLOCK + 2 * n) + (1 << 16)
+
+
+def test_stacked_draws_match_each_draw_solved_alone():
+    # slots 0-3 are drawn as one run and slot 4 as another; the first
+    # resamples of slots 1 and 4 miss the one row where c is nonzero, so a
+    # middle member of the first run is singular and only it is drawn again
+    data, dncts = _sparse_control_data()
+    centred, layout, weights = _boot_inputs(data, dncts)
+    seed, slots = 11, range(5)
+    errors = []
+    _solve_centred(centred.resampled([(seed, slot, 0) for slot in slots]),
+                   *layout, errors=errors)
+    assert [error is not None for error in errors] == [
+        False, True, False, False, True]
+    alone = []
+    for slot in slots:
+        for attempt in range(aggregate._BOOT_RETRIES_PER_SLOT):
+            moments = centred.resampled([(seed, slot, attempt)])[0]
+            try:
+                beta, _ = _solve_centred(moments, *layout)
+            except SingularMomentMatrixError:
+                continue
+            alone.append(_weighted_delta(weights, beta))
+            break
+    got = aggregate._slot_draws(centred, layout, weights, seed, slots)
+    assert got.tobytes() == np.array(alone).tobytes()
+
+
+def test_degenerate_draws_name_the_first_slot_of_their_run(monkeypatch):
+    # c is zero in every row, so every resample is singular: the run of
+    # slots 5-8 is drawn _BOOT_RETRIES_PER_SLOT times and its first slot,
+    # the first to fail, is named
+    rng = np.random.default_rng(37)
+    values = rng.normal(size=(60, 5))
+    values[:, 4] = 0.0
+    data = Dataset(("T", "O", "a", "b", "c"), values)
+    names, z, w, freqs = _table_plan(enumerate_pairs([("a", "b", "c")]))
+    layout = _layout(data.index_of, names, z, w, "T", "O")
+    resampled, drawn = _Moments.resampled, []
+
+    def counting(centred, seeds):
+        drawn.extend(seeds)
+        return resampled(centred, seeds)
+
+    monkeypatch.setattr(_Moments, "resampled", counting)
+    with pytest.raises(BootstrapDegenerateError, match="slot 5 failed 10 "):
+        aggregate._slot_draws(data._centred, layout, freqs / freqs.sum(), 3,
+                              range(5, 12))
+    assert len(drawn) <= (aggregate._BOOT_RETRIES_PER_SLOT
+                          * aggregate._BOOT_CHUNK)
+    assert sorted(drawn) == [
+        (3, slot, attempt) for slot in range(5, 9)
+        for attempt in range(aggregate._BOOT_RETRIES_PER_SLOT)]
 
 
 def test_majority_vote_tie_breaks_lexicographically(simple_data, simple_truth):

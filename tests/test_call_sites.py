@@ -3,7 +3,8 @@
 ``estimate._fit_stack`` the only caller of ``estimate._sandwich_se``, and a
 study pass reaches ``study._fits`` from its grouped pair-plan fit and its
 naive fit only.  The centred statistic is formed in ``data`` alone, and
-centred once per dataset or study pass."""
+centred once per dataset or study pass; only ``data`` and ``estimate``
+read its row blocks, and a singular moment matrix is caught at one site."""
 
 from __future__ import annotations
 
@@ -73,3 +74,45 @@ def test_the_centred_statistic_is_formed_in_data_alone():
     assert sorted((file, scope) for file, scope, name in found
                   if name == "_centre") == [("data.py", "Dataset._centred"),
                                             ("study.py", "_run_pass")]
+
+
+def _names(tree):
+    """Every name, attribute and imported name in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def _caught(tree, scope=()):
+    """(dotted enclosing scope, caught name) of every name an ``except``
+    clause in ``tree`` catches."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            for name in _names(node.type):
+                yield ".".join(scope), name
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            inner = (*scope, node.name)
+        yield from _caught(node, inner)
+
+
+def test_only_data_forms_a_resample():
+    # the row blocks are read where the statistic is formed and where the
+    # sandwich sums it; a bootstrap draw asks _Moments.resampled for its
+    # moments and the study's error list for its singular members, so the
+    # pair solve's error is caught only where the closed form renames it
+    package = Path(negcontrol.__file__).parent
+    trees = {path.name: ast.parse(path.read_text())
+             for path in package.glob("*.py")}
+    assert {name for name, tree in trees.items()
+            if "_ROW_BLOCK" in set(_names(tree))} == {"data.py",
+                                                      "estimate.py"}
+    assert sorted((name, scope) for name, tree in trees.items()
+                  for scope, caught in _caught(tree)
+                  if caught == "SingularMomentMatrixError") == [
+        ("estimate.py", "closed_form_ate")]
